@@ -90,6 +90,11 @@ class ExecutionBackend:
     #: Registry key; also what ``--backend`` matches against.
     name = "abstract"
 
+    #: True when the backend simulates on the word-packed lane engine;
+    #: ``SimulationKernel.verifier`` then checks each candidate against
+    #: the whole fault list in one packed run.
+    lane_packed = False
+
     def __init__(self) -> None:
         #: Tasks served per execution strategy, e.g. ``{"serial": 12}``
         #: or ``{"bitparallel": 60, "serial": 9}`` when a backend
@@ -243,6 +248,7 @@ class BitParallelBackend(ExecutionBackend):
     """
 
     name = "bitparallel"
+    lane_packed = True
 
     #: Bound of the lane-plan cache (LRU beyond it).
     PLAN_CACHE_SIZE = 128
@@ -348,6 +354,7 @@ class BitParallelNumpyBackend(ExecutionBackend):
     """
 
     name = "bitparallel-np"
+    lane_packed = True
 
     #: Bound of the tiled-plan cache (LRU beyond it).
     PLAN_CACHE_SIZE = 128

@@ -47,9 +47,10 @@ from ..faults.instances import FaultCase
 from ..march.element import AddressOrder, MarchElement
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
+from ..simulator.bitengine import PackedSimulation, partition_cases
 from ..simulator.engine import MarchRun, is_well_formed, run_march
 from ..store import FaultDictionaryStore, TieredCache, resolve_store
-from ..telemetry import TELEMETRY_OFF, Telemetry
+from ..telemetry import TELEMETRY_OFF, Counter, Telemetry
 from .backends import (
     DetectTask,
     ExecutionBackend,
@@ -69,6 +70,36 @@ Verifier = Callable[[MarchTest], bool]
 #: One failing observation: (element, op, address, observed value).
 Failure = Tuple[int, int, int, object]
 Syndrome = FrozenSet[Failure]
+
+
+class VerifyStats:
+    """Counters of the packed whole-list verifier (``--sim-stats``).
+
+    Telemetry :class:`Counter` instruments, adopted by a live registry
+    as the ``repro.kernel.verify.*`` series like :class:`KernelStats`.
+    """
+
+    __slots__ = ("accepted", "rejected", "realizations")
+
+    def __init__(self) -> None:
+        self.accepted = Counter()
+        self.rejected = Counter()
+        self.realizations = Counter()
+
+    @property
+    def calls(self) -> int:
+        return self.accepted.value + self.rejected.value
+
+    def reset(self) -> None:
+        for counter in (self.accepted, self.rejected, self.realizations):
+            counter.value = 0
+
+    def __str__(self) -> str:
+        return (
+            f"verify: {self.calls} packed calls"
+            f" ({self.accepted.value} accepted),"
+            f" {self.realizations.value} realizations"
+        )
 
 
 def canonical_signature(test: Union[MarchTest, object]) -> str:
@@ -154,6 +185,7 @@ class SimulationKernel:
             if self.store is not None
             else memory
         )
+        self.verify_stats = VerifyStats()
         if self.telemetry.enabled:
             self._attach_telemetry()
 
@@ -173,6 +205,16 @@ class SimulationKernel:
             registry.adopt(
                 f"repro.kernel.cache.{field}", counter, tier="memory"
             )
+        verify = self.verify_stats
+        registry.adopt(
+            "repro.kernel.verify.calls", verify.accepted, accepted="true"
+        )
+        registry.adopt(
+            "repro.kernel.verify.calls", verify.rejected, accepted="false"
+        )
+        registry.adopt(
+            "repro.kernel.verify.realizations", verify.realizations
+        )
         backend = self.backend
         backend.telemetry = self.telemetry
         registry.collector(
@@ -216,7 +258,7 @@ class SimulationKernel:
     #: backend routing -- the same sequence whether or not a store (or
     #: a degraded store) is attached, so ``--sim-stats`` output from
     #: any two kernels diffs segment-by-segment.
-    STATS_TIER_ORDER = ("cache", "store", "resilience", "backend")
+    STATS_TIER_ORDER = ("cache", "store", "resilience", "verify", "backend")
 
     def stats_segments(self) -> List[Tuple[str, str]]:
         """``(tier, text)`` stat segments in canonical tier order.
@@ -236,6 +278,8 @@ class SimulationKernel:
                     f"{'y' if report['attempts'] == 1 else 'ies'}"
                     f" (spill {report.get('spill')})"
                 )
+        if self.verify_stats.calls:
+            segments["verify"] = str(self.verify_stats)
         served = getattr(self.backend, "served", None) or {}
         routing = ", ".join(
             f"{name}: {count}" for name, count in sorted(served.items())
@@ -274,6 +318,7 @@ class SimulationKernel:
         """
         self.cache.clear()
         self.stats.reset()
+        self.verify_stats.reset()
         served = getattr(self.backend, "served", None)
         if served is not None:
             served.clear()
@@ -492,24 +537,88 @@ class SimulationKernel:
     ) -> Verifier:
         """A predicate: well-formed and detects every fault case.
 
-        Fail-fast: the case that most recently rejected a candidate is
-        tried first on the next call, so hopeless candidates die on
-        their first simulation (this dominates the exhaustive-search
-        runtime).  Verdicts go through the kernel cache.
+        On the lane-packed backends (``bitparallel``, ``bitparallel-np``)
+        the predicate builds one bignum :class:`PackedSimulation` over
+        the lane-packable cases and checks a candidate with one
+        ``run_variant`` per order realization: it rejects as soon as a
+        realization sets lane 0 (the fault-free reference mismatched,
+        so the test is malformed) or misses any fault lane.  Unpackable
+        user fault types then go through :meth:`detects` case by case.
+        The packed pass writes no fault-dictionary entries.
+
+        Every other backend keeps the scalar reference predicate: an
+        ``is_well_formed`` good-machine run per realization, then one
+        cached :meth:`detects` per case.  Both per-case passes are
+        fail-fast: the case that most recently rejected a candidate is
+        tried first on the next call.
         """
         ordered: List[FaultCase] = list(cases)
+        if getattr(self.backend, "lane_packed", False):
+            return self._packed_verifier(ordered, size)
 
         def verify(test: MarchTest) -> bool:
-            if not is_well_formed(test, size):
-                return False
-            for position, fault_case in enumerate(ordered):
-                if not self.detects(test, fault_case, size):
-                    if position:
-                        ordered.insert(0, ordered.pop(position))
-                    return False
-            return True
+            return is_well_formed(test, size) and self._detects_all(
+                test, ordered, size
+            )
 
         return verify
+
+    def _detects_all(
+        self, test: MarchTest, ordered: List[FaultCase], size: int
+    ) -> bool:
+        """Fail-fast :meth:`detects` over ``ordered``, moving the case
+        that rejects ``test`` to the front for the next candidate."""
+        for position, fault_case in enumerate(ordered):
+            if not self.detects(test, fault_case, size):
+                if position:
+                    ordered.insert(0, ordered.pop(position))
+                return False
+        return True
+
+    def _packed_verifier(
+        self, cases: List[FaultCase], size: int
+    ) -> Verifier:
+        packable, scalar = partition_cases(cases)
+        simulation = PackedSimulation(packable, size)
+        # Every realization must detect every fault lane and leave the
+        # fault-free reference lane 0 clear.
+        fault_lanes = simulation.full & ~1
+        stats = self.verify_stats
+
+        def verify(test: MarchTest) -> bool:
+            realizations = 0
+            accepted = True
+            for variant in test.concrete_order_variants():
+                realizations += 1
+                if simulation.run_variant(variant) != fault_lanes:
+                    accepted = False
+                    break
+            accepted = accepted and self._detects_all(test, scalar, size)
+            stats.realizations.inc(realizations)
+            (stats.accepted if accepted else stats.rejected).inc()
+            return accepted
+
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return verify
+
+        def traced(test: MarchTest) -> bool:
+            before = stats.realizations.value
+            with telemetry.span(
+                "kernel.verify", backend=self.backend.name,
+                cases=len(cases), lanes=simulation.lanes, size=size,
+            ) as span:
+                accepted = verify(test)
+                span.annotate(
+                    realizations=stats.realizations.value - before,
+                    accepted=accepted,
+                )
+            telemetry.histogram(
+                "repro.backend.detect.seconds", backend=self.backend.name
+            ).observe(getattr(span, "seconds", None) or 0.0)
+            return accepted
+
+        return traced
 
     # -- diagnosis --------------------------------------------------------------
 

@@ -26,6 +26,9 @@ CATALOG: Dict[str, str] = {
     "repro.kernel.cache.evictions": "entries dropped by the LRU bound",
     "repro.kernel.cache.batches": "detect_batch calls that reached a backend",
     "repro.kernel.cache.stores": "verdicts written into the LRU tier",
+    # -- packed whole-list verifier (adopted VerifyStats counters) -----------
+    "repro.kernel.verify.calls": "packed verifier calls, by accepted",
+    "repro.kernel.verify.realizations": "order realizations it simulated",
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
     "repro.backend.detect.seconds": "backend batch latency histogram",

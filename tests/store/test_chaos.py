@@ -319,6 +319,8 @@ class TestChaosProxyCampaigns:
                 # Give relay threads a beat to tally their counters.
                 time.sleep(0.2)
                 counters = dict(proxy.counters)
+            # close() alone does not wake the thread blocked in accept().
+            server.shutdown(socket_module.SHUT_RDWR)
             server.close()
             thread.join(timeout=5)
             return events, counters

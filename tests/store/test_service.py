@@ -343,6 +343,8 @@ class TestDaemonLifecycle:
                 daemon.start()
             assert sock_path.exists(), "foreign sockets are never unlinked"
         finally:
+            # close() alone does not wake the thread blocked in accept().
+            foreign.shutdown(socket.SHUT_RDWR)
             foreign.close()
             thread.join(timeout=5)
 

@@ -90,6 +90,38 @@ class TestKernelTelemetry:
         trees = telemetry.span_trees()
         assert [t["name"] for t in trees] == ["kernel.detect"]
 
+    def test_packed_verify_calls_are_spanned_and_counted(self):
+        from repro.core import GeneratorConfig, MarchTestGenerator
+        from repro.telemetry import flatten_span_trees
+
+        telemetry = Telemetry()
+        report = MarchTestGenerator(
+            GeneratorConfig(telemetry=telemetry)
+        ).generate(FaultList.from_names("SAF", "TF"))
+        assert report.verified
+        lines = list(flatten_span_trees(telemetry.span_trees()))
+        verify = [line for line in lines if line["name"] == "kernel.verify"]
+        assert verify
+        assert not [line for line in lines if line["name"] == "kernel.detect"]
+        snapshot = telemetry.snapshot()
+        assert counter_total(
+            snapshot, "repro.kernel.verify.realizations"
+        ) == sum(line["attrs"]["realizations"] for line in verify)
+        assert counter_total(
+            snapshot, "repro.kernel.verify.calls"
+        ) == len(verify)
+
+    def test_sim_stats_report_the_packed_verifier(self):
+        kernel = SimulationKernel(backend="bitparallel")
+        verify = kernel.verifier(FaultList.from_names("SAF").instances(2), 2)
+        assert verify(by_name("MATS"))
+        segments = dict(kernel.stats_segments())
+        assert segments["verify"] == (
+            "verify: 1 packed calls (1 accepted), 8 realizations"
+        )
+        kernel.clear()
+        assert "verify" not in dict(kernel.stats_segments())
+
     def test_store_tier_read_write_latency_is_timed(self, tmp_path):
         telemetry = Telemetry()
         kernel = SimulationKernel(
