@@ -51,9 +51,10 @@ def _fault_list(names: List[str]) -> FaultList:
 
 
 #: The CLI's simulation backend when ``--backend`` is not given.  The
-#: word-packed engine won on every profiled workload (including the
-#: generator's verify-size-2 single-probe path) once SOF gained its
-#: latch-word encoding; ``--backend serial`` remains selectable.
+#: word-packed engine packs the whole standard fault library, so the
+#: generator verifies each candidate in one packed run per order
+#: realization; ``--backend serial`` remains selectable as the scalar
+#: reference.
 DEFAULT_BACKEND = "bitparallel"
 
 

@@ -63,10 +63,11 @@ class GeneratorConfig:
         word; requires the ``[fast]`` extra and degrades to
         ``bitparallel`` with a warning without it), ``"serial"``
         (scalar in-process evaluation) or ``"process"``
-        (multiprocessing over fault-case chunks).  The default flipped
-        from ``serial`` after profiling the generator's verify-size-2
-        single-probe path: bitparallel is ~1.25x faster end-to-end on
-        the Table 3 rows and never slower.  Unknown names raise
+        (multiprocessing over fault-case chunks).  On the two
+        lane-packed backends the generator's verifier checks each
+        candidate against the whole fault list in one packed run per
+        order realization; ``serial`` and ``process`` keep the scalar
+        per-case reference verifier.  Unknown names raise
         ``ValueError`` at construction time.  See
         :mod:`repro.kernel.backends` and the README section "Choosing
         a backend".

@@ -30,9 +30,10 @@ def make_verifier(
 ) -> Verifier:
     """A predicate: well-formed and detects every fault case.
 
-    Fail-fast with fault-dictionary caching; the implementation is
-    :meth:`repro.kernel.SimulationKernel.verifier` (the process-wide
-    kernel unless one is supplied).
+    The implementation is :meth:`repro.kernel.SimulationKernel.verifier`
+    (the process-wide kernel unless one is supplied): one packed run per
+    order realization over the whole fault list on the lane-packed
+    backends, fail-fast cached per-case probes on ``serial``/``process``.
     """
     return (kernel or get_default_kernel()).verifier(cases, size)
 

@@ -3,8 +3,7 @@
 The verdict-service wire protocol is specified three times: the
 ``SERVICE_OPS`` registry tuple in ``service.py``, the ``op == "..."``
 comparisons in :meth:`VerdictService._dispatch`, and the op table in
-``docs/PROTOCOL.md`` §4.  This rule (the generalization of the old
-``benchmarks/check_protocol_doc.py`` gate) extracts all three sets and
+``docs/PROTOCOL.md`` §4.  This rule extracts all three sets and
 requires pairwise agreement **in both directions** -- an op added to
 the code without a doc row fails, and so does a documented op the
 daemon no longer dispatches.

@@ -1,8 +1,7 @@
 """The lint driver: load sources, run rules, honour suppressions.
 
 ``run_lint`` is the single entry point everything else wraps -- the
-``repro lint`` subcommand, the ``benchmarks/check_protocol_doc.py``
-compatibility shim, and the test suite all call it.  The result object
+``repro lint`` subcommand and the test suite both call it.  The result object
 carries the kept findings, the waived count and the file count so every
 caller renders through :mod:`repro.devtools.lint.report` identically.
 """

@@ -183,8 +183,9 @@ class ProcessBackend(ExecutionBackend):
     are closures that cannot cross a spawn boundary -- and warns, then
     falls back to serial, where fork is unavailable.  Batches below
     ``MIN_BATCH`` (and single-CPU hosts) fall back *silently*: that
-    path is hit constantly by the verifier's batch-of-one probes, so a
-    warning there would be noise, not signal.
+    path is hit constantly by batch-of-one probes (the scalar verifier
+    this backend keeps, ``dominates``), so a warning there would be
+    noise, not signal.
     """
 
     name = "process"
@@ -242,9 +243,11 @@ class BitParallelBackend(ExecutionBackend):
     records how many tasks each side handled.
 
     Packed simulations are cached per (case names, size) -- case names
-    are the repository-wide canonical fault identity -- so the
-    generator's batch-of-one verifier probes reuse one lane plan across
-    thousands of candidate tests.
+    are the repository-wide canonical fault identity -- so every test
+    of a batched sweep, and the single-case probes of ``dominates``,
+    reuse one lane plan.  The generator's verifier does not come
+    through here: with ``lane_packed`` set,
+    ``SimulationKernel.verifier`` builds its own whole-list simulation.
     """
 
     name = "bitparallel"
@@ -260,8 +263,8 @@ class BitParallelBackend(ExecutionBackend):
             OrderedDict()
         )
         # Packability memo keyed by case name (the canonical fault
-        # identity): the verifier probes the same few cases against
-        # thousands of candidate tests.
+        # identity): single-case probes repeat the same few cases
+        # against many tests.
         self._packable: Dict[str, bool] = {}
 
     def _is_packable(self, case: FaultCase) -> bool:

@@ -28,12 +28,14 @@ Results are bit-identical to the legacy per-call paths; see
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -147,7 +149,8 @@ class SimulationKernel:
         ``repro.kernel.cache.*``, samples backend routing and store
         counters as collectors, and records one span plus one
         ``repro.backend.detect.seconds`` observation per backend
-        batch.  Stats attributes (``kernel.stats`` etc.) behave
+        batch, and one ``kernel.verify`` span per packed verifier
+        call.  Stats attributes (``kernel.stats`` etc.) behave
         identically either way.
 
     >>> from repro.march.catalog import MATS
@@ -351,32 +354,35 @@ class SimulationKernel:
         Misses go through the configured backend as a batch of one, so
         custom execution strategies see every probe; note that
         ``process`` deliberately falls back to serial below its
-        minimum batch size, so single-probe consumers (the generator's
-        verifier, ``dominates``) gain from it only via the shared
-        cache, not from parallelism.
+        minimum batch size, so single-probe consumers (``dominates``,
+        the scalar verifier of the ``serial``/``process`` backends)
+        gain from it only via the shared cache, not from parallelism.
         """
         key = SimKey(canonical_signature(test), case.name, size)
         verdict = self.cache.get(key)
         if verdict is None:
             task = [DetectTask(test, case, size)]
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                # A batch of one, so single-probe consumers (the
-                # generator's verifier) show up in the same span trace
-                # and latency histogram as the batched APIs.
-                with telemetry.span(
-                    "kernel.detect",
-                    backend=self.backend.name, case=case.name, size=size,
-                ) as span:
+            if self.telemetry.enabled:
+                # A batch of one, so single-probe consumers show up in
+                # the same span trace and latency histogram as the
+                # batched APIs.
+                with self._timed("kernel.detect", case=case.name, size=size):
                     verdict = self.backend.detect_batch(task)[0]
-                telemetry.histogram(
-                    "repro.backend.detect.seconds",
-                    backend=self.backend.name,
-                ).observe(getattr(span, "seconds", None) or 0.0)
             else:
                 verdict = self.backend.detect_batch(task)[0]
             self.cache.put(key, verdict)
         return verdict
+
+    @contextmanager
+    def _timed(self, name: str, **attrs: Any) -> Iterator[Any]:
+        """A telemetry span around one backend batch, observed into the
+        ``repro.backend.detect.seconds`` histogram when it closes."""
+        backend = self.backend.name
+        with self.telemetry.span(name, backend=backend, **attrs) as span:
+            yield span
+        self.telemetry.histogram(
+            "repro.backend.detect.seconds", backend=backend
+        ).observe(getattr(span, "seconds", None) or 0.0)
 
     def detects_with_active_reads(
         self,
@@ -510,19 +516,11 @@ class SimulationKernel:
                 pending_keys.append(key)
         if pending:
             self.stats.batches += 1
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                with telemetry.span(
-                    "kernel.detect_batch",
-                    backend=self.backend.name,
-                    tasks=len(pending),
-                    size=size,
-                ) as span:
+            if self.telemetry.enabled:
+                with self._timed(
+                    "kernel.detect_batch", tasks=len(pending), size=size
+                ):
                     results = self.backend.detect_batch(pending)
-                telemetry.histogram(
-                    "repro.backend.detect.seconds",
-                    backend=self.backend.name,
-                ).observe(getattr(span, "seconds", None) or 0.0)
             else:
                 results = self.backend.detect_batch(pending)
             self.cache.put_many(list(zip(pending_keys, results)))
@@ -553,7 +551,7 @@ class SimulationKernel:
         tried first on the next call.
         """
         ordered: List[FaultCase] = list(cases)
-        if getattr(self.backend, "lane_packed", False):
+        if self.backend.lane_packed:
             return self._packed_verifier(ordered, size)
 
         def verify(test: MarchTest) -> bool:
@@ -613,9 +611,6 @@ class SimulationKernel:
                     realizations=stats.realizations.value - before,
                     accepted=accepted,
                 )
-            telemetry.histogram(
-                "repro.backend.detect.seconds", backend=self.backend.name
-            ).observe(getattr(span, "seconds", None) or 0.0)
             return accepted
 
         return traced

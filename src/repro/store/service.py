@@ -148,8 +148,9 @@ PROTOCOL_VERSION = 1
 #: not identify with it is a foreign server: refused, never replaced.
 SERVICE_MAGIC = "repro-verdict-service"
 
-#: Every op the daemon dispatches.  ``benchmarks/check_protocol_doc.py``
-#: asserts this registry and the op table in docs/PROTOCOL.md agree, so
+#: Every op the daemon dispatches.  The ``wire-contract`` lint rule
+#: (``repro lint --rule wire-contract``) asserts this registry, the
+#: ``_dispatch`` literals and the op table in docs/PROTOCOL.md agree, so
 #: the spec cannot silently drift from the implementation.
 SERVICE_OPS = (
     "ping",
