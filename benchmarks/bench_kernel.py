@@ -29,7 +29,11 @@ Compared paths:
   daemon with the hot tier disabled (``--hot-lru-size 0``, which is
   the threaded daemon's warm-read throughput), plus one pipelined
   burst vs chunked blocking round trips
-  (``table3_size3_service_async``).
+  (``table3_size3_service_async``);
+* **ANY-order tree** -- engine level, k = 0..8 ⇕ elements of one
+  nine-element test at size 2: the ``2**k`` realization enumeration
+  vs the shared-prefix walk (realizations, leaves, segment runs,
+  seconds; ``any_order_k0_8``).
 
 ``python benchmarks/bench_kernel.py`` prints the comparison table and
 writes the machine-readable ``BENCH_kernel.json`` next to the repo
@@ -61,6 +65,7 @@ from repro.store.campaign import CampaignSpec, normalized_manifest, \
 from repro.store.resilience import RetryPolicy
 from repro.store.service import ServiceStore, VerdictService, _wire_key
 from repro.store.store import decode_verdict
+from repro.march.test import march
 from repro.march.catalog import (
     MARCH_A,
     MARCH_B,
@@ -143,6 +148,17 @@ TELEMETRY_OVERHEAD_CEILING = 1.05
 REQUIRED_FANOUT_SPEEDUP = 2.0
 FANOUT_JOBS = 4
 FANOUT_MIN_CPUS = 4
+
+#: The ANY-order tree record: a march test whose first k of nine
+#: elements are ⇕, for k = 0..ANY_ORDER_MAX_K, against SAF+TF+ADF+CFin
+#: at the generator's verify size.
+ANY_ORDER_BODIES = (
+    ("w0",), ("r0", "w1"), ("r1", "w0"), ("r0", "w1"), ("r1", "w0"),
+    ("r0", "w1"), ("r1", "w0"), ("r0", "w1"), ("r1",),
+)
+ANY_ORDER_MAX_K = 8
+ANY_ORDER_SIZE = 2
+ANY_ORDER_FAULTS = FaultList.from_names("SAF", "TF", "ADF", "CFIN")
 
 #: Machine-readable benchmark record, tracked across PRs.
 BENCH_JSON_PATH = (
@@ -227,6 +243,81 @@ def measure_engine_scaling(size, faults, repeats=1):
         "skipped_reason": (
             "informational scaling record: verdict identity is asserted,"
             " the ratio is trajectory data without a floor"
+        ),
+    }
+
+
+def any_order_test(k):
+    """A nine-element march test whose first ``k`` elements are ⇕."""
+    orders = ["any"] * k + ["up"] * (len(ANY_ORDER_BODIES) - k)
+    return march(*[
+        (order, *body) for order, body in zip(orders, ANY_ORDER_BODIES)
+    ], name=f"any{k}")
+
+
+def measure_any_order_tree(repeats=3):
+    """Realizations of k = 0..8 ⇕ elements: enumeration vs the walk.
+
+    The enumeration runs all ``2**k`` realizations from an empty
+    memory; :func:`~repro.simulator.ordertree.walk_realizations` runs
+    each segment once per tree node and merges equal states.  Both take
+    the AND over every leaf (no early exit), so the masks must agree.
+    Engine-level and informational: the counts are exact, the seconds
+    are trajectory data without a floor.
+    """
+    from repro.simulator.bitengine import PackedSimulation
+    from repro.simulator.ordertree import walk_realizations
+
+    cases = ANY_ORDER_FAULTS.instances(ANY_ORDER_SIZE)
+    simulation = PackedSimulation(cases, ANY_ORDER_SIZE)
+
+    def enumerate_all(test):
+        agreed = simulation.full
+        for variant in test.concrete_order_variants():
+            agreed &= simulation.run_variant(variant)
+        return agreed
+
+    def walk_all(test):
+        leaves = []
+        walk = walk_realizations(simulation, test, leaves.append)
+        agreed = simulation.full
+        for detected in leaves:
+            agreed &= detected
+        return agreed, walk
+
+    rows = []
+    for k in range(ANY_ORDER_MAX_K + 1):
+        test = any_order_test(k)
+        test.order_segments()  # both memos built outside the timing
+        realizations = len(test.concrete_order_variants())
+        enum_seconds, enum_mask = _best_of(repeats, enumerate_all, test)
+        walk_seconds, (walk_mask, walk) = _best_of(repeats, walk_all, test)
+        assert walk_mask == enum_mask, f"k={k}: walk diverged"
+        rows.append({
+            "k": k,
+            "realizations": realizations,
+            "enumeration": {
+                "segment_runs": realizations,
+                "elements": realizations * len(test),
+                "seconds": enum_seconds,
+            },
+            "walk": {
+                "leaves": walk.leaves,
+                "segment_runs": walk.segments,
+                "seconds": walk_seconds,
+            },
+        })
+    return {
+        "faults": "+".join(ANY_ORDER_FAULTS.names),
+        "fault_cases": len(cases),
+        "lanes": simulation.lanes,
+        "size": ANY_ORDER_SIZE,
+        "elements": len(ANY_ORDER_BODIES),
+        "by_k": rows,
+        "guard_enforced": False,
+        "skipped_reason": (
+            "informational record: mask identity is asserted, the"
+            " counts and seconds are trajectory data without a floor"
         ),
     }
 
@@ -814,6 +905,20 @@ def test_fanout_record_marks_unenforced_guard():
     assert "not" in skipped["skipped_reason"]
 
 
+def test_any_order_tree_stops_doubling():
+    """The walk's leaf AND equals the enumeration's (asserted while
+    measuring) and its segment runs stop doubling once states merge."""
+    record = measure_any_order_tree(repeats=1)
+    rows = record["by_k"]
+    assert [row["realizations"] for row in rows] == [
+        2 ** k for k in range(ANY_ORDER_MAX_K + 1)
+    ]
+    deepest = rows[-1]["walk"]
+    assert deepest["leaves"] < rows[-1]["realizations"]
+    assert deepest["segment_runs"] < rows[-1]["realizations"]
+    assert record["guard_enforced"] is False
+
+
 def test_telemetry_overhead_guard():
     """Acceptance criterion of the telemetry layer: instrumenting the
     serial Table 3 matrix costs at most 5% wall-clock, and the
@@ -901,6 +1006,7 @@ def collect_benchmarks():
         (async_hot_seconds, _),
         (async_round_trip_seconds, async_pipelined_seconds, async_frames),
     ) = measure_service_async_read()
+    any_order_record = measure_any_order_tree()
     fanout_sequential_seconds, _ = measure_campaign_fanout(1)
     fanout_parallel_seconds, _ = measure_campaign_fanout(FANOUT_JOBS)
     cpus = os.cpu_count() or 1
@@ -1036,6 +1142,7 @@ def collect_benchmarks():
                 ),
                 "guard_enforced": True,
             },
+            "any_order_k0_8": any_order_record,
             "campaign_fanout": {
                 "jobs": len(fanout_spec().jobs()),
                 "workers": FANOUT_JOBS,
@@ -1223,6 +1330,19 @@ def main():
         f" {async_record['seconds']['pipelined_burst'] * 1e3:9.2f} ms"
         f"   {async_record['pipelining_speedup']:7.1f}x"
     )
+    tree = payload["workloads"]["any_order_k0_8"]
+    print(
+        f"ANY-order realizations ({tree['faults']}, {tree['lanes']} lanes,"
+        f" size {tree['size']}): enumeration vs shared-prefix walk"
+    )
+    for row in tree["by_k"]:
+        enum, walk = row["enumeration"], row["walk"]
+        print(
+            f"  k={row['k']} {row['realizations']:4d} realizations"
+            f" {enum['seconds'] * 1e3:8.2f} ms"
+            f" | {walk['leaves']:3d} leaves {walk['segment_runs']:3d} runs"
+            f" {walk['seconds'] * 1e3:8.2f} ms"
+        )
     fanout = payload["workloads"]["campaign_fanout"]
     print(
         f"campaign fan-out ({fanout['jobs']} jobs, serial backend,"

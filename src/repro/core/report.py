@@ -12,8 +12,9 @@ from ..sequence.gts import GlobalTestSequence
 @dataclass
 class GenerationReport:
     """Everything the paper reports per generated March test (Table 3):
-    the test, its complexity, the generation CPU time, plus the
-    validation verdicts of Section 6."""
+    the test, its complexity, the generation wall time (the whole
+    ``generate()`` call, validation included), plus the validation
+    verdicts of Section 6."""
 
     test: MarchTest
     fault_names: Tuple[str, ...]
@@ -42,7 +43,7 @@ class GenerationReport:
             f"fault list : {', '.join(self.fault_names)}",
             f"march test : {self.test}",
             f"complexity : {self.complexity_label}",
-            f"cpu time   : {self.elapsed_seconds:.3f}s",
+            f"wall time  : {self.elapsed_seconds:.3f}s",
             f"verified   : {self.verified}",
         ]
         if self.non_redundant is not None:

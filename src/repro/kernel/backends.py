@@ -235,8 +235,9 @@ class BitParallelBackend(ExecutionBackend):
 
     Tasks whose fault case is lane-packable (see
     :mod:`repro.simulator.bitengine`) are grouped by (test, size) and
-    evaluated in a single packed run per concrete order variant --
-    every fault lane advances with O(1) bitwise operations per march
+    evaluated in one packed pass over the test's order realizations,
+    walked as a shared-prefix tree (:mod:`repro.simulator.ordertree`)
+    -- every fault lane advances with O(1) bitwise operations per march
     step instead of O(n) scalar steps per fault instance.  Unpackable
     cases (unknown user-defined instance types, composite multi-defect
     injections) fall back to the scalar serial backend; ``served``

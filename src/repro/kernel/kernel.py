@@ -51,6 +51,7 @@ from ..march.test import MarchTest
 from ..memory.array import MemoryArray
 from ..simulator.bitengine import PackedSimulation, partition_cases
 from ..simulator.engine import MarchRun, is_well_formed, run_march
+from ..simulator.ordertree import walk_realizations
 from ..store import FaultDictionaryStore, TieredCache, resolve_store
 from ..telemetry import TELEMETRY_OFF, Counter, Telemetry
 from .backends import (
@@ -81,19 +82,23 @@ class VerifyStats:
     as the ``repro.kernel.verify.*`` series like :class:`KernelStats`.
     """
 
-    __slots__ = ("accepted", "rejected", "realizations")
+    __slots__ = ("accepted", "rejected", "realizations", "segments")
 
     def __init__(self) -> None:
         self.accepted = Counter()
         self.rejected = Counter()
+        #: Realization leaves evaluated by the shared-prefix walk.
         self.realizations = Counter()
+        #: ``run_variant`` segment runs behind those leaves.
+        self.segments = Counter()
 
     @property
     def calls(self) -> int:
         return self.accepted.value + self.rejected.value
 
     def reset(self) -> None:
-        for counter in (self.accepted, self.rejected, self.realizations):
+        for counter in (self.accepted, self.rejected, self.realizations,
+                        self.segments):
             counter.value = 0
 
     def __str__(self) -> str:
@@ -101,6 +106,7 @@ class VerifyStats:
             f"verify: {self.calls} packed calls"
             f" ({self.accepted.value} accepted),"
             f" {self.realizations.value} realizations"
+            f" in {self.segments.value} segment runs"
         )
 
 
@@ -218,6 +224,7 @@ class SimulationKernel:
         registry.adopt(
             "repro.kernel.verify.realizations", verify.realizations
         )
+        registry.adopt("repro.kernel.verify.segments", verify.segments)
         backend = self.backend
         backend.telemetry = self.telemetry
         registry.collector(
@@ -491,24 +498,21 @@ class SimulationKernel:
         in-memory misses in one disk pass and commits the whole
         backend batch in one transaction.
         """
-        lookups: List[Tuple[Tuple[str, str], SimKey, MarchTest,
-                            FaultCase]] = []
-        seen: Set[Tuple[str, str]] = set()
+        lookups: Dict[Tuple[str, str],
+                      Tuple[SimKey, MarchTest, FaultCase]] = {}
         for test in tests:
             signature = canonical_signature(test)
             for case in cases:
                 pair = (signature, case.name)
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                lookups.append(
-                    (pair, SimKey(signature, case.name, size), test, case)
-                )
-        cached = self.cache.get_many([key for _, key, _, _ in lookups])
+                if pair not in lookups:
+                    lookups[pair] = (
+                        SimKey(signature, case.name, size), test, case
+                    )
+        cached = self.cache.get_many([key for key, _, _ in lookups.values()])
         verdicts: Dict[Tuple[str, str], bool] = {}
         pending: List[DetectTask] = []
         pending_keys: List[SimKey] = []
-        for pair, key, test, case in lookups:
+        for pair, (key, test, case) in lookups.items():
             if key in cached:
                 verdicts[pair] = cached[key]
             else:
@@ -537,12 +541,14 @@ class SimulationKernel:
 
         On the lane-packed backends (``bitparallel``, ``bitparallel-np``)
         the predicate builds one bignum :class:`PackedSimulation` over
-        the lane-packable cases and checks a candidate with one
-        ``run_variant`` per order realization: it rejects as soon as a
-        realization sets lane 0 (the fault-free reference mismatched,
-        so the test is malformed) or misses any fault lane.  Unpackable
-        user fault types then go through :meth:`detects` case by case.
-        The packed pass writes no fault-dictionary entries.
+        the lane-packable cases and walks a candidate's order
+        realizations as one shared-prefix tree
+        (:func:`~repro.simulator.ordertree.walk_realizations`): it
+        rejects at the first leaf that sets lane 0 (the fault-free
+        reference mismatched, so the test is malformed) or misses any
+        fault lane.  Unpackable user fault types then go through
+        :meth:`detects` case by case.  The packed pass writes no
+        fault-dictionary entries.
 
         Every other backend keeps the scalar reference predicate: an
         ``is_well_formed`` good-machine run per realization, then one
@@ -583,16 +589,17 @@ class SimulationKernel:
         fault_lanes = simulation.full & ~1
         stats = self.verify_stats
 
+        # The walk stops at the first leaf that differs, so a skipped
+        # (merged) subtree only ever repeats leaves that passed.
+        rejects = fault_lanes.__ne__
+
         def verify(test: MarchTest) -> bool:
-            realizations = 0
-            accepted = True
-            for variant in test.concrete_order_variants():
-                realizations += 1
-                if simulation.run_variant(variant) != fault_lanes:
-                    accepted = False
-                    break
-            accepted = accepted and self._detects_all(test, scalar, size)
-            stats.realizations.inc(realizations)
+            walk = walk_realizations(simulation, test, rejects)
+            accepted = not walk.stopped and self._detects_all(
+                test, scalar, size
+            )
+            stats.realizations.inc(walk.leaves)
+            stats.segments.inc(walk.segments)
             (stats.accepted if accepted else stats.rejected).inc()
             return accepted
 
@@ -601,14 +608,16 @@ class SimulationKernel:
             return verify
 
         def traced(test: MarchTest) -> bool:
-            before = stats.realizations.value
+            leaves = stats.realizations.value
+            segments = stats.segments.value
             with telemetry.span(
                 "kernel.verify", backend=self.backend.name,
                 cases=len(cases), lanes=simulation.lanes, size=size,
             ) as span:
                 accepted = verify(test)
                 span.annotate(
-                    realizations=stats.realizations.value - before,
+                    realizations=stats.realizations.value - leaves,
+                    segments=stats.segments.value - segments,
                     accepted=accepted,
                 )
             return accepted

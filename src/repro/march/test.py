@@ -101,6 +101,49 @@ class MarchTest:
             variants = [prefix + (c,) for prefix in variants for c in choices]
         return tuple(MarchTest(v, self.name) for v in variants)
 
+    def order_segments(self) -> Tuple[Tuple["MarchTest", ...], ...]:
+        """The test as steps of a shared-prefix realization walk.
+
+        Each step is a tuple of alternative segments: a maximal run of
+        fixed-order elements (``Del`` included) is one step with one
+        segment, and every ``⇕`` element is a step with its UP and its
+        DOWN segment.  Running one segment of every step, in order, on
+        one memory state is one concrete order realization, so a walker
+        forks the state only at ``⇕`` steps
+        (:func:`repro.simulator.ordertree.walk_realizations`).  A test
+        without ``⇕`` elements is the single step ``((self,),)``.
+
+        Memoized per instance like :meth:`concrete_order_variants`.
+        """
+        cached = self.__dict__.get("_order_segments")
+        if cached is not None:
+            return cached
+        steps: List[Tuple["MarchTest", ...]] = []
+        run: List[Element] = []
+        for elem in self.elements:
+            if (
+                isinstance(elem, MarchElement)
+                and elem.order is AddressOrder.ANY
+            ):
+                if run:
+                    steps.append((MarchTest(tuple(run), self.name),))
+                    run = []
+                steps.append(tuple(
+                    MarchTest((elem.with_order(order),), self.name)
+                    for order in (AddressOrder.UP, AddressOrder.DOWN)
+                ))
+            else:
+                run.append(elem)
+        if len(run) == len(self.elements):
+            # No ⇕ element: the test is its own segment.  The minimality
+            # search verifies only such tests, so it builds no copy.
+            steps.append((self,))
+        elif run:
+            steps.append((MarchTest(tuple(run), self.name),))
+        segments = tuple(steps)
+        self.__dict__["_order_segments"] = segments
+        return segments
+
     # -- notation ----------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -45,14 +45,28 @@ behavioural hook, so only exactly-known types are encoded.
 ``bitparallel`` kernel backend routes unpackable cases to the scalar
 serial engine (see :mod:`repro.kernel.backends`).
 
+Order realizations
+------------------
+A run carries its packed memory in a :class:`PackedState` (the
+``value``/``defined`` words plus the SOF latch word), and
+:meth:`PackedSimulation.run_variant` can start a segment from a given
+state and leave its end state there.  :meth:`PackedSimulation.
+worst_case_verdicts` uses that to walk a test's ``⇕`` realizations as
+one shared-prefix tree (:mod:`repro.simulator.ordertree`): fixed-order
+runs execute once per tree node, states fork only at ``⇕`` elements,
+and equal (state, detected) nodes merge.  The scalar engine keeps
+enumerating every realization as the reference.
+
 Equivalence with the scalar engine over the full standard fault
-library is property-tested in ``tests/kernel/test_equivalence.py``.
+library is property-tested in ``tests/kernel/test_equivalence.py``;
+the walk against the realization enumeration in
+``tests/simulator/test_ordertree.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..faults.instances import (
     CouplingIdempotentInstance,
@@ -80,6 +94,7 @@ from ..faults.primitives import (
 )
 from ..march.element import DelayElement, MarchElement
 from ..march.test import MarchTest
+from .ordertree import walk_realizations
 
 #: Victim-action sentinel: invert the victim instead of forcing a value.
 INVERT = -1
@@ -334,6 +349,26 @@ def partition_cases(
     return packable, unpackable
 
 
+class PackedState:
+    """Mutable packed memory of one run: per-cell ``value``/``defined``
+    words plus the per-lane SOF sense-amplifier ``latch`` word."""
+
+    __slots__ = ("value", "defined", "latch")
+
+    def __init__(self, value: List[int], defined: List[int],
+                 latch: int) -> None:
+        self.value = value
+        self.defined = defined
+        self.latch = latch
+
+    def copy(self) -> "PackedState":
+        return PackedState(self.value[:], self.defined[:], self.latch)
+
+    def key(self, detected: int) -> Tuple[int, ...]:
+        """Hashable identity of this state plus a detected mask."""
+        return (*self.value, *self.defined, self.latch, detected)
+
+
 class PackedSimulation:
     """A lane-packed fault-simulation instance for one case set.
 
@@ -341,8 +376,9 @@ class PackedSimulation:
     one behavioural variant of one fault case each.  The plan is
     read-only after construction, so one ``PackedSimulation`` serves
     any number of :meth:`run_variant` calls (different tests, different
-    order realizations) concurrently with the worst-case conjunction
-    taken by :meth:`worst_case_verdicts`.
+    order realizations or segments of one), and
+    :meth:`worst_case_verdicts` walks a test's realizations as one
+    shared-prefix tree (:mod:`repro.simulator.ordertree`).
     """
 
     def __init__(self, cases: Sequence[FaultCase], size: int) -> None:
@@ -372,7 +408,14 @@ class PackedSimulation:
 
     # -- execution --------------------------------------------------------------
 
-    def run_variant(self, test: MarchTest) -> int:
+    def new_state(self) -> PackedState:
+        """The power-up state: every cell undefined, latches at init."""
+        n = self.size
+        return PackedState([0] * n, [0] * n, self.plan.sof_latch_init)
+
+    def run_variant(
+        self, test: MarchTest, state: Optional[PackedState] = None
+    ) -> int:
         """Run one concrete order realization; return the detected mask.
 
         Bit ``L`` of the result is set when lane ``L`` observed at
@@ -380,17 +423,23 @@ class PackedSimulation:
         expectation -- exactly the scalar engine's ``MarchRun.detected``
         per lane.  Bit 0 (the fault-free reference) only sets for
         malformed tests expecting values the good machine never holds.
+
+        With ``state``, ``test`` is a segment of a realization: the run
+        starts from that state instead of the power-up one, leaves its
+        final state in it, and returns only the segment's detections.
         """
+        if state is None:
+            state = self.new_state()
         plan = self.plan
         n = self.size
         full = plan.full
-        value = [0] * n
-        defined = [0] * n
+        value = state.value
+        defined = state.defined
         detected = 0
         stuck0, stuck1 = plan.stuck0, plan.stuck1
         dead0, dead1 = plan.dead0, plan.dead1
         sof_lanes = plan.sof_lanes
-        latch = plan.sof_latch_init
+        latch = state.latch
         for element in test.elements:
             if isinstance(element, DelayElement):
                 for cell, mask, old in plan.wait_rules:
@@ -468,9 +517,10 @@ class PackedSimulation:
                             else:
                                 value[victim] &= ~mask
                             defined[victim] |= mask
-                        for agg, state, forced, mask in plan.cfst_victim[a]:
+                        for (agg, held_state, forced,
+                             mask) in plan.cfst_victim[a]:
                             held = mask & defined[agg] & (
-                                value[agg] if state else ~value[agg]
+                                value[agg] if held_state else ~value[agg]
                             )
                             if not held:
                                 continue
@@ -544,6 +594,7 @@ class PackedSimulation:
                     if v is not None:
                         expected = full if v else 0
                         detected |= (reported ^ expected) & reported_def
+        state.latch = latch
         return detected
 
     def worst_case_verdicts(self, test: MarchTest) -> List[bool]:
@@ -551,14 +602,18 @@ class PackedSimulation:
 
         Matches the scalar kernel's semantics exactly: a case is
         detected only when **every** order realization of ``test``
-        detects **every** behavioural variant lane.
+        detects **every** behavioural variant lane.  The walk stops as
+        soon as no fault lane is detected by every leaf so far.
         """
         fault_lanes = self.full & ~1
         agreed = self.full
-        for variant in test.concrete_order_variants():
-            agreed &= self.run_variant(variant)
-            if not (agreed & fault_lanes):
-                break
+
+        def visit(detected: int) -> bool:
+            nonlocal agreed
+            agreed &= detected
+            return not agreed & fault_lanes
+
+        walk_realizations(self, test, visit)
         return [(agreed & mask) == mask for mask in self.case_masks]
 
 

@@ -1,0 +1,100 @@
+"""Shared-prefix walk of a march test's ANY-order realizations.
+
+A test with ``k`` ``⇕`` elements must detect every fault under each of
+its ``2**k`` UP/DOWN realizations (:meth:`~repro.march.test.MarchTest.
+concrete_order_variants`).  The realizations share prefixes: they only
+differ from the first ``⇕`` element on.  :func:`walk_realizations`
+walks them as a tree instead of ``2**k`` independent runs from an empty
+memory:
+
+* each maximal run of fixed-order elements is one segment, run once
+  per tree node (:meth:`~repro.march.test.MarchTest.order_segments`);
+* the packed memory state is copied only where a ``⇕`` element forks
+  it into its UP and DOWN branch, so a walk holds at most one state
+  per ``⇕`` element on the current path, plus one;
+* a node whose key ``(step index, state words, latch, prefix-detected)``
+  was already walked is skipped.  That is exact: equal states have
+  equal suffixes, so the skipped subtree's leaves are the walked ones,
+  and the AND over leaves of ``prefix | suffix`` is
+  ``prefix | AND(suffix)``.  The tiled engine keys a node by a
+  256-bit digest of its arrays rather than their bytes, so it is exact
+  up to a digest collision
+  (:meth:`~repro.simulator.tilengine.TiledState.key`).
+
+The walk is depth-first with UP before DOWN, so its first leaf is the
+all-UP realization and a caller can stop at any leaf.  The engines
+(:class:`~repro.simulator.bitengine.PackedSimulation`,
+:class:`~repro.simulator.tilengine.TiledSimulation`) supply
+``new_state()``, ``run_variant(segment, state)`` and states with
+``copy()`` and ``key(detected)``; the scalar engine keeps enumerating
+realizations as the reference oracle.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, NamedTuple, Set
+
+from ..march.test import MarchTest
+
+
+class Walk(NamedTuple):
+    """Outcome of one :func:`walk_realizations` call."""
+
+    #: ``visit`` returned true for some leaf, and the walk stopped there.
+    stopped: bool
+    #: Leaves evaluated (distinct realizations visited).
+    leaves: int
+    #: ``run_variant`` calls, one per segment run.
+    segments: int
+
+
+def walk_realizations(
+    simulation: Any, test: MarchTest, visit: Callable[[Any], Any]
+) -> Walk:
+    """Call ``visit(detected)`` on the detected mask of each distinct
+    realization leaf of ``test``; stop at the first leaf where it
+    returns true.
+
+    A test without ``⇕`` elements costs exactly one plain
+    ``simulation.run_variant(test)``, with no key building and no copy.
+    """
+    steps = test.order_segments()
+    if len(steps) == 1 and len(steps[0]) == 1:
+        # No ⇕ element: one plain run.  ``descend`` would give the same
+        # walk, but this is every candidate of the minimality search,
+        # and its closure, state and bookkeeping cost ~10% per call.
+        return Walk(bool(visit(simulation.run_variant(test))), 1, 1)
+    last = len(steps) - 1
+    seen: Set[Any] = set()
+    leaves = segments = 0
+
+    def descend(index: int, state: Any, detected: Any) -> bool:
+        nonlocal leaves, segments
+        alternatives = steps[index]
+        final = len(alternatives) - 1
+        for position, segment in enumerate(alternatives):
+            if state is None:
+                branch = simulation.new_state()
+            elif position == final:
+                branch = state
+            else:
+                branch = state.copy()
+            reached = detected | simulation.run_variant(segment, branch)
+            segments += 1
+            if index == last:
+                leaves += 1
+                if visit(reached):
+                    return True
+                continue
+            key = (index, branch.key(reached))
+            if key in seen:
+                continue
+            seen.add(key)
+            if descend(index + 1, branch, reached):
+                return True
+        return False
+
+    # The power-up root is made per branch, so a leading ⇕ element
+    # forks it without a live copy.
+    stopped = descend(0, None, 0)
+    return Walk(stopped, leaves, segments)

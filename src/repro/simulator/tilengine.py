@@ -17,7 +17,11 @@ fixed-width ``uint64`` NumPy arrays instead:
   *vectorized* bitwise kernels over contiguous memory -- C loops at
   memory bandwidth, no per-op allocation of the whole lane state;
 * a verifying read checks all lanes at once by XOR against the
-  expected-mask array: ``detected |= (reported ^ expected) & defined``.
+  expected-mask array: ``detected |= (reported ^ expected) & defined``;
+* the ``⇕`` realizations of a test are walked as one shared-prefix
+  tree (:mod:`repro.simulator.ordertree`), with a :class:`TiledState`
+  (value/defined planes plus the SOF latch tiles) copied only where a
+  ``⇕`` element forks it -- the same walk as the bignum engine.
 
 The lane *semantics* are not re-implemented: a
 :class:`~repro.simulator.bitengine.PackedSimulation` is built first and
@@ -57,6 +61,7 @@ exercised).
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Sequence, Tuple
 
 try:  # NumPy ships as the optional [fast] extra.
@@ -68,6 +73,7 @@ from ..faults.instances import FaultCase
 from ..march.element import DelayElement, MarchElement
 from ..march.test import MarchTest
 from .bitengine import INVERT, LanePlan, PackedSimulation
+from .ordertree import walk_realizations
 
 #: Fixed tile width: one NumPy uint64 word holds 64 lanes.
 WORD_BITS = 64
@@ -325,6 +331,31 @@ class _ReadProgram:
         self.sof_tracking = None
 
 
+class TiledState:
+    """Mutable tiled memory of one run: the stacked ``(2, cells,
+    tiles)`` value/defined ``planes`` plus the ``(tiles,)`` SOF latch."""
+
+    __slots__ = ("planes", "latch")
+
+    def __init__(self, planes, latch) -> None:
+        self.planes = planes
+        self.latch = latch
+
+    def copy(self) -> "TiledState":
+        return TiledState(self.planes.copy(), self.latch.copy())
+
+    def key(self, detected) -> bytes:
+        """Identity of this state plus a detected mask: a BLAKE2b-256
+        digest of the arrays, hashed in place.  A walk then keeps 32
+        bytes per node instead of a copy of the planes, which is most
+        of the memory at large sizes; two different states merge only
+        on a digest collision."""
+        digest = hashlib.blake2b(self.planes, digest_size=32)
+        digest.update(self.latch)
+        digest.update(detected)
+        return digest.digest()
+
+
 class TiledSimulation:
     """A lane-tiled fault-simulation instance for one case set.
 
@@ -511,24 +542,33 @@ class TiledSimulation:
 
     # -- execution --------------------------------------------------------------
 
-    def run_variant(self, test: MarchTest):
+    def new_state(self) -> TiledState:
+        """The power-up state: every cell undefined, latches at init."""
+        # Stacked packed memory: plane 0 holds values, plane 1 holds
+        # definedness, so read-side effects that transform both planes
+        # with the same mask run as one (2, tiles) kernel.
+        planes = _np.zeros((2, self.size, self.tiles), dtype=_np.uint64)
+        return TiledState(planes, self.latch_init.copy())
+
+    def run_variant(self, test: MarchTest,
+                    state: Optional[TiledState] = None):
         """One concrete order realization; returns the detected tiles.
 
         Bit ``L`` (lane ``L``) of the returned ``(tiles,)`` uint64 array
         is set when that lane observed at least one verifying read whose
         definite value differed from the expectation -- identical to
-        :meth:`PackedSimulation.run_variant`, word for word.
+        :meth:`PackedSimulation.run_variant`, word for word, including
+        the segment contract of its ``state`` argument.
         """
-        n, tiles = self.size, self.tiles
+        if state is None:
+            state = self.new_state()
+        n = self.size
         full, zeros = self.full, self.zeros
-        # Stacked packed memory: plane 0 holds values, plane 1 holds
-        # definedness, so read-side effects that transform both planes
-        # with the same mask run as one (2, tiles) kernel.
-        state = _np.zeros((2, n, tiles), dtype=_np.uint64)
-        value = state[0]
-        defined = state[1]
-        detected = _np.zeros(tiles, dtype=_np.uint64)
-        latch = self.latch_init.copy()
+        planes = state.planes
+        value = planes[0]
+        defined = planes[1]
+        detected = _np.zeros(self.tiles, dtype=_np.uint64)
+        latch = state.latch
         writes, reads = self.writes, self.reads
         for element in test.elements:
             if isinstance(element, DelayElement):
@@ -619,7 +659,7 @@ class TiledSimulation:
                     # flip must not leak into the report (DRDF) and a
                     # reported flip must not leak into the cell (IRF),
                     # so the pair detaches from the memory row up front.
-                    rep2 = state[:, a].copy()
+                    rep2 = planes[:, a].copy()
                     for mask, old, flip_store, flip_report in program.rules:
                         rep = rep2[0]
                         fired = mask & rep2[1]
@@ -635,18 +675,18 @@ class TiledSimulation:
                     if program.redirect is not None:
                         g = program.redirect
                         rep2 &= g.not_union
-                        rep2 |= g.summed2(state)
+                        rep2 |= g.summed2(planes)
                     if program.combine_own is not None:
                         rep2 &= program.combine_own_not
-                        rep2 |= state[:, a] & program.combine_own
+                        rep2 |= planes[:, a] & program.combine_own
                     if program.combine_and is not None:
                         g = program.combine_and
-                        masked = state[:, a] & g.summed2(state)
+                        masked = planes[:, a] & g.summed2(planes)
                         rep2 &= g.not_union
                         rep2 |= masked
                     if program.combine_or is not None:
                         g = program.combine_or
-                        s2 = g.summed2(state)
+                        s2 = g.summed2(planes)
                         rep2 &= g.not_union
                         rep2[0] |= (va & g.union) | s2[0]
                         rep2[1] |= da & s2[1]
@@ -681,10 +721,14 @@ class TiledSimulation:
         behavioural variant lanes.
         """
         agreed = self.full.copy()
-        for variant in test.concrete_order_variants():
-            agreed &= self.run_variant(variant)
-            if not (agreed & self.fault_mask).any():
-                break
+        fault_mask = self.fault_mask
+
+        def visit(detected) -> bool:
+            nonlocal agreed
+            agreed &= detected
+            return not (agreed & fault_mask).any()
+
+        walk_realizations(self, test, visit)
         if not self.cases:
             return []
         lane_bits = (agreed[self._lane_tile] >> self._lane_shift) \

@@ -28,7 +28,8 @@ CATALOG: Dict[str, str] = {
     "repro.kernel.cache.stores": "verdicts written into the LRU tier",
     # -- packed whole-list verifier (adopted VerifyStats counters) -----------
     "repro.kernel.verify.calls": "packed verifier calls, by accepted",
-    "repro.kernel.verify.realizations": "order realizations it simulated",
+    "repro.kernel.verify.realizations": "order realization leaves it evaluated",
+    "repro.kernel.verify.segments": "run_variant segment runs behind them",
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
     "repro.backend.detect.seconds": "backend batch latency histogram",

@@ -71,6 +71,26 @@ class TestReportInvariants:
         assert report.elapsed_seconds > 0
         assert report.complexity_label.endswith("n")
 
+    def test_elapsed_covers_the_finalize_checks(self, monkeypatch):
+        import time
+
+        import repro.core.generator as generator_module
+
+        delay = 0.05
+        checked = []
+
+        def slow_redundancy_check(*args, **kwargs):
+            time.sleep(delay)
+            checked.append(True)
+            return True
+
+        monkeypatch.setattr(
+            generator_module, "is_non_redundant", slow_redundancy_check
+        )
+        report = generate("SAF")
+        assert checked and report.non_redundant is True
+        assert report.elapsed_seconds >= delay
+
     def test_summary_renders(self):
         report = generate("SAF")
         text = report.summary()

@@ -26,7 +26,7 @@ class TestReport:
         text = make().summary()
         assert "SAF" in text
         assert "4n" in text
-        assert "0.500s" in text
+        assert "wall time  : 0.500s" in text
         assert "verified   : True" in text
 
     def test_summary_optional_fields(self):

@@ -2,9 +2,9 @@
 serial scalar verifier.
 
 On the lane-packed backends ``SimulationKernel.verifier`` checks a
-candidate with one packed run per order realization -- lane 0 doubles
-as the well-formedness check -- and then a fail-fast scalar pass over
-the unpackable cases.  The ``serial`` backend keeps the reference
+candidate with one shared-prefix walk of its order realizations --
+lane 0 doubles as the well-formedness check -- and then a fail-fast
+scalar pass over the unpackable cases.  The ``serial`` backend keeps the reference
 predicate: a scalar good-machine run per realization, then one cached
 ``detects`` per case.  Both must accept exactly the same march tests,
 call after call (the fail-fast pass reorders its cases between calls).
@@ -61,15 +61,23 @@ def custom_cases(size):
 
 @st.composite
 def random_tests(draw):
-    """1-6 elements of UP/DOWN/ANY order with random read expectations
-    (so malformed tests occur) and the occasional ``Del``."""
+    """0-8 ANY elements shuffled among 0-6 UP/DOWN elements or ``Del``
+    (at least one element in all), with random read expectations (so
+    malformed tests occur), so deep realization trees are covered too."""
+    any_count = draw(st.integers(min_value=0, max_value=8))
+    fixed_count = draw(st.integers(min_value=0, max_value=6))
+    kinds = draw(st.permutations(
+        ["any"] * any_count + ["fixed"] * max(fixed_count, 1 - any_count)
+    ))
     elements = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        if draw(st.integers(min_value=0, max_value=5)) == 0:
+    for kind in kinds:
+        if kind == "fixed" and draw(st.integers(0, 5)) == 0:
             elements.append(DelayElement())
             continue
         body = draw(st.lists(ops, min_size=1, max_size=4))
-        order = draw(st.sampled_from(list(AddressOrder)))
+        order = AddressOrder.ANY if kind == "any" else draw(
+            st.sampled_from([AddressOrder.UP, AddressOrder.DOWN])
+        )
         elements.append(MarchElement(order, tuple(body)))
     return MarchTest(tuple(elements))
 

@@ -1,0 +1,277 @@
+"""The shared-prefix realization walk against the ``2**k`` enumeration.
+
+``walk_realizations`` runs each segment of a march test once per tree
+node, forks the packed state only at ``⇕`` elements and skips subtrees
+whose (step, state, latch, prefix-detected) key it already walked.  The
+reference is the enumeration it replaced: one bignum ``run_variant``
+per ``concrete_order_variants()`` realization from an empty memory.
+The walk must produce the same set of leaf masks -- hence the same
+AND, the same worst-case verdicts and the same first failing leaf --
+on the bignum and on the tiled engine.
+"""
+
+import weakref
+from functools import lru_cache, reduce
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.faults.faultlist import FaultList
+from repro.faults.library import MODEL_REGISTRY
+from repro.march.catalog import CATALOG, MARCH_C_MINUS
+from repro.march.element import (
+    AddressOrder,
+    DelayElement,
+    MarchElement,
+    MarchOp,
+)
+from repro.march.test import MarchTest, parse_march
+from repro.simulator.bitengine import PackedSimulation, PackedState
+from repro.simulator.ordertree import walk_realizations
+from repro.simulator.tilengine import TiledSimulation, numpy_available
+
+MODELS = tuple(sorted(MODEL_REGISTRY))
+
+ENGINES = {"bignum": PackedSimulation, "tiled": TiledSimulation}
+
+#: ``MarchOp("r", None)`` is a read that verifies nothing.
+ops = st.sampled_from([
+    MarchOp("w", 0), MarchOp("w", 1),
+    MarchOp("r", 0), MarchOp("r", 1), MarchOp("r", None),
+])
+
+
+@st.composite
+def any_order_tests(draw):
+    """0-8 ``⇕`` elements shuffled among 0-3 UP/DOWN elements or
+    ``Del``, with random read expectations (so malformed tests occur)."""
+    any_count = draw(st.integers(min_value=0, max_value=8))
+    fixed_count = draw(st.integers(min_value=0, max_value=3))
+    fixed_count = max(fixed_count, 1 - any_count)
+    kinds = draw(st.permutations(
+        ["any"] * any_count + ["fixed"] * fixed_count
+    ))
+    elements = []
+    for kind in kinds:
+        if kind == "fixed" and draw(st.integers(0, 4)) == 0:
+            elements.append(DelayElement())
+            continue
+        order = AddressOrder.ANY if kind == "any" else draw(
+            st.sampled_from([AddressOrder.UP, AddressOrder.DOWN])
+        )
+        body = draw(st.lists(ops, min_size=1, max_size=3))
+        elements.append(MarchElement(order, tuple(body)))
+    return MarchTest(tuple(elements))
+
+
+model_sets = st.one_of(
+    st.just(MODELS),
+    st.just(("SOF",)),
+    st.just(("ADF", "CFIN", "CFID", "SOF")),
+    st.lists(
+        st.sampled_from(MODELS), min_size=1, max_size=4, unique=True
+    ).map(tuple),
+)
+
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the tiled engine needs NumPy"
+)
+ENGINE_PARAMS = ["bignum", pytest.param("tiled", marks=needs_numpy)]
+
+
+@lru_cache(maxsize=None)
+def simulation(engine, models, size):
+    cases = FaultList.from_names(*models).instances(size)
+    return ENGINES[engine](cases, size)
+
+
+def as_int(detected):
+    """A detected mask as a Python int (tiled masks are uint64 tiles)."""
+    if isinstance(detected, int):
+        return detected
+    return int.from_bytes(detected.tobytes(), "little")
+
+
+def enumerated_leaves(sim, test):
+    return [
+        as_int(sim.run_variant(variant))
+        for variant in test.concrete_order_variants()
+    ]
+
+
+def walked_leaves(sim, test):
+    leaves = []
+    walk = walk_realizations(sim, test, lambda d: leaves.append(as_int(d)))
+    assert not walk.stopped
+    assert walk.leaves == len(leaves)
+    return leaves, walk
+
+
+#: Eight ⇕ elements (256 realizations), a ``Del`` and unverified reads.
+DEEP = parse_march(
+    "{any(w0); any(r0,w1); any(r1,r); Del; any(r1,w0); any(r0,w1);"
+    " any(r,w0); any(r0,w1,r1); any(r1)}"
+)
+
+
+def check_walk_matches_the_enumeration(engine, test, models, size):
+    # The reference is always the bignum enumeration: the engines are
+    # byte-identical per run (tests/simulator/test_tilengine.py), and
+    # the tiled engine's per-op NumPy dispatch would make its own
+    # 2**k enumeration the slowest part of this suite.
+    reference = enumerated_leaves(simulation("bignum", models, size), test)
+    sim = simulation(engine, models, size)
+    leaves, walk = walked_leaves(sim, test)
+    # Merging only skips repeats, so every leaf value still shows up.
+    assert set(leaves) == set(reference), (str(test), models, size)
+    assert reduce(int.__and__, leaves) == reduce(int.__and__, reference)
+    assert walk.leaves <= len(reference)
+    # The walk is depth-first with UP first: its first leaf is the
+    # all-UP realization, the first one a caller would reject on.
+    assert leaves[0] == reference[0]
+    stopped = walk_realizations(sim, test, lambda d: True)
+    assert stopped == (True, 1, len(test.order_segments()))
+
+
+generated = given(
+    test=any_order_tests(),
+    models=model_sets,
+    size=st.sampled_from((2, 3, 4)),
+)
+
+
+@generated
+@example(test=DEEP, models=MODELS, size=4)
+@example(test=DEEP, models=("ADF", "CFIN", "CFID", "SOF"), size=2)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_bignum_walk_matches_the_enumeration(test, models, size):
+    check_walk_matches_the_enumeration("bignum", test, models, size)
+
+
+@needs_numpy
+@generated
+@example(test=DEEP, models=MODELS, size=4)
+@example(test=DEEP, models=("ADF", "CFIN", "CFID", "SOF"), size=2)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_tiled_walk_matches_the_enumeration(test, models, size):
+    check_walk_matches_the_enumeration("tiled", test, models, size)
+
+
+@pytest.mark.parametrize("engine", ENGINE_PARAMS)
+def test_a_test_without_any_element_is_one_plain_run(engine):
+    test = MarchTest((
+        MarchElement(AddressOrder.UP, (MarchOp("w", 0),)),
+        DelayElement(),
+        MarchElement(AddressOrder.DOWN, (MarchOp("r", 0),)),
+    ))
+    assert test.order_segments() == ((test,),)
+    sim = simulation(engine, MODELS, 3)
+    leaves, walk = walked_leaves(sim, test)
+    assert walk == (False, 1, 1)
+    assert leaves == enumerated_leaves(sim, test)
+
+
+@pytest.mark.parametrize("engine", ENGINE_PARAMS)
+def test_state_keys_cover_every_field(engine):
+    # Equal keys must mean equal suffixes, so every field of the state
+    # and the prefix-detected mask has to reach the key.
+    sim = simulation(engine, ("SOF",), 2)
+    state = sim.new_state()
+    detected = sim.run_variant(MARCH_C_MINUS, state)
+    base = state.key(detected)
+    assert state.copy().key(detected) == base
+    assert state.key(detected ^ 2) != base
+    for field in type(state).__slots__:
+        changed = state.copy()
+        words = getattr(changed, field)
+        if isinstance(words, int):
+            setattr(changed, field, words ^ 2)
+        elif isinstance(words, list):
+            words[-1] ^= 2
+        else:
+            words.reshape(-1)[-1] ^= 2  # the last cell's defined word
+        assert changed.key(detected) != base, field
+
+
+@needs_numpy
+def test_tiled_keys_are_fixed_size_digests():
+    # A walk keeps one key per distinct node: bytes of the planes would
+    # make that a copy of the whole state each.
+    for size in (2, 4):
+        sim = simulation("tiled", MODELS, size)
+        state = sim.new_state()
+        detected = sim.run_variant(MARCH_C_MINUS, state)
+        assert len(state.key(detected)) == 32
+
+
+class CountingSimulation(PackedSimulation):
+    """Records the elements of every segment it runs."""
+
+    def __init__(self, cases, size):
+        super().__init__(cases, size)
+        self.runs = []
+
+    def run_variant(self, test, state=None):
+        self.runs.append(len(test.elements))
+        return super().run_variant(test, state)
+
+
+def test_march_c_minus_states_merge():
+    # 4 realizations x 6 elements when every realization starts from
+    # an empty memory; ⇕(w0) leaves one state whichever way it runs.
+    sim = CountingSimulation(FaultList.from_names(*MODELS).instances(4), 4)
+    reference = [sim.run_variant(v)
+                 for v in MARCH_C_MINUS.concrete_order_variants()]
+    assert sum(sim.runs) == 4 * 6
+    sim.runs.clear()
+    leaves, walk = walked_leaves(sim, MARCH_C_MINUS)
+    assert walk.segments == len(sim.runs)
+    assert sum(sim.runs) < 4 * 6
+    assert walk.leaves < 4
+    assert reduce(int.__and__, leaves) == reduce(int.__and__, reference)
+
+
+class TrackedState(PackedState):
+    """A packed state that registers itself, and its copies, in
+    ``live``: a ``WeakSet`` plus the most members it ever held."""
+
+    __slots__ = ("__weakref__", "live")
+
+    def __init__(self, value, defined, latch, live):
+        super().__init__(value, defined, latch)
+        self.live = live
+        live.add(self)
+        live.most = max(live.most, len(live))
+
+    def copy(self):
+        return TrackedState(
+            self.value[:], self.defined[:], self.latch, self.live
+        )
+
+
+class LiveStates(weakref.WeakSet):
+    most = 0
+
+
+class TrackingSimulation(PackedSimulation):
+    def __init__(self, cases, size):
+        super().__init__(cases, size)
+        self.live = LiveStates()
+
+    def new_state(self):
+        state = super().new_state()
+        return TrackedState(
+            state.value, state.defined, state.latch, self.live
+        )
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_walk_holds_one_state_per_any_element_plus_one(name):
+    # On the tiled engine at large sizes the walk's memory is its live
+    # states; the enumeration it replaced held one at a time.
+    test = CATALOG[name]
+    any_count = len(test.concrete_order_variants()).bit_length() - 1
+    sim = TrackingSimulation(FaultList.from_names("SAF", "TF").instances(3), 3)
+    walk_realizations(sim, test, lambda detected: False)
+    assert 1 <= sim.live.most <= any_count + 1

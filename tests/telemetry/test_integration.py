@@ -108,6 +108,9 @@ class TestKernelTelemetry:
             snapshot, "repro.kernel.verify.realizations"
         ) == sum(line["attrs"]["realizations"] for line in verify)
         assert counter_total(
+            snapshot, "repro.kernel.verify.segments"
+        ) == sum(line["attrs"]["segments"] for line in verify)
+        assert counter_total(
             snapshot, "repro.kernel.verify.calls"
         ) == len(verify)
 
@@ -117,7 +120,8 @@ class TestKernelTelemetry:
         assert verify(by_name("MATS"))
         segments = dict(kernel.stats_segments())
         assert segments["verify"] == (
-            "verify: 1 packed calls (1 accepted), 8 realizations"
+            "verify: 1 packed calls (1 accepted),"
+            " 2 realizations in 6 segment runs"
         )
         kernel.clear()
         assert "verify" not in dict(kernel.stats_segments())
