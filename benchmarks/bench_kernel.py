@@ -12,7 +12,6 @@ Compared paths:
   per-test variant hoisting, batched evaluation;
 * **warm**         -- the same kernel again: pure fault-dictionary
   lookups;
-* **process**      -- a fresh kernel with the multiprocessing backend;
 * **bitparallel**  -- a fresh kernel with the word-packed backend: all
   lane-packable fault instances advance in one machine word per march
   operation;
@@ -666,10 +665,6 @@ def test_kernel_cold_serial(bench_once):
     bench_once(run_kernel_cold, table3_faults())
 
 
-def test_kernel_cold_process(bench_once):
-    bench_once(run_kernel_cold, table3_faults(), backend="process")
-
-
 def test_kernel_cold_bitparallel(bench_once):
     bench_once(run_kernel_cold, table3_faults(), backend="bitparallel")
 
@@ -959,7 +954,6 @@ def collect_benchmarks():
     faults = table3_faults()
     legacy_seconds, _ = _best_of(3, run_legacy, faults)
     cold_seconds, _ = _best_of(3, run_kernel_cold, faults)
-    process_seconds, _ = _best_of(1, run_kernel_cold, faults, "process")
     packed_seconds, _ = _best_of(3, run_kernel_cold, faults, "bitparallel")
     kernel = make_warm_kernel(faults)
     warm_seconds, _ = _best_of(3, run_kernel_warm, kernel, faults)
@@ -1039,13 +1033,11 @@ def collect_benchmarks():
                 "seconds": {
                     "legacy": legacy_seconds,
                     "cold_serial": cold_seconds,
-                    "cold_process": process_seconds,
                     "cold_bitparallel": packed_seconds,
                     "warm_cache": warm_seconds,
                 },
                 "speedup_vs_legacy": {
                     "cold_serial": legacy_seconds / cold_seconds,
-                    "cold_process": legacy_seconds / process_seconds,
                     "cold_bitparallel": legacy_seconds / packed_seconds,
                     "warm_cache": legacy_seconds / warm_seconds,
                 },
@@ -1212,7 +1204,6 @@ def main():
     for label, key in [
         ("legacy per-call", "legacy"),
         ("kernel cold (serial)", "cold_serial"),
-        ("kernel cold (process)", "cold_process"),
         ("kernel cold (bitparallel)", "cold_bitparallel"),
         ("kernel warm cache", "warm_cache"),
     ]:

@@ -7,9 +7,9 @@ these benches time both instruments on the Table 3 row-5 workload.
 """
 
 from repro.faults import FaultList
+from repro.kernel import get_default_kernel
 from repro.march.catalog import MARCH_C, MARCH_C_MINUS
 from repro.simulator.coverage import coverage_matrix, is_non_redundant
-from repro.simulator.faultsim import simulate_fault_list
 
 
 def row5_faults():
@@ -18,7 +18,9 @@ def row5_faults():
 
 def test_fault_simulation_throughput(benchmark):
     faults = row5_faults()
-    report = benchmark(simulate_fault_list, MARCH_C_MINUS, faults, 3)
+    report = benchmark(
+        get_default_kernel().simulate_fault_list, MARCH_C_MINUS, faults, 3
+    )
     assert report.complete
 
 

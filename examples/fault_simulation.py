@@ -8,6 +8,7 @@ Run:  python examples/fault_simulation.py
 """
 
 from repro.faults import FaultList
+from repro.kernel import SimulationKernel
 from repro.march.catalog import (
     MARCH_C_MINUS,
     MARCH_X,
@@ -16,13 +17,13 @@ from repro.march.catalog import (
     MATS_PLUS_PLUS,
     MSCAN,
 )
-from repro.simulator.faultsim import simulate_fault_list
 
 TESTS = [MSCAN, MATS, MATS_PLUS_PLUS, MARCH_X, MARCH_Y, MARCH_C_MINUS]
 MODELS = ["SAF", "TF", "ADF", "CFIN", "CFID", "RDF", "WDF"]
 
 
 def main():
+    kernel = SimulationKernel()
     header = f"{'test':10} {'cplx':>5} " + " ".join(
         f"{m:>5}" for m in MODELS
     )
@@ -32,7 +33,7 @@ def main():
         cells = []
         for model in MODELS:
             faults = FaultList.from_names(model)
-            report = simulate_fault_list(test, faults, size=3)
+            report = kernel.simulate_fault_list(test, faults, size=3)
             if report.complete:
                 cells.append(f"{'yes':>5}")
             elif report.coverage > 0:

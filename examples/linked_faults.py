@@ -14,14 +14,15 @@ from repro.faults.linked import (
     linked_idempotent_cases,
     linked_inversion_cases,
 )
+from repro.kernel import SimulationKernel
 from repro.march.catalog import CATALOG
-from repro.simulator.faultsim import detects_case
 
 TESTS = ["MATS++", "MarchX", "MarchC-", "MarchA", "MarchB", "MarchLR"]
 
 
 def main():
     size = 4
+    kernel = SimulationKernel()
     idem = linked_idempotent_cases(size)
     inv = linked_inversion_cases(size)
 
@@ -29,8 +30,8 @@ def main():
     print("-" * 42)
     for name in TESTS:
         march = CATALOG[name]
-        idem_hit = sum(detects_case(march, c, size) for c in idem)
-        inv_hit = sum(detects_case(march, c, size) for c in inv)
+        idem_hit = sum(kernel.detects(march, c, size) for c in idem)
+        inv_hit = sum(kernel.detects(march, c, size) for c in inv)
         print(
             f"{name:8} {march.complexity_label:>5}"
             f" {idem_hit:>6}/{len(idem):<5} {inv_hit:>6}/{len(inv):<5}"

@@ -28,9 +28,8 @@ from .kernel import (
 )
 from .march.catalog import CATALOG, by_name
 from .march.test import MarchTest, march, parse_march
-from .simulator.faultsim import simulate_fault_list
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "GeneratorConfig",
@@ -49,6 +48,5 @@ __all__ = [
     "SimulationKernel",
     "SimulationReport",
     "get_default_kernel",
-    "simulate_fault_list",
     "__version__",
 ]

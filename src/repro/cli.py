@@ -52,9 +52,9 @@ def _fault_list(names: List[str]) -> FaultList:
 
 #: The CLI's simulation backend when ``--backend`` is not given.  The
 #: word-packed engine packs the whole standard fault library, so the
-#: generator verifies each candidate in one packed run per order
-#: realization; ``--backend serial`` remains selectable as the scalar
-#: reference.
+#: generator verifies each candidate in one packed shared-prefix walk
+#: of its order realizations; ``--backend serial`` remains selectable
+#: as the scalar reference.
 DEFAULT_BACKEND = "bitparallel"
 
 
@@ -416,7 +416,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         hot_lru_size=args.hot_lru_size,
         max_clients=args.max_clients,
-        quota=args.quota,
     )
     service.start()
 
@@ -893,14 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refuse connections beyond N concurrent clients (the"
              " refused client sees a transient hangup and retries);"
              f" 0 removes the cap (default {DEFAULT_MAX_CLIENTS})",
-    )
-    serve.add_argument(
-        "--quota", type=int, default=None, metavar="N",
-        help="per-tenant cap on data-plane requests"
-             " (get_many/put_many/stats/merge/compact); requests over"
-             " the cap are refused with a permanent error; liveness ops"
-             " (ping/health/metrics/shutdown) are never metered"
-             " (default: unlimited)",
     )
     serve.set_defaults(fn=cmd_serve)
 

@@ -61,14 +61,13 @@ class GeneratorConfig:
         ``"bitparallel-np"`` (the same lanes tiled onto fixed-width
         uint64 NumPy arrays -- constant vectorized cost per 64-lane
         word; requires the ``[fast]`` extra and degrades to
-        ``bitparallel`` with a warning without it), ``"serial"``
-        (scalar in-process evaluation) or ``"process"``
-        (multiprocessing over fault-case chunks).  On the two
-        lane-packed backends the generator's verifier checks each
-        candidate against the whole fault list in one packed run per
-        order realization; ``serial`` and ``process`` keep the scalar
-        per-case reference verifier.  Unknown names raise
-        ``ValueError`` at construction time.  See
+        ``bitparallel`` with a warning without it) or ``"serial"``
+        (scalar in-process evaluation, the reference oracle).  On the
+        two lane-packed backends the generator's verifier checks each
+        candidate against the whole fault list in one packed walk of
+        its order realizations as a shared-prefix tree; ``serial``
+        keeps the scalar per-case reference verifier.  Unknown names
+        raise ``ValueError`` at construction time.  See
         :mod:`repro.kernel.backends` and the README section "Choosing
         a backend".
     sim_cache_size:

@@ -31,9 +31,10 @@ def make_verifier(
     """A predicate: well-formed and detects every fault case.
 
     The implementation is :meth:`repro.kernel.SimulationKernel.verifier`
-    (the process-wide kernel unless one is supplied): one packed run per
-    order realization over the whole fault list on the lane-packed
-    backends, fail-fast cached per-case probes on ``serial``/``process``.
+    (the process-wide kernel unless one is supplied): one packed
+    shared-prefix walk of the order realizations over the whole fault
+    list on the lane-packed backends, fail-fast cached per-case probes
+    on ``serial``.
     """
     return (kernel or get_default_kernel()).verifier(cases, size)
 

@@ -59,7 +59,7 @@ class FaultModel:
 
     Concrete models implement :meth:`classes` returning the BFE
     equivalence classes over the symbolic cells of the k-cell machine,
-    and :meth:`instances` (see :mod:`repro.simulator.faultsim`) returning
+    and :meth:`instances` (see :mod:`repro.faults.instances`) returning
     concrete injectable instances for an n-cell memory.
     """
 

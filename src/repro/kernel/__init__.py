@@ -10,7 +10,6 @@ from .backends import (
     BitParallelNumpyBackend,
     DetectTask,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     available_backends,
     backend_choices_text,
@@ -41,7 +40,6 @@ __all__ = [
     "FaultDictionaryCache",
     "KernelStats",
     "MemoryPool",
-    "ProcessBackend",
     "SerialBackend",
     "SimKey",
     "SimulationKernel",

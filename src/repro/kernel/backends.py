@@ -3,9 +3,10 @@
 A backend executes a batch of *detection tasks* -- ``(test, fault
 case, size)`` triples whose verdicts are not yet in the kernel's fault
 dictionary -- and returns one worst-case boolean per task.  The kernel
-never cares how: serially in-process (the default), fanned out over
-worker processes, or word-packed so every fault lane of a test advances
-in one bitwise operation per march step (``bitparallel``).
+never cares how: serially in-process (the scalar reference), or
+word-packed so every fault lane of a test advances in one bitwise
+operation per march step (``bitparallel``, and its NumPy-tiled twin
+``bitparallel-np``).
 
 Every backend counts the tasks it served per execution strategy in
 ``served`` (e.g. the bitparallel backend splits between ``bitparallel``
@@ -15,7 +16,8 @@ reports so routing decisions stay observable.
 Adding a backend
 ----------------
 Subclass :class:`ExecutionBackend`, implement ``detect_batch``, and
-register the class in :data:`BACKENDS` under its ``name``; it is then
+register the class in :data:`BACKENDS` under its ``name`` (the
+factory is called with the kernel's shared ``pool=``); it is then
 selectable through ``GeneratorConfig(backend=...)`` and the CLI's
 ``--backend`` flag.  ``detect_batch`` must preserve task order and must
 compute exactly the worst-case semantics of
@@ -25,14 +27,13 @@ variant must be caught).
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
@@ -115,9 +116,6 @@ class ExecutionBackend:
     def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release any backend resources (processes, handles)."""
-
 
 class SerialBackend(ExecutionBackend):
     """In-process evaluation with pooled memories (the default)."""
@@ -141,95 +139,6 @@ class SerialBackend(ExecutionBackend):
         ]
 
 
-# -- process backend ----------------------------------------------------------
-#
-# Fault-case behavioural variants are closures (lambdas in the fault
-# library), which do not pickle.  The worker therefore receives only an
-# index; the task list itself is inherited through fork()ed address
-# space via this module-level slot, and each worker keeps its own
-# memory pool.  Two consequences:
-#
-# * the slot is process-global, so a lock serializes detect_batch
-#   across backend instances/threads -- otherwise one batch could fork
-#   workers that inherit another batch's task list;
-# * workers snapshot the slot at fork time, so the pool of workers
-#   cannot be reused across batches (a persistent pool would never see
-#   a new task list).  The per-batch fork cost is why MIN_BATCH exists
-#   and why ``process`` only pays off on large matrices.
-
-_FORK_TASKS: Sequence[DetectTask] = ()
-_FORK_LOCK = threading.Lock()
-_WORKER_POOL: Optional[MemoryPool] = None
-
-
-def _process_worker(index: int) -> bool:
-    global _WORKER_POOL
-    if _WORKER_POOL is None:
-        _WORKER_POOL = MemoryPool()
-    task = _FORK_TASKS[index]
-    return worst_case_detects(
-        task.test.concrete_order_variants(),
-        task.case.variants,
-        task.size,
-        _WORKER_POOL,
-    )
-
-
-class ProcessBackend(ExecutionBackend):
-    """Multiprocessing over fault-case chunks.
-
-    Tasks are sharded across ``processes`` workers (default: CPU
-    count).  Requires the ``fork`` start method -- behavioural variants
-    are closures that cannot cross a spawn boundary -- and warns, then
-    falls back to serial, where fork is unavailable.  Batches below
-    ``MIN_BATCH`` (and single-CPU hosts) fall back *silently*: that
-    path is hit constantly by batch-of-one probes (the scalar verifier
-    this backend keeps, ``dominates``), so a warning there would be
-    noise, not signal.
-    """
-
-    name = "process"
-
-    #: Below this many tasks the fork+IPC overhead dominates.
-    MIN_BATCH = 8
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        pool: Optional[MemoryPool] = None,
-    ) -> None:
-        super().__init__()
-        self.processes = processes or os.cpu_count() or 1
-        self._serial = SerialBackend(pool)
-
-    def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
-        if len(tasks) < self.MIN_BATCH or self.processes < 2:
-            self.count_served("serial", len(tasks))
-            return self._serial.detect_batch(tasks)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            warnings.warn(
-                "process backend needs the fork start method;"
-                " falling back to serial execution",
-                RuntimeWarning,
-            )
-            self.count_served("serial", len(tasks))
-            return self._serial.detect_batch(tasks)
-        global _FORK_TASKS
-        self.count_served("process", len(tasks))
-        with _FORK_LOCK:
-            _FORK_TASKS = tuple(tasks)
-            try:
-                chunksize = max(1, len(tasks) // (self.processes * 4))
-                with context.Pool(self.processes) as workers:
-                    return workers.map(
-                        _process_worker, range(len(tasks)), chunksize
-                    )
-            finally:
-                _FORK_TASKS = ()
-
-
 class BitParallelBackend(ExecutionBackend):
     """Word-packed evaluation: one machine word per march operation.
 
@@ -249,6 +158,9 @@ class BitParallelBackend(ExecutionBackend):
     reuse one lane plan.  The generator's verifier does not come
     through here: with ``lane_packed`` set,
     ``SimulationKernel.verifier`` builds its own whole-list simulation.
+
+    This routing is shared with :class:`BitParallelNumpyBackend`, which
+    overrides only :meth:`_build` and :meth:`_verdicts`.
     """
 
     name = "bitparallel"
@@ -260,9 +172,7 @@ class BitParallelBackend(ExecutionBackend):
     def __init__(self, pool: Optional[MemoryPool] = None) -> None:
         super().__init__()
         self._serial = SerialBackend(pool)
-        self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
-            OrderedDict()
-        )
+        self._simulations: "OrderedDict[Tuple, Any]" = OrderedDict()
         # Packability memo keyed by case name (the canonical fault
         # identity): single-case probes repeat the same few cases
         # against many tests.
@@ -275,13 +185,15 @@ class BitParallelBackend(ExecutionBackend):
             self._packable[case.name] = verdict
         return verdict
 
-    def _simulation(
-        self, cases: Sequence[FaultCase], size: int
-    ) -> PackedSimulation:
+    def _build(self, cases: Sequence[FaultCase], size: int) -> Any:
+        """The packed simulation of one case set."""
+        return PackedSimulation(cases, size)
+
+    def _simulation(self, cases: Sequence[FaultCase], size: int) -> Any:
         key = (tuple(case.name for case in cases), size)
         simulation = self._simulations.get(key)
         if simulation is None:
-            simulation = PackedSimulation(cases, size)
+            simulation = self._build(cases, size)
             self._simulations[key] = simulation
             while len(self._simulations) > self.PLAN_CACHE_SIZE:
                 self._simulations.popitem(last=False)
@@ -289,159 +201,12 @@ class BitParallelBackend(ExecutionBackend):
             self._simulations.move_to_end(key)
         return simulation
 
-    def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
-        results: List[Optional[bool]] = [None] * len(tasks)
-        packed_groups: "OrderedDict[Tuple[MarchTest, int], List[int]]" = (
-            OrderedDict()
-        )
-        fallback_indices: List[int] = []
-        for index, task in enumerate(tasks):
-            if self._is_packable(task.case):
-                packed_groups.setdefault((task.test, task.size), []).append(
-                    index
-                )
-            else:
-                fallback_indices.append(index)
-        for (test, size), indices in packed_groups.items():
-            cases = [tasks[i].case for i in indices]
-            verdicts = self._simulation(cases, size).worst_case_verdicts(test)
-            for i, verdict in zip(indices, verdicts):
-                results[i] = verdict
-        self.count_served(
-            "bitparallel", len(tasks) - len(fallback_indices)
-        )
-        if fallback_indices:
-            self.count_served("serial", len(fallback_indices))
-            fallback = self._serial.detect_batch(
-                [tasks[i] for i in fallback_indices]
-            )
-            for i, verdict in zip(fallback_indices, fallback):
-                results[i] = verdict
-        return results  # type: ignore[return-value]
-
-
-# -- NumPy lane-tiled backend --------------------------------------------------
-#
-# Same fork-slot pattern as ProcessBackend: chunk simulations are built
-# in the parent (so the one-time lane-plan compilation is shared) and
-# inherited by fork()ed workers, which return plain verdict lists.
-
-_TILE_FORK: Tuple = ()
-_TILE_LOCK = threading.Lock()
-
-
-def _tile_worker(index: int) -> List[bool]:
-    simulations, test = _TILE_FORK
-    return simulations[index].worst_case_verdicts(test)
-
-
-class BitParallelNumpyBackend(ExecutionBackend):
-    """Lane-tiled evaluation on fixed-width uint64 NumPy tiles.
-
-    Routing is identical to :class:`BitParallelBackend` -- packable
-    cases ride the packed path, the rest fall back to the scalar serial
-    backend -- but the packed path runs on
-    :class:`~repro.simulator.tilengine.TiledSimulation`: per-op cost is
-    a constant number of vectorized kernels over ``ceil(lanes/64)``
-    uint64 words instead of interpreter-level bignum arithmetic, which
-    is what makes the size-64/size-256 fault populations tractable.
-
-    Above :data:`MIN_FANOUT_LANES` total lanes the case set is split
-    into one contiguous tile range per worker process and composed with
-    the process backend's fork-slot pattern; each worker owns its chunk
-    simulation (own fault-free reference lane) and the concatenated
-    verdict lists are byte-identical to the single-simulation run.
-    Requires NumPy (the ``[fast]`` extra): construction raises
-    :class:`~repro.simulator.tilengine.NumpyUnavailableError` without
-    it, and :func:`resolve_backend` degrades to ``bitparallel`` with a
-    one-line warning.
-    """
-
-    name = "bitparallel-np"
-    lane_packed = True
-
-    #: Bound of the tiled-plan cache (LRU beyond it).
-    PLAN_CACHE_SIZE = 128
-
-    #: Below this many total lanes one process wins: fork + IPC costs
-    #: more than the whole vectorized run.
-    MIN_FANOUT_LANES = 4096
-
-    def __init__(
-        self,
-        pool: Optional[MemoryPool] = None,
-        processes: Optional[int] = None,
-    ) -> None:
-        require_numpy(f"the {self.name!r} execution backend")
-        super().__init__()
-        self.processes = processes or os.cpu_count() or 1
-        self._serial = SerialBackend(pool)
-        self._simulations: "OrderedDict[Tuple, List[TiledSimulation]]" = (
-            OrderedDict()
-        )
-        self._packable: Dict[str, bool] = {}
-
-    def _is_packable(self, case: FaultCase) -> bool:
-        verdict = self._packable.get(case.name)
-        if verdict is None:
-            verdict = lane_packable_case(case)
-            self._packable[case.name] = verdict
-        return verdict
-
-    def _fanout(self, cases: Sequence[FaultCase]) -> int:
-        """How many chunk simulations to build for this case set."""
-        if self.processes < 2:
-            return 1
-        lanes = 1 + sum(len(case.variants) for case in cases)
-        if lanes < self.MIN_FANOUT_LANES:
-            return 1
-        try:
-            multiprocessing.get_context("fork")
-        except ValueError:
-            return 1
-        return self.processes
-
-    def _simulation(
-        self, cases: Sequence[FaultCase], size: int
-    ) -> List[TiledSimulation]:
-        key = (tuple(case.name for case in cases), size)
-        simulations = self._simulations.get(key)
-        if simulations is None:
-            simulations = [
-                TiledSimulation(chunk, size)
-                for chunk in chunk_cases(cases, self._fanout(cases))
-            ]
-            self._simulations[key] = simulations
-            while len(self._simulations) > self.PLAN_CACHE_SIZE:
-                self._simulations.popitem(last=False)
-        else:
-            self._simulations.move_to_end(key)
-        return simulations
-
     def _verdicts(
-        self, simulations: List[TiledSimulation], test: MarchTest
+        self, simulation: Any, test: MarchTest
     ) -> Tuple[List[bool], str]:
-        if len(simulations) == 1:
-            return simulations[0].worst_case_verdicts(test), self.name
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "repro.backend.chunks", backend=self.name
-            ).inc(len(simulations))
-        global _TILE_FORK
-        context = multiprocessing.get_context("fork")
-        with _TILE_LOCK:
-            _TILE_FORK = (simulations, test)
-            try:
-                with context.Pool(len(simulations)) as workers:
-                    chunks = workers.map(
-                        _tile_worker, range(len(simulations))
-                    )
-            finally:
-                _TILE_FORK = ()
-        verdicts: List[bool] = []
-        for chunk in chunks:
-            verdicts.extend(chunk)
-        return verdicts, f"{self.name}-fork"
+        """Worst-case verdicts of one packed group, and the strategy
+        ``served`` counts them under."""
+        return simulation.worst_case_verdicts(test), self.name
 
     def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
         results: List[Optional[bool]] = [None] * len(tasks)
@@ -474,9 +239,110 @@ class BitParallelNumpyBackend(ExecutionBackend):
         return results  # type: ignore[return-value]
 
 
-BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
+# -- NumPy lane-tiled backend --------------------------------------------------
+#
+# Chunk simulations are built in the parent (so the one-time lane-plan
+# compilation is shared) and handed to fork()ed workers through this
+# module-level slot -- closures in the fault library do not pickle --
+# which return plain verdict lists.  The lock keeps concurrent batches
+# from forking workers that inherit each other's slot.
+
+_TILE_FORK: Tuple = ()
+_TILE_LOCK = threading.Lock()
+
+
+def _tile_worker(index: int) -> List[bool]:
+    simulations, test = _TILE_FORK
+    return simulations[index].worst_case_verdicts(test)
+
+
+class BitParallelNumpyBackend(BitParallelBackend):
+    """Lane-tiled evaluation on fixed-width uint64 NumPy tiles.
+
+    Routing is inherited from :class:`BitParallelBackend` -- packable
+    cases ride the packed path, the rest fall back to the scalar serial
+    backend -- but the packed path runs on
+    :class:`~repro.simulator.tilengine.TiledSimulation`: per-op cost is
+    a constant number of vectorized kernels over ``ceil(lanes/64)``
+    uint64 words instead of interpreter-level bignum arithmetic, which
+    is what makes the size-64/size-256 fault populations tractable.
+
+    Above :data:`MIN_FANOUT_LANES` total lanes the case set is split
+    into one contiguous tile range per worker process (``processes``,
+    default: CPU count), each run in a fork()ed worker; each worker
+    owns its chunk simulation (own fault-free reference lane) and the
+    concatenated verdict lists are byte-identical to the
+    single-simulation run.  Requires NumPy (the ``[fast]`` extra):
+    construction raises
+    :class:`~repro.simulator.tilengine.NumpyUnavailableError` without
+    it, and :func:`resolve_backend` degrades to ``bitparallel`` with a
+    one-line warning.
+    """
+
+    name = "bitparallel-np"
+
+    #: Below this many total lanes one process wins: fork + IPC costs
+    #: more than the whole vectorized run.
+    MIN_FANOUT_LANES = 4096
+
+    def __init__(
+        self,
+        pool: Optional[MemoryPool] = None,
+        processes: Optional[int] = None,
+    ) -> None:
+        require_numpy(f"the {self.name!r} execution backend")
+        super().__init__(pool)
+        self.processes = processes or os.cpu_count() or 1
+
+    def _fanout(self, cases: Sequence[FaultCase]) -> int:
+        """How many chunk simulations to build for this case set."""
+        if self.processes < 2:
+            return 1
+        lanes = 1 + sum(len(case.variants) for case in cases)
+        if lanes < self.MIN_FANOUT_LANES:
+            return 1
+        try:
+            multiprocessing.get_context("fork")
+        except ValueError:
+            return 1
+        return self.processes
+
+    def _build(
+        self, cases: Sequence[FaultCase], size: int
+    ) -> List[TiledSimulation]:
+        return [
+            TiledSimulation(chunk, size)
+            for chunk in chunk_cases(cases, self._fanout(cases))
+        ]
+
+    def _verdicts(
+        self, simulations: List[TiledSimulation], test: MarchTest
+    ) -> Tuple[List[bool], str]:
+        if len(simulations) == 1:
+            return simulations[0].worst_case_verdicts(test), self.name
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "repro.backend.chunks", backend=self.name
+            ).inc(len(simulations))
+        global _TILE_FORK
+        context = multiprocessing.get_context("fork")
+        with _TILE_LOCK:
+            _TILE_FORK = (simulations, test)
+            try:
+                with context.Pool(len(simulations)) as workers:
+                    chunks = workers.map(
+                        _tile_worker, range(len(simulations))
+                    )
+            finally:
+                _TILE_FORK = ()
+        verdicts: List[bool] = []
+        for chunk in chunks:
+            verdicts.extend(chunk)
+        return verdicts, f"{self.name}-fork"
+
+
+BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ProcessBackend.name: ProcessBackend,
     BitParallelBackend.name: BitParallelBackend,
     BitParallelNumpyBackend.name: BitParallelNumpyBackend,
 }
@@ -530,8 +396,8 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Turn a backend name (or ready instance) into an instance.
 
-    The kernel's memory pool is shared with backends that accept one,
-    so serial evaluation and cache-miss fills recycle the same arrays.
+    The kernel's memory pool is shared with every backend, so serial
+    evaluation and cache-miss fills recycle the same arrays.
     Requesting ``bitparallel-np`` without NumPy installed degrades to
     the pure-Python ``bitparallel`` engine with a one-line warning --
     same results, just without the vectorized tiles.
@@ -540,13 +406,9 @@ def resolve_backend(
         return SerialBackend(pool)
     if isinstance(backend, ExecutionBackend):
         return backend
-    factory = BACKENDS.get(validate_backend_name(backend))
-    # Pass the shared pool only to factories that declare it: probing
-    # with try/except TypeError would swallow genuine constructor
-    # errors and run side effects twice.
-    accepts_pool = "pool" in inspect.signature(factory).parameters
+    factory = BACKENDS[validate_backend_name(backend)]
     try:
-        return factory(pool=pool) if accepts_pool else factory()
+        return factory(pool=pool)
     except NumpyUnavailableError as error:
         warnings.warn(
             f"{error}; falling back to the pure-Python"

@@ -14,8 +14,9 @@ kernel, which
   recycles :class:`~repro.memory.array.MemoryArray` instances through a
   :class:`~repro.kernel.pool.MemoryPool` instead of reallocating;
 * dispatches batched cache misses to a pluggable
-  :class:`~repro.kernel.backends.ExecutionBackend` (``serial``,
-  ``process`` or the word-packed ``bitparallel``), selectable via
+  :class:`~repro.kernel.backends.ExecutionBackend` (the scalar
+  ``serial`` reference, or the word-packed ``bitparallel`` and its
+  NumPy-tiled twin ``bitparallel-np``), selectable via
   ``GeneratorConfig(backend=...)`` or the CLI ``--backend`` flag;
 * optionally layers the persistent fault-dictionary store
   (:mod:`repro.store`) under the LRU as a write-through/read-through
@@ -127,8 +128,9 @@ class SimulationKernel:
     Parameters
     ----------
     backend:
-        Backend name (``"serial"``/``"process"``), a ready
-        :class:`ExecutionBackend`, or ``None`` for serial.
+        Backend name (``"serial"``/``"bitparallel"``/
+        ``"bitparallel-np"``), a ready :class:`ExecutionBackend`, or
+        ``None`` for serial.
     cache_size:
         Bound of the fault-dictionary cache (LRU beyond it).
     pool:
@@ -336,20 +338,12 @@ class SimulationKernel:
             self.store.stats.reset()
 
     def close(self) -> None:
-        """Release backend resources and, when the kernel opened the
-        store itself (constructed from a path), its connection.
-        Caller-provided store instances stay open: they may be shared
-        with other kernels and are the caller's to close.
-
-        The store close (WAL checkpoint) runs even when the backend
-        refuses to shut down cleanly: campaign workers call this from
-        crash-path ``finally`` blocks, and completed verdicts must be
-        durable no matter what state the backend died in."""
-        try:
-            self.backend.close()
-        finally:
-            if self.store is not None and self._owns_store:
-                self.store.close()
+        """Close the store connection when the kernel opened it itself
+        (constructed from a path or service URL).  Caller-provided
+        store instances stay open: they may be shared with other
+        kernels and are the caller's to close."""
+        if self.store is not None and self._owns_store:
+            self.store.close()
 
     # -- single-detection API ---------------------------------------------------
 
@@ -359,11 +353,7 @@ class SimulationKernel:
         """Worst-case detection of one fault case (cached).
 
         Misses go through the configured backend as a batch of one, so
-        custom execution strategies see every probe; note that
-        ``process`` deliberately falls back to serial below its
-        minimum batch size, so single-probe consumers (``dominates``,
-        the scalar verifier of the ``serial``/``process`` backends)
-        gain from it only via the shared cache, not from parallelism.
+        custom execution strategies see every probe.
         """
         key = SimKey(canonical_signature(test), case.name, size)
         verdict = self.cache.get(key)
@@ -708,11 +698,11 @@ _DEFAULT_KERNEL: Optional[SimulationKernel] = None
 
 
 def get_default_kernel() -> SimulationKernel:
-    """The process-wide kernel behind the legacy convenience functions.
+    """The process-wide kernel shared by callers that supply none.
 
     Consumers that want isolation (their own cache/backend) construct a
-    :class:`SimulationKernel` directly; the module-level functions of
-    :mod:`repro.simulator.faultsim` and friends share this one.
+    :class:`SimulationKernel` directly; the analysis, coverage and
+    diagnosis helpers called without a ``kernel=`` share this one.
     """
     global _DEFAULT_KERNEL
     if _DEFAULT_KERNEL is None:

@@ -1,9 +1,7 @@
 """Simulation outcome containers shared by every kernel consumer.
 
-:class:`SimulationReport` used to live in
-:mod:`repro.simulator.faultsim`; it is now owned by the kernel (the
-single entry point for fault simulation) and re-exported from its old
-home for compatibility.
+:class:`SimulationReport` is owned by the kernel, the single entry
+point for fault simulation.
 """
 
 from __future__ import annotations

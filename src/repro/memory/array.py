@@ -7,7 +7,7 @@ that let an injected fault instance intercept the good behaviour.
 
 The array intentionally knows nothing about fault *models*; it only
 exposes the mechanics (pre/post write hooks, read interception).  Fault
-instances live in :mod:`repro.simulator.faultsim`.
+instances live in :mod:`repro.faults.instances`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Memory fault simulator and coverage analysis (paper, Section 6).
 
 The execution engine and set-cover helpers are eager imports; the
-:mod:`~repro.simulator.faultsim` and :mod:`~repro.simulator.coverage`
-re-exports resolve lazily (PEP 562) because those modules sit *above*
-:mod:`repro.kernel` -- the kernel imports the engine from this package,
-and an eager import here would close an import cycle.
+:mod:`~repro.simulator.coverage` re-exports resolve lazily (PEP 562)
+because that module sits *above* :mod:`repro.kernel` -- the kernel
+imports the engine from this package, and an eager import here would
+close an import cycle.  Fault simulation itself is
+:class:`repro.kernel.SimulationKernel`.
 """
 
 from .engine import (
@@ -17,16 +18,6 @@ from .engine import (
 )
 from .setcover import greedy_cover, is_exact_cover_needed, minimum_cover
 
-_FAULTSIM_NAMES = frozenset(
-    {
-        "DEFAULT_SIZE",
-        "SimulationReport",
-        "detection_matrix",
-        "detects_case",
-        "simulate",
-        "simulate_fault_list",
-    }
-)
 _COVERAGE_NAMES = frozenset(
     {
         "CoverageMatrix",
@@ -43,12 +34,6 @@ __all__ = [
     "good_run",
     "is_well_formed",
     "run_march",
-    "DEFAULT_SIZE",
-    "SimulationReport",
-    "detection_matrix",
-    "detects_case",
-    "simulate",
-    "simulate_fault_list",
     "CoverageMatrix",
     "ElementaryBlock",
     "coverage_matrix",
@@ -60,10 +45,6 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in _FAULTSIM_NAMES:
-        from . import faultsim
-
-        return getattr(faultsim, name)
     if name in _COVERAGE_NAMES:
         from . import coverage
 

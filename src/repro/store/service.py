@@ -16,7 +16,7 @@ Protocol
 Length-prefixed JSON frames: a 4-byte big-endian byte count, then one
 UTF-8 JSON object.  Requests carry an ``"op"`` field::
 
-    {"op": "ping", "tenant": "team-a"}
+    {"op": "ping"}
     {"op": "get_many", "keys": [[signature, case, size, domain], ...]}
     {"op": "put_many", "rows": [[signature, case, size, domain, verdict], ...]}
     {"op": "stats"}
@@ -47,8 +47,8 @@ Topology
   SOCK``): a **single-threaded selectors event loop** -- non-blocking
   accept/read/write, a per-connection frame buffer feeding a pipelined
   dispatch, an in-daemon hot LRU in front of SQLite so read-mostly
-  traffic never touches disk, per-client/tenant ledger namespaces with
-  optional request quotas, and drain-then-exit rolling-restart support
+  traffic never touches disk, a per-client ledger, and drain-then-exit
+  rolling-restart support
   (``shutdown {"drain": true}``).  Every batch still lands on the store
   through the store's own lock, so the concurrency discipline is
   unchanged from the threaded daemon -- there is simply no longer a
@@ -142,7 +142,7 @@ from .store import (
 #: changes; a client refuses to talk to a server of another generation.
 #: Additive evolution (new ops, new optional request fields, new
 #: response fields) stays within a generation -- see docs/PROTOCOL.md.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The handshake tag every ping answer carries.  A listener that does
 #: not identify with it is a foreign server: refused, never replaced.
@@ -163,12 +163,6 @@ SERVICE_OPS = (
     "compact",
     "shutdown",
 )
-
-#: Ops never counted against a tenant's request quota: liveness and
-#: control-plane traffic (an operator must always be able to probe and
-#: stop a daemon whose tenants are over budget).  Data-plane ops --
-#: get_many/put_many/stats/merge/compact -- are metered.
-QUOTA_EXEMPT_OPS = frozenset({"ping", "health", "metrics", "shutdown"})
 
 #: Hard ceiling on one frame's body.  Real batches are a few megabytes
 #: at most; a larger announced length means the peer is not speaking
@@ -206,9 +200,6 @@ DEFAULT_HOT_LRU_SIZE = 65536
 #: Over-cap connects are closed immediately -- a retrying client sees
 #: a transient hangup and backs off.
 DEFAULT_MAX_CLIENTS = 512
-
-#: Ledger namespace for connections that never named a tenant.
-DEFAULT_TENANT = "default"
 
 #: How many *disconnected* clients keep an individual entry in the
 #: per-client ledger.  A long-lived daemon serves an unbounded client
@@ -340,9 +331,7 @@ class ServiceStore:
     :class:`StoreStats` counters (this client's view; the server keeps
     its own per-client ledger).  ``readonly=True`` is enforced
     client-side exactly like the file store's readonly mode: puts
-    become counted no-ops and ``compact`` is refused.  ``tenant``
-    names the ledger namespace this client's requests are accounted
-    (and, when the daemon enforces ``--quota``, metered) under.
+    become counted no-ops and ``compact`` is refused.
 
     >>> client = ServiceStore("repro+unix:///tmp/verdict.sock")  # doctest: +SKIP
     >>> client.get_many(keys)                                    # doctest: +SKIP
@@ -354,15 +343,11 @@ class ServiceStore:
         readonly: bool = False,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         retry: Optional[RetryPolicy] = None,
-        tenant: Optional[str] = None,
     ) -> None:
         self.socket_path = service_socket_path(target)
         self.url = service_url(self.socket_path)
         self.readonly = readonly
         self.timeout = timeout
-        #: Tenant namespace announced in the handshake (``None``:
-        #: the server's :data:`DEFAULT_TENANT`).
-        self.tenant = tenant
         #: Transient-failure policy; default rides out a short daemon
         #: restart.  ``RetryPolicy.no_retry()`` restores fail-fast.
         self.retry = retry if retry is not None else RetryPolicy()
@@ -376,12 +361,6 @@ class ServiceStore:
         self._sock: Optional[socket.socket] = None
 
     # -- connection -------------------------------------------------------------
-
-    def _hello_payload(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "ping"}
-        if self.tenant:
-            payload["tenant"] = self.tenant
-        return payload
 
     def _connect(self) -> socket.socket:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -401,7 +380,7 @@ class ServiceStore:
         # foreign magic, another protocol generation) is definitely
         # not our service -- permanent, fail fast, never unlinked.
         try:
-            _send_frame(sock, self._hello_payload())
+            _send_frame(sock, {"op": "ping"})
             hello = _recv_frame(sock)
         except ServiceError as error:
             sock.close()
@@ -627,21 +606,20 @@ class ServiceStore:
 
     def ping(self) -> Dict[str, Any]:
         """Handshake round trip; returns the server's identity frame."""
-        response = self._request(self._hello_payload())
+        response = self._request({"op": "ping"})
         self.server = response
         return response
 
     def server_stats(self) -> Dict[str, Any]:
         """The server's full ledger: rows, store counters, per-client
-        and per-tenant hit/miss/write counters (``repro store stats
-        --socket``)."""
+        hit/miss/write counters (``repro store stats --socket``)."""
         response = self._request({"op": "stats"})
         return {k: v for k, v in response.items() if k != "ok"}
 
     def health(self) -> Dict[str, Any]:
         """The daemon's liveness report: uptime, connection counts,
         the resilience counters (idle reaps, checkpoints, errors,
-        rejected/over-quota requests), hot-LRU occupancy, row
+        rejected connects), hot-LRU occupancy, row
         population and service-time summary."""
         response = self._request({"op": "health"})
         return {k: v for k, v in response.items() if k != "ok"}
@@ -834,11 +812,9 @@ class VerdictService:
     (:data:`DEFAULT_HOT_LRU_SIZE` canonical rows, ``--hot-lru-size``):
     read-mostly traffic is served without touching disk, counted as
     ``repro.service.hot_lru.*`` in the metrics registry.  Connections
-    are accounted per client *and* per tenant (the handshake ping may
-    carry ``tenant``); ``--quota`` meters each tenant's data-plane
-    requests and refuses the excess with a permanent error.
-    ``--max-clients`` bounds concurrent connections (over-cap connects
-    are hung up on: transient to a retrying client).
+    are accounted per client.  ``--max-clients`` bounds concurrent
+    connections (over-cap connects are hung up on: transient to a
+    retrying client).
 
     Lifecycle: :meth:`start` claims the socket (a *stale* socket file
     left by a dead server is reclaimed; a live verdict service or a
@@ -864,7 +840,6 @@ class VerdictService:
         ),
         hot_lru_size: int = DEFAULT_HOT_LRU_SIZE,
         max_clients: Optional[int] = DEFAULT_MAX_CLIENTS,
-        quota: Optional[int] = None,
     ) -> None:
         self.store_path = Path(store_path)
         self.socket_path = (
@@ -881,9 +856,6 @@ class VerdictService:
         self.checkpoint_interval = checkpoint_interval or None
         #: Concurrent-connection cap; ``None``/``0`` removes it.
         self.max_clients = max_clients or None
-        #: Per-tenant cap on lifetime data-plane requests;
-        #: ``None``/``0`` disables metering.
-        self.quota = quota or None
         self.store: Optional[FaultDictionaryStore] = None
         self.started = False
         #: Per-instance override of :data:`MAX_CLIENT_LEDGER`.
@@ -896,7 +868,6 @@ class VerdictService:
         self._wake_w: Optional[int] = None
         self._connections: Dict[int, _Connection] = {}
         self._clients: Dict[int, Dict[str, Any]] = {}
-        self._tenants: Dict[str, Dict[str, int]] = {}
         self._retired = {
             "clients": 0, "requests": 0, "hits": 0, "misses": 0,
             "writes": 0,
@@ -913,10 +884,10 @@ class VerdictService:
         self._drain_swept = False
         #: Resilience counters (under the state lock): idle clients
         #: reaped, background checkpoints run, error answers sent,
-        #: over-cap connects refused, over-quota requests denied.
+        #: over-cap connects refused.
         self._counters = {
             "reaped_idle": 0, "checkpoints": 0, "errors": 0,
-            "rejected_full": 0, "quota_denied": 0,
+            "rejected_full": 0,
         }
         #: Always-live telemetry: a daemon is a long-running service,
         #: so per-request counters and service-time histograms cost
@@ -948,8 +919,7 @@ class VerdictService:
         # one increment stale
         registry = self.telemetry.registry
         for field in (
-            "reaped_idle", "checkpoints", "errors",
-            "rejected_full", "quota_denied",
+            "reaped_idle", "checkpoints", "errors", "rejected_full",
         ):
             registry.collector(
                 f"repro.service.{field}",
@@ -969,13 +939,6 @@ class VerdictService:
             "repro.service.hot_lru.entries",
             lambda: [({}, len(self._hot_lru))],
             kind="gauge",
-        )
-        registry.collector(
-            "repro.service.tenant.requests",
-            lambda: [
-                ({"tenant": name}, record["requests"])
-                for name, record in list(self._tenants.items())
-            ],
         )
         for field in ("hits", "misses", "writes", "skipped_writes"):
             registry.collector(
@@ -1307,7 +1270,6 @@ class VerdictService:
                 client_id = self._client_seq
                 counters = {
                     "connected": True,
-                    "tenant": DEFAULT_TENANT,
                     "requests": 0,
                     "hits": 0,
                     "misses": 0,
@@ -1449,58 +1411,21 @@ class VerdictService:
     def _handle_request(
         self, conn: _Connection, request: Dict[str, Any]
     ) -> None:
-        """Account, meter, dispatch and answer one frame."""
+        """Account, dispatch and answer one frame."""
         counters = conn.counters
         op = str(request.get("op"))
         started = time.monotonic()
-        response: Optional[Dict[str, Any]] = None
-        # The handshake ping may (re)name this connection's tenant;
-        # the namespace is pure accounting -- verdicts are
-        # content-addressed and shared across tenants by design.
-        tenant_field = request.get("tenant")
-        if request.get("op") == "ping" and tenant_field is not None:
-            if isinstance(tenant_field, str) and tenant_field:
-                counters["tenant"] = tenant_field
-            else:
-                response = {
-                    "ok": False,
-                    "error": (
-                        f"tenant must be a non-empty string,"
-                        f" got {tenant_field!r}"
-                    ),
-                }
-        tenant = counters["tenant"]
         with self._state_lock:
             counters["requests"] += 1
-            record = self._tenants.setdefault(
-                tenant, {"requests": 0, "metered": 0, "denied": 0}
-            )
-            record["requests"] += 1
-            if (response is None and self.quota
-                    and op not in QUOTA_EXEMPT_OPS):
-                record["metered"] += 1
-                if record["metered"] > self.quota:
-                    record["denied"] += 1
-                    self._counters["quota_denied"] += 1
-                    response = {
-                        "ok": False,
-                        "error": (
-                            f"tenant {tenant!r} exceeded its request"
-                            f" quota ({self.quota} data-plane"
-                            " requests); raise `repro serve --quota`"
-                            " or split the workload across tenants"
-                        ),
-                    }
-        if response is None:
-            try:
-                response = self._dispatch(request, counters)
-            except StoreError as error:
-                response = {"ok": False, "error": str(error)}
-            except Exception as error:  # noqa: BLE001 - protocol boundary
-                response = {
-                    "ok": False,
-                    "error": f"{type(error).__name__}: {error}",
-                }
+        try:
+            response = self._dispatch(request, counters)
+        except StoreError as error:
+            response = {"ok": False, "error": str(error)}
+        except Exception as error:  # noqa: BLE001 - protocol boundary
+            response = {
+                "ok": False,
+                "error": f"{type(error).__name__}: {error}",
+            }
         elapsed = time.monotonic() - started
         # One state-lock scope for the error counter and the request
         # instruments, so a concurrent metrics/health read never sees
@@ -1538,7 +1463,6 @@ class VerdictService:
                 "pid": os.getpid(),
                 "store": str(self.store_path),
                 "schema_version": SCHEMA_VERSION,
-                "tenant": counters.get("tenant", DEFAULT_TENANT),
             }
         if op == "get_many":
             keys = [_key_from_wire(row) for row in request.get("keys", ())]
@@ -1732,9 +1656,7 @@ class VerdictService:
 
     def _retire_overflow(self) -> None:
         """Fold the oldest disconnected clients beyond the ledger cap
-        into the ``retired`` aggregate.  Called under the state lock.
-        Tenant attribution is dropped at retirement (the per-tenant
-        aggregates keep their own lifetime totals)."""
+        into the ``retired`` aggregate.  Called under the state lock."""
         disconnected = [
             client_id
             for client_id, counters in self._clients.items()
@@ -1808,13 +1730,11 @@ class VerdictService:
             "idle_timeout": self.idle_timeout,
             "checkpoint_interval": self.checkpoint_interval,
             "max_clients": self.max_clients,
-            "quota": self.quota,
             "draining": self._draining,
         }
 
     def snapshot_stats(self) -> Dict[str, Any]:
-        """The ``stats`` op's payload: rows, store counters, clients,
-        tenants."""
+        """The ``stats`` op's payload: rows, store counters, clients."""
         # One state-lock scope for the whole snapshot: per-client rows,
         # the retired aggregate and the store counters are mutated
         # together in the dispatch path, so reading them together is
@@ -1827,10 +1747,6 @@ class VerdictService:
             }
             retired = dict(self._retired)
             counters = dict(self._counters)
-            tenants = {
-                name: dict(record)
-                for name, record in self._tenants.items()
-            }
             stats = self.store.stats
             store_stats = {
                 "hits": stats.hits,
@@ -1856,6 +1772,4 @@ class VerdictService:
                 "per_client": per_client,
                 "retired": retired,
             },
-            "tenants": tenants,
-            "quota": self.quota,
         }

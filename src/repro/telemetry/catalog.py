@@ -50,13 +50,11 @@ CATALOG: Dict[str, str] = {
     "repro.service.checkpoints": "daemon-triggered WAL checkpoints",
     "repro.service.errors": "loop/dispatch failures survived",
     "repro.service.rejected_full": "accepts refused at max_clients",
-    "repro.service.quota_denied": "requests denied by tenant quota",
     "repro.service.connections": "currently connected clients (gauge)",
     "repro.service.hot_lru.hits": "daemon hot-LRU lookups answered",
     "repro.service.hot_lru.misses": "daemon hot-LRU lookups that missed",
     "repro.service.hot_lru.evictions": "daemon hot-LRU entries evicted",
     "repro.service.hot_lru.entries": "daemon hot-LRU population (gauge)",
-    "repro.service.tenant.requests": "requests served, by tenant",
 }
 
 #: The declared names as a set -- what the lint rule and the runtime

@@ -35,3 +35,24 @@ def test_campaign_spec_shares_the_validation():
             {"tests": ["MATS"], "faults": ["SAF"], "backends": ["bogus"]}
         )
     assert "valid choices" in str(excinfo.value)
+
+
+def test_retired_process_backend_is_rejected_everywhere(capsys):
+    # 'process' was removed; config, CLI and campaign specs all refuse
+    # it with the list of valid choices.
+    from repro.cli import main
+    from repro.store.campaign import CampaignSpec, CampaignSpecError
+
+    with pytest.raises(ValueError, match="valid choices"):
+        GeneratorConfig(backend="process")
+    with pytest.raises(CampaignSpecError, match="valid choices"):
+        CampaignSpec.from_dict(
+            {"tests": ["MATS"], "faults": ["SAF"], "backends": ["process"]}
+        )
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "MATS", "SAF", "--backend", "process"])
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err
+    assert "invalid choice: 'process'" in message
+    for name in BACKENDS:
+        assert name in message

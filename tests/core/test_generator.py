@@ -10,7 +10,9 @@ from repro.core import (
 )
 from repro.core.optimize import make_verifier
 from repro.faults import FaultList, UserDefinedFault
-from repro.simulator.faultsim import simulate_fault_list
+from repro.kernel import SimulationKernel
+
+KERNEL = SimulationKernel()
 
 
 def generate(*names, **config_kwargs):
@@ -60,7 +62,7 @@ class TestReportInvariants:
     def test_generated_test_detects_its_fault_list(self):
         faults = FaultList.from_names("SAF", "TF")
         report = MarchTestGenerator().generate(faults)
-        assert simulate_fault_list(report.test, faults, 3).complete
+        assert KERNEL.simulate_fault_list(report.test, faults, 3).complete
 
     def test_non_redundancy_reported(self):
         report = generate("SAF")

@@ -15,9 +15,11 @@ from repro.core import GeneratorConfig, MarchTestGenerator
 from repro.faults.bfe import delta_bfe, lambda_bfe
 from repro.faults.faultlist import BFEClass, FaultList
 from repro.faults.generic import GenericPairFault
+from repro.kernel import SimulationKernel
 from repro.memory.operations import read, write
 from repro.memory.state import MemoryState
-from repro.simulator.faultsim import simulate_fault_list
+
+KERNEL = SimulationKernel()
 
 concrete_states = st.sampled_from(
     [MemoryState.parse(a + b) for a in "01" for b in "01"]
@@ -76,7 +78,7 @@ class TestArbitraryFaults:
     def test_random_delta_faults_always_covered(self, bfe):
         faults, report = _generate_for(bfe)
         assert report.verified
-        assert simulate_fault_list(report.test, faults, 3).complete
+        assert KERNEL.simulate_fault_list(report.test, faults, 3).complete
         assert 2 <= report.complexity <= 12
 
     @given(lambda_bfes())
@@ -84,7 +86,7 @@ class TestArbitraryFaults:
     def test_random_lambda_faults_always_covered(self, bfe):
         faults, report = _generate_for(bfe)
         assert report.verified
-        assert simulate_fault_list(report.test, faults, 3).complete
+        assert KERNEL.simulate_fault_list(report.test, faults, 3).complete
 
     @given(st.lists(delta_bfes(), min_size=2, max_size=3))
     @settings(max_examples=10, deadline=None)
@@ -96,4 +98,4 @@ class TestArbitraryFaults:
         faults = FaultList([model])
         report = MarchTestGenerator(FAST).generate(faults)
         assert report.verified
-        assert simulate_fault_list(report.test, faults, 3).complete
+        assert KERNEL.simulate_fault_list(report.test, faults, 3).complete

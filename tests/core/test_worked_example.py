@@ -9,9 +9,11 @@ import pytest
 
 from repro.core import GeneratorConfig, MarchTestGenerator
 from repro.faults import CouplingIdempotentFault, FaultList
+from repro.kernel import SimulationKernel
 from repro.march.test import parse_march
 from repro.simulator.coverage import is_non_redundant
-from repro.simulator.faultsim import simulate_fault_list
+
+KERNEL = SimulationKernel()
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +44,14 @@ class TestWorkedExample:
         assert report.gts.length == 12
 
     def test_detects_all_instances_on_larger_memory(self, report, faults):
-        assert simulate_fault_list(report.test, faults, 4).complete
+        assert KERNEL.simulate_fault_list(report.test, faults, 4).complete
 
     def test_papers_own_test_also_passes_our_simulator(self, faults):
         paper = parse_march(
             "{up(w0); up(r0,w1); up(r1,w0); down(r0,w1); down(r1)}",
             "paper-8n",
         )
-        assert simulate_fault_list(paper, faults, 3).complete
+        assert KERNEL.simulate_fault_list(paper, faults, 3).complete
         assert is_non_redundant(paper, faults.instances(3), 3)
 
     def test_paper_test_and_ours_are_equally_long(self, report, faults):

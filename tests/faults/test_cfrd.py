@@ -6,9 +6,11 @@ from repro.core import MarchTestGenerator
 from repro.faults import FaultList
 from repro.faults.instances import ReadCouplingInstance
 from repro.faults.library import ReadCouplingFault
+from repro.kernel import SimulationKernel
 from repro.march.catalog import MARCH_C_MINUS, MATS
 from repro.memory.array import MemoryArray
-from repro.simulator.faultsim import simulate_fault_list
+
+KERNEL = SimulationKernel()
 
 
 class TestInstance:
@@ -44,11 +46,11 @@ class TestModel:
 
     def test_march_c_minus_covers_cfrd(self):
         faults = FaultList.from_names("CFRD")
-        assert simulate_fault_list(MARCH_C_MINUS, faults, 3).complete
+        assert KERNEL.simulate_fault_list(MARCH_C_MINUS, faults, 3).complete
 
     def test_mats_misses_cfrd(self):
         faults = FaultList.from_names("CFRD")
-        assert not simulate_fault_list(MATS, faults, 3).complete
+        assert not KERNEL.simulate_fault_list(MATS, faults, 3).complete
 
 
 class TestGeneration:

@@ -9,9 +9,11 @@ from repro.faults.linked import (
     linked_inversion_cases,
 )
 from repro.faults.instances import case
+from repro.kernel import SimulationKernel
 from repro.march.catalog import MARCH_A, MARCH_B, MARCH_C_MINUS, MARCH_LR
 from repro.memory.array import MemoryArray
-from repro.simulator.faultsim import detects_case
+
+KERNEL = SimulationKernel()
 
 
 class TestInstances:
@@ -55,7 +57,7 @@ class TestMaskingSeparation:
     def test_march_c_minus_misses_linked_idempotents(self):
         missed = [
             c for c in linked_idempotent_cases(4)
-            if not detects_case(MARCH_C_MINUS, c, 4)
+            if not KERNEL.detects(MARCH_C_MINUS, c, 4)
         ]
         assert len(missed) == 8  # measured; see docs/theory.md
 
@@ -65,7 +67,7 @@ class TestMaskingSeparation:
     )
     def test_longer_tests_catch_all_linked_idempotents(self, march):
         for fault_case in linked_idempotent_cases(4):
-            assert detects_case(march, fault_case, 4), fault_case.name
+            assert KERNEL.detects(march, fault_case, 4), fault_case.name
 
     def test_specific_masked_placement(self):
         # Both aggressors below the victim: an ascending element fires
@@ -74,8 +76,8 @@ class TestMaskingSeparation:
             "CFid&CFid 0,1->2",
             lambda: LinkedIdempotentPair(0, 1, 2, first_forces=1),
         )
-        assert not detects_case(MARCH_C_MINUS, fc, 3)
-        assert detects_case(MARCH_A, fc, 3)
+        assert not KERNEL.detects(MARCH_C_MINUS, fc, 3)
+        assert KERNEL.detects(MARCH_A, fc, 3)
 
     def test_linked_inversions_mostly_hide(self):
         # Double inversions cancel regardless of test length: even
@@ -83,7 +85,7 @@ class TestMaskingSeparation:
         # the two excitations.
         for march in (MARCH_C_MINUS, MARCH_A, MARCH_LR):
             hit = sum(
-                detects_case(march, c, 4)
+                KERNEL.detects(march, c, 4)
                 for c in linked_inversion_cases(4)
             )
             assert hit == 4, march.name

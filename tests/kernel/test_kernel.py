@@ -7,11 +7,11 @@ from repro.faults.instances import case
 from repro.kernel import (
     BACKENDS,
     BitParallelBackend,
+    BitParallelNumpyBackend,
     DetectTask,
     EmptyFaultListWarning,
     FaultDictionaryCache,
     MemoryPool,
-    ProcessBackend,
     SerialBackend,
     SimKey,
     SimulationKernel,
@@ -24,13 +24,11 @@ from repro.march.catalog import MARCH_C_MINUS, MATS, MSCAN
 from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
 from repro.memory.state import DASH
+from repro.simulator.tilengine import numpy_available
 
-
-class ExplodingInstance(NullFaultInstance):
-    """Raises on the first read: exercises worker error propagation."""
-
-    def on_read(self, memory, address):
-        raise RuntimeError("injected fault-instance failure")
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the tiled engine needs NumPy"
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +137,7 @@ class TestPool:
 
 class TestBackends:
     def test_registry_contains_all(self):
-        assert set(BACKENDS) >= {"serial", "process", "bitparallel"}
+        assert set(BACKENDS) == {"serial", "bitparallel", "bitparallel-np"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):
@@ -148,63 +146,6 @@ class TestBackends:
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
-
-    def test_process_backend_matches_serial(self, table3_list):
-        cases = table3_list.instances(3)
-        serial = SimulationKernel(backend="serial")
-        process = SimulationKernel(backend=ProcessBackend(processes=2))
-        tests = [MATS, MSCAN, MARCH_C_MINUS]
-        assert process.detection_matrix(
-            tests, cases, 3
-        ) == serial.detection_matrix(tests, cases, 3)
-
-    def test_small_batches_fall_back_to_serial(self, saf_list):
-        backend = ProcessBackend(processes=2)
-        kernel = SimulationKernel(backend=backend)
-        report = kernel.simulate(MATS, saf_list.instances(2)[:2], 2)
-        assert report.complete
-
-    def test_process_backend_propagates_worker_errors(self, saf_list):
-        # A fault instance that raises inside a worker must surface in
-        # the parent (and on fork-less hosts, in the serial fallback).
-        boom = case("boom", ExplodingInstance)
-        tasks = [
-            DetectTask(MATS, boom, 3)
-        ] * max(ProcessBackend.MIN_BATCH, 8)
-        backend = ProcessBackend(processes=2)
-        with pytest.raises(RuntimeError, match="injected fault-instance"):
-            backend.detect_batch(tasks)
-        # The fork-task slot is released even on failure, and the
-        # backend keeps serving afterwards.
-        from repro.kernel import backends as backends_module
-
-        assert backends_module._FORK_TASKS == ()
-        healthy = [
-            DetectTask(MATS, c, 3) for c in saf_list.instances(3)
-        ] * 2
-        assert all(backend.detect_batch(healthy))
-
-    def test_concurrent_process_batches_stay_isolated(self, table3_list):
-        # The fork-task handoff is a module-level slot; concurrent
-        # batches must not fork workers inheriting each other's tasks.
-        import threading
-
-        cases = table3_list.instances(3)
-        serial = SimulationKernel().detection_matrix([MARCH_C_MINUS], cases, 3)
-        results = {}
-
-        def run(tag):
-            kernel = SimulationKernel(backend=ProcessBackend(processes=2))
-            results[tag] = kernel.detection_matrix([MARCH_C_MINUS], cases, 3)
-
-        threads = [
-            threading.Thread(target=run, args=(tag,)) for tag in ("a", "b")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results["a"] == serial and results["b"] == serial
 
 
 class TestBitParallelBackend:
@@ -217,23 +158,31 @@ class TestBitParallelBackend:
         serial = SimulationKernel().detection_matrix(tests, cases, 3)
         assert packed == serial
 
-    def test_served_counters_split_by_routing(self):
-        # SAF packs; an unknown instance type falls back to scalar.
-        from repro.faults.instances import case
-        from repro.memory.array import NullFaultInstance
+    # The routing tests run on both packed engines: they share one
+    # detect_batch, and only the simulation/verdict step differs.
 
+    @staticmethod
+    def _check_routing_split(backend):
+        # SAF packs; an unknown instance type falls back to scalar.
         class CustomInstance(NullFaultInstance):
             pass
 
-        kernel = SimulationKernel(backend="bitparallel")
+        kernel = SimulationKernel(backend=backend)
         saf_cases = FaultList.from_names("SAF").instances(3)
         cases = list(saf_cases) + [case("custom", CustomInstance)]
         report = kernel.simulate(MATS, cases, 3)
         assert kernel.backend.served == {
-            "bitparallel": len(saf_cases),
+            backend: len(saf_cases),
             "serial": 1,
         }
         assert len(report.detected) + len(report.missed) == len(cases)
+
+    def test_served_counters_split_by_routing(self):
+        self._check_routing_split("bitparallel")
+
+    @requires_numpy
+    def test_served_counters_split_by_routing_tiled(self):
+        self._check_routing_split("bitparallel-np")
 
     def test_describe_stats_reports_routing_and_evictions(self):
         kernel = SimulationKernel(backend="bitparallel")
@@ -251,8 +200,8 @@ class TestBitParallelBackend:
         assert kernel.backend.served == {}
         assert "served no tasks" in kernel.describe_stats()
 
-    def test_lane_plan_cache_is_bounded_and_reused(self, saf_list):
-        backend = BitParallelBackend()
+    @staticmethod
+    def _check_plan_cache(backend, saf_list):
         backend.PLAN_CACHE_SIZE = 2
         cases = saf_list.instances(3)
         tasks = [DetectTask(MATS, c, 3) for c in cases]
@@ -267,6 +216,13 @@ class TestBitParallelBackend:
                  for c in saf_list.instances(size)]
             )
         assert len(backend._simulations) <= 2
+
+    def test_lane_plan_cache_is_bounded_and_reused(self, saf_list):
+        self._check_plan_cache(BitParallelBackend(), saf_list)
+
+    @requires_numpy
+    def test_lane_plan_cache_is_bounded_and_reused_tiled(self, saf_list):
+        self._check_plan_cache(BitParallelNumpyBackend(), saf_list)
 
     def test_single_probe_batches_work(self, saf_list):
         # The generator's verifier sends batches of one; the packed

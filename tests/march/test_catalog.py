@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel import SimulationKernel
 from repro.march.catalog import (
     CATALOG,
     MARCH_A,
@@ -16,6 +17,8 @@ from repro.march.catalog import (
     by_name,
 )
 from repro.simulator.engine import is_well_formed
+
+KERNEL = SimulationKernel()
 
 
 class TestComplexities:
@@ -70,17 +73,15 @@ class TestMarchG:
     def test_covers_retention_faults(self):
         from repro.faults import FaultList
         from repro.march.catalog import MARCH_G
-        from repro.simulator.faultsim import simulate_fault_list
 
-        assert simulate_fault_list(
+        assert KERNEL.simulate_fault_list(
             MARCH_G, FaultList.from_names("DRF"), 3
         ).complete
 
     def test_march_c_minus_misses_retention(self):
         from repro.faults import FaultList
         from repro.march.catalog import MARCH_C_MINUS
-        from repro.simulator.faultsim import simulate_fault_list
 
-        assert not simulate_fault_list(
+        assert not KERNEL.simulate_fault_list(
             MARCH_C_MINUS, FaultList.from_names("DRF"), 3
         ).complete

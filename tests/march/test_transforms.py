@@ -3,11 +3,13 @@
 import pytest
 
 from repro.faults import FaultList
+from repro.kernel import SimulationKernel
 from repro.march.catalog import CATALOG, MARCH_C_MINUS, MARCH_X, MATS
 from repro.march.element import AddressOrder
 from repro.march.test import parse_march
 from repro.march.transforms import complement, mirror
-from repro.simulator.faultsim import simulate_fault_list
+
+KERNEL = SimulationKernel()
 
 
 class TestStructure:
@@ -53,15 +55,15 @@ class TestDetectionPreservation:
     def test_mirror_preserves_coverage(self, names):
         faults = FaultList.from_names(*names)
         test = MARCH_C_MINUS
-        base = simulate_fault_list(test, faults, 3)
-        transformed = simulate_fault_list(mirror(test), faults, 3)
+        base = KERNEL.simulate_fault_list(test, faults, 3)
+        transformed = KERNEL.simulate_fault_list(mirror(test), faults, 3)
         assert base.complete and transformed.complete
 
     @pytest.mark.parametrize("names", [("SAF",), ("SAF", "TF"), ROW5])
     def test_complement_preserves_coverage(self, names):
         faults = FaultList.from_names(*names)
-        base = simulate_fault_list(MARCH_C_MINUS, faults, 3)
-        transformed = simulate_fault_list(
+        base = KERNEL.simulate_fault_list(MARCH_C_MINUS, faults, 3)
+        transformed = KERNEL.simulate_fault_list(
             complement(MARCH_C_MINUS), faults, 3
         )
         assert base.complete and transformed.complete
@@ -70,6 +72,8 @@ class TestDetectionPreservation:
         # MATS misses TF either way: the transforms do not create
         # coverage out of thin air.
         faults = FaultList.from_names("TF")
-        assert not simulate_fault_list(MATS, faults, 3).complete
-        assert not simulate_fault_list(mirror(MATS), faults, 3).complete
-        assert not simulate_fault_list(complement(MATS), faults, 3).complete
+        assert not KERNEL.simulate_fault_list(MATS, faults, 3).complete
+        assert not KERNEL.simulate_fault_list(mirror(MATS), faults, 3).complete
+        assert not KERNEL.simulate_fault_list(
+            complement(MATS), faults, 3
+        ).complete

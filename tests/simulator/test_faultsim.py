@@ -8,6 +8,7 @@ ADF and unlinked coupling faults.
 import pytest
 
 from repro.faults import FaultList
+from repro.kernel import SimulationKernel
 from repro.march.catalog import (
     MARCH_C_MINUS,
     MARCH_X,
@@ -15,46 +16,42 @@ from repro.march.catalog import (
     MATS_PLUS_PLUS,
     MSCAN,
 )
-from repro.simulator.faultsim import (
-    detection_matrix,
-    detects_case,
-    simulate,
-    simulate_fault_list,
-)
+
+KERNEL = SimulationKernel()
 
 
 class TestKnownCoverage:
     def test_mats_covers_saf(self, saf_list):
-        report = simulate_fault_list(MATS, saf_list)
+        report = KERNEL.simulate_fault_list(MATS, saf_list)
         assert report.complete
         assert report.coverage == 1.0
 
     def test_mats_misses_tf(self):
         faults = FaultList.from_names("TF")
-        report = simulate_fault_list(MATS, faults)
+        report = KERNEL.simulate_fault_list(MATS, faults)
         assert not report.complete
         assert any("TFdown" in name for name in report.missed)
 
     def test_mats_plus_plus_covers_saf_tf_adf(self):
         faults = FaultList.from_names("SAF", "TF", "ADF")
-        assert simulate_fault_list(MATS_PLUS_PLUS, faults).complete
+        assert KERNEL.simulate_fault_list(MATS_PLUS_PLUS, faults).complete
 
     def test_march_x_covers_cfin(self):
         faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN")
-        assert simulate_fault_list(MARCH_X, faults).complete
+        assert KERNEL.simulate_fault_list(MARCH_X, faults).complete
 
     def test_march_c_minus_covers_table3_row5(self):
         faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
-        assert simulate_fault_list(MARCH_C_MINUS, faults).complete
+        assert KERNEL.simulate_fault_list(MARCH_C_MINUS, faults).complete
 
     def test_march_x_misses_cfid(self):
         faults = FaultList.from_names("CFID")
-        report = simulate_fault_list(MARCH_X, faults)
+        report = KERNEL.simulate_fault_list(MARCH_X, faults)
         assert not report.complete
 
     def test_mscan_misses_address_faults(self):
         faults = FaultList.from_names("ADF")
-        report = simulate_fault_list(MSCAN, faults)
+        report = KERNEL.simulate_fault_list(MSCAN, faults)
         assert not report.complete
 
 
@@ -74,7 +71,7 @@ class TestWorstCaseSemantics:
         )
         # Only reads 1: the latch-1 variant sails through.
         weak = parse_march("{any(w1); any(r1)}")
-        assert not detects_case(weak, case, 3)
+        assert not KERNEL.detects(weak, case, 3)
 
     def test_any_order_must_hold_both_ways(self):
         from repro.faults.instances import CouplingIdempotentInstance, FaultCase
@@ -88,17 +85,17 @@ class TestWorstCaseSemantics:
         # since it is declared ANY, the case must not count as covered.
         test = parse_march("{any(w1); any(r1,w0,w1); any(r1)}")
         down_only = parse_march("{up(w1); down(r1,w0,w1); up(r1)}")
-        assert detects_case(down_only, case, 3)
+        assert KERNEL.detects(down_only, case, 3)
 
 
 class TestReports:
     def test_simulation_report_counters(self, saf_tf_list):
-        report = simulate_fault_list(MATS, saf_tf_list)
+        report = KERNEL.simulate_fault_list(MATS, saf_tf_list)
         assert 0 < report.coverage < 1
         assert "fault cases detected" in str(report)
 
     def test_detection_matrix_shape(self, saf_list):
-        matrix = detection_matrix([MATS, MSCAN], saf_list)
+        matrix = KERNEL.detection_matrix([MATS, MSCAN], saf_list)
         assert set(matrix) == {"MATS", "MSCAN"}
         assert all(matrix["MATS"].values())
 
@@ -108,6 +105,6 @@ class TestReports:
         from repro.kernel import EmptyFaultListWarning
 
         with pytest.warns(EmptyFaultListWarning):
-            report = simulate(MATS, [])
+            report = KERNEL.simulate(MATS, [])
         assert report.coverage == 0.0
         assert not report.detected and not report.missed

@@ -315,8 +315,7 @@ class TestDaemonHardening:
         assert health["requests"] >= 2  # the put + this health call
         assert health["idle_timeout"] == 123.0
         assert set(health["counters"]) == {
-            "reaped_idle", "checkpoints", "errors",
-            "rejected_full", "quota_denied",
+            "reaped_idle", "checkpoints", "errors", "rejected_full",
         }
 
     def test_merge_op_folds_a_local_store_in(self, tmp_path):

@@ -5,8 +5,7 @@ clients pipelining mixed read/write batches through the single-threaded
 daemon, with zero dropped frames (every frame answered exactly once, in
 order) and every verdict byte-identical to a direct-store run; the hot
 LRU serving repeat reads without touching SQLite and counting itself in
-the metrics registry; tenant quotas refusing the excess while liveness
-ops stay reachable; the connection cap hanging up transiently; and
+the metrics registry; the connection cap hanging up transiently; and
 ``shutdown {"drain": true}`` finishing in-flight batches, checkpointing
 the WAL and refusing new connections.
 """
@@ -17,7 +16,7 @@ import time
 import pytest
 
 from repro.kernel import SimKey
-from repro.store import FaultDictionaryStore, StoreError, encode_verdict
+from repro.store import FaultDictionaryStore, encode_verdict
 from repro.store.resilience import RetryPolicy
 from repro.store.service import (
     SERVICE_MAGIC,
@@ -91,9 +90,7 @@ class TestSoak:
                 {"op": "get_many", "keys": [wire_key(k) for k in keys]},
             ]
             try:
-                client = ServiceStore(
-                    daemon.url, tenant=f"soak-{client_no % 8}"
-                )
+                client = ServiceStore(daemon.url)
                 try:
                     barrier.wait(timeout=60)
                     responses = client.pipeline(payloads)
@@ -248,62 +245,6 @@ class TestHotLru:
                 assert hot["entries"] == 0
                 assert hot["max_entries"] == 0
                 assert hot["hits"] == 0
-
-
-# -- tenants and quotas ----------------------------------------------------------
-
-
-class TestTenants:
-    def test_quota_refuses_excess_but_not_liveness(self, tmp_path):
-        with VerdictService(
-            tmp_path / "dict.sqlite", tmp_path / "verdict.sock",
-            quota=3,
-        ) as daemon:
-            with ServiceStore(daemon.url, tenant="team-a") as client:
-                for i in range(3):
-                    client.put(key(i, prefix="qa"), True)  # metered
-                with pytest.raises(StoreError, match="quota"):
-                    client.put(key(3, prefix="qa"), True)
-                with pytest.raises(StoreError, match="quota"):
-                    client.get(key(0, prefix="qa"))
-                # Control-plane ops are never metered: the operator can
-                # still probe and stop an over-budget daemon.
-                assert client.ping()["service"] == SERVICE_MAGIC
-                health = client.health()
-                assert health["counters"]["quota_denied"] >= 2
-                assert health["quota"] == 3
-            # Another tenant's budget is its own.
-            with ServiceStore(daemon.url, tenant="team-b") as other:
-                other.put(key(0, prefix="qb"), True)
-                stats = other.server_stats()
-                assert stats["tenants"]["team-a"]["denied"] >= 2
-                assert stats["tenants"]["team-b"]["denied"] == 0
-                assert stats["quota"] == 3
-
-    def test_tenant_rides_the_ledger(self, tmp_path):
-        with VerdictService(
-            tmp_path / "dict.sqlite", tmp_path / "verdict.sock"
-        ) as daemon:
-            with ServiceStore(daemon.url, tenant="named") as client:
-                client.put(key(0, prefix="t"), True)
-                stats = client.server_stats()
-            tenants = {
-                c["tenant"]
-                for c in stats["clients"]["per_client"].values()
-            }
-            assert "named" in tenants
-            assert stats["tenants"]["named"]["requests"] >= 2
-            # The handshake echoes the accepted tenant back.
-            assert client.server["tenant"] == "named"
-
-    def test_malformed_tenant_is_refused(self, tmp_path):
-        with VerdictService(
-            tmp_path / "dict.sqlite", tmp_path / "verdict.sock"
-        ) as daemon:
-            with ServiceStore(daemon.url) as client:
-                response = client.pipeline([{"op": "ping", "tenant": 7}])
-                assert response[0]["ok"] is False
-                assert "tenant" in response[0]["error"]
 
 
 # -- the connection cap ----------------------------------------------------------
