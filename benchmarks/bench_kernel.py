@@ -32,7 +32,11 @@ Compared paths:
 * **ANY-order tree** -- engine level, k = 0..8 ⇕ elements of one
   nine-element test at size 2: the ``2**k`` realization enumeration
   vs the shared-prefix walk (realizations, leaves, segment runs,
-  seconds; ``any_order_k0_8``).
+  seconds; ``any_order_k0_8``);
+* **certify step table** -- the minimality search below MarchC-'s
+  complexity against its fault list at sizes 2/3/4/6: candidates,
+  engine runs behind the verifier's transition table, table hits and
+  distinct transitions, seconds (``certify_step_table``).
 
 ``python benchmarks/bench_kernel.py`` prints the comparison table and
 writes the machine-readable ``BENCH_kernel.json`` next to the repo
@@ -158,6 +162,18 @@ ANY_ORDER_BODIES = (
 ANY_ORDER_MAX_K = 8
 ANY_ORDER_SIZE = 2
 ANY_ORDER_FAULTS = FaultList.from_names("SAF", "TF", "ADF", "CFIN")
+
+#: The certify record: the budgeted minimality search strictly below
+#: MarchC-'s 10n against its Table 3 fault list, as perfbench's
+#: ``certify`` workload runs it, at several memory sizes.
+CERTIFY_FAULTS = ("SAF", "TF", "ADF", "CFIN", "CFID")
+CERTIFY_BOUND = 9
+CERTIFY_BUDGET = 30000
+CERTIFY_MAX_ELEMENTS = 7
+CERTIFY_SIZES = (2, 3, 4, 6)
+#: Guard: the table must answer at least this share of the engine runs
+#: a per-candidate verifier makes (one per candidate here).
+CERTIFY_RUN_COLLAPSE = 10
 
 #: Machine-readable benchmark record, tracked across PRs.
 BENCH_JSON_PATH = (
@@ -317,6 +333,93 @@ def measure_any_order_tree(repeats=3):
         "skipped_reason": (
             "informational record: mask identity is asserted, the"
             " counts and seconds are trajectory data without a floor"
+        ),
+    }
+
+
+class CountingRuns:
+    """Counts ``PackedSimulation.run_variant`` calls while active, by
+    wrapping the class attribute the transition table calls."""
+
+    def __enter__(self):
+        from repro.simulator.bitengine import PackedSimulation
+
+        self.runs = 0
+        self._original = original = PackedSimulation.run_variant
+
+        def counted(simulation, *args, **kwargs):
+            self.runs += 1
+            return original(simulation, *args, **kwargs)
+
+        PackedSimulation.run_variant = counted
+        return self
+
+    def __exit__(self, *exc_info):
+        from repro.simulator.bitengine import PackedSimulation
+
+        PackedSimulation.run_variant = self._original
+
+
+def certify_search(size):
+    """One cold MarchC- row minimality search; returns the row record."""
+    from repro.core.exhaustive import SearchStats, exhaustive_search
+
+    kernel = SimulationKernel(backend="bitparallel")
+    stats = SearchStats()
+    cases = FaultList.from_names(*CERTIFY_FAULTS).instances(size)
+    with CountingRuns() as counter:
+        started = time.perf_counter()
+        found = exhaustive_search(
+            kernel.verifier(cases, size),
+            max_complexity=CERTIFY_BOUND,
+            max_elements=CERTIFY_MAX_ELEMENTS,
+            budget=CERTIFY_BUDGET,
+            stats=stats,
+        )
+        seconds = time.perf_counter() - started
+    verify = kernel.verify_stats
+    assert found is None, f"size {size}: {found} beats MarchC-"
+    assert counter.runs == verify.table_misses.value
+    return {
+        "size": size,
+        "fault_cases": len(cases),
+        "seconds": seconds,
+        "candidates": stats.candidates_tested,
+        "verify_calls": verify.calls,
+        "engine_runs": counter.runs,
+        "table_hits": verify.table_hits.value,
+        "budget_exhausted": stats.budget_exhausted,
+    }
+
+
+def measure_certify_step_table(sizes=CERTIFY_SIZES):
+    """The certify record: per size, what the transition table saves.
+
+    Without the table the verifier runs the engine once per candidate
+    (no candidate has a ⇕ element).  With it the engine runs once per
+    distinct (state, element) pair, and those stay below the table
+    limit, so no clear happened and ``engine_runs`` is also the table
+    size.  Informational: the counts are exact, the seconds are
+    trajectory data without a floor.
+    """
+    from repro.simulator.bitengine import TRANSITION_TABLE_LIMIT
+
+    rows = [certify_search(size) for size in sizes]
+    for row in rows:
+        assert row["engine_runs"] < TRANSITION_TABLE_LIMIT
+        row["table_entries"] = row["engine_runs"]
+    return {
+        "faults": "+".join(CERTIFY_FAULTS),
+        "max_complexity": CERTIFY_BOUND,
+        "max_elements": CERTIFY_MAX_ELEMENTS,
+        "budget": CERTIFY_BUDGET,
+        "table_limit": TRANSITION_TABLE_LIMIT,
+        "by_size": rows,
+        "guard_enforced": False,
+        "skipped_reason": (
+            "informational record: CI guards only the count ratio"
+            " (test_certify_engine_runs_collapse); the seconds are"
+            " trajectory data without a floor"
         ),
     }
 
@@ -914,6 +1017,18 @@ def test_any_order_tree_stops_doubling():
     assert record["guard_enforced"] is False
 
 
+def test_certify_engine_runs_collapse():
+    """The verifier's transition table: the MarchC- row search runs the
+    engine at most once per ten candidates, at the generator's verify
+    size and at the confirm size."""
+    for row in measure_certify_step_table(sizes=(2, 3))["by_size"]:
+        assert row["candidates"] == CERTIFY_BUDGET + 1
+        assert row["budget_exhausted"]
+        assert (
+            row["engine_runs"] <= row["candidates"] / CERTIFY_RUN_COLLAPSE
+        ), row
+
+
 def test_telemetry_overhead_guard():
     """Acceptance criterion of the telemetry layer: instrumenting the
     serial Table 3 matrix costs at most 5% wall-clock, and the
@@ -1001,6 +1116,7 @@ def collect_benchmarks():
         (async_round_trip_seconds, async_pipelined_seconds, async_frames),
     ) = measure_service_async_read()
     any_order_record = measure_any_order_tree()
+    certify_record = measure_certify_step_table()
     fanout_sequential_seconds, _ = measure_campaign_fanout(1)
     fanout_parallel_seconds, _ = measure_campaign_fanout(FANOUT_JOBS)
     cpus = os.cpu_count() or 1
@@ -1135,6 +1251,7 @@ def collect_benchmarks():
                 "guard_enforced": True,
             },
             "any_order_k0_8": any_order_record,
+            "certify_step_table": certify_record,
             "campaign_fanout": {
                 "jobs": len(fanout_spec().jobs()),
                 "workers": FANOUT_JOBS,
@@ -1333,6 +1450,18 @@ def main():
             f" {enum['seconds'] * 1e3:8.2f} ms"
             f" | {walk['leaves']:3d} leaves {walk['segment_runs']:3d} runs"
             f" {walk['seconds'] * 1e3:8.2f} ms"
+        )
+    certify = payload["workloads"]["certify_step_table"]
+    print(
+        f"minimality search below MarchC- ({certify['faults']}, budget"
+        f" {certify['budget']}): engine runs behind the transition table"
+    )
+    for row in certify["by_size"]:
+        print(
+            f"  size {row['size']} {row['candidates']:6d} candidates"
+            f" {row['engine_runs']:5d} engine runs"
+            f" {row['table_hits']:7d} table hits"
+            f" {row['seconds'] * 1e3:9.2f} ms"
         )
     fanout = payload["workloads"]["campaign_fanout"]
     print(

@@ -129,6 +129,8 @@ class MinimalityCertificate:
     is_minimal: bool
     shorter_test: Optional[MarchTest]
     candidates_tested: int
+    #: The search covered the whole grammar below ``complexity``; false
+    #: when it stopped at its budget (``SearchStats.budget_exhausted``).
     exhausted: bool
 
     def __str__(self) -> str:
@@ -164,12 +166,11 @@ def minimal_certificate(
         budget=budget,
         stats=stats,
     )
-    exhausted = budget is None or stats.candidates_tested <= budget
     return MinimalityCertificate(
         faults.names,
         test.complexity,
         shorter is None,
         shorter,
         stats.candidates_tested,
-        exhausted,
+        not stats.budget_exhausted,
     )

@@ -21,7 +21,7 @@ in the literature catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..march.element import AddressOrder, MarchElement, MarchOp
 from ..march.test import MarchTest
@@ -35,6 +35,10 @@ class SearchStats:
     candidates_tested: int = 0
     nodes_expanded: int = 0
     complexity_reached: int = 0
+    #: The search stopped because ``candidates_tested`` passed its
+    #: budget, not because the grammar ran out: an empty result is then
+    #: inconclusive.
+    budget_exhausted: bool = False
 
 
 def _element_bodies(
@@ -75,47 +79,103 @@ def _element_bodies(
     yield from extend(first, background, max_ops - 1)
 
 
+#: ``(UP element, DOWN element, length, new background)`` per body.
+_Choice = Tuple[MarchElement, MarchElement, int, int]
+
+
+class _Alphabet:
+    """The grammar's elements, each built once per search.
+
+    ``initial[value]`` are the write-only first elements ending on
+    ``value``; :meth:`after` yields the read-first element choices of
+    :func:`_element_bodies` in grammar order.  Choices are built on first
+    use, so a search touches only the bodies its bounds and budget reach,
+    and one body interns one UP/DOWN pair: equal elements of different
+    candidates are one object, cheap to compare when the verifier's
+    transition table looks them up.
+    """
+
+    def __init__(self) -> None:
+        self.initial: Dict[int, List[MarchElement]] = {
+            value: [
+                MarchElement(AddressOrder.UP, (MarchOp("w", value),)),
+                MarchElement(AddressOrder.UP, (
+                    MarchOp("w", value), MarchOp("w", 1 - value),
+                )),
+            ]
+            for value in (0, 1)
+        }
+        self._after: Dict[Tuple[int, int], List[_Choice]] = {}
+        self._pairs: Dict[
+            Tuple[MarchOp, ...], Tuple[MarchElement, MarchElement]
+        ] = {}
+
+    def after(self, background: int, budget: int) -> Iterator[_Choice]:
+        """The choices of at most ``budget`` ops on ``background``.
+
+        The list is kept once it has been walked to the end, so a search
+        cut short by its budget holds no more than it enumerated.
+        """
+        choices = self._after.get((background, budget))
+        if choices is not None:
+            yield from choices
+            return
+        choices = []
+        for body, new_background in _element_bodies(background, budget):
+            pair = self._pairs.get(body)
+            if pair is None:
+                pair = self._pairs[body] = (
+                    MarchElement(AddressOrder.UP, body),
+                    MarchElement(AddressOrder.DOWN, body),
+                )
+            choice = (*pair, len(body), new_background)
+            choices.append(choice)
+            yield choice
+        self._after[background, budget] = choices
+
+
 def _marches(
     max_complexity: int,
     max_elements: int,
     stats: SearchStats,
+    alphabet: _Alphabet,
 ) -> Iterator[MarchTest]:
-    """Enumerate canonical candidate tests up to the complexity bound.
+    """Enumerate the canonical candidate tests of complexity exactly
+    ``max_complexity``.
 
     Canonical form: an initial write-only element (one or two writes,
     order fixed UP -- the mirror test is equivalent up to cell
     relabelling for direction-symmetric fault lists), followed by
-    read-first elements marching either way.
+    read-first elements marching either way.  Every candidate is a
+    distinct path of the grammar, so no candidate repeats
+    (``tests/core/test_exhaustive.py`` pins the counts per bound).
     """
+    after = alphabet.after
 
     def grow(
         elements: Tuple[MarchElement, ...],
         background: int,
         budget: int,
     ) -> Iterator[MarchTest]:
-        if elements:
+        if budget == 0:
             yield MarchTest(elements)
-        if budget == 0 or len(elements) >= max_elements:
             return
-        for body, new_background in _element_bodies(background, budget):
+        if len(elements) >= max_elements:
+            return
+        for up, down, length, new_background in after(background, budget):
             stats.nodes_expanded += 1
-            for order in (AddressOrder.UP, AddressOrder.DOWN):
-                element = MarchElement(order, body)
+            for element in (up, down):
                 yield from grow(
-                    elements + (element,), new_background, budget - len(body)
+                    elements + (element,), new_background, budget - length
                 )
 
     for initial_value in (0, 1):
-        single = MarchElement(
-            AddressOrder.UP, (MarchOp("w", initial_value),)
-        )
-        yield from grow((single,), initial_value, max_complexity - 1)
-        if max_complexity >= 2:
-            double = MarchElement(
-                AddressOrder.UP,
-                (MarchOp("w", initial_value), MarchOp("w", 1 - initial_value)),
-            )
-            yield from grow((double,), 1 - initial_value, max_complexity - 2)
+        for element in alphabet.initial[initial_value]:
+            if len(element) <= max_complexity:
+                yield from grow(
+                    (element,), element.ops[-1].value,
+                    max_complexity - len(element),
+                )
 
 
 def exhaustive_search(
@@ -130,22 +190,24 @@ def exhaustive_search(
 
     Iterative deepening on complexity guarantees the first hit is
     minimal within the grammar.  Returns ``None`` when no test of
-    complexity <= ``max_complexity`` exists (or the candidate ``budget``
-    runs out first).
+    complexity <= ``max_complexity`` exists, or when the candidate
+    ``budget`` runs out first; ``stats.budget_exhausted`` tells the two
+    apart.  The budget-th candidate is verified; the next one is counted
+    and stops the search.
+
+    Candidates arrive depth-first, so consecutive ones share element
+    prefixes; the packed verifier's transition table
+    (:class:`~repro.simulator.bitengine.TransitionTable`) turns that
+    into element steps it has already simulated.
     """
     stats = stats if stats is not None else SearchStats()
+    alphabet = _Alphabet()
     for bound in range(max(2, min_complexity), max_complexity + 1):
         stats.complexity_reached = bound
-        seen = set()
-        for candidate in _marches(bound, max_elements, stats):
-            if candidate.complexity != bound:
-                continue
-            key = str(candidate)
-            if key in seen:
-                continue
-            seen.add(key)
+        for candidate in _marches(bound, max_elements, stats, alphabet):
             stats.candidates_tested += 1
             if budget is not None and stats.candidates_tested > budget:
+                stats.budget_exhausted = True
                 return None
             if verify(candidate):
                 return candidate

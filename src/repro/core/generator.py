@@ -139,7 +139,7 @@ class MarchTestGenerator:
         ) if any(a.gts is not None for a in attempts) else 2
         notes: List[str] = []
         if config.polish and best.test.complexity > lower_bound:
-            polished = self._polish(best, verify, lower_bound)
+            polished = self._polish(best, verify, lower_bound, notes)
             if polished is not None:
                 best = polished
         if best.test.complexity <= lower_bound:
@@ -153,20 +153,33 @@ class MarchTestGenerator:
         return report
 
     def _polish(
-        self, best: _Attempt, verify: Verifier, lower_bound: int
+        self, best: _Attempt, verify: Verifier, lower_bound: int,
+        notes: List[str],
     ) -> Optional[_Attempt]:
-        """Budgeted global search strictly below the incumbent."""
-        from .exhaustive import exhaustive_search
+        """Budgeted global search strictly below the incumbent.
+
+        When it finds nothing, ``notes`` says whether the search
+        covered the whole grammar or stopped at its budget.
+        """
+        from .exhaustive import SearchStats, exhaustive_search
 
         config = self.config
+        stats = SearchStats()
         found = exhaustive_search(
             verify,
             max_complexity=best.test.complexity - 1,
             max_elements=config.polish_max_elements,
             min_complexity=lower_bound,
             budget=config.polish_budget,
+            stats=stats,
         )
         if found is None:
+            notes.append(
+                f"polish budget exhausted at {config.polish_budget}"
+                " candidates"
+                if stats.budget_exhausted
+                else "no shorter test within the grammar (search completed)"
+            )
             return None
         improved = optimize(
             found.renamed("generated"),

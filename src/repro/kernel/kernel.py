@@ -50,7 +50,11 @@ from ..faults.instances import FaultCase
 from ..march.element import AddressOrder, MarchElement
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
-from ..simulator.bitengine import PackedSimulation, partition_cases
+from ..simulator.bitengine import (
+    PackedSimulation,
+    TransitionTable,
+    partition_cases,
+)
 from ..simulator.engine import MarchRun, is_well_formed, run_march
 from ..simulator.ordertree import walk_realizations
 from ..store import FaultDictionaryStore, TieredCache, resolve_store
@@ -83,7 +87,8 @@ class VerifyStats:
     as the ``repro.kernel.verify.*`` series like :class:`KernelStats`.
     """
 
-    __slots__ = ("accepted", "rejected", "realizations", "segments")
+    __slots__ = ("accepted", "rejected", "realizations", "segments",
+                 "table_hits", "table_misses")
 
     def __init__(self) -> None:
         self.accepted = Counter()
@@ -92,6 +97,10 @@ class VerifyStats:
         self.realizations = Counter()
         #: ``run_variant`` segment runs behind those leaves.
         self.segments = Counter()
+        #: Element steps of those segments answered by the transition
+        #: table, and steps that ran the engine.
+        self.table_hits = Counter()
+        self.table_misses = Counter()
 
     @property
     def calls(self) -> int:
@@ -99,7 +108,7 @@ class VerifyStats:
 
     def reset(self) -> None:
         for counter in (self.accepted, self.rejected, self.realizations,
-                        self.segments):
+                        self.segments, self.table_hits, self.table_misses):
             counter.value = 0
 
     def __str__(self) -> str:
@@ -107,7 +116,9 @@ class VerifyStats:
             f"verify: {self.calls} packed calls"
             f" ({self.accepted.value} accepted),"
             f" {self.realizations.value} realizations"
-            f" in {self.segments.value} segment runs"
+            f" in {self.segments.value} segment runs,"
+            f" {self.table_hits.value} table hits"
+            f" / {self.table_misses.value} misses"
         )
 
 
@@ -227,6 +238,10 @@ class SimulationKernel:
             "repro.kernel.verify.realizations", verify.realizations
         )
         registry.adopt("repro.kernel.verify.segments", verify.segments)
+        registry.adopt("repro.kernel.verify.table_hits", verify.table_hits)
+        registry.adopt(
+            "repro.kernel.verify.table_misses", verify.table_misses
+        )
         backend = self.backend
         backend.telemetry = self.telemetry
         registry.collector(
@@ -536,7 +551,10 @@ class SimulationKernel:
         (:func:`~repro.simulator.ordertree.walk_realizations`): it
         rejects at the first leaf that sets lane 0 (the fault-free
         reference mismatched, so the test is malformed) or misses any
-        fault lane.  Unpackable user fault types then go through
+        fault lane.  Every candidate the predicate sees steps through
+        one shared :class:`~repro.simulator.bitengine.TransitionTable`,
+        so each (packed state, element) pair is simulated once per
+        predicate.  Unpackable user fault types then go through
         :meth:`detects` case by case.  The packed pass writes no
         fault-dictionary entries.
 
@@ -572,19 +590,33 @@ class SimulationKernel:
     def _packed_verifier(
         self, cases: List[FaultCase], size: int
     ) -> Verifier:
+        """The packed predicate of :meth:`verifier`.
+
+        One :class:`PackedSimulation` and one
+        :class:`~repro.simulator.bitengine.TransitionTable` over it
+        serve every call.  The walk runs each segment through the
+        table, which is exact because a run is a pure function of the
+        packed state and the element.  This is not a verdict memo:
+        nothing is keyed by candidate, so the minimality search's
+        candidates, which share prefixes and collapse into a few
+        hundred states, reuse each other's element steps.
+        """
         packable, scalar = partition_cases(cases)
         simulation = PackedSimulation(packable, size)
+        stats = self.verify_stats
+        table = TransitionTable(
+            simulation, stats.table_hits, stats.table_misses
+        )
         # Every realization must detect every fault lane and leave the
         # fault-free reference lane 0 clear.
         fault_lanes = simulation.full & ~1
-        stats = self.verify_stats
 
         # The walk stops at the first leaf that differs, so a skipped
         # (merged) subtree only ever repeats leaves that passed.
         rejects = fault_lanes.__ne__
 
         def verify(test: MarchTest) -> bool:
-            walk = walk_realizations(simulation, test, rejects)
+            walk = walk_realizations(table, test, rejects)
             accepted = not walk.stopped and self._detects_all(
                 test, scalar, size
             )
@@ -600,6 +632,8 @@ class SimulationKernel:
         def traced(test: MarchTest) -> bool:
             leaves = stats.realizations.value
             segments = stats.segments.value
+            hits = stats.table_hits.value
+            misses = stats.table_misses.value
             with telemetry.span(
                 "kernel.verify", backend=self.backend.name,
                 cases=len(cases), lanes=simulation.lanes, size=size,
@@ -608,6 +642,8 @@ class SimulationKernel:
                 span.annotate(
                     realizations=stats.realizations.value - leaves,
                     segments=stats.segments.value - segments,
+                    table_hits=stats.table_hits.value - hits,
+                    table_misses=stats.table_misses.value - misses,
                     accepted=accepted,
                 )
             return accepted

@@ -124,6 +124,21 @@ class MarchElement:
         if not self.ops:
             raise ValueError("march element needs at least one operation")
 
+    def __hash__(self) -> int:
+        # Frozen, so the hash is computed once: the packed verifier's
+        # transition table hashes an element on every step.  The memo
+        # lives in __dict__ like MarchTest's, and __getstate__ drops it,
+        # because str and enum hashes differ between processes.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.order, self.ops))
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def complexity(self) -> int:
         """Number of operations applied per cell."""

@@ -57,6 +57,11 @@ runs execute once per tree node, states fork only at ``⇕`` elements,
 and equal (state, detected) nodes merge.  The scalar engine keeps
 enumerating every realization as the reference.
 
+A run is a pure function of the state words and the elements, so a
+:class:`TransitionTable` over a simulation can memoize it element by
+element: the packed verifier steps every candidate through one, and
+runs the engine only for (state, element) pairs it has not seen.
+
 Equivalence with the scalar engine over the full standard fault
 library is property-tested in ``tests/kernel/test_equivalence.py``;
 the walk against the realization enumeration in
@@ -94,6 +99,7 @@ from ..faults.primitives import (
 )
 from ..march.element import DelayElement, MarchElement
 from ..march.test import MarchTest
+from ..telemetry.metrics import Counter
 from .ordertree import walk_realizations
 
 #: Victim-action sentinel: invert the victim instead of forcing a value.
@@ -368,6 +374,18 @@ class PackedState:
         """Hashable identity of this state plus a detected mask."""
         return (*self.value, *self.defined, self.latch, detected)
 
+    def words(self) -> Tuple[int, ...]:
+        """The state as one tuple: ``value`` words, ``defined`` words,
+        then the latch."""
+        return (*self.value, *self.defined, self.latch)
+
+    def load(self, words: Tuple[int, ...]) -> None:
+        """Overwrite this state with a :meth:`words` tuple."""
+        n = len(self.value)
+        self.value[:] = words[:n]
+        self.defined[:] = words[n:2 * n]
+        self.latch = words[-1]
+
 
 class PackedSimulation:
     """A lane-packed fault-simulation instance for one case set.
@@ -615,6 +633,94 @@ class PackedSimulation:
 
         walk_realizations(self, test, visit)
         return [(agreed & mask) == mask for mask in self.case_masks]
+
+
+#: Most transitions one :class:`TransitionTable` holds; on reaching it
+#: the table starts over empty.  The minimality search below MarchC-'s
+#: complexity (30,000 candidates, its budget) needs 1,384 distinct
+#: transitions at every memory size from 2 to 6, so this is ~3x
+#: headroom, and a verifier fed an unbounded candidate stream stays
+#: bounded in memory.
+TRANSITION_TABLE_LIMIT = 4096
+
+
+class TransitionTable:
+    """A :class:`PackedSimulation` that runs each (state, element) pair
+    once.
+
+    The lane plan is read-only, so running one march element is a pure
+    function of the packed state words ``(value, defined, latch)`` and
+    the element.  The table maps ``(state words, element)`` to ``(next
+    state words, detected mask)`` and offers the walk's engine protocol
+    (``new_state()``, ``run_variant(segment, state)``,
+    :mod:`repro.simulator.ordertree`): a segment steps one element at a
+    time, and only a pair not seen before runs the engine, as one
+    :meth:`PackedSimulation.run_variant` over that element.
+
+    It pays where candidates share states: the minimality search's
+    candidates collapse into a few hundred states.  A sweep over
+    thousands of lanes rarely repeats a state, so those callers use the
+    bare simulation.
+    """
+
+    def __init__(
+        self,
+        simulation: PackedSimulation,
+        hits: Optional[Counter] = None,
+        misses: Optional[Counter] = None,
+    ) -> None:
+        self.simulation = simulation
+        self.transitions: Dict[
+            Tuple[Tuple[int, ...], object], Tuple[Tuple[int, ...], int]
+        ] = {}
+        #: Element steps answered from the table, and those that ran
+        #: the engine (the verifier passes its ``VerifyStats`` series).
+        self.hits = hits if hits is not None else Counter()
+        self.misses = misses if misses is not None else Counter()
+        self._power_up = simulation.new_state().words()
+
+    def new_state(self) -> PackedState:
+        return self.simulation.new_state()
+
+    def run_variant(
+        self, test: MarchTest, state: Optional[PackedState] = None
+    ) -> int:
+        """:meth:`PackedSimulation.run_variant`, one table step per
+        element."""
+        words = self._power_up if state is None else state.words()
+        transitions = self.transitions
+        detected = 0
+        missed = 0
+        elements = test.elements
+        for element in elements:
+            step = transitions.get((words, element))
+            if step is None:
+                step = self._miss(words, element)
+                missed += 1
+            words, found = step
+            detected |= found
+        self.hits.inc(len(elements) - missed)
+        if state is not None:
+            state.load(words)
+        return detected
+
+    def _miss(
+        self, words: Tuple[int, ...], element: object
+    ) -> Tuple[Tuple[int, ...], int]:
+        simulation = self.simulation
+        state = simulation.new_state()
+        state.load(words)
+        # Through the class attribute, so a wrapped engine (a profiler,
+        # a run counter) sees every run the table makes.
+        found = PackedSimulation.run_variant(
+            simulation, MarchTest((element,)), state
+        )
+        transitions = self.transitions
+        if len(transitions) >= TRANSITION_TABLE_LIMIT:
+            transitions.clear()
+        step = transitions[(words, element)] = (state.words(), found)
+        self.misses.inc()
+        return step
 
 
 def packed_detects(

@@ -30,6 +30,8 @@ CATALOG: Dict[str, str] = {
     "repro.kernel.verify.calls": "packed verifier calls, by accepted",
     "repro.kernel.verify.realizations": "order realization leaves it evaluated",
     "repro.kernel.verify.segments": "run_variant segment runs behind them",
+    "repro.kernel.verify.table_hits": "element steps the transition table answered",
+    "repro.kernel.verify.table_misses": "element steps that ran the packed engine",
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
     "repro.backend.detect.seconds": "backend batch latency histogram",

@@ -1,10 +1,20 @@
 """Tests for the bounded exhaustive baseline (Section 2)."""
 
+import time
+
 import pytest
 
-from repro.core.exhaustive import SearchStats, exhaustive_search
+from repro.core.config import GeneratorConfig
+from repro.core.exhaustive import (
+    SearchStats,
+    _Alphabet,
+    _marches,
+    exhaustive_search,
+)
+from repro.core.generator import MarchTestGenerator
 from repro.core.optimize import make_verifier
 from repro.faults import FaultList
+from repro.kernel import SimulationKernel
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +35,11 @@ class TestSearch:
         found = exhaustive_search(saf_verifier, max_complexity=3)
         assert found is None
 
+    def test_bounds_below_two_search_nothing(self):
+        stats = SearchStats()
+        assert exhaustive_search(lambda test: True, 1, stats=stats) is None
+        assert stats.candidates_tested == 0
+
     def test_min_complexity_skips_small_bounds(self, saf_verifier):
         stats = SearchStats()
         found = exhaustive_search(
@@ -39,6 +54,30 @@ class TestSearch:
         )
         assert found is None
         assert stats.candidates_tested == 4  # budget + the overflow probe
+        assert stats.budget_exhausted
+
+    def test_completed_search_is_not_budget_exhausted(self, saf_verifier):
+        stats = SearchStats()
+        found = exhaustive_search(
+            saf_verifier, max_complexity=3, budget=30, stats=stats
+        )
+        assert found is None
+        assert stats.candidates_tested == 30  # the whole grammar, 6 + 24
+        assert not stats.budget_exhausted
+
+    @pytest.mark.parametrize("min_complexity", [2, 17])
+    def test_high_bound_with_small_budget_stays_cheap(self, min_complexity):
+        # A 23n certificate (March G) or a polish above ~14n must not
+        # enumerate element bodies its budget never reaches: there are
+        # ~2.6e5 bodies of 16 ops and ~1.6e7 of 21.
+        stats = SearchStats()
+        start = time.perf_counter()
+        found = exhaustive_search(
+            lambda test: False, max_complexity=23, max_elements=7,
+            min_complexity=min_complexity, budget=2000, stats=stats,
+        )
+        assert found is None and stats.budget_exhausted
+        assert time.perf_counter() - start < 5.0
 
     def test_saf_tf_needs_five(self):
         faults = FaultList.from_names("SAF", "TF")
@@ -50,3 +89,67 @@ class TestSearch:
     def test_found_tests_are_verified(self, saf_verifier):
         found = exhaustive_search(saf_verifier, max_complexity=5)
         assert saf_verifier(found)
+
+
+class TestGrammar:
+    """The candidate grammar, pinned: the search needs no dedup set."""
+
+    #: Candidates per bound 1..8 at ``max_elements`` 6 and 7.
+    COUNTS = {
+        6: (2, 6, 24, 108, 488, 2208, 9856, 42464),
+        7: (2, 6, 24, 108, 488, 2208, 9984, 44896),
+    }
+
+    @pytest.mark.parametrize("max_elements", sorted(COUNTS))
+    def test_marches_are_exact_bound_and_distinct(self, max_elements):
+        counts = []
+        for bound in range(1, 9):
+            candidates = list(
+                _marches(bound, max_elements, SearchStats(), _Alphabet())
+            )
+            assert {c.complexity for c in candidates} == {bound}
+            assert len({str(c) for c in candidates}) == len(candidates)
+            assert all(len(c) <= max_elements for c in candidates)
+            counts.append(len(candidates))
+        assert tuple(counts) == self.COUNTS[max_elements]
+
+    def test_table3_minimality_searches_test_the_grammar_counts(self):
+        # Below each Table 3 complexity at size 2 with budget 30000: the
+        # SAF+TF+ADF+CFin+CFid row (10n) stops at its budget.
+        rows = [
+            (("SAF",), 4, 30),
+            (("SAF", "TF"), 5, 138),
+            (("SAF", "TF", "ADF"), 6, 626),
+            (("SAF", "TF", "ADF", "CFIN"), 6, 626),
+            (("SAF", "TF", "ADF", "CFIN", "CFID"), 10, 30001),
+            (("CFIN",), 5, 138),
+        ]
+        for names, complexity, tested in rows:
+            kernel = SimulationKernel(backend="bitparallel")
+            stats = SearchStats()
+            found = exhaustive_search(
+                kernel.verifier(FaultList.from_names(*names).instances(2), 2),
+                max_complexity=complexity - 1,
+                max_elements=7,
+                budget=30000,
+                stats=stats,
+            )
+            assert found is None, names
+            assert stats.candidates_tested == tested, names
+            assert stats.budget_exhausted == (tested > 30000), names
+
+
+class TestPolishOutcome:
+    def test_completed_polish_is_noted(self):
+        report = MarchTestGenerator().generate(FaultList.from_names("SAF"))
+        assert (
+            "no shorter test within the grammar (search completed)"
+            in report.notes
+        )
+
+    def test_exhausted_polish_budget_is_noted(self):
+        report = MarchTestGenerator(GeneratorConfig(polish_budget=3)).generate(
+            FaultList.from_names("SAF")
+        )
+        assert "polish budget exhausted at 3 candidates" in report.notes
+        assert report.complexity == 4

@@ -8,10 +8,17 @@ scalar pass over the unpackable cases.  The ``serial`` backend keeps the referen
 predicate: a scalar good-machine run per realization, then one cached
 ``detects`` per case.  Both must accept exactly the same march tests,
 call after call (the fail-fast pass reorders its cases between calls).
+
+The packed predicate is stateful: its transition table remembers every
+(state, element) step it has run.  So one predicate is also checked
+over long candidate streams whose members share prefixes, the way the
+minimality search feeds it, and with a table small enough to start
+over mid-stream.
 """
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.faultlist import FaultList
@@ -25,9 +32,14 @@ from repro.march.element import (
     MarchElement,
     MarchOp,
 )
-from repro.march.test import MarchTest
+from repro.march.test import MarchTest, parse_march
 from repro.memory.array import NullFaultInstance
-from repro.simulator.bitengine import lane_packable_case
+from repro.simulator import bitengine
+from repro.simulator.bitengine import (
+    PackedSimulation,
+    TransitionTable,
+    lane_packable_case,
+)
 
 MODELS = tuple(sorted(MODEL_REGISTRY))
 
@@ -126,3 +138,196 @@ def test_custom_cases_ride_the_scalar_remainder():
     # MATS catches both stuck reads: its r0 sees read1@2, its r1 read0@0.
     assert verify(CATALOG["MATS"])
     assert kernel.backend.served == {"serial": len(cases)}
+
+
+#: Element choices for one-element extensions: fixed orders, ⇕ and Del.
+extension_elements = st.one_of(
+    st.just(DelayElement()),
+    st.builds(
+        MarchElement,
+        st.sampled_from(list(AddressOrder)),
+        st.lists(ops, min_size=1, max_size=3).map(tuple),
+    ),
+)
+
+#: Fault lists that exercise the latch (SOF), the decoder redirections
+#: (ADF) and the coupling groups (CF*), alone and mixed.
+stateful_models = st.one_of(
+    st.sampled_from([
+        ("SOF",), ("ADF",), ("CFIN", "CFID"), ("CFST",), ("SOF", "ADF"),
+        ("SAF", "TF", "ADF", "CFIN", "CFID"), MODELS,
+    ]),
+    model_sets,
+)
+
+
+#: Stream bases: random tests of 3-7 elements (⇕, Del and random
+#: expectations included) or catalog tests, so streams have >= 24 members.
+stream_bases = st.one_of(
+    st.lists(extension_elements, min_size=3, max_size=7).map(
+        lambda elements: MarchTest(tuple(elements))
+    ),
+    st.sampled_from(sorted(
+        (test for test in CATALOG.values() if len(test) >= 3), key=str
+    )),
+)
+
+
+def sibling_stream(test, extensions):
+    """Every element prefix of ``test``, each followed by its one-element
+    extensions, then the whole stream again (all table hits)."""
+    elements = test.elements
+    stream = []
+    for length in range(1, len(elements) + 1):
+        prefix = elements[:length]
+        stream.append(MarchTest(prefix))
+        stream.extend(MarchTest(prefix + (extra,)) for extra in extensions)
+    return stream + stream
+
+
+@given(
+    models=stateful_models,
+    size=st.sampled_from((2, 3)),
+    test=stream_bases,
+    extensions=st.lists(extension_elements, min_size=3, max_size=4),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_memoized_verifier_agrees_over_a_candidate_stream(
+    models, size, test, extensions
+):
+    cases = fault_cases(models, size, False)
+    kernel = SimulationKernel(backend="bitparallel")
+    packed = kernel.verifier(cases, size)
+    serial = SimulationKernel(backend="serial").verifier(cases, size)
+    stream = sibling_stream(test, extensions)
+    assert len(stream) >= 20
+    for candidate in stream:
+        assert packed(candidate) == serial(candidate), (
+            str(candidate), models, size
+        )
+    assert kernel.verify_stats.table_hits.value > 0
+
+
+def concrete_tests():
+    """Catalog realizations plus a test with ``Del``: tests the engine
+    runs as one segment."""
+    tests = [
+        variant
+        for name in sorted(CATALOG)
+        for variant in CATALOG[name].concrete_order_variants()[:2]
+    ]
+    tests.append(MarchTest((
+        MarchElement(AddressOrder.UP, (MarchOp("w", 1),)),
+        DelayElement(),
+        MarchElement(AddressOrder.DOWN, (MarchOp("r", 1), MarchOp("w", 0))),
+        DelayElement(),
+        MarchElement(AddressOrder.UP, (MarchOp("r", 0),)),
+    )))
+    return tests
+
+
+def direct_run(simulation, elements):
+    """The state and detected mask of one plain engine run."""
+    state = simulation.new_state()
+    detected = simulation.run_variant(MarchTest(elements), state)
+    return state, detected
+
+
+def test_table_hits_reach_the_direct_state():
+    size = 3
+    simulation = PackedSimulation(
+        FaultList.from_names(*MODELS).instances(size), size
+    )
+    table = TransitionTable(simulation)
+    tests = concrete_tests()
+    for test in tests:
+        table.run_variant(test)
+    misses = table.misses.value
+    for test in tests:
+        # Every step is now a hit, from power-up and from a state the
+        # table reached mid-test.
+        elements = test.elements
+        split = len(elements) // 2
+        state = table.new_state()
+        detected = table.run_variant(MarchTest(elements[:split] or elements),
+                                     state)
+        if split:
+            detected |= table.run_variant(MarchTest(elements[split:]), state)
+        direct, direct_detected = direct_run(simulation, elements)
+        assert state.key(detected) == direct.key(direct_detected), str(test)
+        assert table.run_variant(test) == direct_detected
+    assert table.misses.value == misses
+    assert table.hits.value > 0
+
+
+def test_a_full_table_starts_over_and_still_agrees(monkeypatch):
+    limit = 16
+    monkeypatch.setattr(bitengine, "TRANSITION_TABLE_LIMIT", limit)
+    size = 2
+    cases = fault_cases(("SAF", "TF", "ADF", "CFIN", "SOF"), size, False)
+    simulation = PackedSimulation(cases, size)
+    table = TransitionTable(simulation)
+    tests = concrete_tests()
+    for test in tests + tests:
+        detected = table.run_variant(test)
+        assert len(table.transitions) <= limit
+        assert detected == simulation.run_variant(test), str(test)
+    assert table.misses.value > 2 * limit  # the table filled and started over
+    kernel = SimulationKernel(backend="bitparallel")
+    packed = kernel.verifier(cases, size)
+    serial = SimulationKernel(backend="serial").verifier(cases, size)
+    stream = sibling_stream(CATALOG["MarchC-"], [
+        MarchElement(AddressOrder.ANY, (MarchOp("r", 0),)),
+        DelayElement(),
+        MarchElement(AddressOrder.DOWN, (MarchOp("r", 1), MarchOp("w", 0))),
+    ])
+    for candidate in stream:
+        assert packed(candidate) == serial(candidate), str(candidate)
+    assert kernel.verify_stats.table_misses.value > limit
+
+
+def assert_table_matches_engine(simulation, stream):
+    """One table over ``stream``: every realization's detected mask and
+    end state equal a plain engine run's."""
+    table = TransitionTable(simulation)
+    for test in stream:
+        for variant in test.concrete_order_variants():
+            state = table.new_state()
+            detected = table.run_variant(variant, state)
+            direct, direct_detected = direct_run(simulation, variant.elements)
+            assert state.key(detected) == direct.key(direct_detected), (
+                str(variant)
+            )
+    return table
+
+
+@pytest.mark.parametrize("models, stream", [
+    # After ⇓(r0) the SOF latch holds 0, after ⇑(w0) its power-up
+    # value: equal cells, different latch, different ⇑(r0) outcome.
+    (("SOF",), ["{up(w0); up(r0)}", "{up(w0); down(r0); up(r0)}"]),
+    # Power-up and ⇑(w0) leave equal TF value words; only the defined
+    # words tell the undefined cells apart.
+    (("TF",), ["{up(w0); up(r0)}", "{up(r0); up(w1); up(r1)}"]),
+])
+def test_every_state_field_reaches_the_table_key(models, stream):
+    simulation = PackedSimulation(fault_cases(models, 2, False), 2)
+    assert_table_matches_engine(
+        simulation, [parse_march(text) for text in stream]
+    )
+
+
+@given(
+    models=stateful_models,
+    size=st.sampled_from((2, 3)),
+    test=stream_bases,
+    extensions=st.lists(extension_elements, min_size=3, max_size=4),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_table_steps_match_the_engine_over_a_candidate_stream(
+    models, size, test, extensions
+):
+    simulation = PackedSimulation(fault_cases(models, size, False), size)
+    table = assert_table_matches_engine(
+        simulation, sibling_stream(test, extensions)
+    )
+    assert table.hits.value > 0

@@ -1,5 +1,7 @@
 """Tests for March elements and operations."""
 
+import pickle
+
 import pytest
 
 from repro.march.element import (
@@ -79,6 +81,15 @@ class TestMarchElement:
     def test_unknown_order(self):
         with pytest.raises(ValueError):
             element("sideways", "r0")
+
+    def test_hash_memo_is_not_pickled(self):
+        # str and enum hashes differ between processes, so a cached
+        # hash must not travel with a pickled element.
+        e = MarchElement(AddressOrder.DOWN, (r0(), w1()))
+        hash(e)
+        restored = pickle.loads(pickle.dumps(e))
+        assert "_hash" not in restored.__dict__
+        assert restored == e and hash(restored) == hash(e)
 
 
 class TestDelayElement:

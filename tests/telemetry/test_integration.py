@@ -110,6 +110,10 @@ class TestKernelTelemetry:
         assert counter_total(
             snapshot, "repro.kernel.verify.segments"
         ) == sum(line["attrs"]["segments"] for line in verify)
+        for series in ("table_hits", "table_misses"):
+            assert counter_total(
+                snapshot, f"repro.kernel.verify.{series}"
+            ) == sum(line["attrs"][series] for line in verify)
         assert counter_total(
             snapshot, "repro.kernel.verify.calls"
         ) == len(verify)
@@ -121,7 +125,15 @@ class TestKernelTelemetry:
         segments = dict(kernel.stats_segments())
         assert segments["verify"] == (
             "verify: 1 packed calls (1 accepted),"
-            " 2 realizations in 6 segment runs"
+            " 2 realizations in 6 segment runs,"
+            " 0 table hits / 6 misses"
+        )
+        # The same candidate again: every element step is a table hit.
+        assert verify(by_name("MATS"))
+        assert dict(kernel.stats_segments())["verify"] == (
+            "verify: 2 packed calls (2 accepted),"
+            " 4 realizations in 12 segment runs,"
+            " 6 table hits / 6 misses"
         )
         kernel.clear()
         assert "verify" not in dict(kernel.stats_segments())

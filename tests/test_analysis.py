@@ -66,6 +66,13 @@ class TestMinimalityCertificate:
         assert certificate.shorter_test is not None
         assert certificate.shorter_test.complexity < padded.complexity
 
+    def test_budget_hit_is_inconclusive(self, saf_list):
+        certificate = minimal_certificate(MATS, saf_list, budget=5)
+        assert certificate.is_minimal  # nothing found, but not proven
+        assert not certificate.exhausted
+        assert certificate.candidates_tested == 6
+        assert "inconclusive" in str(certificate)
+
     def test_rejects_non_covering_test(self, saf_tf_list):
         with pytest.raises(ValueError):
             minimal_certificate(MSCAN, saf_tf_list)
