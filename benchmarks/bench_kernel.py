@@ -36,7 +36,12 @@ Compared paths:
 * **certify step table** -- the minimality search below MarchC-'s
   complexity against its fault list at sizes 2/3/4/6: candidates,
   engine runs behind the verifier's transition table, table hits and
-  distinct transitions, seconds (``certify_step_table``).
+  distinct transitions, seconds (``certify_step_table``);
+* **Table 3 front end** -- per Table 3 row, the generator's ATSP
+  front end alone (TPG, weights, tours, no verification): each
+  selection solved on its own matrix vs every selection through one
+  shared ``SelectionTours`` -- selections, Held-Karp masks and pair
+  weights computed, seconds (``table3_front_end``).
 
 ``python benchmarks/bench_kernel.py`` prints the comparison table and
 writes the machine-readable ``BENCH_kernel.json`` next to the repo
@@ -174,6 +179,22 @@ CERTIFY_SIZES = (2, 3, 4, 6)
 #: Guard: the table must answer at least this share of the engine runs
 #: a per-candidate verifier makes (one per candidate here).
 CERTIFY_RUN_COLLAPSE = 10
+
+#: The six Table 3 rows, in ``repro table3`` order.
+TABLE3_ROWS = (
+    ("SAF",),
+    ("SAF", "TF"),
+    ("SAF", "TF", "ADF"),
+    ("SAF", "TF", "ADF", "CFIN"),
+    ("SAF", "TF", "ADF", "CFIN", "CFID"),
+    ("CFIN",),
+)
+#: The shared front end must build at most 1/FRONT_END_MASK_SHARE of
+#: the Held-Karp masks the per-selection solves build on the two ADF
+#: rows with many distinct selections.  (The five-fault row also has
+#: ADF, but one distinct selection: nothing to share.)
+FRONT_END_MASK_SHARE = 4
+FRONT_END_GUARDED_ROWS = ("SAF+TF+ADF", "SAF+TF+ADF+CFIN")
 
 #: Machine-readable benchmark record, tracked across PRs.
 BENCH_JSON_PATH = (
@@ -419,6 +440,118 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
         "skipped_reason": (
             "informational record: CI guards only the count ratio"
             " (test_certify_engine_runs_collapse); the seconds are"
+            " trajectory data without a floor"
+        ),
+    }
+
+
+def front_end_selections(names, generator):
+    """The TPGs of the selections ``generator.generate()`` attempts for
+    ``names`` (its own selection loop, with nothing attempted), and
+    the number of selections explored."""
+    from repro.patterns.tpg import TestPatternGraph
+
+    graphs = []
+
+    def record(selection, verify, tours):
+        graph = TestPatternGraph(weight_mode=generator.config.weight_mode)
+        for class_name, pattern in selection.choices:
+            graph.add(pattern, class_name)
+        graphs.append(graph)
+
+    generator._attempt = record
+    try:
+        classes = FaultList.from_names(*names).classes(generator.config.cells)
+        _, explored = generator._explore(classes, verify=None)
+    finally:
+        del generator._attempt
+    return graphs, explored
+
+
+def facade_tour(graph):
+    """The tour of one selection solved on its own: ``solve_path`` on
+    ``graph.weight_matrix()``, from a uniform start when one is
+    admissible (f.4.4) and unrestricted otherwise."""
+    from repro.atsp.solver import solve_path
+    from repro.core.generator import _uniform_init
+
+    matrix = graph.weight_matrix()
+    starts = [graph.start_weight(k) for k in range(len(graph))]
+    allowed = {
+        k for k, node in enumerate(graph.nodes)
+        if _uniform_init(node.pattern.init)
+    }
+    if allowed:
+        try:
+            return solve_path(matrix, starts, allowed_starts=allowed)[0]
+        except ValueError:
+            pass
+    return solve_path(matrix, starts)[0]
+
+
+def front_end_row(names, repeats=5):
+    """One row of the ``table3_front_end`` record: every attempted
+    selection solved on its own weight matrix through ``solve_path``
+    (``facade_tour``) vs through one shared ``SelectionTours``."""
+    from repro.atsp import solver
+    from repro.core import GeneratorConfig, MarchTestGenerator
+    from repro.core.generator import SelectionTours
+
+    generator = MarchTestGenerator(GeneratorConfig())
+    graphs, explored = front_end_selections(names, generator)
+    per_selection_masks = 0
+    held_karp_path = solver.held_karp_path
+
+    def counted(cost, starts=None):
+        nonlocal per_selection_masks
+        per_selection_masks += 2 ** len(cost) - 1
+        return held_karp_path(cost, starts)
+
+    solver.held_karp_path = counted
+    try:
+        alone = [facade_tour(graph) for graph in graphs]
+    finally:
+        solver.held_karp_path = held_karp_path
+
+    def per_selection():
+        return [facade_tour(graph) for graph in graphs]
+
+    def shared():
+        tours = SelectionTours()
+        orders = [
+            tours.solve([node.pattern for node in graph.nodes])
+            for graph in graphs
+        ]
+        return tours, orders
+
+    alone_seconds, _ = _best_of(repeats, per_selection)
+    shared_seconds, (tours, orders) = _best_of(repeats, shared)
+    assert orders == alone, f"{names}: shared tours differ"
+    return {
+        "faults": "+".join(names),
+        "selections": explored,
+        "solves": len(graphs),
+        "max_nodes": max(len(graph) for graph in graphs),
+        "per_selection_masks": per_selection_masks,
+        "shared_masks": tours.uniform.masks_built + tours.free.masks_built,
+        "per_selection_weights": sum(
+            len(graph) * (len(graph) - 1) for graph in graphs
+        ),
+        "shared_weights": tours.weight_computations,
+        "seconds": {"per_selection": alone_seconds, "shared": shared_seconds},
+    }
+
+
+def measure_table3_front_end(repeats=5):
+    """The ``table3_front_end`` record.  Informational: the counts are
+    exact (CI guards the mask share on the ADF rows), the seconds are
+    the front end alone, trajectory data without a floor."""
+    return {
+        "rows": [front_end_row(names, repeats) for names in TABLE3_ROWS],
+        "guard_enforced": False,
+        "skipped_reason": (
+            "informational record: CI guards only the mask share"
+            " (test_front_end_shares_held_karp_masks); the seconds are"
             " trajectory data without a floor"
         ),
     }
@@ -1029,6 +1162,23 @@ def test_certify_engine_runs_collapse():
         ), row
 
 
+def test_front_end_shares_held_karp_masks():
+    """The shared front end: on the two many-selection ADF rows of
+    Table 3 it builds at most a quarter of the Held-Karp masks that
+    solving each selection on its own builds; no row computes more
+    pair weights or masks than before."""
+    rows = measure_table3_front_end(repeats=1)["rows"]
+    assert set(FRONT_END_GUARDED_ROWS) <= {row["faults"] for row in rows}
+    for row in rows:
+        assert row["shared_weights"] <= row["per_selection_weights"], row
+        assert row["shared_masks"] <= row["per_selection_masks"], row
+        if row["faults"] in FRONT_END_GUARDED_ROWS:
+            assert (
+                row["shared_masks"]
+                <= row["per_selection_masks"] / FRONT_END_MASK_SHARE
+            ), row
+
+
 def test_telemetry_overhead_guard():
     """Acceptance criterion of the telemetry layer: instrumenting the
     serial Table 3 matrix costs at most 5% wall-clock, and the
@@ -1117,6 +1267,7 @@ def collect_benchmarks():
     ) = measure_service_async_read()
     any_order_record = measure_any_order_tree()
     certify_record = measure_certify_step_table()
+    front_end_record = measure_table3_front_end()
     fanout_sequential_seconds, _ = measure_campaign_fanout(1)
     fanout_parallel_seconds, _ = measure_campaign_fanout(FANOUT_JOBS)
     cpus = os.cpu_count() or 1
@@ -1252,6 +1403,7 @@ def collect_benchmarks():
             },
             "any_order_k0_8": any_order_record,
             "certify_step_table": certify_record,
+            "table3_front_end": front_end_record,
             "campaign_fanout": {
                 "jobs": len(fanout_spec().jobs()),
                 "workers": FANOUT_JOBS,
@@ -1462,6 +1614,21 @@ def main():
             f" {row['engine_runs']:5d} engine runs"
             f" {row['table_hits']:7d} table hits"
             f" {row['seconds'] * 1e3:9.2f} ms"
+        )
+    front_end = payload["workloads"]["table3_front_end"]
+    print(
+        "Table 3 ATSP front end: each selection alone vs one shared"
+        " memo (masks, pair weights, seconds)"
+    )
+    for row in front_end["rows"]:
+        seconds = row["seconds"]
+        print(
+            f"  {row['faults']:22s} {row['solves']:3d} solves"
+            f" masks {row['per_selection_masks']:6d} -> {row['shared_masks']:5d}"
+            f" weights {row['per_selection_weights']:5d} ->"
+            f" {row['shared_weights']:4d}"
+            f" {seconds['per_selection'] * 1e3:8.2f} ->"
+            f" {seconds['shared'] * 1e3:7.2f} ms"
         )
     fanout = payload["workloads"]["campaign_fanout"]
     print(

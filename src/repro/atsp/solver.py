@@ -4,6 +4,14 @@ The GTS search is an open-path ATSP: the paper closes the path with two
 dummy nodes (Section 4); :func:`solve_path` realizes the equivalent
 single-depot construction and also supports the start-state constraint
 of f.4.4 (only tours beginning at selected nodes are admissible).
+
+Up to :data:`HELD_KARP_LIMIT` nodes, ``method="auto"`` solves the path
+directly with :func:`~repro.atsp.held_karp.held_karp_path`, the one-shot
+use of the shared subset memo.  The generator reaches that memo
+without this facade: it keeps one memo per ``generate()`` call and
+returns the same order and total as :func:`solve_path` would on each
+selection's own matrix, ties broken in the selection's node order.
+Other methods and larger instances go through this facade.
 """
 
 from __future__ import annotations
@@ -12,12 +20,10 @@ import itertools
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .branch_bound import branch_and_bound_cycle
-from .held_karp import held_karp_cycle, held_karp_path
+from .held_karp import HELD_KARP_LIMIT, held_karp_cycle, held_karp_path
 from .heuristics import nearest_neighbor_with_or_opt, tour_cost
 from .hungarian import FORBIDDEN
 
-#: Instance size up to which Held-Karp DP is the default exact method.
-HELD_KARP_LIMIT = 13
 #: Instance size past which the facade degrades to heuristics in "auto".
 EXACT_LIMIT = 60
 

@@ -5,7 +5,10 @@ Pipeline, per equivalence-class selection (Section 5):
 1. model the target faults as BFEs and derive their test patterns;
 2. build the Test Pattern Graph with f.4.1 weights;
 3. find a minimum open path (ATSP with dummy/depot closure), preferring
-   tours that start from a uniform 00/11 initialization (f.4.4);
+   tours that start from a uniform 00/11 initialization (f.4.4); every
+   selection of one call solves through one :class:`SelectionTours`
+   front end, so patterns, pair weights and Held-Karp subsets shared
+   between selections are computed once;
 4. concatenate the tour into a Global Test Sequence;
 5. reorder + minimize + segment the GTS into a March test (rewrite
    rules of Sections 4.1-4.3, reconstructed -- see DESIGN.md);
@@ -23,15 +26,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..atsp.solver import solve_path
-from ..faults.faultlist import FaultList
+from ..atsp.held_karp import PathMemo
+from ..atsp.hungarian import FORBIDDEN
+from ..atsp.solver import HELD_KARP_LIMIT, solve_path
+from ..faults.faultlist import BFEClass, FaultList
 from ..kernel import SimulationKernel
 from ..march.builder import build_march, sequential_march
 from ..march.catalog import CATALOG
 from ..march.test import MarchTest
-from ..patterns.tpg import TestPatternGraph
+from ..patterns.test_pattern import TestPattern
+from ..patterns.tpg import TestPatternGraph, edge_weight, start_weight
 from ..sequence.gts import GlobalTestSequence, build_gts
 from ..sequence.rewrite import reorder_and_minimize
 from ..simulator.coverage import is_non_redundant
@@ -97,20 +103,7 @@ class MarchTestGenerator:
         verify = self.kernel.verifier(cases, config.verify_size)
 
         space = selection_space_size(classes)
-        limit = config.selection_limit if config.equivalence_enumeration else 1
-
-        attempts: List[_Attempt] = []
-        seen_pattern_sets: Set[frozenset] = set()
-        explored = 0
-        for selection in enumerate_selections(classes, limit):
-            explored += 1
-            pattern_set = frozenset(p.key() for p in selection.patterns)
-            if pattern_set in seen_pattern_sets:
-                continue
-            seen_pattern_sets.add(pattern_set)
-            attempt = self._attempt(selection, verify)
-            if attempt is not None:
-                attempts.append(attempt)
+        attempts, explored = self._explore(classes, verify)
         if not attempts:
             raise GenerationError(
                 "no selection produced a simulator-verified March test"
@@ -191,18 +184,43 @@ class MarchTestGenerator:
 
     # -- pipeline ----------------------------------------------------------------
 
+    def _explore(
+        self, classes: Sequence[BFEClass], verify: Verifier
+    ) -> Tuple[List[_Attempt], int]:
+        """One attempt per distinct pattern set of the enumerated
+        selections; returns ``(attempts, selections explored)``.
+
+        The selections share one :class:`SelectionTours`, which lives
+        exactly as long as this loop.
+        """
+        config = self.config
+        limit = config.selection_limit if config.equivalence_enumeration else 1
+        tours = SelectionTours(
+            config.weight_mode, config.prefer_uniform_start, config.atsp_method
+        )
+        attempts: List[_Attempt] = []
+        seen_pattern_sets: Set[frozenset] = set()
+        explored = 0
+        for selection in enumerate_selections(classes, limit):
+            explored += 1
+            pattern_set = frozenset(p.key() for p in selection.patterns)
+            if pattern_set in seen_pattern_sets:
+                continue
+            seen_pattern_sets.add(pattern_set)
+            attempt = self._attempt(selection, verify, tours)
+            if attempt is not None:
+                attempts.append(attempt)
+        return attempts, explored
+
     def _attempt(
-        self, selection: Selection, verify: Verifier
+        self, selection: Selection, verify: Verifier, tours: SelectionTours
     ) -> Optional[_Attempt]:
         config = self.config
-        patterns = selection.patterns
         tpg = TestPatternGraph(weight_mode=config.weight_mode)
         for class_name, pattern in selection.choices:
             tpg.add(pattern, class_name)
 
-        matrix = tpg.weight_matrix()
-        start_costs = [tpg.start_weight(k) for k in range(len(tpg))]
-        order = self._solve_tour(tpg, matrix, start_costs)
+        order = tours.solve([node.pattern for node in tpg.nodes])
         gts = build_gts(tpg, order)
         minimized = reorder_and_minimize(gts)
         candidate = build_march(minimized, name="generated")
@@ -217,33 +235,6 @@ class MarchTestGenerator:
         if fallback is not None and verify(fallback):
             return _Attempt(fallback, gts, tuple(order), len(tpg), True)
         return None
-
-    def _solve_tour(
-        self,
-        tpg: TestPatternGraph,
-        matrix: Sequence[Sequence[float]],
-        start_costs: Sequence[float],
-    ) -> List[int]:
-        config = self.config
-        if config.prefer_uniform_start:
-            allowed = {
-                k
-                for k, node in enumerate(tpg.nodes)
-                if _uniform_init(node.pattern.init)
-            }
-            if allowed:
-                try:
-                    order, _ = solve_path(
-                        matrix,
-                        start_costs,
-                        allowed_starts=allowed,
-                        method=config.atsp_method,
-                    )
-                    return order
-                except ValueError:
-                    pass  # constraint infeasible: fall back (paper f.4.4)
-        order, _ = solve_path(matrix, start_costs, method=config.atsp_method)
-        return order
 
     # -- finalization -------------------------------------------------------------
 
@@ -294,6 +285,117 @@ class MarchTestGenerator:
                 f"confirmation at size {config.confirm_size} failed"
             )
         return report
+
+
+class SelectionTours:
+    """The ATSP front end of one ``generate()`` call (Sections 4-5).
+
+    Every selection is a subset of one small pattern universe, and the
+    start cost and f.4.4 start eligibility of a pattern do not depend
+    on the selection.  So each distinct pattern is interned once
+    (universe id, start cost, eligibility), each pair weight is
+    computed once when a selection first needs it, and every selection
+    solves through one :class:`~repro.atsp.held_karp.PathMemo` per
+    start rule: f.4.4 (ineligible starts forbidden) and the
+    unrestricted fallback.  :meth:`solve` returns exactly the order
+    ``solve_path(..., method="auto")`` returns on the selection's own
+    ``weight_matrix()`` -- ties follow the selection's node order.
+    A non-default ``atsp_method``, or a selection past
+    :data:`~repro.atsp.solver.HELD_KARP_LIMIT` nodes, is solved by
+    ``solve_path`` on the selection's sub-matrix of the same tables.
+
+    Nothing in the memos points back here, so the front end and its
+    memos are freed as soon as the selection loop drops it.
+    """
+
+    def __init__(
+        self,
+        weight_mode: str = "hamming",
+        prefer_uniform_start: bool = True,
+        atsp_method: str = "auto",
+    ) -> None:
+        self.weight_mode = weight_mode
+        self.prefer_uniform_start = prefer_uniform_start
+        self.atsp_method = atsp_method
+        self._ids: Dict[Tuple, int] = {}
+        self._patterns: List[TestPattern] = []
+        self._eligible: List[bool] = []
+        #: ``_into[e][k]``: the weight of ``k -> e`` (None until needed).
+        self._into: List[List[Optional[float]]] = []
+        self._starts: List[float] = []
+        self._uniform_starts: List[float] = []
+        self.free = PathMemo(self._into, self._starts)
+        self.uniform = PathMemo(self._into, self._uniform_starts)
+        #: Pair weights computed, over the front end's lifetime.
+        self.weight_computations = 0
+
+    def solve(self, patterns: Sequence[TestPattern]) -> List[int]:
+        """The tour over ``patterns`` (positions in ``patterns``),
+        starting from a uniform initialization when one is admissible
+        (f.4.4) and unrestricted otherwise."""
+        nodes = [self._intern(pattern) for pattern in patterns]
+        self._fill_weights(nodes)
+        if self.prefer_uniform_start and any(
+            self._eligible[node] for node in nodes
+        ):
+            try:
+                return self._solve(nodes, uniform=True)
+            except ValueError:
+                pass  # constraint infeasible: fall back (paper f.4.4)
+        return self._solve(nodes, uniform=False)
+
+    def _solve(self, nodes: Sequence[int], uniform: bool) -> List[int]:
+        """One start rule; raises ValueError when it admits no tour."""
+        if self.atsp_method == "auto" and len(nodes) <= HELD_KARP_LIMIT:
+            memo = self.uniform if uniform else self.free
+            order, total = memo.solve(nodes)
+            if total >= FORBIDDEN:
+                raise ValueError("start restriction is infeasible")
+            return order
+        into = self._into
+        matrix = [
+            [0.0 if source == target else into[target][source]
+             for target in nodes]
+            for source in nodes
+        ]
+        allowed = (
+            {p for p, node in enumerate(nodes) if self._eligible[node]}
+            if uniform else None
+        )
+        order, _ = solve_path(
+            matrix,
+            [self._starts[node] for node in nodes],
+            allowed_starts=allowed,
+            method=self.atsp_method,
+        )
+        return order
+
+    def _intern(self, pattern: TestPattern) -> int:
+        key = pattern.key()
+        node = self._ids.get(key)
+        if node is None:
+            node = self._ids[key] = len(self._patterns)
+            self._patterns.append(pattern)
+            eligible = _uniform_init(pattern.init)
+            self._eligible.append(eligible)
+            start = float(start_weight(pattern))
+            self._starts.append(start)
+            self._uniform_starts.append(start if eligible else float(FORBIDDEN))
+            for row in self._into:
+                row.append(None)
+            self._into.append([None] * (node + 1))
+        return node
+
+    def _fill_weights(self, nodes: Sequence[int]) -> None:
+        patterns, mode = self._patterns, self.weight_mode
+        for target in nodes:
+            row = self._into[target]
+            for source in nodes:
+                if source != target and row[source] is None:
+                    row[source] = float(
+                        edge_weight(patterns[source], patterns[target], mode)
+                    )
+                    self.weight_computations += 1
 
 
 def _uniform_init(init) -> bool:

@@ -7,6 +7,15 @@ ATSP per combination and keeping the best GTS.  For large user fault
 lists the raw product explodes, so candidates are ranked (shared TPs
 first -- selections that reuse a pattern shrink the TPG) and the
 product is truncated to a configurable budget.
+
+All selections of one fault list draw from one small pattern universe,
+so the generator solves their ATSPs through one shared front end
+(:class:`~repro.core.generator.SelectionTours`): patterns and pair
+weights are computed once, and the Held-Karp subsets two selections
+share are built once.  The result per selection is unchanged: its tour
+is exactly the one a solve on its own TPG returns, and among tied
+tours the choice follows the selection's own node order (its pattern
+order, :attr:`Selection.patterns`), not the shared universe's.
 """
 
 from __future__ import annotations

@@ -81,12 +81,21 @@ class TestPattern:
         return from_state.fill_operations(self.init)
 
     def key(self) -> Tuple[str, Optional[str], str]:
-        """Structural identity (used to de-duplicate TPG nodes)."""
-        return (
-            str(self.init),
-            None if self.excite is None else str(self.excite),
-            str(self.observe),
-        )
+        """Structural identity (used to de-duplicate TPG nodes).
+
+        Frozen, so the key is built once: selection enumeration, TPG
+        de-duplication and the generator's pattern interning all ask
+        for it.  The memo lives in ``__dict__`` like ``MarchElement``'s
+        hash; it is plain strings, so it pickles safely.
+        """
+        cached = self.__dict__.get("_key")
+        if cached is None:
+            cached = self.__dict__["_key"] = (
+                str(self.init),
+                None if self.excite is None else str(self.excite),
+                str(self.observe),
+            )
+        return cached
 
     def __str__(self) -> str:
         excite = "-" if self.excite is None else str(self.excite)

@@ -20,6 +20,25 @@ from ..memory.state import MemoryState
 from .test_pattern import TestPattern
 
 
+def edge_weight(
+    source: TestPattern, target: TestPattern, weight_mode: str = "hamming"
+) -> int:
+    """The f.4.1 weight of the edge ``source -> target`` (see
+    :class:`TestPatternGraph` for the modes)."""
+    cost = target.setup_cost(source.observation_state)
+    if weight_mode == "uniform":
+        return 1 if cost else 0
+    if weight_mode != "hamming":
+        raise ValueError(f"unknown weight mode {weight_mode!r}")
+    return cost
+
+
+def start_weight(pattern: TestPattern) -> int:
+    """Setup cost of ``pattern`` from the power-up (all don't-care)
+    state, whatever the weight mode."""
+    return pattern.setup_cost(MemoryState.unknown(pattern.cells))
+
+
 @dataclass
 class TPGNode:
     """A TPG node: one test pattern plus the classes it covers."""
@@ -85,19 +104,16 @@ class TestPatternGraph:
 
     def weight(self, source: int, target: int) -> int:
         """Edge weight (f.4.1): operations to set up the target pattern."""
-        ss = self.nodes[source].pattern.observation_state
-        cost = self.nodes[target].pattern.setup_cost(ss)
-        if self.weight_mode == "uniform":
-            return 1 if cost else 0
-        if self.weight_mode != "hamming":
-            raise ValueError(f"unknown weight mode {self.weight_mode!r}")
-        return cost
+        return edge_weight(
+            self.nodes[source].pattern,
+            self.nodes[target].pattern,
+            self.weight_mode,
+        )
 
     def start_weight(self, target: int, power_up: Optional[MemoryState] = None) -> int:
         """Setup cost from the power-up (all don't-care) state."""
         if power_up is None:
-            cells = self.nodes[target].pattern.cells
-            power_up = MemoryState.unknown(cells)
+            return start_weight(self.nodes[target].pattern)
         return self.nodes[target].pattern.setup_cost(power_up)
 
     def weight_matrix(self) -> List[List[int]]:

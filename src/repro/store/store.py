@@ -26,7 +26,11 @@ Durability rules
 * opening runs ``PRAGMA quick_check``; a corrupt or truncated file is
   *quarantined* (renamed to ``<name>.corrupt-N`` next to the store)
   and a fresh store is rebuilt in its place, so a damaged dictionary
-  costs a cold start, never a crash or a wrong verdict;
+  costs a cold start, never a crash or a wrong verdict.  Only a failed
+  check or a ``SQLITE_CORRUPT``/``SQLITE_NOTADB`` error counts as
+  damage: a store another connection holds locked is retried for up to
+  ``timeout`` seconds and then refused with :class:`StoreError`, never
+  renamed;
 * ``readonly=True`` opens an existing store for lookups only
   (``PRAGMA query_only``): writes become counted no-ops, corruption is
   reported instead of repaired.
@@ -183,6 +187,32 @@ class StoreStats:
         return text
 
 
+def _error_name(error: sqlite3.Error) -> str:
+    """SQLite's primary result code name for ``error``
+    (``sqlite_errorname``, Python 3.11+; else read from the message)."""
+    name = getattr(error, "sqlite_errorname", None)
+    if name:
+        return name
+    text = str(error)
+    if "locked" in text or "busy" in text:
+        return "SQLITE_BUSY"
+    if "malformed" in text or "not a database" in text:
+        return "SQLITE_CORRUPT"
+    return "SQLITE_ERROR"
+
+
+def _is_busy(error: sqlite3.Error) -> bool:
+    return _error_name(error).startswith(("SQLITE_BUSY", "SQLITE_LOCKED"))
+
+
+def _is_corruption(error: Exception) -> bool:
+    """Only a failed ``quick_check`` or a CORRUPT/NOTADB result code
+    justifies quarantining a store file."""
+    if isinstance(error, CorruptStoreError):
+        return True
+    return _error_name(error).startswith(("SQLITE_CORRUPT", "SQLITE_NOTADB"))
+
+
 class FaultDictionaryStore:
     """A concurrency-safe, disk-backed fault dictionary.
 
@@ -230,16 +260,43 @@ class FaultDictionaryStore:
                 " run once without --store-readonly to build it"
             )
         try:
-            return self._connect_and_check()
+            return self._connect_when_unlocked()
         except StoreSchemaError:
             raise  # refusal, never quarantine: the file is healthy
         except (sqlite3.DatabaseError, CorruptStoreError) as error:
+            if not _is_corruption(error):
+                # Busy past the timeout, I/O, permissions: the file may
+                # be healthy and in use, so never rename it.
+                raise StoreError(
+                    f"store {self.path} cannot be opened: {error}"
+                ) from error
             if self.readonly:
                 raise CorruptStoreError(
                     f"readonly store {self.path} is corrupt: {error}"
                 ) from error
             self._quarantine()
-            return self._connect_and_check()
+            return self._connect_when_unlocked()
+
+    def _connect_when_unlocked(self) -> sqlite3.Connection:
+        """:meth:`_connect_and_check`, retried while another connection
+        holds the database lock, for up to ``timeout`` seconds.
+
+        SQLite's busy handler does not cover every open step (switching
+        to WAL can fail fast with ``database is locked``), so a busy
+        open is retried here; past the timeout the busy error is
+        raised.
+        """
+        deadline = time.perf_counter() + self.timeout
+        delay = 0.005
+        while True:
+            try:
+                return self._connect_and_check()
+            except sqlite3.OperationalError as error:
+                left = deadline - time.perf_counter()
+                if not _is_busy(error) or left <= 0:
+                    raise
+            time.sleep(min(delay, left))
+            delay = min(2 * delay, 0.1)
 
     def _connect_and_check(self) -> sqlite3.Connection:
         if self.readonly:

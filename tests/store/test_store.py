@@ -257,6 +257,54 @@ class TestCorruptionRecovery:
             store.close()
             store_path.unlink()  # fresh rebuild left behind a valid store
 
+    def test_locked_store_is_refused_not_quarantined(self, store_path):
+        """A busy store is not a corrupt store: while another connection
+        holds an exclusive lock on a fresh (not yet WAL) store, opening
+        retries for ``timeout`` seconds, then raises StoreError and
+        leaves the file exactly as it was."""
+        holder = sqlite3.connect(store_path, isolation_level=None)
+        holder.execute("CREATE TABLE pending (x)")
+        before = store_path.read_bytes()
+        holder.execute("BEGIN EXCLUSIVE")
+        holder.execute("INSERT INTO pending VALUES (1)")
+        try:
+            with pytest.raises(StoreError, match="cannot be opened") as info:
+                FaultDictionaryStore(store_path, timeout=0.2)
+            assert not isinstance(info.value, StoreSchemaError)
+            assert not list(store_path.parent.glob("*.corrupt-*"))
+            assert store_path.read_bytes() == before
+        finally:
+            holder.execute("ROLLBACK")
+            holder.close()
+        assert not list(store_path.parent.glob("*.corrupt-*"))
+        assert store_path.read_bytes() == before
+
+    def test_fast_failing_lock_is_retried_within_timeout(
+        self, store_path, monkeypatch
+    ):
+        """SQLite can fail an open step with ``database is locked``
+        without waiting (the WAL switch of a racing creator).  That is
+        retried, not quarantined, and the store opens once it clears."""
+        with FaultDictionaryStore(store_path) as store:
+            store.put(key(), True)
+        connect = FaultDictionaryStore._connect_and_check
+        attempts = []
+
+        def busy_twice(self):
+            attempts.append(1)
+            if len(attempts) <= 2:
+                raise sqlite3.OperationalError("database is locked")
+            return connect(self)
+
+        monkeypatch.setattr(
+            FaultDictionaryStore, "_connect_and_check", busy_twice
+        )
+        with FaultDictionaryStore(store_path, timeout=10.0) as store:
+            assert store.quarantined is None
+            assert store.get(key()) is True
+        assert len(attempts) == 3
+        assert not list(store_path.parent.glob("*.corrupt-*"))
+
     def test_readonly_never_quarantines(self, store_path):
         store_path.write_bytes(b"garbage garbage garbage " * 64)
         with pytest.raises(StoreError):
