@@ -67,7 +67,6 @@ import time
 
 from repro.faults import FaultList
 from repro.kernel import SimulationKernel
-from repro.simulator.tilengine import numpy_available, numpy_version
 from repro.store.campaign import CampaignSpec, normalized_manifest, \
     run_campaign
 from repro.store.resilience import RetryPolicy
@@ -126,17 +125,6 @@ REQUIRED_HOT_LRU_SPEEDUP = 1.0
 #: (the PR's target is >= 10x; 3x is the regression guard so slow
 #: shared CI runners do not flake).
 REQUIRED_BITPARALLEL_SPEEDUP = 3.0
-#: Acceptance floor: lane-tiled (NumPy) cold vs. serial cold at
-#: SIZE_LARGE.  Unlike the bignum guard this one is the PR's headline
-#: number itself: the measured value is ~13-14x, and the vectorized
-#: path's ratio is stable across runner speeds because numerator and
-#: denominator scale with the same machine.
-REQUIRED_TILED_SPEEDUP = 10.0
-#: The scaling workloads: memory sizes the bignum engine handles but
-#: only the tiled engine makes routinely cheap (quadratic coupling
-#: population at 64; linear models at 256).
-SIZE_SCALE = 64
-SIZE_SCALE_LINEAR = 256
 #: CI wall-clock ceiling for one cold kernel matrix (seconds); the
 #: measured value is ~0.1 s on a laptop, so 10 s only catches gross
 #: regressions on slow shared runners.
@@ -206,25 +194,6 @@ def table3_faults():
     return FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
 
 
-def scale_faults():
-    """The size-64 workload: quadratic coupling population, no ADF --
-    decoder pair enumeration at size 64 is a case-count explosion that
-    measures plan *construction*, not the engines' per-op scaling."""
-    return FaultList.from_names("SAF", "TF", "CFIN", "CFID")
-
-
-def scale_linear_faults():
-    """The size-256 workload: linear single-cell models only.
-
-    Deliberately a *crossover* record, not a victory lap: with only
-    ~1.5k lanes (25 tiles) the bignum engine's 25-word ints are cheap
-    and NumPy's per-op dispatch dominates, so ``bitparallel`` wins this
-    one.  Recording it keeps the backend-choice guidance in the README
-    honest -- the tiled engine's advantage is lane *population*, not
-    memory size per se."""
-    return FaultList.from_names("SAF", "TF", "RDF")
-
-
 # -- measured scenarios --------------------------------------------------------
 
 
@@ -236,51 +205,6 @@ def run_kernel_cold(faults, backend="serial", size=SIZE):
     return SimulationKernel(backend=backend).detection_matrix(
         TESTS, faults, size
     )
-
-
-def measure_engine_scaling(size, faults, repeats=1):
-    """Engine-level MarchC- verdict pass: bignum vs tiled, no kernel.
-
-    Returns the workload record for BENCH_kernel.json, or ``None``
-    without NumPy.  Engine-level on purpose: at these sizes the
-    one-time lane-plan compilation (shared by both engines) dominates a
-    single cold kernel run, and this record tracks the engines' per-op
-    scaling, not plan construction.  No speedup guard is enforced --
-    the numbers are trajectory data; ``guard_enforced`` says so
-    explicitly, mirroring the campaign_fanout honesty fields.
-    """
-    if not numpy_available():
-        return None
-    from repro.simulator.bitengine import PackedSimulation
-    from repro.simulator.tilengine import TiledSimulation
-
-    cases = faults.instances(size)
-    packed = PackedSimulation(cases, size)
-    tiled = TiledSimulation(cases, size)
-    bignum_seconds, bignum = _best_of(
-        repeats, packed.worst_case_verdicts, MARCH_C_MINUS
-    )
-    tiled_seconds, tiled_verdicts = _best_of(
-        repeats, tiled.worst_case_verdicts, MARCH_C_MINUS
-    )
-    assert tiled_verdicts == bignum, f"size-{size} verdicts diverged"
-    return {
-        "test": "MarchC-",
-        "fault_cases": len(cases),
-        "lanes": tiled.lanes,
-        "tiles": tiled.tiles,
-        "size": size,
-        "seconds": {
-            "bitparallel": bignum_seconds,
-            "bitparallel_np": tiled_seconds,
-        },
-        "tiled_speedup_vs_bitparallel": bignum_seconds / tiled_seconds,
-        "guard_enforced": False,
-        "skipped_reason": (
-            "informational scaling record: verdict identity is asserted,"
-            " the ratio is trajectory data without a floor"
-        ),
-    }
 
 
 def any_order_test(k):
@@ -912,17 +836,6 @@ def test_kernel_cold_bitparallel_large(bench_once):
     )
 
 
-def test_kernel_cold_bitparallel_np_large(bench_once):
-    import pytest
-
-    if not numpy_available():
-        pytest.skip("NumPy not installed (the [fast] extra)")
-    bench_once(
-        run_kernel_cold, table3_faults(), backend="bitparallel-np",
-        size=SIZE_LARGE,
-    )
-
-
 def test_kernel_warm(bench_once):
     faults = table3_faults()
     kernel = make_warm_kernel(faults)
@@ -976,49 +889,6 @@ def test_bitparallel_cold_speedup_guard():
         f" at size {SIZE_LARGE} ({packed_seconds * 1e3:.2f} ms vs"
         f" {serial_seconds * 1e3:.2f} ms)"
     )
-
-
-def test_tiled_cold_speedup_guard():
-    """Acceptance criterion of the lane-tiled backend: cold
-    ``bitparallel-np`` >= 10x serial cold at size 8, byte-identical
-    verdicts.  Unlike the other guards this floor *is* the PR target:
-    both sides of the ratio run on the same machine, so it does not
-    flake with runner speed."""
-    import pytest
-
-    if not numpy_available():
-        pytest.skip("NumPy not installed (the [fast] extra)")
-    faults = table3_faults()
-    serial_seconds, serial_matrix = _best_of(
-        1, run_kernel_cold, faults, size=SIZE_LARGE
-    )
-    tiled_seconds, tiled_matrix = _best_of(
-        3, run_kernel_cold, faults, backend="bitparallel-np",
-        size=SIZE_LARGE,
-    )
-    assert tiled_matrix == serial_matrix
-    speedup = serial_seconds / tiled_seconds
-    assert speedup >= REQUIRED_TILED_SPEEDUP, (
-        f"bitparallel-np cold only {speedup:.1f}x faster than serial cold"
-        f" at size {SIZE_LARGE} ({tiled_seconds * 1e3:.2f} ms vs"
-        f" {serial_seconds * 1e3:.2f} ms)"
-    )
-
-
-def test_scaling_records_have_identical_verdicts():
-    """The size-64/size-256 records assert engine agreement internally;
-    run them (small repeats) so CI exercises the identity even though
-    no speedup floor applies."""
-    import pytest
-
-    if not numpy_available():
-        pytest.skip("NumPy not installed (the [fast] extra)")
-    record = measure_engine_scaling(SIZE_SCALE, scale_faults())
-    assert record["lanes"] > 10_000  # genuinely out of bignum comfort
-    linear = measure_engine_scaling(
-        SIZE_SCALE_LINEAR, scale_linear_faults()
-    )
-    assert linear["tiles"] >= 2
 
 
 def test_store_warm_start_speedup_guard():
@@ -1231,23 +1101,6 @@ def collect_benchmarks():
     packed_large_seconds, _ = _best_of(
         2, run_kernel_cold, faults, backend="bitparallel", size=SIZE_LARGE
     )
-    if numpy_available():
-        tiled_large_seconds, _ = _best_of(
-            3, run_kernel_cold, faults, backend="bitparallel-np",
-            size=SIZE_LARGE,
-        )
-    else:  # degraded environment: record the absence, not a fake number
-        tiled_large_seconds = None
-    size64_record = measure_engine_scaling(SIZE_SCALE, scale_faults())
-    size256_record = measure_engine_scaling(
-        SIZE_SCALE_LINEAR, scale_linear_faults()
-    )
-    if size256_record is not None:
-        size256_record["skipped_reason"] = (
-            "informational crossover record: at ~1.5k lanes the bignum"
-            " engine's small ints beat NumPy's per-op dispatch; the tiled"
-            " engine pays off with lane population, not memory size"
-        )
     with tempfile.TemporaryDirectory() as scratch:
         store_runs = measure_store_warm_start(
             str(pathlib.Path(scratch) / "bench-store.sqlite")
@@ -1278,13 +1131,11 @@ def collect_benchmarks():
         "generated_unix": round(time.time(), 3),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "numpy": numpy_version(),
         "guards": {
             "required_warm_speedup": REQUIRED_WARM_SPEEDUP,
             "required_bitparallel_cold_speedup": (
                 REQUIRED_BITPARALLEL_SPEEDUP
             ),
-            "required_tiled_cold_speedup": REQUIRED_TILED_SPEEDUP,
             "required_store_warm_speedup": REQUIRED_STORE_WARM_SPEEDUP,
             "required_hot_lru_speedup": REQUIRED_HOT_LRU_SPEEDUP,
             "required_campaign_fanout_speedup": REQUIRED_FANOUT_SPEEDUP,
@@ -1421,39 +1272,6 @@ def collect_benchmarks():
             },
         },
     }
-    workloads = payload["workloads"]
-    if tiled_large_seconds is not None:
-        workloads["table3_size8_tiled"] = {
-            "tests": len(TESTS),
-            "fault_cases": len(faults.instances(SIZE_LARGE)),
-            "size": SIZE_LARGE,
-            "seconds": {
-                "cold_serial": serial_large_seconds,
-                "cold_bitparallel": packed_large_seconds,
-                "cold_bitparallel_np": tiled_large_seconds,
-            },
-            "speedup_vs_cold_serial": {
-                "cold_bitparallel": (
-                    serial_large_seconds / packed_large_seconds
-                ),
-                "cold_bitparallel_np": (
-                    serial_large_seconds / tiled_large_seconds
-                ),
-            },
-            "guard_enforced": True,
-        }
-    else:
-        workloads["table3_size8_tiled"] = {
-            "guard_enforced": False,
-            "skipped_reason": (
-                "NumPy not installed (the [fast] extra): the"
-                " bitparallel-np backend degraded, nothing to measure"
-            ),
-        }
-    if size64_record is not None:
-        workloads["size64_tiled"] = size64_record
-    if size256_record is not None:
-        workloads["size256_tiled_linear"] = size256_record
     return payload
 
 
@@ -1484,37 +1302,13 @@ def main():
         f"detection_matrix: {large['tests']} tests x"
         f" {large['fault_cases']} fault cases at size {large['size']}"
     )
-    tiled = payload["workloads"]["table3_size8_tiled"]
-    large_rows = [
+    for label, key in [
         ("kernel cold (serial)", "cold_serial"),
         ("kernel cold (bitparallel)", "cold_bitparallel"),
-    ]
-    if tiled.get("seconds"):
-        large = tiled  # superset of table3_size8, same measurements
-        large_rows.append(("kernel cold (bitparallel-np)", "cold_bitparallel_np"))
-    for label, key in large_rows:
+    ]:
         seconds = large["seconds"][key]
         speedup = large["speedup_vs_cold_serial"].get(key, 1.0)
         print(f"  {label:28s} {seconds * 1e3:9.2f} ms   {speedup:7.1f}x")
-    if not tiled.get("seconds"):
-        print(f"  (bitparallel-np skipped: {tiled['skipped_reason']})")
-    for name in ("size64_tiled", "size256_tiled_linear"):
-        record = payload["workloads"].get(name)
-        if record is None:
-            continue
-        print(
-            f"{name}: {record['test']} x {record['fault_cases']} cases"
-            f" at size {record['size']} ({record['lanes']} lanes,"
-            f" {record['tiles']} tiles)"
-        )
-        for label, key in [
-            ("engine (bitparallel)", "bitparallel"),
-            ("engine (bitparallel-np)", "bitparallel_np"),
-        ]:
-            seconds = record["seconds"][key]
-            speedup = record["tiled_speedup_vs_bitparallel"] \
-                if key == "bitparallel_np" else 1.0
-            print(f"  {label:28s} {seconds * 1e3:9.2f} ms   {speedup:7.1f}x")
     telemetry = payload["workloads"]["table3_size3_telemetry"]
     print(
         f"telemetry overhead (serial cold, live registry + tracer):"

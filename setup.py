@@ -1,10 +1,9 @@
 """Packaging for the repro March-test generator.
 
-The package tree lives under ``src/``; NumPy is deliberately an
-optional extra (``fast``): the pure-Python engines cover every feature,
-the ``bitparallel-np`` lane-tiled backend merely runs them faster.
+The package tree lives under ``src/`` and has no runtime
+dependencies: every simulation engine is pure Python.
 
-    pip install -e .[fast,dev]
+    pip install -e .[dev]
 """
 
 import re
@@ -31,10 +30,6 @@ setup(
     python_requires=">=3.9",
     install_requires=[],
     extras_require={
-        # The lane-tiled 'bitparallel-np' simulation backend; without
-        # it the kernel degrades to the pure-Python 'bitparallel'
-        # engine with a one-line warning.
-        "fast": ["numpy>=1.24"],
         "dev": ["pytest>=7", "pytest-benchmark", "hypothesis"],
     },
     entry_points={"console_scripts": ["repro=repro.cli:main"]},

@@ -67,8 +67,8 @@ def coverage_report(
 ) -> CoverageReport:
     """Evaluate a test against every model of a fault list.
 
-    Per-model verdicts are resolved in one kernel batch, so a process
-    backend can chunk the whole report across workers.
+    Per-model verdicts are resolved through the kernel, one batch per
+    model.
     """
     kernel = kernel or get_default_kernel()
     models = []

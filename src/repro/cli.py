@@ -713,9 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser.add_argument(
             "--backend", choices=sorted(BACKENDS), default=DEFAULT_BACKEND,
             help="simulation kernel execution backend"
-                 f" (default: {DEFAULT_BACKEND}; bitparallel-np needs"
-                 " the NumPy [fast] extra and degrades to bitparallel"
-                 " with a warning without it)",
+                 f" (default: {DEFAULT_BACKEND}; serial is the scalar"
+                 " reference engine)",
         )
         command_parser.add_argument(
             "--sim-stats", action="store_true",

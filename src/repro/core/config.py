@@ -57,13 +57,9 @@ class GeneratorConfig:
         Execution backend of the simulation kernel: ``"bitparallel"``
         (default -- word-packed simulation: every standard fault
         instance advances in one machine word per march operation,
-        with scalar fallback for unknown user types),
-        ``"bitparallel-np"`` (the same lanes tiled onto fixed-width
-        uint64 NumPy arrays -- constant vectorized cost per 64-lane
-        word; requires the ``[fast]`` extra and degrades to
-        ``bitparallel`` with a warning without it) or ``"serial"``
+        with scalar fallback for unknown user types) or ``"serial"``
         (scalar in-process evaluation, the reference oracle).  On the
-        two lane-packed backends the generator's verifier checks each
+        lane-packed backend the generator's verifier checks each
         candidate against the whole fault list in one packed walk of
         its order realizations as a shared-prefix tree; ``serial``
         keeps the scalar per-case reference verifier.  Unknown names

@@ -33,7 +33,7 @@ def make_verifier(
     The implementation is :meth:`repro.kernel.SimulationKernel.verifier`
     (the process-wide kernel unless one is supplied): one packed
     shared-prefix walk of the order realizations over the whole fault
-    list on the lane-packed backends, fail-fast cached per-case probes
+    list on the lane-packed backend, fail-fast cached per-case probes
     on ``serial``.
     """
     return (kernel or get_default_kernel()).verifier(cases, size)

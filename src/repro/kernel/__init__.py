@@ -7,11 +7,9 @@ repository README for the cache-key and backend-extension guides.
 from .backends import (
     BACKENDS,
     BitParallelBackend,
-    BitParallelNumpyBackend,
     DetectTask,
     ExecutionBackend,
     SerialBackend,
-    available_backends,
     backend_choices_text,
     resolve_backend,
     validate_backend_name,
@@ -32,7 +30,6 @@ from .report import EmptyFaultListWarning, SimulationReport
 __all__ = [
     "BACKENDS",
     "BitParallelBackend",
-    "BitParallelNumpyBackend",
     "DEFAULT_SIZE",
     "DetectTask",
     "EmptyFaultListWarning",
@@ -44,7 +41,6 @@ __all__ = [
     "SimKey",
     "SimulationKernel",
     "SimulationReport",
-    "available_backends",
     "backend_choices_text",
     "canonical_signature",
     "concrete_realization",

@@ -5,8 +5,7 @@ case, size)`` triples whose verdicts are not yet in the kernel's fault
 dictionary -- and returns one worst-case boolean per task.  The kernel
 never cares how: serially in-process (the scalar reference), or
 word-packed so every fault lane of a test advances in one bitwise
-operation per march step (``bitparallel``, and its NumPy-tiled twin
-``bitparallel-np``).
+operation per march step (``bitparallel``).
 
 Every backend counts the tasks it served per execution strategy in
 ``served`` (e.g. the bitparallel backend splits between ``bitparallel``
@@ -27,26 +26,14 @@ variant must be caught).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
 from ..simulator.bitengine import PackedSimulation, lane_packable_case
 from ..simulator.engine import run_march
-from ..simulator.tilengine import (
-    NumpyUnavailableError,
-    TiledSimulation,
-    chunk_cases,
-    numpy_available,
-    require_numpy,
-)
-from ..telemetry import TELEMETRY_OFF
 from .pool import MemoryPool
 
 
@@ -101,13 +88,9 @@ class ExecutionBackend:
         #: or ``{"bitparallel": 60, "serial": 9}`` when a backend
         #: routes part of a batch to a fallback.  ``--sim-stats`` prints
         #: this so routing decisions are observable.
+        #: The owning kernel samples it as the ``repro.backend.served``
+        #: route/fallback counters.
         self.served: Dict[str, int] = {}
-        #: Telemetry handle, no-op by default; the owning kernel swaps
-        #: in its live handle and samples ``served`` as the
-        #: ``repro.backend.served`` route/fallback counters, so this
-        #: slot only carries instruments ``served`` cannot express
-        #: (fork chunk counts, per-batch timings).
-        self.telemetry = TELEMETRY_OFF
 
     def count_served(self, strategy: str, tasks: int) -> None:
         if tasks:
@@ -158,9 +141,6 @@ class BitParallelBackend(ExecutionBackend):
     reuse one lane plan.  The generator's verifier does not come
     through here: with ``lane_packed`` set,
     ``SimulationKernel.verifier`` builds its own whole-list simulation.
-
-    This routing is shared with :class:`BitParallelNumpyBackend`, which
-    overrides only :meth:`_build` and :meth:`_verdicts`.
     """
 
     name = "bitparallel"
@@ -172,7 +152,9 @@ class BitParallelBackend(ExecutionBackend):
     def __init__(self, pool: Optional[MemoryPool] = None) -> None:
         super().__init__()
         self._serial = SerialBackend(pool)
-        self._simulations: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
+            OrderedDict()
+        )
         # Packability memo keyed by case name (the canonical fault
         # identity): single-case probes repeat the same few cases
         # against many tests.
@@ -185,28 +167,19 @@ class BitParallelBackend(ExecutionBackend):
             self._packable[case.name] = verdict
         return verdict
 
-    def _build(self, cases: Sequence[FaultCase], size: int) -> Any:
-        """The packed simulation of one case set."""
-        return PackedSimulation(cases, size)
-
-    def _simulation(self, cases: Sequence[FaultCase], size: int) -> Any:
+    def _simulation(
+        self, cases: Sequence[FaultCase], size: int
+    ) -> PackedSimulation:
         key = (tuple(case.name for case in cases), size)
         simulation = self._simulations.get(key)
         if simulation is None:
-            simulation = self._build(cases, size)
+            simulation = PackedSimulation(cases, size)
             self._simulations[key] = simulation
             while len(self._simulations) > self.PLAN_CACHE_SIZE:
                 self._simulations.popitem(last=False)
         else:
             self._simulations.move_to_end(key)
         return simulation
-
-    def _verdicts(
-        self, simulation: Any, test: MarchTest
-    ) -> Tuple[List[bool], str]:
-        """Worst-case verdicts of one packed group, and the strategy
-        ``served`` counts them under."""
-        return simulation.worst_case_verdicts(test), self.name
 
     def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
         results: List[Optional[bool]] = [None] * len(tasks)
@@ -223,10 +196,10 @@ class BitParallelBackend(ExecutionBackend):
                 fallback_indices.append(index)
         for (test, size), indices in packed_groups.items():
             cases = [tasks[i].case for i in indices]
-            verdicts, strategy = self._verdicts(
-                self._simulation(cases, size), test
+            verdicts = self._simulation(cases, size).worst_case_verdicts(
+                test
             )
-            self.count_served(strategy, len(indices))
+            self.count_served(self.name, len(indices))
             for i, verdict in zip(indices, verdicts):
                 results[i] = verdict
         if fallback_indices:
@@ -239,137 +212,15 @@ class BitParallelBackend(ExecutionBackend):
         return results  # type: ignore[return-value]
 
 
-# -- NumPy lane-tiled backend --------------------------------------------------
-#
-# Chunk simulations are built in the parent (so the one-time lane-plan
-# compilation is shared) and handed to fork()ed workers through this
-# module-level slot -- closures in the fault library do not pickle --
-# which return plain verdict lists.  The lock keeps concurrent batches
-# from forking workers that inherit each other's slot.
-
-_TILE_FORK: Tuple = ()
-_TILE_LOCK = threading.Lock()
-
-
-def _tile_worker(index: int) -> List[bool]:
-    simulations, test = _TILE_FORK
-    return simulations[index].worst_case_verdicts(test)
-
-
-class BitParallelNumpyBackend(BitParallelBackend):
-    """Lane-tiled evaluation on fixed-width uint64 NumPy tiles.
-
-    Routing is inherited from :class:`BitParallelBackend` -- packable
-    cases ride the packed path, the rest fall back to the scalar serial
-    backend -- but the packed path runs on
-    :class:`~repro.simulator.tilengine.TiledSimulation`: per-op cost is
-    a constant number of vectorized kernels over ``ceil(lanes/64)``
-    uint64 words instead of interpreter-level bignum arithmetic, which
-    is what makes the size-64/size-256 fault populations tractable.
-
-    Above :data:`MIN_FANOUT_LANES` total lanes the case set is split
-    into one contiguous tile range per worker process (``processes``,
-    default: CPU count), each run in a fork()ed worker; each worker
-    owns its chunk simulation (own fault-free reference lane) and the
-    concatenated verdict lists are byte-identical to the
-    single-simulation run.  Requires NumPy (the ``[fast]`` extra):
-    construction raises
-    :class:`~repro.simulator.tilengine.NumpyUnavailableError` without
-    it, and :func:`resolve_backend` degrades to ``bitparallel`` with a
-    one-line warning.
-    """
-
-    name = "bitparallel-np"
-
-    #: Below this many total lanes one process wins: fork + IPC costs
-    #: more than the whole vectorized run.
-    MIN_FANOUT_LANES = 4096
-
-    def __init__(
-        self,
-        pool: Optional[MemoryPool] = None,
-        processes: Optional[int] = None,
-    ) -> None:
-        require_numpy(f"the {self.name!r} execution backend")
-        super().__init__(pool)
-        self.processes = processes or os.cpu_count() or 1
-
-    def _fanout(self, cases: Sequence[FaultCase]) -> int:
-        """How many chunk simulations to build for this case set."""
-        if self.processes < 2:
-            return 1
-        lanes = 1 + sum(len(case.variants) for case in cases)
-        if lanes < self.MIN_FANOUT_LANES:
-            return 1
-        try:
-            multiprocessing.get_context("fork")
-        except ValueError:
-            return 1
-        return self.processes
-
-    def _build(
-        self, cases: Sequence[FaultCase], size: int
-    ) -> List[TiledSimulation]:
-        return [
-            TiledSimulation(chunk, size)
-            for chunk in chunk_cases(cases, self._fanout(cases))
-        ]
-
-    def _verdicts(
-        self, simulations: List[TiledSimulation], test: MarchTest
-    ) -> Tuple[List[bool], str]:
-        if len(simulations) == 1:
-            return simulations[0].worst_case_verdicts(test), self.name
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "repro.backend.chunks", backend=self.name
-            ).inc(len(simulations))
-        global _TILE_FORK
-        context = multiprocessing.get_context("fork")
-        with _TILE_LOCK:
-            _TILE_FORK = (simulations, test)
-            try:
-                with context.Pool(len(simulations)) as workers:
-                    chunks = workers.map(
-                        _tile_worker, range(len(simulations))
-                    )
-            finally:
-                _TILE_FORK = ()
-        verdicts: List[bool] = []
-        for chunk in chunks:
-            verdicts.extend(chunk)
-        return verdicts, f"{self.name}-fork"
-
-
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     BitParallelBackend.name: BitParallelBackend,
-    BitParallelNumpyBackend.name: BitParallelNumpyBackend,
 }
 
 
-def available_backends() -> Dict[str, bool]:
-    """Backend name -> whether it can be constructed right now.
-
-    Only ``bitparallel-np`` has an environment prerequisite (NumPy, the
-    ``[fast]`` extra); every other registered backend is always
-    available.
-    """
-    return {
-        name: name != BitParallelNumpyBackend.name or numpy_available()
-        for name in BACKENDS
-    }
-
-
 def backend_choices_text() -> str:
-    """The valid ``--backend`` choices with availability annotations."""
-    parts = []
-    for name, available in sorted(available_backends().items()):
-        parts.append(
-            name if available
-            else f"{name} (unavailable: NumPy is not installed)"
-        )
-    return ", ".join(parts)
+    """The valid ``--backend`` choices, sorted."""
+    return ", ".join(sorted(BACKENDS))
 
 
 def validate_backend_name(backend: str) -> str:
@@ -377,10 +228,8 @@ def validate_backend_name(backend: str) -> str:
 
     Called by ``GeneratorConfig``, the CLI and campaign-spec parsing so
     a typo'd backend surfaces as one clear error at configuration time
-    instead of deep inside kernel construction.  An *available* name is
-    returned unchanged; ``bitparallel-np`` without NumPy is still a
-    valid name (the kernel degrades to ``bitparallel`` with a warning
-    when it is actually resolved).
+    instead of deep inside kernel construction.  A registered name is
+    returned unchanged.
     """
     if backend in BACKENDS:
         return backend
@@ -398,21 +247,9 @@ def resolve_backend(
 
     The kernel's memory pool is shared with every backend, so serial
     evaluation and cache-miss fills recycle the same arrays.
-    Requesting ``bitparallel-np`` without NumPy installed degrades to
-    the pure-Python ``bitparallel`` engine with a one-line warning --
-    same results, just without the vectorized tiles.
     """
     if backend is None:
         return SerialBackend(pool)
     if isinstance(backend, ExecutionBackend):
         return backend
-    factory = BACKENDS[validate_backend_name(backend)]
-    try:
-        return factory(pool=pool)
-    except NumpyUnavailableError as error:
-        warnings.warn(
-            f"{error}; falling back to the pure-Python"
-            f" {BitParallelBackend.name!r} backend",
-            RuntimeWarning,
-        )
-        return BitParallelBackend(pool)
+    return BACKENDS[validate_backend_name(backend)](pool=pool)

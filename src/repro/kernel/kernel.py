@@ -15,8 +15,7 @@ kernel, which
   :class:`~repro.kernel.pool.MemoryPool` instead of reallocating;
 * dispatches batched cache misses to a pluggable
   :class:`~repro.kernel.backends.ExecutionBackend` (the scalar
-  ``serial`` reference, or the word-packed ``bitparallel`` and its
-  NumPy-tiled twin ``bitparallel-np``), selectable via
+  ``serial`` reference, or the word-packed ``bitparallel``), selectable via
   ``GeneratorConfig(backend=...)`` or the CLI ``--backend`` flag;
 * optionally layers the persistent fault-dictionary store
   (:mod:`repro.store`) under the LRU as a write-through/read-through
@@ -139,9 +138,8 @@ class SimulationKernel:
     Parameters
     ----------
     backend:
-        Backend name (``"serial"``/``"bitparallel"``/
-        ``"bitparallel-np"``), a ready :class:`ExecutionBackend`, or
-        ``None`` for serial.
+        Backend name (``"serial"``/``"bitparallel"``), a ready
+        :class:`ExecutionBackend`, or ``None`` for serial.
     cache_size:
         Bound of the fault-dictionary cache (LRU beyond it).
     pool:
@@ -218,9 +216,7 @@ class SimulationKernel:
         Counter objects ``kernel.stats`` mutates -- one set of numbers,
         no double accounting); backend routing and store counters are
         *collectors* sampled at snapshot time, because their label sets
-        (strategies) only appear as the run unfolds.  The backend also
-        gets the live handle so it can record what ``served`` cannot
-        express (fork chunk counts).
+        (strategies) only appear as the run unfolds.
         """
         registry = self.telemetry.registry
         for field, counter in self.stats.counters().items():
@@ -243,7 +239,6 @@ class SimulationKernel:
             "repro.kernel.verify.table_misses", verify.table_misses
         )
         backend = self.backend
-        backend.telemetry = self.telemetry
         registry.collector(
             "repro.backend.served",
             lambda: [
@@ -438,8 +433,7 @@ class SimulationKernel:
         """Batched simulation: one report per test, in input order.
 
         Cache hits are answered from the fault dictionary; the misses
-        are evaluated in one backend batch (chunkable across worker
-        processes) and stored.
+        are evaluated in one backend batch and stored.
         """
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
@@ -544,8 +538,8 @@ class SimulationKernel:
     ) -> Verifier:
         """A predicate: well-formed and detects every fault case.
 
-        On the lane-packed backends (``bitparallel``, ``bitparallel-np``)
-        the predicate builds one bignum :class:`PackedSimulation` over
+        On the lane-packed ``bitparallel`` backend the predicate builds
+        one bignum :class:`PackedSimulation` over
         the lane-packable cases and walks a candidate's order
         realizations as one shared-prefix tree
         (:func:`~repro.simulator.ordertree.walk_realizations`): it

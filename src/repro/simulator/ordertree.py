@@ -16,15 +16,12 @@ memory:
   was already walked is skipped.  That is exact: equal states have
   equal suffixes, so the skipped subtree's leaves are the walked ones,
   and the AND over leaves of ``prefix | suffix`` is
-  ``prefix | AND(suffix)``.  The tiled engine keys a node by a
-  256-bit digest of its arrays rather than their bytes, so it is exact
-  up to a digest collision
-  (:meth:`~repro.simulator.tilengine.TiledState.key`).
+  ``prefix | AND(suffix)``.
 
 The walk is depth-first with UP before DOWN, so its first leaf is the
-all-UP realization and a caller can stop at any leaf.  The engines
-(:class:`~repro.simulator.bitengine.PackedSimulation`,
-:class:`~repro.simulator.tilengine.TiledSimulation`) supply
+all-UP realization and a caller can stop at any leaf.  The packed
+engine (:class:`~repro.simulator.bitengine.PackedSimulation`, or a
+:class:`~repro.simulator.bitengine.TransitionTable` over one) supplies
 ``new_state()``, ``run_variant(segment, state)`` and states with
 ``copy()`` and ``key(detected)``; the scalar engine keeps enumerating
 realizations as the reference oracle.

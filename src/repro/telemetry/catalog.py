@@ -35,7 +35,6 @@ CATALOG: Dict[str, str] = {
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
     "repro.backend.detect.seconds": "backend batch latency histogram",
-    "repro.backend.chunks": "tiled-backend fork-pool chunks simulated",
     # -- persistent store (file or service tier) ------------------------------
     "repro.store.hits": "store lookups answered from SQLite/service",
     "repro.store.misses": "store lookups that missed",

@@ -12,8 +12,6 @@ def test_default_config_valid():
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_every_registered_backend_name_accepted(name):
-    # Name validity is independent of environment: 'bitparallel-np'
-    # without NumPy is a valid *name* that degrades at resolve time.
     assert GeneratorConfig(backend=name).backend == name
 
 
@@ -38,21 +36,23 @@ def test_campaign_spec_shares_the_validation():
 
 
 def test_retired_process_backend_is_rejected_everywhere(capsys):
-    # 'process' was removed; config, CLI and campaign specs all refuse
-    # it with the list of valid choices.
+    # 'process' and the NumPy lane-tiled 'bitparallel-np' were removed;
+    # config, CLI and campaign specs all refuse them with the list of
+    # valid choices.
     from repro.cli import main
     from repro.store.campaign import CampaignSpec, CampaignSpecError
 
-    with pytest.raises(ValueError, match="valid choices"):
-        GeneratorConfig(backend="process")
-    with pytest.raises(CampaignSpecError, match="valid choices"):
-        CampaignSpec.from_dict(
-            {"tests": ["MATS"], "faults": ["SAF"], "backends": ["process"]}
-        )
-    with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "MATS", "SAF", "--backend", "process"])
-    assert excinfo.value.code == 2
-    message = capsys.readouterr().err
-    assert "invalid choice: 'process'" in message
-    for name in BACKENDS:
-        assert name in message
+    for retired in ("process", "bitparallel-np"):
+        with pytest.raises(ValueError, match="valid choices"):
+            GeneratorConfig(backend=retired)
+        with pytest.raises(CampaignSpecError, match="valid choices"):
+            CampaignSpec.from_dict(
+                {"tests": ["MATS"], "faults": ["SAF"], "backends": [retired]}
+            )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "MATS", "SAF", "--backend", retired])
+        assert excinfo.value.code == 2
+        message = capsys.readouterr().err
+        assert f"invalid choice: '{retired}'" in message
+        for name in BACKENDS:
+            assert name in message

@@ -211,87 +211,6 @@ def test_bitparallel_verifier_agrees_with_serial(full_library):
         )
 
 
-# -- lane-tiled (NumPy) backend equivalence ------------------------------------
-
-
-from repro.simulator.tilengine import numpy_available  # always importable
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(),
-    reason="NumPy not installed (the [fast] extra)",
-)
-
-
-@requires_numpy
-@pytest.mark.parametrize("size", [3, 4, 5, 6])
-def test_bitparallel_np_matrix_byte_identical_to_serial(size, full_library):
-    """Acceptance criterion of the lane-tiled backend: byte-identity
-    with the serial engine over the full standard library, the same
-    contract the bignum backend carries."""
-    serial = SimulationKernel(backend="serial").detection_matrix(
-        TESTS, full_library, size
-    )
-    tiled = SimulationKernel(backend="bitparallel-np").detection_matrix(
-        TESTS, full_library, size
-    )
-    assert tiled == serial
-    assert json.dumps(tiled, sort_keys=True) == json.dumps(
-        serial, sort_keys=True
-    )
-
-
-@requires_numpy
-@pytest.mark.parametrize("size", [3, 4, 5, 6])
-def test_bitparallel_np_matches_bitparallel(size, full_library):
-    """The two packed engines share one lane plan; their verdicts must
-    agree word for word (the tiled engine is *defined* by this)."""
-    packed = SimulationKernel(backend="bitparallel").detection_matrix(
-        TESTS, full_library, size
-    )
-    tiled = SimulationKernel(backend="bitparallel-np").detection_matrix(
-        TESTS, full_library, size
-    )
-    assert tiled == packed
-
-
-@requires_numpy
-def test_bitparallel_np_routes_both_ways(full_library):
-    from repro.faults.instances import case
-    from repro.memory.array import NullFaultInstance
-
-    class CustomInstance(NullFaultInstance):
-        """Unknown type: must route to the scalar fallback."""
-
-    kernel = SimulationKernel(backend="bitparallel-np")
-    cases = list(full_library.instances(3)) + [case("custom", CustomInstance)]
-    kernel.detection_matrix(TESTS, cases, 3)
-    served = kernel.backend.served
-    assert served.get("bitparallel-np", 0) > 0, "no tiled tasks"
-    assert served.get("serial", 0) > 0, (
-        "unknown instance types should fall back to scalar"
-    )
-
-
-@requires_numpy
-def test_bitparallel_np_verifier_agrees_with_serial(full_library):
-    from repro.march.test import parse_march
-
-    cases = full_library.instances(3)
-    tiled_verify = SimulationKernel(backend="bitparallel-np").verifier(
-        cases, 3
-    )
-    serial_verify = SimulationKernel().verifier(cases, 3)
-    candidates = TESTS + [
-        parse_march("{any(w0); any(r0)}"),
-        parse_march("{up(w0); up(r0,w1); down(r1,w0); down(r0)}"),
-        parse_march("{any(w1); any(r0)}"),  # malformed
-    ]
-    for candidate in candidates:
-        assert tiled_verify(candidate) == serial_verify(candidate), str(
-            candidate
-        )
-
-
 def test_coverage_matrix_unchanged_by_kernel_routing(full_library):
     from repro.simulator.coverage import coverage_matrix
 

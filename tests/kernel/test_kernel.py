@@ -7,7 +7,6 @@ from repro.faults.instances import case
 from repro.kernel import (
     BACKENDS,
     BitParallelBackend,
-    BitParallelNumpyBackend,
     DetectTask,
     EmptyFaultListWarning,
     FaultDictionaryCache,
@@ -24,11 +23,6 @@ from repro.march.catalog import MARCH_C_MINUS, MATS, MSCAN
 from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
 from repro.memory.state import DASH
-from repro.simulator.tilengine import numpy_available
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the tiled engine needs NumPy"
-)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +131,7 @@ class TestPool:
 
 class TestBackends:
     def test_registry_contains_all(self):
-        assert set(BACKENDS) == {"serial", "bitparallel", "bitparallel-np"}
+        assert set(BACKENDS) == {"serial", "bitparallel"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):
@@ -158,31 +152,20 @@ class TestBitParallelBackend:
         serial = SimulationKernel().detection_matrix(tests, cases, 3)
         assert packed == serial
 
-    # The routing tests run on both packed engines: they share one
-    # detect_batch, and only the simulation/verdict step differs.
-
-    @staticmethod
-    def _check_routing_split(backend):
+    def test_served_counters_split_by_routing(self):
         # SAF packs; an unknown instance type falls back to scalar.
         class CustomInstance(NullFaultInstance):
             pass
 
-        kernel = SimulationKernel(backend=backend)
+        kernel = SimulationKernel(backend="bitparallel")
         saf_cases = FaultList.from_names("SAF").instances(3)
         cases = list(saf_cases) + [case("custom", CustomInstance)]
         report = kernel.simulate(MATS, cases, 3)
         assert kernel.backend.served == {
-            backend: len(saf_cases),
+            "bitparallel": len(saf_cases),
             "serial": 1,
         }
         assert len(report.detected) + len(report.missed) == len(cases)
-
-    def test_served_counters_split_by_routing(self):
-        self._check_routing_split("bitparallel")
-
-    @requires_numpy
-    def test_served_counters_split_by_routing_tiled(self):
-        self._check_routing_split("bitparallel-np")
 
     def test_describe_stats_reports_routing_and_evictions(self):
         kernel = SimulationKernel(backend="bitparallel")
@@ -200,8 +183,8 @@ class TestBitParallelBackend:
         assert kernel.backend.served == {}
         assert "served no tasks" in kernel.describe_stats()
 
-    @staticmethod
-    def _check_plan_cache(backend, saf_list):
+    def test_lane_plan_cache_is_bounded_and_reused(self, saf_list):
+        backend = BitParallelBackend()
         backend.PLAN_CACHE_SIZE = 2
         cases = saf_list.instances(3)
         tasks = [DetectTask(MATS, c, 3) for c in cases]
@@ -216,13 +199,6 @@ class TestBitParallelBackend:
                  for c in saf_list.instances(size)]
             )
         assert len(backend._simulations) <= 2
-
-    def test_lane_plan_cache_is_bounded_and_reused(self, saf_list):
-        self._check_plan_cache(BitParallelBackend(), saf_list)
-
-    @requires_numpy
-    def test_lane_plan_cache_is_bounded_and_reused_tiled(self, saf_list):
-        self._check_plan_cache(BitParallelNumpyBackend(), saf_list)
 
     def test_single_probe_batches_work(self, saf_list):
         # The generator's verifier sends batches of one; the packed

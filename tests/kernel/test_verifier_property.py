@@ -1,7 +1,8 @@
-"""Differential property: the packed whole-list verifier against the
-serial scalar verifier.
+"""Differential properties: the packed engine against the serial scalar
+engine, through the whole-list verifier and the batched detection
+matrix.
 
-On the lane-packed backends ``SimulationKernel.verifier`` checks a
+On the lane-packed backend ``SimulationKernel.verifier`` checks a
 candidate with one shared-prefix walk of its order realizations --
 lane 0 doubles as the well-formedness check -- and then a fail-fast
 scalar pass over the unpackable cases.  The ``serial`` backend keeps the reference
@@ -72,11 +73,12 @@ def custom_cases(size):
 
 
 @st.composite
-def random_tests(draw):
-    """0-8 ANY elements shuffled among 0-6 UP/DOWN elements or ``Del``
-    (at least one element in all), with random read expectations (so
-    malformed tests occur), so deep realization trees are covered too."""
-    any_count = draw(st.integers(min_value=0, max_value=8))
+def random_tests(draw, max_any=8):
+    """0-``max_any`` ANY elements shuffled among 0-6 UP/DOWN elements or
+    ``Del`` (at least one element in all), with random read expectations
+    (so malformed tests occur), so deep realization trees are covered
+    too."""
+    any_count = draw(st.integers(min_value=0, max_value=max_any))
     fixed_count = draw(st.integers(min_value=0, max_value=6))
     kinds = draw(st.permutations(
         ["any"] * any_count + ["fixed"] * max(fixed_count, 1 - any_count)
@@ -126,6 +128,34 @@ def test_packed_verifier_agrees_with_serial(models, size, custom, tests):
     serial = SimulationKernel(backend="serial").verifier(cases, size)
     for test in tests:
         assert packed(test) == serial(test), (str(test), models, size)
+
+
+@given(
+    models=model_sets,
+    size=st.sampled_from((2, 3, 4)),
+    tests=st.lists(
+        st.one_of(
+            random_tests(max_any=3),
+            st.sampled_from(sorted(CATALOG.values(), key=str)),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_packed_detection_matrix_agrees_with_serial(models, size, tests):
+    # Per test, one verdict per fault case: the batched sweep path
+    # (``PackedSimulation.worst_case_verdicts``), not the verifier.  The
+    # scalar reference runs every realization, so drawn tests keep to at
+    # most three ⇕ elements.
+    cases = fault_cases(models, size, False)
+    serial = SimulationKernel(backend="serial").detection_matrix(
+        tests, cases, size
+    )
+    packed = SimulationKernel(backend="bitparallel").detection_matrix(
+        tests, cases, size
+    )
+    assert packed == serial, ([str(test) for test in tests], models, size)
 
 
 def test_custom_cases_ride_the_scalar_remainder():

@@ -7,7 +7,9 @@ reference is the enumeration it replaced: one bignum ``run_variant``
 per ``concrete_order_variants()`` realization from an empty memory.
 The walk must produce the same set of leaf masks -- hence the same
 AND, the same worst-case verdicts and the same first failing leaf --
-on the bignum and on the tiled engine.
+on the bare bignum engine and through a
+:class:`~repro.simulator.bitengine.TransitionTable`, whose walk must
+also match the bare walk leaf for leaf.
 """
 
 import weakref
@@ -26,13 +28,22 @@ from repro.march.element import (
     MarchOp,
 )
 from repro.march.test import MarchTest, parse_march
-from repro.simulator.bitengine import PackedSimulation, PackedState
+from repro.simulator.bitengine import (
+    PackedSimulation,
+    PackedState,
+    TransitionTable,
+)
 from repro.simulator.ordertree import walk_realizations
-from repro.simulator.tilengine import TiledSimulation, numpy_available
 
 MODELS = tuple(sorted(MODEL_REGISTRY))
 
-ENGINES = {"bignum": PackedSimulation, "tiled": TiledSimulation}
+ENGINES = {
+    "bignum": PackedSimulation,
+    "table": lambda cases, size: TransitionTable(
+        PackedSimulation(cases, size)
+    ),
+}
+ENGINE_PARAMS = sorted(ENGINES)
 
 #: ``MarchOp("r", None)`` is a read that verifies nothing.
 ops = st.sampled_from([
@@ -74,35 +85,21 @@ model_sets = st.one_of(
 )
 
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the tiled engine needs NumPy"
-)
-ENGINE_PARAMS = ["bignum", pytest.param("tiled", marks=needs_numpy)]
-
-
 @lru_cache(maxsize=None)
 def simulation(engine, models, size):
     cases = FaultList.from_names(*models).instances(size)
     return ENGINES[engine](cases, size)
 
 
-def as_int(detected):
-    """A detected mask as a Python int (tiled masks are uint64 tiles)."""
-    if isinstance(detected, int):
-        return detected
-    return int.from_bytes(detected.tobytes(), "little")
-
-
 def enumerated_leaves(sim, test):
     return [
-        as_int(sim.run_variant(variant))
-        for variant in test.concrete_order_variants()
+        sim.run_variant(variant) for variant in test.concrete_order_variants()
     ]
 
 
 def walked_leaves(sim, test):
     leaves = []
-    walk = walk_realizations(sim, test, lambda d: leaves.append(as_int(d)))
+    walk = walk_realizations(sim, test, leaves.append)
     assert not walk.stopped
     assert walk.leaves == len(leaves)
     return leaves, walk
@@ -115,13 +112,17 @@ DEEP = parse_march(
 )
 
 
-def check_walk_matches_the_enumeration(engine, test, models, size):
-    # The reference is always the bignum enumeration: the engines are
-    # byte-identical per run (tests/simulator/test_tilengine.py), and
-    # the tiled engine's per-op NumPy dispatch would make its own
-    # 2**k enumeration the slowest part of this suite.
-    reference = enumerated_leaves(simulation("bignum", models, size), test)
-    sim = simulation(engine, models, size)
+@given(
+    test=any_order_tests(),
+    models=model_sets,
+    size=st.sampled_from((2, 3, 4)),
+)
+@example(test=DEEP, models=MODELS, size=4)
+@example(test=DEEP, models=("ADF", "CFIN", "CFID", "SOF"), size=2)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_bignum_walk_matches_the_enumeration(test, models, size):
+    sim = simulation("bignum", models, size)
+    reference = enumerated_leaves(sim, test)
     leaves, walk = walked_leaves(sim, test)
     # Merging only skips repeats, so every leaf value still shows up.
     assert set(leaves) == set(reference), (str(test), models, size)
@@ -134,28 +135,26 @@ def check_walk_matches_the_enumeration(engine, test, models, size):
     assert stopped == (True, 1, len(test.order_segments()))
 
 
-generated = given(
-    test=any_order_tests(),
+@given(
+    tests=st.lists(any_order_tests(), min_size=2, max_size=6),
     models=model_sets,
     size=st.sampled_from((2, 3, 4)),
 )
-
-
-@generated
-@example(test=DEEP, models=MODELS, size=4)
-@example(test=DEEP, models=("ADF", "CFIN", "CFID", "SOF"), size=2)
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_bignum_walk_matches_the_enumeration(test, models, size):
-    check_walk_matches_the_enumeration("bignum", test, models, size)
-
-
-@needs_numpy
-@generated
-@example(test=DEEP, models=MODELS, size=4)
-@example(test=DEEP, models=("ADF", "CFIN", "CFID", "SOF"), size=2)
-@settings(max_examples=12, deadline=None, derandomize=True)
-def test_tiled_walk_matches_the_enumeration(test, models, size):
-    check_walk_matches_the_enumeration("tiled", test, models, size)
+@example(tests=[DEEP, MARCH_C_MINUS], models=MODELS, size=4)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_table_walk_matches_the_bare_walk(tests, models, size):
+    # Per-lane equality, leaf for leaf and in walk order.  One table
+    # walks the whole stream, so later walks step through transitions
+    # that earlier ones stored: a table key that forgot a state field
+    # would hand a state another state's successor, and the masks would
+    # part even where no verdict flips.
+    bare = simulation("bignum", models, size)
+    table = TransitionTable(bare)
+    for test in tests:
+        leaves, walk = walked_leaves(table, test)
+        assert (leaves, walk) == walked_leaves(bare, test), (
+            str(test), models, size
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINE_PARAMS)
@@ -187,22 +186,9 @@ def test_state_keys_cover_every_field(engine):
         words = getattr(changed, field)
         if isinstance(words, int):
             setattr(changed, field, words ^ 2)
-        elif isinstance(words, list):
-            words[-1] ^= 2
         else:
-            words.reshape(-1)[-1] ^= 2  # the last cell's defined word
+            words[-1] ^= 2
         assert changed.key(detected) != base, field
-
-
-@needs_numpy
-def test_tiled_keys_are_fixed_size_digests():
-    # A walk keeps one key per distinct node: bytes of the planes would
-    # make that a copy of the whole state each.
-    for size in (2, 4):
-        sim = simulation("tiled", MODELS, size)
-        state = sim.new_state()
-        detected = sim.run_variant(MARCH_C_MINUS, state)
-        assert len(state.key(detected)) == 32
 
 
 class CountingSimulation(PackedSimulation):
@@ -268,8 +254,8 @@ class TrackingSimulation(PackedSimulation):
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_walk_holds_one_state_per_any_element_plus_one(name):
-    # On the tiled engine at large sizes the walk's memory is its live
-    # states; the enumeration it replaced held one at a time.
+    # At large sizes the walk's memory is its live states; the
+    # enumeration it replaced held one at a time.
     test = CATALOG[name]
     any_count = len(test.concrete_order_variants()).bit_length() - 1
     sim = TrackingSimulation(FaultList.from_names("SAF", "TF").instances(3), 3)

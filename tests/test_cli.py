@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -260,3 +265,19 @@ class TestExport:
     def test_export_latex(self, capsys):
         assert main(["export", "MATS", "--format", "latex"]) == 0
         assert r"\Updownarrow" in capsys.readouterr().out
+
+
+def test_importing_the_package_loads_no_numpy():
+    # Every CLI call and campaign worker pays for what these imports
+    # pull in; the engines are pure Python.
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli, repro.kernel;"
+         " assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )
