@@ -8,8 +8,8 @@ Compared paths:
 
 * **legacy**       -- the pre-refactor loop: variants re-enumerated and
   a fresh ``MemoryArray`` allocated per (order-variant, fault-variant);
-* **cold**         -- a fresh kernel (serial backend): pooled memories,
-  per-test variant hoisting, batched evaluation;
+* **cold**         -- a fresh kernel (serial backend): per-test variant
+  hoisting, batched evaluation;
 * **warm**         -- the same kernel again: pure fault-dictionary
   lookups;
 * **bitparallel**  -- a fresh kernel with the word-packed backend: all

@@ -49,9 +49,6 @@ class PairBFEInstance(NullFaultInstance):
 
     # -- mapping helpers ---------------------------------------------------
 
-    def _address_of(self, cell: str) -> int:
-        return self.a if cell == "i" else self.b
-
     def _cell_of(self, address: int) -> str:
         return "i" if address == self.a else "j"
 

@@ -24,7 +24,6 @@ from .kernel import (
     get_default_kernel,
     set_default_kernel,
 )
-from .pool import MemoryPool
 from .report import EmptyFaultListWarning, SimulationReport
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "ExecutionBackend",
     "FaultDictionaryCache",
     "KernelStats",
-    "MemoryPool",
     "SerialBackend",
     "SimKey",
     "SimulationKernel",

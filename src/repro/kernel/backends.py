@@ -15,8 +15,7 @@ reports so routing decisions stay observable.
 Adding a backend
 ----------------
 Subclass :class:`ExecutionBackend`, implement ``detect_batch``, and
-register the class in :data:`BACKENDS` under its ``name`` (the
-factory is called with the kernel's shared ``pool=``); it is then
+register the class in :data:`BACKENDS` under its ``name``; it is then
 selectable through ``GeneratorConfig(backend=...)`` and the CLI's
 ``--backend`` flag.  ``detect_batch`` must preserve task order and must
 compute exactly the worst-case semantics of
@@ -32,9 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
+from ..memory.array import MemoryArray
 from ..simulator.bitengine import PackedSimulation, lane_packable_case
 from ..simulator.engine import run_march
-from .pool import MemoryPool
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,6 @@ def worst_case_detects(
     variants: Sequence[MarchTest],
     factories: Sequence[Callable[[], object]],
     size: int,
-    pool: MemoryPool,
-    active_reads: Optional[set] = None,
 ) -> bool:
     """The kernel's single source of truth for worst-case detection.
 
@@ -60,16 +57,11 @@ def worst_case_detects(
     ``factories`` the behavioural variants of one fault case.  Evaluation
     short-circuits on the first missed combination.
     """
-    for variant in variants:
-        for make_instance in factories:
-            memory = pool.acquire(size, make_instance())
-            detected = run_march(
-                variant, memory, active_reads=active_reads
-            ).detected
-            pool.release(memory)
-            if not detected:
-                return False
-    return True
+    return all(
+        run_march(variant, MemoryArray(size, fault=make_instance())).detected
+        for variant in variants
+        for make_instance in factories
+    )
 
 
 class ExecutionBackend:
@@ -101,13 +93,9 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process evaluation with pooled memories (the default)."""
+    """In-process scalar evaluation (the default)."""
 
     name = "serial"
-
-    def __init__(self, pool: Optional[MemoryPool] = None) -> None:
-        super().__init__()
-        self.pool = pool or MemoryPool()
 
     def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
         self.count_served("serial", len(tasks))
@@ -116,7 +104,6 @@ class SerialBackend(ExecutionBackend):
                 task.test.concrete_order_variants(),
                 task.case.variants,
                 task.size,
-                self.pool,
             )
             for task in tasks
         ]
@@ -149,9 +136,9 @@ class BitParallelBackend(ExecutionBackend):
     #: Bound of the lane-plan cache (LRU beyond it).
     PLAN_CACHE_SIZE = 128
 
-    def __init__(self, pool: Optional[MemoryPool] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._serial = SerialBackend(pool)
+        self._serial = SerialBackend()
         self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
             OrderedDict()
         )
@@ -241,15 +228,10 @@ def validate_backend_name(backend: str) -> str:
 
 def resolve_backend(
     backend: "str | ExecutionBackend | None",
-    pool: Optional[MemoryPool] = None,
 ) -> ExecutionBackend:
-    """Turn a backend name (or ready instance) into an instance.
-
-    The kernel's memory pool is shared with every backend, so serial
-    evaluation and cache-miss fills recycle the same arrays.
-    """
+    """Turn a backend name (or ready instance) into an instance."""
     if backend is None:
-        return SerialBackend(pool)
+        return SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    return BACKENDS[validate_backend_name(backend)](pool=pool)
+    return BACKENDS[validate_backend_name(backend)]()

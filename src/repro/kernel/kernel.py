@@ -10,9 +10,11 @@ kernel, which
 * memoizes worst-case verdicts in a bounded fault-dictionary cache
   keyed by :class:`~repro.kernel.cache.SimKey` (canonical test
   signature, case name, memory size, domain), with hit/miss stats;
-* hoists ``concrete_order_variants()`` out of all inner loops and
-  recycles :class:`~repro.memory.array.MemoryArray` instances through a
-  :class:`~repro.kernel.pool.MemoryPool` instead of reallocating;
+* hoists ``concrete_order_variants()`` out of all inner loops (each
+  scalar run allocates a fresh :class:`~repro.memory.array.MemoryArray`);
+* answers the Section 6 analysis with one plain scalar run per
+  (realization, behavioural variant), reporting the set of reads that
+  mismatched (:meth:`SimulationKernel.read_detections`);
 * dispatches batched cache misses to a pluggable
   :class:`~repro.kernel.backends.ExecutionBackend` (the scalar
   ``serial`` reference, or the word-packed ``bitparallel``), selectable via
@@ -39,7 +41,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -62,10 +63,8 @@ from .backends import (
     DetectTask,
     ExecutionBackend,
     resolve_backend,
-    worst_case_detects,
 )
 from .cache import FaultDictionaryCache, KernelStats, SimKey
-from .pool import MemoryPool
 from .report import SimulationReport, warn_if_empty
 
 #: Memory size used for validation.  Three cells exercise every
@@ -142,9 +141,6 @@ class SimulationKernel:
         :class:`ExecutionBackend`, or ``None`` for serial.
     cache_size:
         Bound of the fault-dictionary cache (LRU beyond it).
-    pool:
-        Optional shared :class:`MemoryPool`; one is created per kernel
-        by default.
     store:
         Path to the persistent fault-dictionary store, a
         ``repro+unix:///path/to.sock`` verdict-service URL (the
@@ -183,15 +179,13 @@ class SimulationKernel:
         self,
         backend: Union[str, ExecutionBackend, None] = None,
         cache_size: int = 1_000_000,
-        pool: Optional[MemoryPool] = None,
         store: Union[str, FaultDictionaryStore, None] = None,
         store_readonly: bool = False,
         store_retry: Optional[Any] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else TELEMETRY_OFF
-        self.pool = pool or MemoryPool()
-        self.backend = resolve_backend(backend, self.pool)
+        self.backend = resolve_backend(backend)
         # A store the kernel opened from a path or service URL is the
         # kernel's to close; a caller-provided instance may be shared
         # with other kernels, so close() must leave it alone.
@@ -391,27 +385,31 @@ class SimulationKernel:
             "repro.backend.detect.seconds", backend=backend
         ).observe(getattr(span, "seconds", None) or 0.0)
 
-    def detects_with_active_reads(
+    def read_detections(
         self,
         test: MarchTest,
         factories: Sequence[Callable[[], object]],
-        active: Set[Tuple[int, int]],
         size: int = DEFAULT_SIZE,
-    ) -> bool:
-        """Worst-case detection with only ``active`` reads verifying.
+    ) -> Iterator[FrozenSet[Tuple[int, int]]]:
+        """The verifying reads that mismatched, one set per run.
 
-        Supports the Coverage Matrix construction (Section 6): reads
-        outside ``active`` still execute but do not verify.  Uncached
-        (the (block, column) grid rarely repeats) but pooled and
-        variant-hoisted.
+        Yields, lazily and realization by realization, the
+        ``(element_index, op_index)`` keys of the reads that detected
+        one behavioural variant of ``factories`` in one plain scalar
+        run of a concrete realization of ``test``.  The Section 6
+        analysis (:mod:`repro.simulator.coverage`) is set algebra over
+        these sets.  Uncached: the consumer stops as soon as it can.
         """
-        return worst_case_detects(
-            test.concrete_order_variants(),
-            factories,
-            size,
-            self.pool,
-            active_reads=active,
-        )
+        for variant in test.concrete_order_variants():
+            for make_instance in factories:
+                run = run_march(
+                    variant, MemoryArray(size, fault=make_instance())
+                )
+                yield frozenset(
+                    (r.element_index, r.op_index)
+                    for r in run.reads
+                    if r.mismatch
+                )
 
     # -- batched APIs -----------------------------------------------------------
 
@@ -667,11 +665,9 @@ class SimulationKernel:
     def syndrome_of(
         self, test: MarchTest, make_instance: Callable[[], object], size: int
     ) -> Syndrome:
-        """Uncached syndrome of one fault instance factory (pooled)."""
-        concrete = concrete_realization(test)
-        memory = self.pool.acquire(size, make_instance())
-        run = run_march(concrete, memory)
-        self.pool.release(memory)
+        """Uncached syndrome of one fault instance factory."""
+        memory = MemoryArray(size, fault=make_instance())
+        run = run_march(concrete_realization(test), memory)
         return frozenset(
             (r.element_index, r.op_index, r.address, r.actual)
             for r in run.reads
@@ -702,19 +698,17 @@ class SimulationKernel:
         return verdict
 
 
-def concrete_realization(test: MarchTest, up: bool = True) -> MarchTest:
-    """Resolve every ANY order to a concrete direction.
+def concrete_realization(test: MarchTest) -> MarchTest:
+    """Resolve every ANY order to UP (the ascending realization).
 
     The single definition shared by the diagnosis semantics above and
-    the Coverage Matrix construction
-    (:func:`repro.simulator.coverage.concrete_realization` delegates
-    here): an ``ANY`` element detects under *either* order, so per-block
+    the Coverage Matrix construction (:mod:`repro.simulator.coverage`):
+    an ``ANY`` element detects under *either* order, so per-block
     coverage and syndrome signatures are only meaningful once an order
     is fixed.
     """
-    order = AddressOrder.UP if up else AddressOrder.DOWN
     elements = tuple(
-        e.with_order(order)
+        e.with_order(AddressOrder.UP)
         if isinstance(e, MarchElement) and e.order is AddressOrder.ANY
         else e
         for e in test.elements

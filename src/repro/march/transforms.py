@@ -68,8 +68,3 @@ def complement(test: MarchTest) -> MarchTest:
     return MarchTest(
         tuple(elements), f"{test.name}~complement" if test.name else ""
     )
-
-
-def is_involution_pair(test: MarchTest, transform) -> bool:
-    """Transforms are involutions: applying twice is the identity."""
-    return str(transform(transform(test))) == str(test)

@@ -8,6 +8,11 @@ that let an injected fault instance intercept the good behaviour.
 The array intentionally knows nothing about fault *models*; it only
 exposes the mechanics (pre/post write hooks, read interception).  Fault
 instances live in :mod:`repro.faults.instances`.
+
+An array is cheap to build, and every scalar run builds a fresh one:
+a run starts with all cells non-initialized, the fault instance
+installed and an empty trace log, so no state carries over between
+runs.
 """
 
 from __future__ import annotations
@@ -112,21 +117,6 @@ class MemoryArray:
     def snapshot(self) -> tuple:
         """An immutable copy of the raw contents."""
         return tuple(self.raw)
-
-    def reset(self, fault: "FaultInstance" = None) -> "MemoryArray":
-        """Return the array to its freshly-constructed state.
-
-        Clears every cell back to non-initialized, installs ``fault``
-        (fault-free when omitted) and drops any trace log.  Used by the
-        simulation kernel to pool arrays across runs instead of
-        allocating a new one per (test, fault-instance) pair.
-        """
-        for address in range(self.size):
-            self.raw[address] = DASH
-        self.fault = fault if fault is not None else NullFaultInstance()
-        if self.log:
-            self.log.clear()
-        return self
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .operations import SYMBOLIC_CELLS, Operation, cell_order
 
@@ -106,9 +106,6 @@ class MemoryState:
 
     def __iter__(self) -> Iterator[Tuple[str, object]]:
         return iter(zip(self.cells, self.values))
-
-    def as_dict(self) -> Dict[str, object]:
-        return dict(zip(self.cells, self.values))
 
     @property
     def is_concrete(self) -> bool:

@@ -5,12 +5,24 @@ block as one verifying read per cell position (the observation point of
 an excite/observe pair -- the excitation context is whatever precedes
 the read).  The Coverage Matrix CM has one row per block and one column
 per target fault case; ``CM[block][case] = 1`` when the block alone
-(all other reads demoted to non-verifying, so machine behaviour is
-unchanged) detects the case.
+(all other reads demoted to non-verifying) detects the case.
 
 The test detects everything iff each column has a 1; it is
 non-redundant iff the minimum set cover of the columns needs **all**
 rows.
+
+Why one plain run per (realization, behavioural variant) is exact: a
+demoted read still executes -- it may still disturb the memory -- and
+only its mismatch stops counting, so the machine's states never depend
+on which reads verify.  A run with only the blocks ``A`` verifying
+therefore detects iff ``A`` meets the set ``D`` of reads that
+mismatched in the plain run
+(:meth:`~repro.kernel.SimulationKernel.read_detections`), and both
+analyses are set algebra over those sets:
+
+* ``CM[block][column]`` is ``block in D`` on the ascending realization;
+* block ``b`` can be demoted iff every ``D`` keeps a member other than
+  ``b``.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from ..faults.instances import FaultCase
 from ..kernel import (
     DEFAULT_SIZE,
     SimulationKernel,
-    concrete_realization as _kernel_concrete_realization,
+    concrete_realization,
     get_default_kernel,
 )
 from ..march.element import MarchElement
@@ -38,6 +50,12 @@ class ElementaryBlock:
     index: int
     element_index: int
     op_index: int
+
+    @property
+    def key(self) -> Tuple[int, int]:
+        """The ``(element_index, op_index)`` of the read, as a run's
+        detecting set names it."""
+        return (self.element_index, self.op_index)
 
     def describe(self, test: MarchTest) -> str:
         element = test.elements[self.element_index]
@@ -108,25 +126,6 @@ class CoverageMatrix:
         return [b.index for b in self.blocks if b.index not in needed]
 
 
-def _detects_with_blocks(
-    test: MarchTest,
-    variants,
-    active: Set[Tuple[int, int]],
-    size: int,
-    kernel: Optional[SimulationKernel] = None,
-) -> bool:
-    """Worst-case detection with only the given blocks verifying.
-
-    ``active`` holds ``(element_index, op_index)`` keys of the reads
-    that keep their verification; all other reads still execute but do
-    not verify, so machine behaviour is unchanged.  ``variants`` is a
-    sequence of fault-instance factories that must all be caught.
-    Simulation runs on the kernel's pooled, variant-hoisted path.
-    """
-    kernel = kernel or get_default_kernel()
-    return kernel.detects_with_active_reads(test, variants, active, size)
-
-
 def _variant_columns(cases: Sequence[FaultCase]):
     """One CM column per behavioural variant.
 
@@ -144,49 +143,35 @@ def _variant_columns(cases: Sequence[FaultCase]):
     return columns
 
 
-def concrete_realization(test: MarchTest, up: bool = True) -> MarchTest:
-    """Resolve every ANY order to a concrete direction.
-
-    The paper's Coverage Matrix is built over a concrete March test;
-    an ``ANY`` element detects under *either* order, so per-block
-    coverage is only meaningful once an order is fixed.  Delegates to
-    the kernel's shared definition (also used for diagnosis syndromes)
-    so the two semantics can never drift apart.
-    """
-    return _kernel_concrete_realization(test, up)
-
-
 def coverage_matrix(
     test: MarchTest,
     cases: Sequence[FaultCase],
     size: int = DEFAULT_SIZE,
-    realize_up: Optional[bool] = True,
     kernel: Optional[SimulationKernel] = None,
 ) -> CoverageMatrix:
     """Build the Coverage Matrix of a test against fault cases.
 
-    ``realize_up`` fixes ANY orders to UP (True) or DOWN (False) before
-    the analysis; pass ``None`` to keep the strict worst-case ANY
-    semantics (blocks must detect under every realization alone).
+    ANY orders are fixed to UP first (:func:`concrete_realization`):
+    an ANY element detects under either order, so a per-block row is
+    only meaningful once an order is fixed.
     """
     kernel = kernel or get_default_kernel()
-    if realize_up is not None:
-        test = concrete_realization(test, realize_up)
+    test = concrete_realization(test)
     blocks = elementary_blocks(test)
     columns = _variant_columns(cases)
-    matrix: List[Tuple[bool, ...]] = []
-    for block in blocks:
-        key = {(block.element_index, block.op_index)}
-        row = tuple(
-            _detects_with_blocks(test, (factory,), key, size, kernel)
-            for _, factory in columns
+    detections = list(
+        kernel.read_detections(
+            test, [factory for _, factory in columns], size
         )
-        matrix.append(row)
+    )
     return CoverageMatrix(
         test,
         blocks,
         tuple(name for name, _ in columns),
-        tuple(matrix),
+        tuple(
+            tuple(block.key in detected for detected in detections)
+            for block in blocks
+        ),
     )
 
 
@@ -200,22 +185,25 @@ def demotion_redundant_blocks(
 
     The robust necessity criterion (well-defined for ANY orders): block
     ``b`` is redundant when demoting *only* ``b`` to a plain read still
-    detects every case in the worst case.  An empty result means every
+    detects every case in the worst case, i.e. when every run's
+    detecting set keeps a read other than ``b``.  The runs stream until
+    no block is left undecided.  An empty result means every
     observation is load-bearing.
     """
     kernel = kernel or get_default_kernel()
     blocks = elementary_blocks(test)
-    all_keys = {(b.element_index, b.op_index) for b in blocks}
-    redundant: List[ElementaryBlock] = []
-    for block in blocks:
-        active = all_keys - {(block.element_index, block.op_index)}
-        if all(
-            _detects_with_blocks(test, fault_case.variants, active, size,
-                                 kernel)
-            for fault_case in cases
+    undecided = {block.key for block in blocks}
+    for fault_case in cases:
+        for detected in kernel.read_detections(
+            test, fault_case.variants, size
         ):
-            redundant.append(block)
-    return redundant
+            # A run no read detects needs every block, and a run one
+            # read detects needs that read.
+            if not (undecided and detected):
+                return []
+            if len(detected) == 1:
+                undecided -= detected
+    return [block for block in blocks if block.key in undecided]
 
 
 def is_non_redundant(

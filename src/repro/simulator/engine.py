@@ -64,19 +64,8 @@ class MarchRun:
         return tuple(r for r in self.reads if r.is_verifying)
 
 
-def run_march(
-    test: MarchTest,
-    memory: MemoryArray,
-    active_reads: Optional[set] = None,
-) -> MarchRun:
-    """Execute ``test`` on ``memory`` and collect read observations.
-
-    ``active_reads`` optionally restricts which verifying reads keep
-    their expectation, identified by ``(element_index, op_index)``
-    pairs; all other reads still execute -- they may disturb the memory
-    -- but are recorded as plain reads.  This supports the Coverage
-    Matrix construction of Section 6.
-    """
+def run_march(test: MarchTest, memory: MemoryArray) -> MarchRun:
+    """Execute ``test`` on ``memory`` and collect read observations."""
     records: List[ReadRecord] = []
     for element_index, element in enumerate(test.elements):
         if isinstance(element, DelayElement):
@@ -88,16 +77,11 @@ def run_march(
                 if op.is_write:
                     memory.write(address, op.value)
                     continue
-                actual = memory.read(address)
-                expected = op.value
-                if (
-                    expected is not None
-                    and active_reads is not None
-                    and (element_index, op_index) not in active_reads
-                ):
-                    expected = None
                 records.append(
-                    ReadRecord(element_index, op_index, address, expected, actual)
+                    ReadRecord(
+                        element_index, op_index, address, op.value,
+                        memory.read(address),
+                    )
                 )
     return MarchRun(tuple(records), memory.snapshot())
 

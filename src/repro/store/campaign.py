@@ -214,9 +214,6 @@ class CampaignSpec:
         """Catalog names or literal March notation, in spec order."""
         return [_resolve_test(text) for text in self.tests]
 
-    def fault_list(self) -> FaultList:
-        return FaultList.from_names(*self.faults)
-
     def jobs(self) -> List[Tuple[str, int, str]]:
         """(backend, size, test) triples, the deterministic job order.
 

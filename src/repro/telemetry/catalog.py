@@ -66,10 +66,3 @@ METRIC_SERIES: FrozenSet[str] = frozenset(CATALOG)
 def is_declared(name: str) -> bool:
     """True when ``name`` is a catalogued series name."""
     return name in METRIC_SERIES
-
-
-def declared_with_prefix(prefix: str) -> FrozenSet[str]:
-    """Catalogued names starting with ``prefix`` (for f-string literals
-    like ``f"repro.kernel.cache.{field}"`` the lint can only see the
-    static prefix)."""
-    return frozenset(name for name in METRIC_SERIES if name.startswith(prefix))

@@ -91,11 +91,11 @@ def test_verifier_agrees_with_legacy(full_library):
 
 
 def test_syndromes_identical_to_legacy(full_library):
-    from repro.simulator.coverage import concrete_realization
+    from repro.kernel import concrete_realization
 
     kernel = SimulationKernel()
     for fault_case in full_library.instances(4):
-        concrete = concrete_realization(MARCH_C_MINUS, up=True)
+        concrete = concrete_realization(MARCH_C_MINUS)
         memory = MemoryArray(4, fault=fault_case.variants[0]())
         run = run_march(concrete, memory)
         reference = frozenset(

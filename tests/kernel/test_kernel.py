@@ -1,4 +1,4 @@
-"""Unit tests of the kernel subsystem itself: cache, pool, backends."""
+"""Unit tests of the kernel subsystem itself: cache, backends."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.kernel import (
     DetectTask,
     EmptyFaultListWarning,
     FaultDictionaryCache,
-    MemoryPool,
     SerialBackend,
     SimKey,
     SimulationKernel,
@@ -22,7 +21,6 @@ from repro.kernel import (
 from repro.march.catalog import MARCH_C_MINUS, MATS, MSCAN
 from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
-from repro.memory.state import DASH
 
 
 @pytest.fixture(scope="module")
@@ -96,37 +94,6 @@ class TestCache:
         again = kernel.simulate(MATS, cases, 3)
         assert again.detected == report.detected
         assert kernel.stats.misses > len(cases)
-
-
-class TestPool:
-    def test_reuse_and_reset(self):
-        pool = MemoryPool()
-        memory = pool.acquire(3)
-        memory.write(0, 1)
-        memory.write(2, 0)
-        pool.release(memory)
-        again = pool.acquire(3)
-        assert again is memory
-        assert again.snapshot() == (DASH, DASH, DASH)
-        assert pool.reuses == 1 and pool.allocations == 1
-
-    def test_sizes_are_segregated(self):
-        pool = MemoryPool()
-        small = pool.acquire(2)
-        pool.release(small)
-        big = pool.acquire(5)
-        assert big is not small and big.size == 5
-
-    def test_reset_installs_fault(self):
-        from repro.faults.instances import StuckAtInstance
-        from repro.memory.array import MemoryArray, NullFaultInstance
-
-        memory = MemoryArray(3, fault=StuckAtInstance(0, 1))
-        memory.write(0, 0)
-        assert memory.read(0) == 1
-        memory.reset()
-        assert isinstance(memory.fault, NullFaultInstance)
-        assert memory.snapshot() == (DASH, DASH, DASH)
 
 
 class TestBackends:

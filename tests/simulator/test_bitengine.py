@@ -20,7 +20,7 @@ from repro.faults.primitives import (
     Sensitization,
     parse_primitive,
 )
-from repro.kernel import MemoryPool, worst_case_detects
+from repro.kernel import worst_case_detects
 from repro.march.catalog import MARCH_C_MINUS, MATS, MATS_PLUS_PLUS
 from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
@@ -35,11 +35,8 @@ from repro.simulator.bitengine import (
 
 def serial_verdicts(test, cases, size):
     """Reference: the scalar worst-case path, one case at a time."""
-    pool = MemoryPool()
     variants = test.concrete_order_variants()
-    return [
-        worst_case_detects(variants, c.variants, size, pool) for c in cases
-    ]
+    return [worst_case_detects(variants, c.variants, size) for c in cases]
 
 
 # -- mask-transition compilation -----------------------------------------------

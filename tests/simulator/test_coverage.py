@@ -3,10 +3,10 @@
 import pytest
 
 from repro.faults import FaultList
+from repro.kernel import concrete_realization
 from repro.march.catalog import MARCH_C, MARCH_C_MINUS, MATS
 from repro.march.test import parse_march
 from repro.simulator.coverage import (
-    concrete_realization,
     coverage_matrix,
     demotion_redundant_blocks,
     elementary_blocks,
@@ -28,7 +28,7 @@ class TestConcreteRealization:
     def test_any_resolved(self):
         from repro.march.element import AddressOrder
 
-        test = concrete_realization(MATS, up=True)
+        test = concrete_realization(MATS)
         assert all(
             e.order is AddressOrder.UP for e in test.march_elements
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.instances import StuckAtInstance, TransitionFaultInstance
+from repro.kernel import SimulationKernel
 from repro.march.catalog import MATS, MARCH_C_MINUS
 from repro.march.test import parse_march
 from repro.memory.array import MemoryArray
@@ -72,16 +73,22 @@ class TestFaultyRuns:
         assert not run.detected
 
 
-class TestActiveReads:
-    def test_demoted_reads_do_not_verify(self):
-        memory = MemoryArray(2, fault=StuckAtInstance(0, 0))
-        run = run_march(MATS, memory, active_reads=set())
-        assert not run.detected
-        # The reads still executed.
-        assert len(run.reads) == count_verifying_reads(MATS, 2)
+class TestReadDetections:
+    """The per-run detecting-read sets behind the Section 6 analysis."""
 
-    def test_selected_read_still_verifies(self):
-        # MATS's r1 lives in its third element (index 2), op 0.
+    def test_only_r1_detects_sa0(self):
+        # MATS's r1 lives in its third element (index 2), op 0; r0
+        # reads the stuck value back as expected.
+        sa0 = lambda: StuckAtInstance(0, 0)  # noqa: E731
+        detections = list(SimulationKernel().read_detections(MATS, [sa0], 2))
+        assert len(detections) == len(MATS.concrete_order_variants())
+        assert set(detections) == {frozenset({(2, 0)})}
+
+    def test_every_read_still_executes(self):
         memory = MemoryArray(2, fault=StuckAtInstance(0, 0))
-        run = run_march(MATS, memory, active_reads={(2, 0)})
-        assert run.detected
+        run = run_march(MATS, memory)
+        assert len(run.reads) == count_verifying_reads(MATS, 2)
+        mismatched = {
+            (r.element_index, r.op_index) for r in run.reads if r.mismatch
+        }
+        assert mismatched == {(2, 0)}

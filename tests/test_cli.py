@@ -238,8 +238,9 @@ class TestAnalyze:
 
     def test_analyze_flags_redundancy(self, capsys):
         assert main(["analyze", "MarchC", "SAF", "TF", "CFIN", "CFID"]) == 0
-        out = capsys.readouterr().out
-        assert "redundant" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "block analysis   : redundant (6 elementary blocks)" in lines
+        assert "redundant blocks : block2[elem3:⇑ op0:r0]" in lines
 
 
 class TestDiagnose:
