@@ -135,11 +135,6 @@ class MarchTestGenerator:
             polished = self._polish(best, verify, lower_bound, notes)
             if polished is not None:
                 best = polished
-        if best.test.complexity <= lower_bound:
-            notes.append(
-                f"complexity matches the GTS lower bound ({lower_bound}n):"
-                " provably minimal for the selected patterns"
-            )
 
         report = self._finalize(best, faults, explored, space, started)
         report.notes.extend(notes)

@@ -7,7 +7,6 @@ repository README for the cache-key and backend-extension guides.
 from .backends import (
     BACKENDS,
     BitParallelBackend,
-    DetectTask,
     ExecutionBackend,
     SerialBackend,
     backend_choices_text,
@@ -30,7 +29,6 @@ __all__ = [
     "BACKENDS",
     "BitParallelBackend",
     "DEFAULT_SIZE",
-    "DetectTask",
     "EmptyFaultListWarning",
     "ExecutionBackend",
     "FaultDictionaryCache",

@@ -1,13 +1,14 @@
 """Pluggable execution backends for the simulation kernel.
 
-A backend executes a batch of *detection tasks* -- ``(test, fault
-case, size)`` triples whose verdicts are not yet in the kernel's fault
-dictionary -- and returns one worst-case boolean per task.  The kernel
-never cares how: serially in-process (the scalar reference), or
-word-packed so every fault lane of a test advances in one bitwise
+A backend answers one test's cache misses: ``detect_batch(cases, test,
+size)`` returns one worst-case boolean per fault case, in case order.
+The kernel makes one call per test of a batched sweep, over just the
+cases whose verdicts are not yet in its fault dictionary.  It never
+cares how the backend evaluates them: serially in-process (the scalar
+reference), or word-packed so every fault lane advances in one bitwise
 operation per march step (``bitparallel``).
 
-Every backend counts the tasks it served per execution strategy in
+Every backend counts the cases it served per execution strategy in
 ``served`` (e.g. the bitparallel backend splits between ``bitparallel``
 and its scalar ``serial`` fallback), which the CLI's ``--sim-stats``
 reports so routing decisions stay observable.
@@ -17,8 +18,8 @@ Adding a backend
 Subclass :class:`ExecutionBackend`, implement ``detect_batch``, and
 register the class in :data:`BACKENDS` under its ``name``; it is then
 selectable through ``GeneratorConfig(backend=...)`` and the CLI's
-``--backend`` flag.  ``detect_batch`` must preserve task order and must
-compute exactly the worst-case semantics of
+``--backend`` flag.  ``detect_batch`` must return the verdicts in case
+order and must compute exactly the worst-case semantics of
 :func:`worst_case_detects` (every order variant x every behavioural
 variant must be caught).
 """
@@ -26,23 +27,13 @@ variant must be caught).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
 from ..simulator.bitengine import PackedSimulation, lane_packable_case
 from ..simulator.engine import run_march
-
-
-@dataclass(frozen=True)
-class DetectTask:
-    """One unit of kernel work: does ``test`` detect ``case`` at ``size``?"""
-
-    test: MarchTest
-    case: FaultCase
-    size: int
 
 
 def worst_case_detects(
@@ -65,7 +56,7 @@ def worst_case_detects(
 
 
 class ExecutionBackend:
-    """Strategy interface: evaluate a batch of detection tasks."""
+    """Strategy interface: evaluate one test against many fault cases."""
 
     #: Registry key; also what ``--backend`` matches against.
     name = "abstract"
@@ -76,7 +67,7 @@ class ExecutionBackend:
     lane_packed = False
 
     def __init__(self) -> None:
-        #: Tasks served per execution strategy, e.g. ``{"serial": 12}``
+        #: Cases served per execution strategy, e.g. ``{"serial": 12}``
         #: or ``{"bitparallel": 60, "serial": 9}`` when a backend
         #: routes part of a batch to a fallback.  ``--sim-stats`` prints
         #: this so routing decisions are observable.
@@ -84,11 +75,14 @@ class ExecutionBackend:
         #: route/fallback counters.
         self.served: Dict[str, int] = {}
 
-    def count_served(self, strategy: str, tasks: int) -> None:
-        if tasks:
-            self.served[strategy] = self.served.get(strategy, 0) + tasks
+    def count_served(self, strategy: str, cases: int) -> None:
+        if cases:
+            self.served[strategy] = self.served.get(strategy, 0) + cases
 
-    def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
+    def detect_batch(
+        self, cases: Sequence[FaultCase], test: MarchTest, size: int
+    ) -> List[bool]:
+        """Does ``test`` detect each of ``cases`` at ``size``?"""
         raise NotImplementedError
 
 
@@ -97,30 +91,29 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
-        self.count_served("serial", len(tasks))
+    def detect_batch(
+        self, cases: Sequence[FaultCase], test: MarchTest, size: int
+    ) -> List[bool]:
+        self.count_served("serial", len(cases))
+        variants = test.concrete_order_variants()
         return [
-            worst_case_detects(
-                task.test.concrete_order_variants(),
-                task.case.variants,
-                task.size,
-            )
-            for task in tasks
+            worst_case_detects(variants, case.variants, size)
+            for case in cases
         ]
 
 
-class BitParallelBackend(ExecutionBackend):
+class BitParallelBackend(SerialBackend):
     """Word-packed evaluation: one machine word per march operation.
 
-    Tasks whose fault case is lane-packable (see
-    :mod:`repro.simulator.bitengine`) are grouped by (test, size) and
-    evaluated in one packed pass over the test's order realizations,
-    walked as a shared-prefix tree (:mod:`repro.simulator.ordertree`)
-    -- every fault lane advances with O(1) bitwise operations per march
-    step instead of O(n) scalar steps per fault instance.  Unpackable
-    cases (unknown user-defined instance types, composite multi-defect
-    injections) fall back to the scalar serial backend; ``served``
-    records how many tasks each side handled.
+    The lane-packable cases of a call (see
+    :mod:`repro.simulator.bitengine`) are evaluated in one packed pass
+    over the test's order realizations, walked as a shared-prefix tree
+    (:mod:`repro.simulator.ordertree`) -- every fault lane advances
+    with O(1) bitwise operations per march step instead of O(n) scalar
+    steps per fault instance.  Unpackable cases (unknown user-defined
+    instance types, composite multi-defect injections) fall back to the
+    inherited scalar serial evaluation; ``served`` records how many
+    cases each side handled.
 
     Packed simulations are cached per (case names, size) -- case names
     are the repository-wide canonical fault identity -- so every test
@@ -138,7 +131,6 @@ class BitParallelBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._serial = SerialBackend()
         self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
             OrderedDict()
         )
@@ -168,35 +160,21 @@ class BitParallelBackend(ExecutionBackend):
             self._simulations.move_to_end(key)
         return simulation
 
-    def detect_batch(self, tasks: Sequence[DetectTask]) -> List[bool]:
-        results: List[Optional[bool]] = [None] * len(tasks)
-        packed_groups: "OrderedDict[Tuple[MarchTest, int], List[int]]" = (
-            OrderedDict()
+    def detect_batch(
+        self, cases: Sequence[FaultCase], test: MarchTest, size: int
+    ) -> List[bool]:
+        routes = [self._is_packable(case) for case in cases]
+        packable = [case for case, packs in zip(cases, routes) if packs]
+        scalar = [case for case, packs in zip(cases, routes) if not packs]
+        packed = iter(
+            self._simulation(packable, size).worst_case_verdicts(test)
+            if packable else ()
         )
-        fallback_indices: List[int] = []
-        for index, task in enumerate(tasks):
-            if self._is_packable(task.case):
-                packed_groups.setdefault((task.test, task.size), []).append(
-                    index
-                )
-            else:
-                fallback_indices.append(index)
-        for (test, size), indices in packed_groups.items():
-            cases = [tasks[i].case for i in indices]
-            verdicts = self._simulation(cases, size).worst_case_verdicts(
-                test
-            )
-            self.count_served(self.name, len(indices))
-            for i, verdict in zip(indices, verdicts):
-                results[i] = verdict
-        if fallback_indices:
-            self.count_served("serial", len(fallback_indices))
-            fallback = self._serial.detect_batch(
-                [tasks[i] for i in fallback_indices]
-            )
-            for i, verdict in zip(fallback_indices, fallback):
-                results[i] = verdict
-        return results  # type: ignore[return-value]
+        fallback = iter(
+            super().detect_batch(scalar, test, size) if scalar else ()
+        )
+        self.count_served(self.name, len(packable))
+        return [next(packed if packs else fallback) for packs in routes]
 
 
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {

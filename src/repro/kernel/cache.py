@@ -9,16 +9,27 @@ shares one fault dictionary instead of re-simulating from scratch.
 
 The cache is a bounded LRU: the exhaustive-search paths probe hundreds
 of thousands of throwaway candidates, and an unbounded dictionary would
-grow without limit over a long-lived kernel.
+grow without limit over a long-lived kernel.  Under the LRU it can
+layer the persistent store (:mod:`repro.store`) as a read-through /
+write-through second tier, so a second process starts warm.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..telemetry import Counter
+from ..telemetry import TELEMETRY_OFF, Counter, Telemetry
 
 
 @dataclass(frozen=True)
@@ -52,74 +63,35 @@ class SimKey:
     domain: str = "sp"
 
 
+def _reading(slot: str) -> property:
+    return property(lambda self: getattr(self, slot).value)
+
+
 class KernelStats:
     """Hit/miss counters of a kernel's fault-dictionary cache.
 
-    The historical attribute surface (``stats.hits`` reads *and*
-    ``stats.hits = 0`` writes) is preserved as properties, but the
-    storage underneath is telemetry :class:`Counter` instruments so a
-    kernel with a metrics registry attached can adopt the live
-    counters as its ``repro.kernel.cache.*`` series -- one set of
-    numbers, two views, no double accounting.
+    ``stats.hits`` and friends read plain integers, but the storage
+    underneath is telemetry :class:`Counter` instruments so a kernel
+    with a metrics registry attached can adopt the live counters as its
+    ``repro.kernel.cache.*`` series -- one set of numbers, two views,
+    no double accounting.  The cache and the kernel bump the
+    instruments directly.
     """
-
-    __slots__ = ("_hits", "_misses", "_evictions", "_batches", "_stores")
 
     _FIELDS = ("hits", "misses", "evictions", "batches", "stores")
 
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        evictions: int = 0,
-        batches: int = 0,
-        stores: int = 0,
-    ) -> None:
-        self._hits = Counter(hits)
-        self._misses = Counter(misses)
-        self._evictions = Counter(evictions)
-        self._batches = Counter(batches)
-        self._stores = Counter(stores)
+    __slots__ = ("_hits", "_misses", "_evictions", "_batches", "_stores")
 
-    @property
-    def hits(self) -> int:
-        return self._hits.value
+    def __init__(self) -> None:
+        for name in self._FIELDS:
+            setattr(self, f"_{name}", Counter())
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @batches.setter
-    def batches(self, value: int) -> None:
-        self._batches.value = value
-
-    @property
-    def stores(self) -> int:
-        return self._stores.value
-
-    @stores.setter
-    def stores(self, value: int) -> None:
-        self._stores.value = value
+    hits = _reading("_hits")
+    misses = _reading("_misses")
+    evictions = _reading("_evictions")
+    #: Backend calls the kernel made to fill misses.
+    batches = _reading("_batches")
+    stores = _reading("_stores")
 
     def counters(self) -> Dict[str, Counter]:
         """The live instruments, keyed by field name, for registry
@@ -135,23 +107,8 @@ class KernelStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-        self.batches = self.stores = 0
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, KernelStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in self._FIELDS
-        )
-
-    def __repr__(self) -> str:
-        # `stores` stays out of the repr, matching the dataclass era.
-        return (
-            f"KernelStats(hits={self.hits}, misses={self.misses},"
-            f" evictions={self.evictions}, batches={self.batches})"
-        )
+        for counter in self.counters().values():
+            counter.value = 0
 
     def __str__(self) -> str:
         return (
@@ -162,56 +119,114 @@ class KernelStats:
 
 
 class FaultDictionaryCache:
-    """A bounded LRU mapping :class:`SimKey` to simulation verdicts."""
+    """A bounded LRU mapping :class:`SimKey` to verdicts, optionally
+    over a persistent store.
 
-    def __init__(self, max_entries: int = 1_000_000) -> None:
+    With a ``store`` (a :class:`~repro.store.store.FaultDictionaryStore`,
+    a :class:`~repro.store.service.ServiceStore`, or a
+    :class:`~repro.store.resilience.DegradingStore` wrapping either --
+    anything with their ``get_many``/``put_many`` surface) the LRU is
+    the first tier and the store the second:
+
+    * **read-through** -- the LRU misses of one lookup go to the store
+      in one call; what it finds is promoted into the LRU (without
+      writing back), so the next lookup is pure in-process;
+    * **write-through** -- every fresh batch lands in both tiers in the
+      same call, so a killed process never loses completed work.
+
+    LRU hits never touch the store.  A live ``telemetry`` handle times
+    each store pass into the ``repro.store.read_through.seconds`` and
+    ``repro.store.write_through.seconds`` histograms; the LRU tier stays
+    untimed, since its counters are already in :attr:`stats`.
+    :meth:`clear` drops the LRU only: the store's rows survive.
+    """
+
+    def __init__(
+        self,
+        max_entries: int = 1_000_000,
+        store: Any = None,
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         if max_entries <= 0:
             raise ValueError("cache needs room for at least one entry")
-        self.max_entries = max_entries
+        self._max_entries = max_entries
+        self.store = store
+        self.telemetry = telemetry if telemetry is not None else TELEMETRY_OFF
         self.stats = KernelStats()
         self._entries: "OrderedDict[SimKey, Any]" = OrderedDict()
 
-    def get(self, key: SimKey, default: Any = None) -> Any:
-        """Look up ``key``, counting the hit or miss."""
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.stats.misses += 1
-            return default
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return value
+    def get(self, key: SimKey) -> Any:
+        """Look up one key through both tiers; ``None`` when absent."""
+        return self.get_many([key]).get(key)
 
-    def get_many(self, keys) -> Dict[SimKey, Any]:
-        """Batched lookup: found keys only (the tiered store overrides
-        this to answer all its memory misses in one disk pass)."""
+    def get_many(self, keys: Sequence[SimKey]) -> Dict[SimKey, Any]:
+        """Look up a batch: found keys only.
+
+        The LRU answers first; its misses go to the store in one call.
+        """
+        entries = self._entries
         found: Dict[SimKey, Any] = {}
+        missing: List[SimKey] = []
         for key in keys:
-            value = self.get(key)
-            if value is not None:
+            value = entries.get(key)
+            if value is None:
+                missing.append(key)
+            else:
+                entries.move_to_end(key)
                 found[key] = value
+        self.stats._hits.inc(len(found))
+        self.stats._misses.inc(len(missing))
+        if missing and self.store is not None:
+            promoted = self._timed_store(
+                "repro.store.read_through.seconds",
+                self.store.get_many, missing,
+            )
+            self._insert(promoted.items())
+            found.update(promoted)
         return found
 
-    def peek(self, key: SimKey) -> bool:
-        """True when ``key`` is cached (no stat or LRU side effects)."""
-        return key in self._entries
-
     def put(self, key: SimKey, value: Any) -> None:
-        """Store a verdict, evicting the least recently used on overflow."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        self.stats.stores += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        """Store one verdict in both tiers."""
+        self.put_many([(key, value)])
 
-    def put_many(self, pairs) -> None:
-        """Store a batch of verdicts (the tiered store overrides this
-        with one disk transaction; in memory it is just a loop)."""
+    def put_many(self, pairs: Sequence[Tuple[SimKey, Any]]) -> None:
+        """Store a batch in the LRU and write it through to the store
+        in one call (one transaction on a file store)."""
+        self._insert(pairs)
+        if self.store is not None:
+            self._timed_store(
+                "repro.store.write_through.seconds",
+                self.store.put_many, pairs,
+            )
+
+    def _insert(self, pairs: Collection[Tuple[SimKey, Any]]) -> None:
+        """Fill the LRU, then evict the least recently used overflow."""
+        entries = self._entries
         for key, value in pairs:
-            self.put(key, value)
+            entries[key] = value
+            entries.move_to_end(key)
+        overflow = max(len(entries) - self._max_entries, 0)
+        for _ in range(overflow):
+            entries.popitem(last=False)
+        self.stats._stores.inc(len(pairs))
+        self.stats._evictions.inc(overflow)
+
+    def _timed_store(
+        self, histogram: str, call: Callable[[Any], Any], argument: Any
+    ) -> Any:
+        """One store pass, observed into ``histogram`` when traced."""
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return call(argument)
+        started = telemetry.clock()
+        result = call(argument)
+        telemetry.histogram(histogram, tier="store").observe(
+            telemetry.clock() - started
+        )
+        return result
 
     def clear(self) -> None:
+        """Drop the in-memory tier; persistent rows survive."""
         self._entries.clear()
 
     def __len__(self) -> int:
@@ -221,5 +236,5 @@ class FaultDictionaryCache:
         return key in self._entries
 
     def snapshot(self) -> Dict[SimKey, Any]:
-        """A shallow copy of the current entries (diagnostics)."""
+        """A shallow copy of the in-memory entries (diagnostics)."""
         return dict(self._entries)

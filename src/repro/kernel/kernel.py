@@ -15,14 +15,18 @@ kernel, which
 * answers the Section 6 analysis with one plain scalar run per
   (realization, behavioural variant), reporting the set of reads that
   mismatched (:meth:`SimulationKernel.read_detections`);
-* dispatches batched cache misses to a pluggable
+* resolves every verdict on one path (:meth:`SimulationKernel._verdicts`,
+  which single probes share): one cache lookup for all the pairs, then
+  one call per test over that test's misses to a pluggable
   :class:`~repro.kernel.backends.ExecutionBackend` (the scalar
   ``serial`` reference, or the word-packed ``bitparallel``), selectable via
-  ``GeneratorConfig(backend=...)`` or the CLI ``--backend`` flag;
+  ``GeneratorConfig(backend=...)`` or the CLI ``--backend`` flag, then
+  one cache write of the fresh verdicts;
 * optionally layers the persistent fault-dictionary store
   (:mod:`repro.store`) under the LRU as a write-through/read-through
-  second tier (``store=``/``--store``), so repeated CLI invocations
-  and concurrent processes share verdicts across process boundaries.
+  second tier of the same cache (``store=``/``--store``), so repeated
+  CLI invocations and concurrent processes share verdicts across
+  process boundaries.
 
 Results are bit-identical to the legacy per-call paths; see
 ``tests/kernel/`` and ``tests/store/`` for the equivalence properties.
@@ -30,7 +34,6 @@ Results are bit-identical to the legacy per-call paths; see
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
@@ -57,13 +60,9 @@ from ..simulator.bitengine import (
 )
 from ..simulator.engine import MarchRun, is_well_formed, run_march
 from ..simulator.ordertree import walk_realizations
-from ..store import FaultDictionaryStore, TieredCache, resolve_store
+from ..store import FaultDictionaryStore, resolve_store
 from ..telemetry import TELEMETRY_OFF, Counter, Telemetry
-from .backends import (
-    DetectTask,
-    ExecutionBackend,
-    resolve_backend,
-)
+from .backends import ExecutionBackend, resolve_backend
 from .cache import FaultDictionaryCache, KernelStats, SimKey
 from .report import SimulationReport, warn_if_empty
 
@@ -160,10 +159,10 @@ class SimulationKernel:
         (default) for the zero-cost no-op.  With a live handle the
         kernel adopts its cache counters into the registry as
         ``repro.kernel.cache.*``, samples backend routing and store
-        counters as collectors, and records one span plus one
-        ``repro.backend.detect.seconds`` observation per backend
-        batch, and one ``kernel.verify`` span per packed verifier
-        call.  Stats attributes (``kernel.stats`` etc.) behave
+        counters as collectors, and records one ``kernel.detect_batch``
+        span plus one ``repro.backend.detect.seconds`` observation per
+        backend call, and one ``kernel.verify`` span per packed
+        verifier call.  Stats attributes (``kernel.stats`` etc.) behave
         identically either way.
 
     >>> from repro.march.catalog import MATS
@@ -193,11 +192,8 @@ class SimulationKernel:
         self.store = resolve_store(
             store, readonly=store_readonly, retry=store_retry
         )
-        memory = FaultDictionaryCache(cache_size)
-        self.cache: Union[FaultDictionaryCache, TieredCache] = (
-            TieredCache(memory, self.store, telemetry=self.telemetry)
-            if self.store is not None
-            else memory
+        self.cache = FaultDictionaryCache(
+            cache_size, store=self.store, telemetry=self.telemetry
         )
         self.verify_stats = VerifyStats()
         if self.telemetry.enabled:
@@ -254,12 +250,11 @@ class SimulationKernel:
     def from_config(cls, config) -> "SimulationKernel":
         """Build a kernel from a :class:`~repro.core.config.GeneratorConfig`."""
         return cls(
-            backend=getattr(config, "backend", None),
-            cache_size=getattr(config, "sim_cache_size", 1_000_000),
-            store=getattr(config, "store_path", None),
-            store_readonly=getattr(config, "store_readonly", False),
-            store_retry=getattr(config, "store_retry", None),
-            telemetry=getattr(config, "telemetry", None),
+            backend=config.backend,
+            cache_size=config.sim_cache_size,
+            store=config.store_path,
+            store_readonly=config.store_readonly,
+            telemetry=config.telemetry,
         )
 
     # -- introspection ----------------------------------------------------------
@@ -286,7 +281,7 @@ class SimulationKernel:
         segments: Dict[str, str] = {"cache": str(self.stats)}
         if self.store is not None:
             segments["store"] = self.store.describe()
-            prober = getattr(self.cache, "resilience", None)
+            prober = getattr(self.store, "resilience", None)
             report = prober() if callable(prober) else None
             if report and report.get("degraded"):
                 segments["resilience"] = (
@@ -356,34 +351,12 @@ class SimulationKernel:
     ) -> bool:
         """Worst-case detection of one fault case (cached).
 
-        Misses go through the configured backend as a batch of one, so
-        custom execution strategies see every probe.
+        A one-pair :meth:`_verdicts`: a miss reaches the configured
+        backend as a call with one case, so custom execution strategies
+        see every probe.
         """
-        key = SimKey(canonical_signature(test), case.name, size)
-        verdict = self.cache.get(key)
-        if verdict is None:
-            task = [DetectTask(test, case, size)]
-            if self.telemetry.enabled:
-                # A batch of one, so single-probe consumers show up in
-                # the same span trace and latency histogram as the
-                # batched APIs.
-                with self._timed("kernel.detect", case=case.name, size=size):
-                    verdict = self.backend.detect_batch(task)[0]
-            else:
-                verdict = self.backend.detect_batch(task)[0]
-            self.cache.put(key, verdict)
-        return verdict
-
-    @contextmanager
-    def _timed(self, name: str, **attrs: Any) -> Iterator[Any]:
-        """A telemetry span around one backend batch, observed into the
-        ``repro.backend.detect.seconds`` histogram when it closes."""
-        backend = self.backend.name
-        with self.telemetry.span(name, backend=backend, **attrs) as span:
-            yield span
-        self.telemetry.histogram(
-            "repro.backend.detect.seconds", backend=backend
-        ).observe(getattr(span, "seconds", None) or 0.0)
+        (row,) = self._verdicts((test,), (case,), size).values()
+        return row[case.name]
 
     def read_detections(
         self,
@@ -430,17 +403,17 @@ class SimulationKernel:
     ) -> List[SimulationReport]:
         """Batched simulation: one report per test, in input order.
 
-        Cache hits are answered from the fault dictionary; the misses
-        are evaluated in one backend batch and stored.
+        Cache hits are answered from the fault dictionary; each test's
+        misses are evaluated in one backend call and stored.
         """
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
         reports = []
         for test in tests:
-            signature = canonical_signature(test)
+            row = verdicts[canonical_signature(test)]
             report = SimulationReport(test, size)
             for case in cases:
-                if verdicts[(signature, case.name)]:
+                if row[case.name]:
                     report.detected.append(case.name)
                 else:
                     report.missed.append(case.name)
@@ -474,60 +447,78 @@ class SimulationKernel:
         )
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
-        matrix: Dict[str, Dict[str, bool]] = {}
-        for test in tests:
-            signature = canonical_signature(test)
-            matrix[test.name or str(test)] = {
-                case.name: verdicts[(signature, case.name)] for case in cases
-            }
-        return matrix
+        return {
+            test.name or str(test): dict(verdicts[canonical_signature(test)])
+            for test in tests
+        }
 
     def _verdicts(
         self,
         tests: Sequence[MarchTest],
         cases: Sequence[FaultCase],
         size: int,
-    ) -> Dict[Tuple[str, str], bool]:
-        """Resolve every (test, case) pair, filling misses in one batch.
+    ) -> Dict[str, Dict[str, bool]]:
+        """Resolve every (test, case) pair: signature -> case name ->
+        verdict, each row in first-appearance case order.
 
-        Lookups and stores both go through the cache's batched calls
-        (``get_many``/``put_many``): a tiered store answers all the
-        in-memory misses in one disk pass and commits the whole
-        backend batch in one transaction.
+        The one path every verdict takes.  One ``get_many`` looks up
+        all the pairs (a store tier answers the in-memory misses in one
+        pass), one backend call per test evaluates that test's misses,
+        and one ``put_many`` stores the fresh verdicts (one store
+        transaction).  A test or case given twice is resolved once.
         """
-        lookups: Dict[Tuple[str, str],
-                      Tuple[SimKey, MarchTest, FaultCase]] = {}
+        by_name: Dict[str, FaultCase] = {}
+        for case in cases:
+            by_name.setdefault(case.name, case)
+        by_signature: Dict[str, MarchTest] = {}
         for test in tests:
-            signature = canonical_signature(test)
-            for case in cases:
-                pair = (signature, case.name)
-                if pair not in lookups:
-                    lookups[pair] = (
-                        SimKey(signature, case.name, size), test, case
-                    )
-        cached = self.cache.get_many([key for key, _, _ in lookups.values()])
-        verdicts: Dict[Tuple[str, str], bool] = {}
-        pending: List[DetectTask] = []
-        pending_keys: List[SimKey] = []
-        for pair, (key, test, case) in lookups.items():
-            if key in cached:
-                verdicts[pair] = cached[key]
-            else:
-                pending.append(DetectTask(test, case, size))
-                pending_keys.append(key)
-        if pending:
-            self.stats.batches += 1
-            if self.telemetry.enabled:
-                with self._timed(
-                    "kernel.detect_batch", tasks=len(pending), size=size
-                ):
-                    results = self.backend.detect_batch(pending)
-            else:
-                results = self.backend.detect_batch(pending)
-            self.cache.put_many(list(zip(pending_keys, results)))
-            for key, verdict in zip(pending_keys, results):
-                verdicts[(key.signature, key.case)] = verdict
+            by_signature.setdefault(canonical_signature(test), test)
+        keys = {
+            signature: [SimKey(signature, name, size) for name in by_name]
+            for signature in by_signature
+        }
+        cached = self.cache.get_many(
+            [key for row in keys.values() for key in row]
+        )
+        verdicts: Dict[str, Dict[str, bool]] = {}
+        fresh: List[Tuple[SimKey, bool]] = []
+        for signature, test in by_signature.items():
+            row = verdicts[signature] = {}
+            missing = []
+            for key in keys[signature]:
+                verdict = row[key.case] = cached.get(key)
+                if verdict is None:
+                    missing.append(key)
+            if missing:
+                results = self._detect_batch(
+                    [by_name[key.case] for key in missing], test, size
+                )
+                for key, verdict in zip(missing, results):
+                    row[key.case] = verdict
+                    fresh.append((key, verdict))
+        if fresh:
+            self.cache.put_many(fresh)
         return verdicts
+
+    def _detect_batch(
+        self, cases: List[FaultCase], test: MarchTest, size: int
+    ) -> List[bool]:
+        """One backend call, traced as a ``kernel.detect_batch`` span
+        observed into the ``repro.backend.detect.seconds`` histogram."""
+        self.stats._batches.inc()
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return self.backend.detect_batch(cases, test, size)
+        backend = self.backend.name
+        with telemetry.span(
+            "kernel.detect_batch", backend=backend,
+            tasks=len(cases), size=size,
+        ) as span:
+            results = self.backend.detect_batch(cases, test, size)
+        telemetry.histogram(
+            "repro.backend.detect.seconds", backend=backend
+        ).observe(getattr(span, "seconds", None) or 0.0)
+        return results
 
     # -- generator-facing verification -----------------------------------------
 

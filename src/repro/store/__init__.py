@@ -3,8 +3,6 @@
 * :mod:`repro.store.store` -- the SQLite-backed, concurrency-safe,
   schema-versioned verdict store (WAL, atomic upserts keyed by
   ``SimKey``, corrupt-file quarantine-and-rebuild, readonly mode);
-* :mod:`repro.store.tiered` -- the write-through/read-through second
-  tier the kernel layers under its in-memory LRU;
 * :mod:`repro.store.resilience` -- retry/backoff policy and the
   degraded-mode spill wrapper the service client and campaign runner
   build on (see the README section "Resilience & fault injection");
@@ -12,7 +10,10 @@
   ``repro campaign`` (import it directly: it depends on the kernel
   package, which imports *this* package at startup).
 
-See the README section "Persistent results & campaigns".
+The kernel layers a store under its in-memory LRU as a
+write-through/read-through second tier of one cache
+(:class:`~repro.kernel.cache.FaultDictionaryCache`).  See the README
+section "Persistent results & campaigns".
 """
 
 from .resilience import (
@@ -33,7 +34,6 @@ from .store import (
     encode_verdict,
     resolve_store,
 )
-from .tiered import TieredCache
 
 __all__ = [
     "BUSY_TIMEOUT_SECONDS",
@@ -47,7 +47,6 @@ __all__ = [
     "TransientStoreError",
     "StoreSchemaError",
     "StoreStats",
-    "TieredCache",
     "decode_verdict",
     "encode_verdict",
     "resolve_store",

@@ -55,9 +55,8 @@ Topology
   thread per client to schedule or leak.
 * :class:`ServiceStore` -- the client: the same
   ``get``/``get_many``/``put``/``put_many``/``stats`` surface as
-  :class:`~repro.store.store.FaultDictionaryStore`, so
-  :class:`~repro.store.tiered.TieredCache` and
-  :class:`~repro.kernel.kernel.SimulationKernel` cannot tell the
+  :class:`~repro.store.store.FaultDictionaryStore`, so the kernel's
+  :class:`~repro.kernel.cache.FaultDictionaryCache` cannot tell the
   difference.  Pass a ``repro+unix:///path/to.sock`` URL anywhere a
   store path is accepted (``--store``, ``GeneratorConfig.store_path``,
   campaign specs) and :func:`~repro.store.store.resolve_store`

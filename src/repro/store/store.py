@@ -8,9 +8,9 @@ before.  This module spills the fault dictionary to disk: an SQLite
 database (WAL journal, so concurrent readers never block the writer)
 whose single ``verdicts`` table is keyed by exactly the four ``SimKey``
 fields.  Layered under the LRU as a read-through/write-through second
-tier (:class:`~repro.store.tiered.TieredCache`), it makes repeated CLI
-invocations -- and many processes hammering one shared dictionary --
-share verdicts instead of re-deriving them.
+tier (:class:`~repro.kernel.cache.FaultDictionaryCache`), it makes
+repeated CLI invocations -- and many processes hammering one shared
+dictionary -- share verdicts instead of re-deriving them.
 
 Verdicts are stored as compact signature-keyed rows, not raw matrices:
 a detection verdict is one byte (``"1"``/``"0"``), a diagnosis
@@ -50,8 +50,8 @@ Place in the store stack
 ------------------------
 This module is the **bottom layer**: the only code that touches
 SQLite.  Everything above composes around it --
-:class:`~repro.store.tiered.TieredCache` puts the kernel's LRU in
-front, :mod:`repro.store.resilience` adds retry/degrade policies for
+:class:`~repro.kernel.cache.FaultDictionaryCache` puts the kernel's LRU
+in front, :mod:`repro.store.resilience` adds retry/degrade policies for
 remote tiers, and :mod:`repro.store.service` serves one instance to a
 fleet of socket clients (wire contract in ``docs/PROTOCOL.md``, runbook
 in ``docs/OPERATIONS.md``).  :func:`resolve_store` is the single entry

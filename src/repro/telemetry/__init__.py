@@ -3,9 +3,9 @@
 One :class:`Telemetry` object bundles the two observability surfaces
 -- a :class:`~repro.telemetry.metrics.MetricsRegistry` and a
 :class:`~repro.telemetry.tracer.SpanTracer` -- behind the small facade
-the rest of the stack threads around: the kernel, tiered cache, store,
-verdict daemon and campaign runner all accept one ``telemetry`` handle
-and never touch globals.
+the rest of the stack threads around: the kernel and its cache, the
+store, verdict daemon and campaign runner all accept one ``telemetry``
+handle and never touch globals.
 
 Zero cost when off
 ------------------

@@ -5,9 +5,10 @@ aggregate", spans answer "what happened, in what order, inside what".
 A :class:`Span` is a context manager; entering pushes it onto the
 tracer's stack (so spans opened inside it become its children) and
 exiting records its duration.  A campaign job traced this way yields
-one tree per job -- ``simulate`` wrapping per-batch ``detect_batch``
-spans -- which ``run_campaign`` serializes into the manifest and
-``--trace`` renders as a JSONL log.
+one tree per job -- ``simulate`` wrapping one ``detect_batch`` span
+per backend call, i.e. per test with cache misses -- which
+``run_campaign`` serializes into the manifest and ``--trace`` renders
+as a JSONL log.
 
 The clock is injectable (``SpanTracer(clock=...)``) so tests drive a
 fake monotonic clock and assert *exact* start/duration schedules; the

@@ -8,6 +8,7 @@ from repro.faults.instances import ReadCouplingInstance
 from repro.faults.library import ReadCouplingFault
 from repro.kernel import SimulationKernel
 from repro.march.catalog import MARCH_C_MINUS, MATS
+from repro.march.test import parse_march
 from repro.memory.array import MemoryArray
 
 KERNEL = SimulationKernel()
@@ -54,12 +55,18 @@ class TestModel:
 
 
 class TestGeneration:
-    def test_generated_test_is_minimal_and_verified(self):
+    def test_generated_test_is_verified_and_not_claimed_minimal(self):
         faults = FaultList.from_names("CFRD")
         report = MarchTestGenerator().generate(faults)
         assert report.verified
         assert report.complexity == 6
-        assert any("lower bound" in note for note in report.notes)
+        assert not any("provably minimal" in note for note in report.notes)
+        # A 5n test covers CFrd, so the 6n result is not minimal.
+        shorter = parse_march("{up(w0); up(r0); up(r0,w1); up(r1)}")
+        assert shorter.complexity == 5
+        serial = SimulationKernel(backend="serial")
+        for size in (2, 3):
+            assert serial.verifier(faults.instances(size), size)(shorter)
 
     def test_excitation_reads_flagged_by_redundancy_check(self):
         """A CFrd test needs reads as *excitations*; demoting their

@@ -7,7 +7,6 @@ from repro.faults.instances import case
 from repro.kernel import (
     BACKENDS,
     BitParallelBackend,
-    DetectTask,
     EmptyFaultListWarning,
     FaultDictionaryCache,
     SerialBackend,
@@ -154,17 +153,13 @@ class TestBitParallelBackend:
         backend = BitParallelBackend()
         backend.PLAN_CACHE_SIZE = 2
         cases = saf_list.instances(3)
-        tasks = [DetectTask(MATS, c, 3) for c in cases]
-        backend.detect_batch(tasks)
+        backend.detect_batch(cases, MATS, 3)
         first = next(iter(backend._simulations.values()))
-        backend.detect_batch([DetectTask(MARCH_C_MINUS, c, 3) for c in cases])
+        backend.detect_batch(cases, MARCH_C_MINUS, 3)
         # Same (case names, size) key: the packed plan is reused.
         assert first in backend._simulations.values()
         for size in (2, 4, 5):
-            backend.detect_batch(
-                [DetectTask(MATS, c, size)
-                 for c in saf_list.instances(size)]
-            )
+            backend.detect_batch(saf_list.instances(size), MATS, size)
         assert len(backend._simulations) <= 2
 
     def test_single_probe_batches_work(self, saf_list):
@@ -218,9 +213,9 @@ class TestBatchedApis:
             name = "counting"
             calls = 0
 
-            def detect_batch(self, tasks):
+            def detect_batch(self, cases, test, size):
                 CountingBackend.calls += 1
-                return super().detect_batch(tasks)
+                return super().detect_batch(cases, test, size)
 
         kernel = SimulationKernel(backend=CountingBackend())
         case = saf_list.instances(3)[0]

@@ -17,10 +17,11 @@ minimality search feeds it, and with a table small enough to start
 over mid-stream.
 """
 
+import uuid
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.faultlist import FaultList
 from repro.faults.instances import case
@@ -41,6 +42,7 @@ from repro.simulator.bitengine import (
     TransitionTable,
     lane_packable_case,
 )
+from repro.store import FaultDictionaryStore
 
 MODELS = tuple(sorted(MODEL_REGISTRY))
 
@@ -361,3 +363,77 @@ def test_table_steps_match_the_engine_over_a_candidate_stream(
         simulation, sibling_stream(test, extensions)
     )
     assert table.hits.value > 0
+
+
+#: Tests for the batched verdict path: drawn (⇕, ``Del``) and catalog.
+batch_tests = st.one_of(
+    random_tests(max_any=3),
+    st.sampled_from(sorted(CATALOG.values(), key=str)),
+)
+
+
+def shuffled_with_repeats(data, items):
+    """``items`` plus some of them again, in a drawn order."""
+    repeats = data.draw(st.lists(st.sampled_from(items), max_size=3))
+    return data.draw(st.permutations(items + repeats))
+
+
+@pytest.mark.parametrize("with_store", [False, True])
+@given(
+    models=st.lists(
+        st.sampled_from(MODELS), min_size=1, max_size=3, unique=True
+    ).map(tuple),
+    size=st.sampled_from((2, 3)),
+    tests=st.lists(batch_tests, min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(
+    max_examples=30, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_batched_verdict_path_agrees_with_serial(
+    tmp_path, with_store, models, size, tests, data
+):
+    # Repeated tests and cases, packable cases mixed with unpackable
+    # user types, and a pre-warmed subset of pairs, so every test
+    # reaches the backend with a different subset of its cases, in a
+    # different order.
+    standard = list(fault_cases(models, size, False))
+    cases = (
+        data.draw(st.lists(st.sampled_from(standard), min_size=1,
+                           max_size=8))
+        + data.draw(st.lists(st.sampled_from(custom_cases(size)),
+                             min_size=1, max_size=2))
+    )
+    cases = shuffled_with_repeats(data, cases)
+    tests = shuffled_with_repeats(data, tests)
+    reference = SimulationKernel(backend="serial")
+    expected = reference.detection_matrix(tests, cases, size)
+    expected_reports = reference.simulate_many(tests, cases, size)
+
+    store = None
+    if with_store:
+        store = tmp_path / f"{uuid.uuid4().hex}.sqlite"
+    kernel = SimulationKernel(backend="bitparallel", store=store)
+    pairs = {(str(test), case.name): (test, case)
+             for test in tests for case in cases}
+    warm = data.draw(st.lists(st.sampled_from(sorted(pairs)), unique=True))
+    for signature, name in warm:
+        test, fault_case = pairs[(signature, name)]
+        assert kernel.detects(test, fault_case, size) == (
+            expected[test.name or signature][name]
+        )
+    assert kernel.detection_matrix(tests, cases, size) == expected
+    reports = kernel.simulate_many(tests, cases, size)
+    assert [(r.detected, r.missed) for r in reports] == [
+        (r.detected, r.missed) for r in expected_reports
+    ]
+    kernel.close()
+    if store is None:
+        return
+    with FaultDictionaryStore(store) as rows:
+        assert len(rows) == len(pairs)
+    reader = SimulationKernel(backend="bitparallel", store=store)
+    assert reader.detection_matrix(tests, cases, size) == expected
+    assert reader.backend.served == {}
+    reader.close()

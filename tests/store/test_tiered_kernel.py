@@ -15,7 +15,7 @@ from repro.faults.faultlist import FaultList
 from repro.faults.library import MODEL_REGISTRY
 from repro.kernel import SimulationKernel
 from repro.march.catalog import MARCH_C_MINUS, MATS, MATS_PLUS_PLUS
-from repro.store import FaultDictionaryStore, TieredCache
+from repro.store import FaultDictionaryStore
 
 TESTS = [MATS, MATS_PLUS_PLUS, MARCH_C_MINUS]
 
@@ -104,11 +104,11 @@ def test_two_port_verdicts_round_trip_through_the_store(store_path):
 # -- tier mechanics ------------------------------------------------------------
 
 
-class TestTieredCache:
-    def test_kernel_without_store_has_plain_cache(self):
+class TestCacheTiers:
+    def test_kernel_without_store_has_one_tier(self):
         kernel = SimulationKernel()
         assert kernel.store is None
-        assert not isinstance(kernel.cache, TieredCache)
+        assert kernel.cache.store is None
 
     def test_store_hits_promote_into_the_lru(self, store_path, saf_list):
         writer = SimulationKernel(store=store_path)
@@ -191,20 +191,6 @@ class TestTieredCache:
         # Found keys were promoted: a repeat stays in memory.
         reader.cache.get_many(keys[:-1])
         assert reader.store.stats.hits == len(keys) - 1
-        reader.close()
-
-    def test_peek_and_contains_see_both_tiers(self, store_path, saf_list):
-        writer = SimulationKernel(store=store_path)
-        writer.simulate_fault_list(MATS, saf_list, 3)
-        writer.close()
-        reader = SimulationKernel(store=store_path)
-        from repro.kernel import SimKey, canonical_signature
-
-        key = SimKey(
-            canonical_signature(MATS), saf_list.instances(3)[0].name, 3
-        )
-        assert reader.cache.peek(key)  # in store, not yet in memory
-        assert key in reader.cache
         reader.close()
 
 

@@ -88,7 +88,9 @@ class TestKernelTelemetry:
         finally:
             kernel.close()
         trees = telemetry.span_trees()
-        assert [t["name"] for t in trees] == ["kernel.detect"]
+        # A single probe is a one-case batch on the one verdict path.
+        assert [t["name"] for t in trees] == ["kernel.detect_batch"]
+        assert trees[0]["attrs"]["tasks"] == 1
 
     def test_packed_verify_calls_are_spanned_and_counted(self):
         from repro.core import GeneratorConfig, MarchTestGenerator
