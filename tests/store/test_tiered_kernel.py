@@ -104,8 +104,10 @@ def test_two_port_verdicts_round_trip_through_the_store(store_path):
 # -- tier mechanics ------------------------------------------------------------
 
 
-class TestCacheTiers:
-    def test_kernel_without_store_has_one_tier(self):
+class TestTieredCache:
+    """FaultDictionaryCache with a store: the LRU over the SQLite tier."""
+
+    def test_kernel_without_store_has_plain_cache(self):
         kernel = SimulationKernel()
         assert kernel.store is None
         assert kernel.cache.store is None
