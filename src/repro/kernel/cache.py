@@ -136,8 +136,10 @@ class FaultDictionaryCache:
 
     LRU hits never touch the store.  A live ``telemetry`` handle times
     each store pass into the ``repro.store.read_through.seconds`` and
-    ``repro.store.write_through.seconds`` histograms; the LRU tier stays
-    untimed, since its counters are already in :attr:`stats`.
+    ``repro.store.write_through.seconds`` histograms, one observation
+    per pass: single-key :meth:`get`/:meth:`put` calls (``syndrome``,
+    ``detects_2p``) are one-key passes and are observed too.  The LRU
+    tier stays untimed, since its counters are already in :attr:`stats`.
     :meth:`clear` drops the LRU only: the store's rows survive.
     """
 

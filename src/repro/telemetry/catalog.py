@@ -40,8 +40,12 @@ CATALOG: Dict[str, str] = {
     "repro.store.misses": "store lookups that missed",
     "repro.store.writes": "verdict rows written through to the store",
     "repro.store.skipped_writes": "writes skipped (readonly/degraded store)",
-    "repro.store.read_through.seconds": "kernel cache read-through latency",
-    "repro.store.write_through.seconds": "kernel cache write-through latency",
+    "repro.store.read_through.seconds":
+        "kernel cache read-through latency, one per store pass"
+        " (batch or single-key lookup)",
+    "repro.store.write_through.seconds":
+        "kernel cache write-through latency, one per store pass"
+        " (batch or single-key write)",
     "repro.store.checkpoint.seconds": "WAL checkpoint latency, by mode",
     # -- verdict-service daemon ----------------------------------------------
     "repro.service.requests": "requests dispatched, by op",

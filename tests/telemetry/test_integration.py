@@ -104,7 +104,11 @@ class TestKernelTelemetry:
         lines = list(flatten_span_trees(telemetry.span_trees()))
         verify = [line for line in lines if line["name"] == "kernel.verify"]
         assert verify
-        assert not [line for line in lines if line["name"] == "kernel.detect"]
+        # Every SAF/TF case packs, so no candidate falls back to per-case
+        # probes, which would show up as one-case ``kernel.detect_batch``.
+        assert not [
+            line for line in lines if line["name"] == "kernel.detect_batch"
+        ]
         snapshot = telemetry.snapshot()
         assert counter_total(
             snapshot, "repro.kernel.verify.realizations"
