@@ -55,6 +55,7 @@ store run stops being >= 3x faster than the first, or when the cold
 path regresses past a generous wall-clock ceiling.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -70,7 +71,12 @@ from repro.kernel import SimulationKernel
 from repro.store.campaign import CampaignSpec, normalized_manifest, \
     run_campaign
 from repro.store.resilience import RetryPolicy
-from repro.store.service import ServiceStore, VerdictService, _wire_key
+from repro.store.service import (
+    PROTOCOL_VERSION,
+    ServiceStore,
+    VerdictService,
+    batch_frame,
+)
 from repro.store.store import decode_verdict
 from repro.march.test import march
 from repro.march.catalog import (
@@ -780,12 +786,9 @@ def measure_pipelined_reads(service, faults, chunk=16):
     """
     memory = SimulationKernel()
     memory.detection_matrix(TESTS, faults, SIZE)
-    keys = sorted(memory.cache.snapshot(), key=_wire_key)
+    keys = sorted(memory.cache.snapshot(), key=dataclasses.astuple)
     chunks = [keys[i:i + chunk] for i in range(0, len(keys), chunk)]
-    frames = [
-        {"op": "get_many", "keys": [_wire_key(key) for key in batch]}
-        for batch in chunks
-    ]
+    frames, groups = zip(*(batch_frame("get_many", batch) for batch in chunks))
 
     def round_trips(client):
         found = {}
@@ -795,10 +798,12 @@ def measure_pipelined_reads(service, faults, chunk=16):
 
     def pipelined(client):
         found = {}
-        for response in client.pipeline(frames):
+        for response, members in zip(client.pipeline(frames), groups):
             assert response.get("ok"), f"pipelined read refused: {response}"
-            for row in response.get("found", ()):
-                found[tuple(row[:4])] = decode_verdict(row[4])
+            for group, answer in zip(members, response["found"]):
+                for key, text in zip(group, answer):
+                    if text is not None:
+                        found[key] = decode_verdict(text)
         return found
 
     client = ServiceStore(service.url)
@@ -808,9 +813,9 @@ def measure_pipelined_reads(service, faults, chunk=16):
     finally:
         client.close()
     assert len(sequential) == len(keys), "round-trip read lost verdicts"
-    assert piped == {
-        tuple(_wire_key(key)): value for key, value in sequential.items()
-    }, "pipelined read diverged from blocking round trips"
+    assert piped == sequential, (
+        "pipelined read diverged from blocking round trips"
+    )
     return round_trip_seconds, pipelined_seconds, len(frames)
 
 
@@ -1207,6 +1212,7 @@ def collect_benchmarks():
                 "size": SIZE,
                 "backend": "serial",
                 "transport": "unix-socket",
+                "protocol": PROTOCOL_VERSION,
                 "seconds": {
                     "first_cold_client": service_first_seconds,
                     "second_warm_client": service_second_seconds,
@@ -1221,6 +1227,7 @@ def collect_benchmarks():
                 "size": SIZE,
                 "backend": "serial",
                 "transport": "unix-socket",
+                "protocol": PROTOCOL_VERSION,
                 "retries": retry_count,
                 "seconds": {
                     "warm_client": retry_warm_seconds,
@@ -1236,6 +1243,7 @@ def collect_benchmarks():
                 "size": SIZE,
                 "backend": "serial",
                 "transport": "unix-socket",
+                "protocol": PROTOCOL_VERSION,
                 "daemon": "event-loop",
                 "pipeline_frames": async_frames,
                 "seconds": {

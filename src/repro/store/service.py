@@ -17,16 +17,23 @@ Length-prefixed JSON frames: a 4-byte big-endian byte count, then one
 UTF-8 JSON object.  Requests carry an ``"op"`` field::
 
     {"op": "ping"}
-    {"op": "get_many", "keys": [[signature, case, size, domain], ...]}
-    {"op": "put_many", "rows": [[signature, case, size, domain, verdict], ...]}
+    {"op": "get_many", "groups": [[signature, size, domain, [case, ...]], ...]}
+    {"op": "put_many",
+     "groups": [[signature, size, domain, [case, ...], [verdict, ...]], ...]}
     {"op": "stats"}
     {"op": "health"}
     {"op": "metrics"}
     {"op": "compact", "max_rows": N, "max_age": S, "vacuum": true}
     {"op": "shutdown", "drain": true}
 
-Responses are JSON objects with ``"ok"``; errors come back as
-``{"ok": false, "error": "..."}`` instead of killing the connection.
+Batches travel as *wire groups*: keys sharing ``(signature, size,
+domain)`` name those three once and list their cases, so a sweep's
+frame carries each test signature once per group, not once per key
+(:func:`batch_frame` builds them).  A ``get_many`` answer is aligned
+with the request: one ``found`` list per group, one encoded verdict or
+``null`` per case.  Responses are JSON objects with ``"ok"``; errors
+come back as ``{"ok": false, "error": "..."}`` instead of killing the
+connection.
 Verdicts cross the wire in the store's canonical row encoding
 (:func:`~repro.store.store.encode_verdict`), so detection booleans and
 diagnosis syndromes round-trip byte-identically.  ``ping`` doubles as
@@ -141,7 +148,7 @@ from .store import (
 #: changes; a client refuses to talk to a server of another generation.
 #: Additive evolution (new ops, new optional request fields, new
 #: response fields) stays within a generation -- see docs/PROTOCOL.md.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: The handshake tag every ping answer carries.  A listener that does
 #: not identify with it is a foreign server: refused, never replaced.
@@ -210,6 +217,10 @@ DEFAULT_MAX_CLIENTS = 512
 MAX_CLIENT_LEDGER = 4096
 
 _HEADER = struct.Struct(">I")
+
+#: A key's ``(signature, case, size, domain)`` fields: the daemon's
+#: hot-tier key, cheaper to build and hash than a :class:`SimKey`.
+_RowKey = Tuple[str, str, int, str]
 
 #: Selector registration tag for the loop's self-wake pipe.
 _WAKE = "wake"
@@ -302,21 +313,77 @@ def _recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     return payload
 
 
-# -- wire form of keys and rows --------------------------------------------------
+# -- wire groups -----------------------------------------------------------------
 
 
-def _wire_key(key: "SimKey") -> List[Any]:
-    return [key.signature, key.case, key.size, key.domain]
+def batch_frame(
+    op: str, items: Iterable[Any]
+) -> Tuple[Dict[str, Any], List[list]]:
+    """The grouped ``get_many``/``put_many`` frame of one batch.
+
+    ``get_many`` takes :class:`SimKey` items, ``put_many`` takes
+    ``(SimKey, verdict)`` pairs (verdicts are sent canonically
+    encoded).  Items sharing ``(signature, size, domain)`` form one
+    wire group; groups keep first-seen order and items keep input
+    order within their group.  Returns the frame and each group's
+    items, so an aligned ``found`` answer zips straight back onto them.
+    """
+    put = op == "put_many"
+    grouped: Dict[Tuple[str, int, str], list] = {}
+    for item in items:
+        key = item[0] if put else item
+        group = (key.signature, key.size, key.domain)
+        grouped.setdefault(group, []).append(item)
+    wire = []
+    for (signature, size, domain), members in grouped.items():
+        if put:
+            wire.append([
+                signature, size, domain,
+                [key.case for key, _ in members],
+                [encode_verdict(value) for _, value in members],
+            ])
+        else:
+            wire.append(
+                [signature, size, domain, [key.case for key in members]]
+            )
+    return {"op": op, "groups": wire}, list(grouped.values())
 
 
-def _key_from_wire(row: Any) -> "SimKey":
-    if not isinstance(row, (list, tuple)) or len(row) != 4:
-        raise ServiceError(f"malformed wire key {row!r}")
-    signature, case, size, domain = row
-    if not (isinstance(signature, str) and isinstance(case, str)
-            and isinstance(size, int) and isinstance(domain, str)):
-        raise ServiceError(f"malformed wire key {row!r}")
-    return SimKey(signature, case, size, domain)
+def _groups_from_wire(request: Dict[str, Any], width: int) -> List[list]:
+    """A request's wire groups, checked: ``width`` 4 for ``get_many``
+    (signature, size, domain, cases) and 5 for ``put_many`` (plus one
+    verdict per case).  Anything else is refused in-band."""
+    groups = request.get("groups")
+    if not isinstance(groups, list):
+        raise ServiceError(
+            f"malformed {request.get('op')} frame: it needs a 'groups'"
+            f" list (protocol generation {PROTOCOL_VERSION})"
+        )
+    for group in groups:
+        if not isinstance(group, list) or len(group) != width:
+            raise ServiceError(f"malformed wire group {group!r}")
+        signature, size, domain, cases = group[:4]
+        if not (isinstance(signature, str) and type(size) is int
+                and isinstance(domain, str) and isinstance(cases, list)
+                and all(isinstance(case, str) for case in cases)):
+            raise ServiceError(f"malformed wire group {group!r}")
+        if width == 5 and not (isinstance(group[4], list)
+                               and len(group[4]) == len(cases)):
+            raise ServiceError(
+                f"malformed wire group {group!r}: one verdict per case"
+            )
+    return groups
+
+
+def _decode_wire_verdict(text: Any) -> Any:
+    if not isinstance(text, str):
+        raise ServiceError(f"malformed wire verdict {text!r}")
+    try:
+        return decode_verdict(text)
+    except (StoreError, ValueError, TypeError) as error:
+        raise ServiceError(
+            f"malformed wire verdict {text!r}: {error}"
+        ) from error
 
 
 # -- the client ------------------------------------------------------------------
@@ -548,22 +615,38 @@ class ServiceStore:
 
     # -- lookups ----------------------------------------------------------------
 
-    def _lookup(self, keys: Sequence["SimKey"]) -> Dict["SimKey", Any]:
-        """One ``get_many`` round trip, no client-side stat effects."""
+    def _lookup(
+        self, keys: Sequence["SimKey"]
+    ) -> Tuple[Dict["SimKey", Any], int]:
+        """One ``get_many`` round trip, no client-side stat effects:
+        the verdicts found, and how many of ``keys`` (duplicates
+        included) were hits."""
         if not keys:
-            return {}
-        response = self._request(
-            {"op": "get_many", "keys": [_wire_key(key) for key in keys]}
-        )
+            return {}, 0
+        frame, groups = batch_frame("get_many", keys)
+        answer = self._request(frame).get("found")
+        if not isinstance(answer, list) or len(answer) != len(groups):
+            raise ServiceError(
+                f"malformed get_many answer: {len(groups)} group(s) asked,"
+                f" {len(answer) if isinstance(answer, list) else answer!r}"
+                " answered"
+            )
         found: Dict["SimKey", Any] = {}
-        for row in response.get("found", ()):
-            if not isinstance(row, (list, tuple)) or len(row) != 5:
-                raise ServiceError(f"malformed verdict row {row!r}")
-            found[_key_from_wire(row[:4])] = decode_verdict(row[4])
-        return found
+        hits = 0
+        for members, encoded in zip(groups, answer):
+            if not isinstance(encoded, list) or len(encoded) != len(members):
+                raise ServiceError(
+                    f"malformed get_many answer: {encoded!r} is not aligned"
+                    f" with a {len(members)}-case group"
+                )
+            for key, text in zip(members, encoded):
+                if text is not None:
+                    found[key] = _decode_wire_verdict(text)
+                    hits += 1
+        return found, hits
 
     def get(self, key: "SimKey", default: Any = None) -> Any:
-        found = self._lookup([key])
+        found, _ = self._lookup([key])
         if key in found:
             self.stats.hits += 1
             return found[key]
@@ -572,13 +655,13 @@ class ServiceStore:
 
     def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
         keys = list(keys)
-        found = self._lookup(keys)
-        self.stats.hits += len(found)
-        self.stats.misses += len(keys) - len(found)
+        found, hits = self._lookup(keys)
+        self.stats.hits += hits
+        self.stats.misses += len(keys) - hits
         return found
 
     def __contains__(self, key: "SimKey") -> bool:
-        return key in self._lookup([key])
+        return key in self._lookup([key])[0]
 
     def __len__(self) -> int:
         return self.row_stats()["rows"]
@@ -595,11 +678,8 @@ class ServiceStore:
         if self.readonly:
             self.stats.skipped_writes += len(pairs)
             return
-        rows = [
-            _wire_key(key) + [encode_verdict(value)] for key, value in pairs
-        ]
-        self._request({"op": "put_many", "rows": rows})
-        self.stats.writes += len(rows)
+        self._request(batch_frame("put_many", pairs)[0])
+        self.stats.writes += len(pairs)
 
     # -- service surface --------------------------------------------------------
 
@@ -720,7 +800,9 @@ class ServiceStore:
 
 
 class _HotLru:
-    """The daemon's in-memory read tier: SimKey -> canonical encoded row.
+    """The daemon's in-memory read tier: one entry per key, keyed by
+    its ``(signature, case, size, domain)`` fields and holding the
+    canonical encoded row.
 
     Entries are the *wire* form of a verdict
     (:func:`~repro.store.store.encode_verdict` output), so a hit is a
@@ -736,12 +818,12 @@ class _HotLru:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._rows: "OrderedDict[SimKey, str]" = OrderedDict()
+        self._rows: "OrderedDict[_RowKey, str]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def get(self, key: "SimKey") -> Optional[str]:
+    def get(self, key: _RowKey) -> Optional[str]:
         if not self.max_entries:
             return None
         encoded = self._rows.get(key)
@@ -752,7 +834,7 @@ class _HotLru:
         self.hits += 1
         return encoded
 
-    def put(self, key: "SimKey", encoded: str) -> None:
+    def put(self, key: _RowKey, encoded: str) -> None:
         if not self.max_entries:
             return
         self._rows[key] = encoded
@@ -1464,51 +1546,76 @@ class VerdictService:
                 "schema_version": SCHEMA_VERSION,
             }
         if op == "get_many":
-            keys = [_key_from_wire(row) for row in request.get("keys", ())]
             # Hot tier first: a hit is a dict lookup away from the
-            # response row, no SQLite, no decode/encode.
+            # answer, no SQLite, no decode/encode.  The answer is
+            # aligned with the request: one list per group, one
+            # encoded verdict or None per case.
             lru = self._hot_lru
-            found_rows: List[List[Any]] = []
-            missing: List["SimKey"] = []
-            for key in keys:
-                encoded = lru.get(key)
-                if encoded is None:
-                    missing.append(key)
-                else:
-                    found_rows.append(_wire_key(key) + [encoded])
+            found_groups: List[List[Optional[str]]] = []
+            # Per group with hot-tier misses: the store lookup group
+            # and the answer slots it fills.
+            missing: List[Tuple[str, int, str, List[str]]] = []
+            slots: List[Tuple[List[Optional[str]], List[int]]] = []
+            for signature, size, domain, cases in _groups_from_wire(
+                request, 4
+            ):
+                found_row = [
+                    lru.get((signature, case, size, domain))
+                    for case in cases
+                ]
+                found_groups.append(found_row)
+                gaps = [i for i, text in enumerate(found_row) if text is None]
+                if gaps:
+                    missing.append(
+                        (signature, size, domain, [cases[i] for i in gaps])
+                    )
+                    slots.append((found_row, gaps))
             # Store call and ledger update are one atomic step under
             # the state lock, so a concurrent stats op can never see
             # store counters ahead of the per-client accounting (the
             # store's own lock already serializes the batches, so this
             # costs no real concurrency).
             with self._state_lock:
-                found = self.store.get_many(missing) if missing else {}
-                counters["hits"] += len(found_rows) + len(found)
-                counters["misses"] += (
-                    len(keys) - len(found_rows) - len(found)
+                answers = self.store.get_groups(missing) if missing else []
+                asked = sum(len(row) for row in found_groups)
+                absent = sum(
+                    1
+                    for group, found in zip(missing, answers)
+                    for case in group[3] if case not in found
                 )
-            for key, value in found.items():
-                encoded = encode_verdict(value)
-                lru.put(key, encoded)
-                found_rows.append(_wire_key(key) + [encoded])
-            return {"ok": True, "found": found_rows}
+                counters["hits"] += asked - absent
+                counters["misses"] += absent
+            for group, found, (found_row, gaps) in zip(
+                missing, answers, slots
+            ):
+                signature, size, domain, cases = group
+                for case, index in zip(cases, gaps):
+                    if case in found:
+                        encoded = encode_verdict(found[case])
+                        lru.put((signature, case, size, domain), encoded)
+                        found_row[index] = encoded
+            return {"ok": True, "found": found_groups}
         if op == "put_many":
-            pairs = []
-            for row in request.get("rows", ()):
-                if not isinstance(row, (list, tuple)) or len(row) != 5:
-                    raise ServiceError(f"malformed verdict row {row!r}")
-                pairs.append((_key_from_wire(row[:4]),
-                              decode_verdict(row[4])))
+            groups = [
+                (signature, size, domain, cases,
+                 [_decode_wire_verdict(text) for text in verdicts])
+                for signature, size, domain, cases, verdicts
+                in _groups_from_wire(request, 5)
+            ]
+            written = sum(len(group[3]) for group in groups)
             with self._state_lock:
-                self.store.put_many(pairs)
-                counters["writes"] += len(pairs)
+                self.store.put_groups(groups)
+                counters["writes"] += written
             # Write-through into the hot tier, re-encoded canonically
             # so LRU hits stay byte-identical to store reads even for
             # a client that sent a non-canonical (but decodable) row.
             lru = self._hot_lru
-            for key, value in pairs:
-                lru.put(key, encode_verdict(value))
-            return {"ok": True, "written": len(pairs)}
+            for signature, size, domain, cases, values in groups:
+                for case, value in zip(cases, values):
+                    lru.put(
+                        (signature, case, size, domain), encode_verdict(value)
+                    )
+            return {"ok": True, "written": written}
         if op == "stats":
             return {"ok": True, **self.snapshot_stats()}
         if op == "health":

@@ -72,6 +72,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -105,6 +106,12 @@ SERVICE_URL_PREFIX = "repro+unix://"
 #: write-lock traffic (a warm fan-out worker re-reading the same rows
 #: bumps each at most once a minute instead of once per lookup).
 LAST_USED_RESOLUTION_SECONDS = 60
+
+#: Most case names one grouped lookup binds into its ``IN (...)`` list.
+#: SQLite builds may cap a statement at 999 host parameters; the group's
+#: signature, size and domain take three, so a longer case list is
+#: looked up in chunks of this many.
+IN_CHUNK = 996
 
 
 class StoreError(RuntimeError):
@@ -539,8 +546,11 @@ class FaultDictionaryStore:
         " WHERE signature=? AND case_name=? AND size=? AND domain=?"
     )
 
-    def _bump(self, now: int, keys: Sequence["SimKey"]) -> None:
-        """Best-effort ``last_used`` refresh for read hits.
+    def _bump(
+        self, now: int, rows: Sequence[Tuple[str, str, int, str]]
+    ) -> None:
+        """Best-effort ``last_used`` refresh for read hits, one
+        ``(signature, case, size, domain)`` tuple per row.
 
         Usage tracking must never fail (or stall) a lookup: when the
         write lock cannot be had -- another worker mid-``put_many``, a
@@ -548,10 +558,7 @@ class FaultDictionaryStore:
         dropped; the rows keep their previous recency.  Called under
         ``self._lock``.
         """
-        rows = [
-            (now, key.signature, key.case, key.size, key.domain)
-            for key in keys
-        ]
+        rows = [(now, *row) for row in rows]
         try:
             self._conn.execute("BEGIN IMMEDIATE")
         except sqlite3.OperationalError:
@@ -588,39 +595,81 @@ class FaultDictionaryStore:
                 self._SELECT, (key.signature, key.case, key.size, key.domain)
             ).fetchone()
             if row is not None and self._needs_bump(now, row[1]):
-                self._bump(now, [key])
+                self._bump(
+                    now, [(key.signature, key.case, key.size, key.domain)]
+                )
         if row is None:
             self.stats.misses += 1
             return default
         self.stats.hits += 1
         return decode_verdict(row[0])
 
-    def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
-        """Point-look up many keys; absent keys are simply not returned.
+    _SELECT_GROUP = (
+        "SELECT case_name, verdict, last_used FROM verdicts"
+        " WHERE signature=? AND size=? AND domain=? AND case_name IN ({})"
+    )
 
-        Stale hits get their ``last_used`` refreshed in one batched,
-        best-effort transaction (see :meth:`get` for the bump rules).
+    def get_groups(
+        self, groups: Iterable[Tuple[str, int, str, Sequence[str]]]
+    ) -> List[Dict[str, Any]]:
+        """Look up groups of cases sharing ``(signature, size, domain)``.
+
+        Takes ``(signature, size, domain, cases)`` groups and returns
+        one ``{case: verdict}`` dict per group with the cases found.
+        A group is read by one ``SELECT .. case_name IN (..)`` per
+        :data:`IN_CHUNK` distinct cases; hits and misses are counted
+        per case asked.  Stale hits get their ``last_used`` refreshed
+        in one batched, best-effort transaction (see :meth:`get` for
+        the bump rules).
         """
-        found: Dict["SimKey", Any] = {}
-        stale: list = []
+        answers: List[Dict[str, Any]] = []
+        stale: List[Tuple[str, str, int, str]] = []
+        hits = asked = 0
         now = int(time.time())
         with self._lock:
             cursor = self._conn.cursor()
-            for key in keys:
-                row = cursor.execute(
-                    self._SELECT,
-                    (key.signature, key.case, key.size, key.domain),
-                ).fetchone()
-                if row is None:
-                    self.stats.misses += 1
-                else:
-                    self.stats.hits += 1
-                    found[key] = decode_verdict(row[0])
-                    if self._needs_bump(now, row[1]):
-                        stale.append(key)
+            for signature, size, domain, cases in groups:
+                distinct = list(dict.fromkeys(cases))
+                found: Dict[str, Any] = {}
+                for start in range(0, len(distinct), IN_CHUNK):
+                    chunk = distinct[start:start + IN_CHUNK]
+                    cursor.execute(
+                        self._SELECT_GROUP.format(",".join("?" * len(chunk))),
+                        (signature, size, domain, *chunk),
+                    )
+                    for case, verdict, last_used in cursor:
+                        found[case] = decode_verdict(verdict)
+                        if self._needs_bump(now, last_used):
+                            stale.append((signature, case, size, domain))
+                asked += len(cases)
+                hits += sum(1 for case in cases if case in found)
+                answers.append(found)
             if stale:
                 self._bump(now, stale)
-        return found
+            self.stats.hits += hits
+            self.stats.misses += asked - hits
+        return answers
+
+    def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
+        """Look up many keys; absent keys are simply not returned.
+
+        The keys are looked up as :meth:`get_groups` groups, one per
+        ``(signature, size, domain)``.
+        """
+        grouped: Dict[Tuple[str, int, str], List["SimKey"]] = {}
+        for key in keys:
+            group = (key.signature, key.size, key.domain)
+            grouped.setdefault(group, []).append(key)
+        answers = self.get_groups(
+            (signature, size, domain, [key.case for key in members])
+            for (signature, size, domain), members in grouped.items()
+        )
+        return {
+            key: found[key.case]
+            for members, found in zip(grouped.values(), answers)
+            for key in members
+            if key.case in found
+        }
 
     def __len__(self) -> int:
         with self._lock:
@@ -660,17 +709,36 @@ class FaultDictionaryStore:
 
     def put_many(self, pairs: Sequence[Tuple["SimKey", Any]]) -> None:
         """Upsert a batch in one transaction: all land or none do."""
-        if not pairs:
-            return
         if self.readonly:
             self.stats.skipped_writes += len(pairs)
             return
         now = int(time.time())
-        rows = [
+        self._upsert([
             (key.signature, key.case, key.size, key.domain,
              encode_verdict(value), now)
             for key, value in pairs
-        ]
+        ])
+
+    def put_groups(
+        self,
+        groups: Iterable[Tuple[str, int, str, Sequence[str], Sequence[Any]]],
+    ) -> None:
+        """:meth:`put_many` of ``(signature, size, domain, cases,
+        verdicts)`` groups, one verdict per case."""
+        groups = list(groups)
+        if self.readonly:
+            self.stats.skipped_writes += sum(len(g[3]) for g in groups)
+            return
+        now = int(time.time())
+        self._upsert([
+            (signature, case, size, domain, encode_verdict(value), now)
+            for signature, size, domain, cases, verdicts in groups
+            for case, value in zip(cases, verdicts)
+        ])
+
+    def _upsert(self, rows: List[Tuple[str, str, int, str, str, int]]) -> None:
+        if not rows:
+            return
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:

@@ -40,6 +40,7 @@ from repro.store.service import (
     ServiceError,
     ServiceStore,
     VerdictService,
+    batch_frame,
     is_service_url,
     service_socket_path,
 )
@@ -72,6 +73,58 @@ def service(tmp_path):
 
 def key(signature="{up(w0)}", case="SA0@0", size=3, domain="sp"):
     return SimKey(signature, case, size, domain)
+
+
+SIG = "{up(w0)}"
+
+#: Frames the daemon must refuse in-band: ``ok: false``, nothing
+#: written, the connection kept.
+MALFORMED_FRAMES = {
+    "groups-not-a-list": {"op": "get_many", "groups": {SIG: ["c"]}},
+    "put-groups-not-a-list": {"op": "put_many", "groups": "c"},
+    "group-not-a-list": {"op": "get_many", "groups": [SIG]},
+    "get-group-too-narrow": {"op": "get_many", "groups": [[SIG, 3, "sp"]]},
+    "get-group-too-wide": {
+        "op": "get_many", "groups": [[SIG, 3, "sp", ["c"], ["1"]]],
+    },
+    "put-group-too-narrow": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["c"]]],
+    },
+    "non-str-signature": {"op": "get_many", "groups": [[7, 3, "sp", ["c"]]]},
+    "non-str-case": {"op": "get_many", "groups": [[SIG, 3, "sp", ["c", 7]]]},
+    "non-int-size": {"op": "get_many", "groups": [[SIG, "3", "sp", ["c"]]]},
+    "bool-size": {"op": "get_many", "groups": [[SIG, True, "sp", ["c"]]]},
+    "non-str-domain": {"op": "get_many", "groups": [[SIG, 3, None, ["c"]]]},
+    "cases-not-a-list": {"op": "get_many", "groups": [[SIG, 3, "sp", "c"]]},
+    "fewer-verdicts-than-cases": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["a", "b"], ["1"]]],
+    },
+    "more-verdicts-than-cases": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["a"], ["1", "0"]]],
+    },
+    # The first group is well formed: refusal is all-or-nothing.
+    "second-group-misaligned": {
+        "op": "put_many", "groups": [
+            [SIG, 3, "sp", ["a"], ["1"]],
+            [SIG, 4, "sp", ["a"], []],
+        ],
+    },
+    "non-str-verdict": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["a"], [1]]],
+    },
+    "undecodable-verdict": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["a"], ["maybe"]]],
+    },
+    "undecodable-syndrome": {
+        "op": "put_many", "groups": [[SIG, 3, "sp", ["a"], ["S[1"]]],
+    },
+    "generation-2-get": {
+        "op": "get_many", "keys": [[SIG, "c", 3, "sp"]],
+    },
+    "generation-2-put": {
+        "op": "put_many", "rows": [[SIG, "c", 3, "sp", "1"]],
+    },
+}
 
 
 # -- URL scheme ----------------------------------------------------------------
@@ -177,12 +230,50 @@ class TestProtocol:
             # The connection survives a refused request.
             assert client.ping()["service"] == SERVICE_MAGIC
 
-    def test_malformed_rows_are_refused(self, service):
+    @pytest.mark.parametrize(
+        "frame", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys()
+    )
+    def test_malformed_rows_are_refused(self, service, frame):
         with ServiceStore(service.url) as client:
+            client.ping()
+            connection = client._sock
             with pytest.raises(ServiceError, match="malformed"):
-                client._request({"op": "get_many", "keys": [["short"]]})
-            with pytest.raises(ServiceError, match="malformed"):
-                client._request({"op": "put_many", "rows": [[1, 2, 3]]})
+                client._request(frame)
+            # Refused in-band: the same connection carries on.
+            assert client.ping()["service"] == SERVICE_MAGIC
+            assert client._sock is connection
+            assert client.retries == 0
+        assert len(service.store) == 0
+
+    @pytest.mark.parametrize("answer", [
+        None,
+        [],
+        [["1", None]],
+        [["1", None], ["0"], []],
+        [["1"], ["0"]],
+        [["1", None], ["0", "1"]],
+        [["1", None], "0"],
+        [["1", 1], ["0"]],
+    ], ids=[
+        "no-found", "no-groups", "too-few-groups", "too-many-groups",
+        "short-group", "long-group", "group-not-a-list", "non-str-verdict",
+    ])
+    def test_misaligned_answers_are_refused(self, tmp_path, answer):
+        client = ServiceStore(tmp_path / "never.sock")
+        client._request = lambda payload: {"ok": True, "found": answer}
+        keys = [key(case="a"), key(case="b"), key(size=4, case="a")]
+        with pytest.raises(ServiceError, match="malformed"):
+            client.get_many(keys)
+        assert client.stats.hits == client.stats.misses == 0
+
+    def test_answers_zip_back_onto_the_asked_keys(self, tmp_path):
+        client = ServiceStore(tmp_path / "never.sock")
+        client._request = lambda payload: {
+            "ok": True, "found": [["1", None], ["0"]],
+        }
+        keys = [key(case="a"), key(size=4, case="a"), key(case="b")]
+        assert client.get_many(keys) == {keys[0]: True, keys[1]: False}
+        assert (client.stats.hits, client.stats.misses) == (2, 1)
 
     def test_stats_op_reports_per_client_counters(self, service):
         with ServiceStore(service.url) as writer:
@@ -385,21 +476,26 @@ class TestDaemonLifecycle:
             "schema_version": 2,
         }
 
+        frame, groups = batch_frame("get_many", [key()])
+        requests = []
+
         def half_broken_server():
             # Connection 1: proper handshake, then a bogus oversize
             # header.  Connection 2 (the retry): all proper -- the
-            # retried get_many is answered with an empty found list.
+            # retried get_many is answered "absent" for every case.
             conn, _ = listener.accept()
             _recv_frame(conn)
             _send_frame(conn, hello)
-            _recv_frame(conn)
+            requests.append(_recv_frame(conn))
             conn.sendall(struct.pack(">I", 1 << 31))
             conn.close()
             conn, _ = listener.accept()
             _recv_frame(conn)
             _send_frame(conn, dict(hello, pid=2))
-            _recv_frame(conn)
-            _send_frame(conn, {"ok": True, "found": []})
+            requests.append(_recv_frame(conn))
+            _send_frame(
+                conn, {"ok": True, "found": [[None] * len(g) for g in groups]}
+            )
             conn.close()
 
         thread = threading.Thread(target=half_broken_server, daemon=True)
@@ -412,6 +508,7 @@ class TestDaemonLifecycle:
             assert client.retries == 1, (
                 "the framing error must cost exactly one retry"
             )
+            assert requests == [frame, frame]
         finally:
             client.close()
             listener.close()

@@ -23,6 +23,7 @@ from repro.store.service import (
     ServiceStore,
     ServiceUnavailableError,
     VerdictService,
+    batch_frame,
 )
 
 
@@ -38,12 +39,25 @@ def verdict(i):
     return i % 2 == 0
 
 
-def wire_row(k, value):
-    return [k.signature, k.case, k.size, k.domain, encode_verdict(value)]
+def put_frame(pairs):
+    return batch_frame("put_many", pairs)[0]
 
 
-def wire_key(k):
-    return [k.signature, k.case, k.size, k.domain]
+def read_frame(keys):
+    """A ``get_many`` frame, and a function zipping its aligned
+    ``found`` answer back onto the keys (absent keys left out)."""
+    frame, groups = batch_frame("get_many", keys)
+
+    def zip_found(response):
+        assert len(response["found"]) == len(groups)
+        return {
+            k: text
+            for members, answer in zip(groups, response["found"])
+            for k, text in zip(members, answer, strict=True)
+            if text is not None
+        }
+
+    return frame, zip_found
 
 
 # -- the soak --------------------------------------------------------------------
@@ -78,16 +92,15 @@ class TestSoak:
                 for i, k in enumerate(keys)
             }
             half = KEYS_PER_CLIENT // 2
+            read, zip_found = read_frame(keys)
             payloads = [
-                {"op": "put_many",
-                 "rows": [wire_row(k, values[k]) for k in keys[:half]]},
+                put_frame([(k, values[k]) for k in keys[:half]]),
                 # Pipelined read-after-write on the same connection:
                 # the first half must already be visible.
-                {"op": "get_many", "keys": [wire_key(k) for k in keys]},
-                {"op": "put_many",
-                 "rows": [wire_row(k, values[k]) for k in keys[half:]]},
+                read,
+                put_frame([(k, values[k]) for k in keys[half:]]),
                 {"op": "ping"},
-                {"op": "get_many", "keys": [wire_key(k) for k in keys]},
+                read,
             ]
             try:
                 client = ServiceStore(daemon.url)
@@ -101,20 +114,13 @@ class TestSoak:
                 for response in responses:
                     assert response.get("ok"), response
                 assert responses[0]["written"] == half
-                first_read = {
-                    tuple(row[:4]): row[4]
-                    for row in responses[1]["found"]
-                }
-                assert len(first_read) == half
+                first_read = zip_found(responses[1])
+                assert set(first_read) == set(keys[:half])
                 assert responses[3]["service"] == SERVICE_MAGIC
-                final_read = {
-                    tuple(row[:4]): row[4]
-                    for row in responses[4]["found"]
-                }
+                final_read = zip_found(responses[4])
                 assert len(final_read) == KEYS_PER_CLIENT
                 with served_lock:
-                    for k in keys:
-                        served[k] = final_read[tuple(wire_key(k))]
+                    served.update(final_read)
             except Exception as error:  # noqa: BLE001 - collected below
                 failures.append((client_no, repr(error)))
 
@@ -152,12 +158,9 @@ class TestPipelining:
             client = ServiceStore(daemon.url)
             try:
                 keys = [key(i, prefix="p") for i in range(6)]
-                payloads = [
-                    {"op": "put_many", "rows": [wire_row(k, True)]}
-                    for k in keys
-                ] + [
-                    {"op": "get_many",
-                     "keys": [wire_key(k) for k in keys]},
+                read, zip_found = read_frame(keys)
+                payloads = [put_frame([(k, True)]) for k in keys] + [
+                    read,
                     {"op": "ping"},
                     {"op": "nonsense"},
                     {"op": "stats"},
@@ -166,7 +169,9 @@ class TestPipelining:
                 assert len(responses) == len(payloads)
                 for response in responses[:6]:
                     assert response == {"ok": True, "written": 1}
-                assert len(responses[6]["found"]) == 6
+                assert zip_found(responses[6]) == {
+                    k: encode_verdict(True) for k in keys
+                }
                 assert responses[7]["service"] == SERVICE_MAGIC
                 # A refused frame is answered in place -- the pipeline
                 # (and the connection) carries on.
@@ -306,9 +311,9 @@ class TestDrain:
             # The shutdown rides *behind* five pipelined batches: drain
             # must answer all of them before the daemon goes away.
             payloads = [
-                {"op": "put_many",
-                 "rows": [wire_row(k, verdict(i * 4 + j))
-                          for j, k in enumerate(batch)]}
+                put_frame(
+                    [(k, verdict(i * 4 + j)) for j, k in enumerate(batch)]
+                )
                 for i, batch in enumerate(
                     keys[n:n + 4] for n in range(0, 20, 4)
                 )

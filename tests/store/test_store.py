@@ -138,8 +138,11 @@ class TestReadonly:
             assert store.get(key()) is True
             store.put(key(), False)
             store.put_many([(key(case="x"), True)])
+            store.put_groups(
+                [("{up(w0)}", 3, "sp", ["a", "b"], [True, False])]
+            )
             assert store.stats.writes == 0
-            assert store.stats.skipped_writes == 2
+            assert store.stats.skipped_writes == 4
             assert store.get(key()) is True  # unchanged
             assert "readonly" in store.describe()
         with FaultDictionaryStore(store_path) as store:
