@@ -27,7 +27,7 @@ variant must be caught).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
@@ -134,6 +134,8 @@ class BitParallelBackend(SerialBackend):
         self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
             OrderedDict()
         )
+        # Per case-name tuple, each case's route: one split per sweep.
+        self._routes: "OrderedDict[Tuple, Tuple[bool, ...]]" = OrderedDict()
         # Packability memo keyed by case name (the canonical fault
         # identity): single-case probes repeat the same few cases
         # against many tests.
@@ -146,34 +148,45 @@ class BitParallelBackend(SerialBackend):
             self._packable[case.name] = verdict
         return verdict
 
-    def _simulation(
-        self, cases: Sequence[FaultCase], size: int
-    ) -> PackedSimulation:
-        key = (tuple(case.name for case in cases), size)
-        simulation = self._simulations.get(key)
-        if simulation is None:
-            simulation = PackedSimulation(cases, size)
-            self._simulations[key] = simulation
-            while len(self._simulations) > self.PLAN_CACHE_SIZE:
-                self._simulations.popitem(last=False)
+    def _memo(self, table: OrderedDict, key: Tuple, build: Callable) -> Any:
+        """``table[key]``, built on a miss (LRU of PLAN_CACHE_SIZE)."""
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build()
+            while len(table) > self.PLAN_CACHE_SIZE:
+                table.popitem(last=False)
         else:
-            self._simulations.move_to_end(key)
-        return simulation
+            table.move_to_end(key)
+        return value
 
     def detect_batch(
         self, cases: Sequence[FaultCase], test: MarchTest, size: int
     ) -> List[bool]:
-        routes = [self._is_packable(case) for case in cases]
-        packable = [case for case, packs in zip(cases, routes) if packs]
-        scalar = [case for case, packs in zip(cases, routes) if not packs]
-        packed = iter(
-            self._simulation(packable, size).worst_case_verdicts(test)
-            if packable else ()
+        names = tuple([case.name for case in cases])
+        routes = self._memo(
+            self._routes, names,
+            lambda: tuple(map(self._is_packable, cases)),
+        )
+        if all(routes):
+            packable, scalar = cases, ()
+        else:
+            packable = [case for case, packs in zip(cases, routes) if packs]
+            scalar = [case for case, packs in zip(cases, routes) if not packs]
+            names = tuple([case.name for case in packable])
+        packed = (
+            self._memo(
+                self._simulations, (names, size),
+                lambda: PackedSimulation(packable, size),
+            ).worst_case_verdicts(test)
+            if packable else []
         )
         fallback = iter(
             super().detect_batch(scalar, test, size) if scalar else ()
         )
         self.count_served(self.name, len(packable))
+        if not scalar:
+            return packed
+        packed = iter(packed)
         return [next(packed if packs else fallback) for packs in routes]
 
 

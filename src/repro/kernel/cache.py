@@ -3,9 +3,10 @@
 Worst-case detection of a fault case by a March test is a pure function
 of (what the test does, which physical fault is injected, how many
 cells the memory has).  The cache memoizes those verdicts under a
-:class:`SimKey` so that every consumer layer -- generator verification,
-coverage analysis, comparative analysis, diagnosis, benchmarks --
-shares one fault dictionary instead of re-simulating from scratch.
+:class:`SimKey` identity, held per ``(signature, size, domain)`` group,
+so that every consumer layer -- generator verification, coverage
+analysis, comparative analysis, diagnosis, benchmarks -- shares one
+fault dictionary instead of re-simulating from scratch.
 
 The cache is a bounded LRU: the exhaustive-search paths probe hundreds
 of thousands of throwaway candidates, and an unbounded dictionary would
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Any,
     Callable,
-    Collection,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -61,6 +63,12 @@ class SimKey:
     case: str
     size: int
     domain: str = "sp"
+
+
+#: A lookup group, ``(signature, size, domain, cases)``, and a write
+#: group, which adds one verdict per case.
+LookupGroup = Tuple[str, int, str, Sequence[str]]
+WriteGroup = Tuple[str, int, str, Sequence[str], Sequence[Any]]
 
 
 def _reading(slot: str) -> property:
@@ -119,14 +127,24 @@ class KernelStats:
 
 
 class FaultDictionaryCache:
-    """A bounded LRU mapping :class:`SimKey` to verdicts, optionally
-    over a persistent store.
+    """A bounded LRU of verdicts kept per group, optionally over a
+    persistent store.
+
+    A *group* is the cases sharing one ``(signature, size, domain)``.
+    The LRU is an ``OrderedDict`` from group to ``{case: verdict}``
+    with a running verdict count, and :meth:`get_groups`/
+    :meth:`put_groups` take the stores' group tuples, so a sweep costs
+    per group here, not per verdict.  Recency is per group; the bound
+    counts verdicts, and eviction drops the least recently used
+    group's oldest-inserted cases first.  Hits and misses count per
+    case asked.  The single-key :meth:`get`/:meth:`put` (``syndrome``,
+    ``detects_2p``) are one-group calls.
 
     With a ``store`` (a :class:`~repro.store.store.FaultDictionaryStore`,
     a :class:`~repro.store.service.ServiceStore`, or a
     :class:`~repro.store.resilience.DegradingStore` wrapping either --
-    anything with their ``get_many``/``put_many`` surface) the LRU is
-    the first tier and the store the second:
+    anything with their ``get_groups``/``put_groups`` surface) the LRU
+    is the first tier and the store the second:
 
     * **read-through** -- the LRU misses of one lookup go to the store
       in one call; what it finds is promoted into the LRU (without
@@ -155,62 +173,103 @@ class FaultDictionaryCache:
         self.store = store
         self.telemetry = telemetry if telemetry is not None else TELEMETRY_OFF
         self.stats = KernelStats()
-        self._entries: "OrderedDict[SimKey, Any]" = OrderedDict()
+        self._groups: "OrderedDict[Tuple[str, int, str], Dict[str, Any]]" = (
+            OrderedDict()
+        )
+        self._count = 0
 
     def get(self, key: SimKey) -> Any:
         """Look up one key through both tiers; ``None`` when absent."""
-        return self.get_many([key]).get(key)
+        (found,) = self.get_groups(
+            [(key.signature, key.size, key.domain, (key.case,))]
+        )
+        return found.get(key.case)
 
-    def get_many(self, keys: Sequence[SimKey]) -> Dict[SimKey, Any]:
-        """Look up a batch: found keys only.
-
-        The LRU answers first; its misses go to the store in one call.
-        """
-        entries = self._entries
-        found: Dict[SimKey, Any] = {}
-        missing: List[SimKey] = []
-        for key in keys:
-            value = entries.get(key)
-            if value is None:
-                missing.append(key)
-            else:
-                entries.move_to_end(key)
-                found[key] = value
-        self.stats._hits.inc(len(found))
-        self.stats._misses.inc(len(missing))
+    def get_groups(self, groups: Iterable[LookupGroup]) -> List[Dict[str, Any]]:
+        """Look up ``(signature, size, domain, cases)`` groups: one
+        ``{case: verdict}`` dict per group with the cases found.  The
+        LRU's misses go to the store in one ``get_groups`` call."""
+        entries = self._groups
+        answers: List[Dict[str, Any]] = []
+        missing: List[Tuple[str, int, str, List[str]]] = []
+        unfilled: List[Dict[str, Any]] = []
+        asked = hits = 0
+        for signature, size, domain, cases in groups:
+            group = (signature, size, domain)
+            row = entries.get(group)
+            found: Dict[str, Any] = {}
+            if row is not None:
+                entries.move_to_end(group)
+                found = {case: row[case] for case in cases if case in row}
+            gaps = [case for case in cases if case not in found]
+            asked += len(cases)
+            hits += len(cases) - len(gaps)
+            answers.append(found)
+            if gaps:
+                missing.append((signature, size, domain, gaps))
+                unfilled.append(found)
+        self.stats._hits.inc(hits)
+        self.stats._misses.inc(asked - hits)
         if missing and self.store is not None:
             promoted = self._timed_store(
                 "repro.store.read_through.seconds",
-                self.store.get_many, missing,
+                self.store.get_groups, missing,
             )
-            self._insert(promoted.items())
-            found.update(promoted)
-        return found
+            self._insert([
+                (signature, size, domain, list(got), list(got.values()))
+                for (signature, size, domain, _), got in zip(
+                    missing, promoted
+                )
+                if got
+            ])
+            for found, got in zip(unfilled, promoted):
+                found.update(got)
+        return answers
 
     def put(self, key: SimKey, value: Any) -> None:
         """Store one verdict in both tiers."""
-        self.put_many([(key, value)])
+        self.put_groups(
+            [(key.signature, key.size, key.domain, (key.case,), (value,))]
+        )
 
-    def put_many(self, pairs: Sequence[Tuple[SimKey, Any]]) -> None:
-        """Store a batch in the LRU and write it through to the store
-        in one call (one transaction on a file store)."""
-        self._insert(pairs)
+    def put_groups(self, groups: Sequence[WriteGroup]) -> None:
+        """Store ``(signature, size, domain, cases, verdicts)`` groups
+        in the LRU and write them through to the store in one call
+        (one transaction on a file store)."""
+        self._insert(groups)
         if self.store is not None:
             self._timed_store(
                 "repro.store.write_through.seconds",
-                self.store.put_many, pairs,
+                self.store.put_groups, groups,
             )
 
-    def _insert(self, pairs: Collection[Tuple[SimKey, Any]]) -> None:
-        """Fill the LRU, then evict the least recently used overflow."""
-        entries = self._entries
-        for key, value in pairs:
-            entries[key] = value
-            entries.move_to_end(key)
-        overflow = max(len(entries) - self._max_entries, 0)
-        for _ in range(overflow):
-            entries.popitem(last=False)
-        self.stats._stores.inc(len(pairs))
+    def _insert(self, groups: Sequence[WriteGroup]) -> None:
+        """Fill the LRU, then evict the least recently used groups'
+        oldest cases until the verdict count fits the bound."""
+        entries = self._groups
+        count = self._count
+        stored = 0
+        for signature, size, domain, cases, verdicts in groups:
+            group = (signature, size, domain)
+            row = entries.get(group)
+            if row is None:
+                row = entries[group] = {}
+            else:
+                entries.move_to_end(group)
+            held = len(row)
+            row.update(zip(cases, verdicts))
+            count += len(row) - held
+            stored += len(cases)
+        overflow = max(count - self._max_entries, 0)
+        while count > self._max_entries:
+            row = next(iter(entries.values()))
+            for case in list(islice(row, count - self._max_entries)):
+                del row[case]
+                count -= 1
+            if not row:
+                entries.popitem(last=False)
+        self._count = count
+        self.stats._stores.inc(stored)
         self.stats._evictions.inc(overflow)
 
     def _timed_store(
@@ -229,14 +288,12 @@ class FaultDictionaryCache:
 
     def clear(self) -> None:
         """Drop the in-memory tier; persistent rows survive."""
-        self._entries.clear()
+        self._groups.clear()
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def __contains__(self, key: SimKey) -> bool:
-        return key in self._entries
-
-    def snapshot(self) -> Dict[SimKey, Any]:
-        """A shallow copy of the in-memory entries (diagnostics)."""
-        return dict(self._entries)
+        row = self._groups.get((key.signature, key.size, key.domain))
+        return row is not None and key.case in row

@@ -9,7 +9,8 @@ kernel, which
 
 * memoizes worst-case verdicts in a bounded fault-dictionary cache
   keyed by :class:`~repro.kernel.cache.SimKey` (canonical test
-  signature, case name, memory size, domain), with hit/miss stats;
+  signature, case name, memory size, domain) and held per
+  ``(signature, size, domain)`` group, with hit/miss stats;
 * hoists ``concrete_order_variants()`` out of all inner loops (each
   scalar run allocates a fresh :class:`~repro.memory.array.MemoryArray`);
 * answers the Section 6 analysis with one plain scalar run per
@@ -404,20 +405,19 @@ class SimulationKernel:
         """Batched simulation: one report per test, in input order.
 
         Cache hits are answered from the fault dictionary; each test's
-        misses are evaluated in one backend call and stored.
+        misses are evaluated in one backend call and stored.  The
+        reports share one tuple of the case names.
         """
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
+        names = tuple([case.name for case in cases])
         reports = []
         for test in tests:
             row = verdicts[canonical_signature(test)]
-            report = SimulationReport(test, size)
-            for case in cases:
-                if row[case.name]:
-                    report.detected.append(case.name)
-                else:
-                    report.missed.append(case.name)
-            reports.append(report)
+            flags = bytes([row[name] for name in names])
+            reports.append(
+                SimulationReport.from_flags(test, size, names, flags)
+            )
         return reports
 
     def simulate_fault_list(
@@ -461,43 +461,40 @@ class SimulationKernel:
         """Resolve every (test, case) pair: signature -> case name ->
         verdict, each row in first-appearance case order.
 
-        The one path every verdict takes.  One ``get_many`` looks up
-        all the pairs (a store tier answers the in-memory misses in one
-        pass), one backend call per test evaluates that test's misses,
-        and one ``put_many`` stores the fresh verdicts (one store
-        transaction).  A test or case given twice is resolved once.
+        The one path every verdict takes, and it builds no per-pair
+        key.  One ``cache.get_groups`` looks up one group per test
+        signature (a store tier answers the in-memory misses in one
+        pass), one backend call per test evaluates that test's missing
+        cases, and one ``cache.put_groups`` stores the fresh verdicts
+        (one store transaction).  A test or case given twice is
+        resolved once.
         """
         by_name: Dict[str, FaultCase] = {}
         for case in cases:
             by_name.setdefault(case.name, case)
+        names = list(by_name)
         by_signature: Dict[str, MarchTest] = {}
         for test in tests:
             by_signature.setdefault(canonical_signature(test), test)
-        keys = {
-            signature: [SimKey(signature, name, size) for name in by_name]
-            for signature in by_signature
-        }
-        cached = self.cache.get_many(
-            [key for row in keys.values() for key in row]
+        cached = self.cache.get_groups(
+            [(signature, size, "sp", names) for signature in by_signature]
         )
         verdicts: Dict[str, Dict[str, bool]] = {}
-        fresh: List[Tuple[SimKey, bool]] = []
-        for signature, test in by_signature.items():
-            row = verdicts[signature] = {}
-            missing = []
-            for key in keys[signature]:
-                verdict = row[key.case] = cached.get(key)
-                if verdict is None:
-                    missing.append(key)
+        fresh = []
+        for (signature, test), row in zip(by_signature.items(), cached):
+            missing = [name for name in names if name not in row]
             if missing:
                 results = self._detect_batch(
-                    [by_name[key.case] for key in missing], test, size
+                    [by_name[name] for name in missing], test, size
                 )
-                for key, verdict in zip(missing, results):
-                    row[key.case] = verdict
-                    fresh.append((key, verdict))
+                fresh.append((signature, size, "sp", missing, results))
+                row.update(zip(missing, results))
+            verdicts[signature] = (
+                row if len(missing) == len(names)
+                else {name: row[name] for name in names}
+            )
         if fresh:
-            self.cache.put_many(fresh)
+            self.cache.put_groups(fresh)
         return verdicts
 
     def _detect_batch(

@@ -7,24 +7,55 @@ point for fault simulation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ..march.test import MarchTest
 
 
-@dataclass
 class SimulationReport:
-    """Outcome of simulating a test against a set of fault cases."""
+    """Outcome of simulating a test against a set of fault cases.
 
-    test: MarchTest
-    size: int
-    detected: List[str] = field(default_factory=list)
-    missed: List[str] = field(default_factory=list)
+    Held as the case names in order plus one detected flag per case, so
+    the reports of one batch share one name tuple and cost a byte per
+    verdict, not a list slot per name.  ``detected`` and ``missed`` are
+    new lists built on each access, in case order: changing one does
+    not change the report.
+    """
+
+    __slots__ = ("test", "size", "cases", "flags")
+
+    def __init__(
+        self,
+        test: MarchTest,
+        size: int,
+        detected: Sequence[str] = (),
+        missed: Sequence[str] = (),
+    ) -> None:
+        self.test = test
+        self.size = size
+        self.cases: Tuple[str, ...] = (*detected, *missed)
+        self.flags = bytes([1]) * len(detected) + bytes(len(missed))
+
+    @classmethod
+    def from_flags(
+        cls, test: MarchTest, size: int, cases: Tuple[str, ...], flags: bytes
+    ) -> "SimulationReport":
+        """A report over ``cases`` with one 0/1 detected flag each."""
+        report = cls(test, size)
+        report.cases, report.flags = cases, flags
+        return report
+
+    @property
+    def detected(self) -> List[str]:
+        return [case for case, flag in zip(self.cases, self.flags) if flag]
+
+    @property
+    def missed(self) -> List[str]:
+        return [case for case, flag in zip(self.cases, self.flags) if not flag]
 
     @property
     def complete(self) -> bool:
-        return not self.missed
+        return all(self.flags)
 
     @property
     def coverage(self) -> float:
@@ -34,15 +65,27 @@ class SimulationReport:
         coverage (the producer emits an :class:`EmptyFaultListWarning`
         at simulation time).
         """
-        total = len(self.detected) + len(self.missed)
-        if total == 0:
+        if not self.flags:
             return 0.0
-        return len(self.detected) / total
+        return self.flags.count(1) / len(self.flags)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationReport):
+            return NotImplemented
+        return (self.test, self.size, self.detected, self.missed) == (
+            other.test, other.size, other.detected, other.missed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SimulationReport(test={self.test!r}, size={self.size!r},"
+            f" detected={self.detected!r}, missed={self.missed!r})"
+        )
 
     def __str__(self) -> str:
         return (
             f"{self.test.name or self.test}: "
-            f"{len(self.detected)}/{len(self.detected) + len(self.missed)}"
+            f"{self.flags.count(1)}/{len(self.flags)}"
             f" fault cases detected"
         )
 

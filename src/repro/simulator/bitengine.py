@@ -165,10 +165,14 @@ class LanePlan:
         self.sof_lanes = 0
         #: Power-up latch content per lane (adversarially enumerated).
         self.sof_latch_init = 0
-        # Address-decoder redirections.
-        self.write_redirect: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        self.write_echo: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        self.read_redirect: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        # Address-decoder rules, one ``{target: mask}`` dict per cell
+        # with every lane's mask ORed in (exact: each update is per
+        # lane and the lane masks are disjoint).  Writes of the cell
+        # land on the target (redirect: ADF-B/D) or also reach it
+        # (echo: ADF-C); reads of the cell report the target (ADF-B/D).
+        self.write_redirect: List[Dict[int, int]] = [{} for _ in range(n)]
+        self.write_echo: List[Dict[int, int]] = [{} for _ in range(n)]
+        self.read_redirect: List[Dict[int, int]] = [{} for _ in range(n)]
         self.read_combine: List[List[Tuple[int, str, int]]] = [
             [] for _ in range(n)
         ]
@@ -293,26 +297,28 @@ def _enc_cfrd(inst: ReadCouplingInstance, plan: LanePlan, m: int) -> None:
     plan.cf_read[inst.aggressor].append((inst.victim, inst.forced, m))
 
 
+def _redirect(plan: LanePlan, cell: int, target: int, m: int) -> None:
+    """Accesses to ``cell`` land on ``target`` for the ``m`` lanes."""
+    plan.write_lost[cell] |= m
+    for rules in (plan.write_redirect[cell], plan.read_redirect[cell]):
+        rules[target] = rules.get(target, 0) | m
+
+
 def _enc_wrong_cell(inst: WrongCellAccessInstance, plan: LanePlan,
                     m: int) -> None:
-    # ADF-B: accesses to a land on b.
-    plan.write_lost[inst.a] |= m
-    plan.write_redirect[inst.a].append((inst.b, m))
-    plan.read_redirect[inst.a].append((inst.b, m))
+    _redirect(plan, inst.a, inst.b, m)  # ADF-B: accesses to a land on b
 
 
 def _enc_shared_cell(inst: SharedCellAccessInstance, plan: LanePlan,
                      m: int) -> None:
-    # ADF-D: accesses to b land on a (b is shadowed).
-    plan.write_lost[inst.b] |= m
-    plan.write_redirect[inst.b].append((inst.a, m))
-    plan.read_redirect[inst.b].append((inst.a, m))
+    _redirect(plan, inst.b, inst.a, m)  # ADF-D: accesses to b land on a
 
 
 def _enc_multi_cell(inst: MultiCellAccessInstance, plan: LanePlan,
                     m: int) -> None:
     # ADF-C: writes to a also reach b; conflicting reads combine.
-    plan.write_echo[inst.a].append((inst.b, m))
+    echo = plan.write_echo[inst.a]
+    echo[inst.b] = echo.get(inst.b, 0) | m
     plan.read_combine[inst.a].append((inst.b, inst.read_model, m))
 
 
@@ -500,12 +506,12 @@ class PackedSimulation:
                             new_val ^= flip
                         value[a] = new_val
                         defined[a] = old_def | written
-                        for target, mask in plan.write_redirect[a]:
+                        for target, mask in plan.write_redirect[a].items():
                             value[target] = (
                                 (value[target] & ~mask) | (value_mask & mask)
                             )
                             defined[target] |= mask
-                        for other, mask in plan.write_echo[a]:
+                        for other, mask in plan.write_echo[a].items():
                             value[other] = (
                                 (value[other] & ~mask) | (value_mask & mask)
                             )
@@ -567,7 +573,7 @@ class PackedSimulation:
                         force1 = s1 | d1
                         reported = (reported & ~force0) | force1
                         reported_def |= force0 | force1
-                    for source, mask in plan.read_redirect[a]:
+                    for source, mask in plan.read_redirect[a].items():
                         reported = (reported & ~mask) | (value[source] & mask)
                         reported_def = (
                             (reported_def & ~mask) | (defined[source] & mask)

@@ -310,11 +310,17 @@ class DegradingStore:
     def get_many(self, keys: Iterable[Any]) -> Dict[Any, Any]:
         return self._call("get_many", list(keys))
 
+    def get_groups(self, groups: Iterable[Any]) -> List[Dict[str, Any]]:
+        return self._call("get_groups", list(groups))
+
     def put(self, key: Any, value: Any) -> None:
         self._call("put", key, value)
 
     def put_many(self, pairs: Sequence[Tuple[Any, Any]]) -> None:
         self._call("put_many", list(pairs))
+
+    def put_groups(self, groups: Iterable[Any]) -> None:
+        self._call("put_groups", list(groups))
 
     def __contains__(self, key: Any) -> bool:
         return self._call("__contains__", key)

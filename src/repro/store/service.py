@@ -61,7 +61,7 @@ Topology
   unchanged from the threaded daemon -- there is simply no longer a
   thread per client to schedule or leak.
 * :class:`ServiceStore` -- the client: the same
-  ``get``/``get_many``/``put``/``put_many``/``stats`` surface as
+  ``get_groups``/``put_groups`` (and per-key) lookup/write surface as
   :class:`~repro.store.store.FaultDictionaryStore`, so the kernel's
   :class:`~repro.kernel.cache.FaultDictionaryCache` cannot tell the
   difference.  Pass a ``repro+unix:///path/to.sock`` URL anywhere a
@@ -142,6 +142,8 @@ from .store import (
     StoreStats,
     decode_verdict,
     encode_verdict,
+    get_many_by_groups,
+    pair_groups,
 )
 
 #: Generation of the wire protocol.  Bump on incompatible frame or op
@@ -316,37 +318,27 @@ def _recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
 # -- wire groups -----------------------------------------------------------------
 
 
-def batch_frame(
-    op: str, items: Iterable[Any]
-) -> Tuple[Dict[str, Any], List[list]]:
-    """The grouped ``get_many``/``put_many`` frame of one batch.
+def batch_frame(op: str, groups: Iterable[Sequence[Any]]) -> Dict[str, Any]:
+    """The ``get_many``/``put_many`` frame of a batch of groups.
 
-    ``get_many`` takes :class:`SimKey` items, ``put_many`` takes
-    ``(SimKey, verdict)`` pairs (verdicts are sent canonically
-    encoded).  Items sharing ``(signature, size, domain)`` form one
-    wire group; groups keep first-seen order and items keep input
-    order within their group.  Returns the frame and each group's
-    items, so an aligned ``found`` answer zips straight back onto them.
+    ``get_many`` takes ``(signature, size, domain, cases)`` groups and
+    ``put_many`` ``(signature, size, domain, cases, verdicts)`` groups,
+    as the stores' ``get_groups``/``put_groups`` do; verdicts are sent
+    canonically encoded.  Groups and cases keep their order, so an
+    aligned ``found`` answer zips straight back onto them.
     """
-    put = op == "put_many"
-    grouped: Dict[Tuple[str, int, str], list] = {}
-    for item in items:
-        key = item[0] if put else item
-        group = (key.signature, key.size, key.domain)
-        grouped.setdefault(group, []).append(item)
-    wire = []
-    for (signature, size, domain), members in grouped.items():
-        if put:
-            wire.append([
-                signature, size, domain,
-                [key.case for key, _ in members],
-                [encode_verdict(value) for _, value in members],
-            ])
-        else:
-            wire.append(
-                [signature, size, domain, [key.case for key in members]]
-            )
-    return {"op": op, "groups": wire}, list(grouped.values())
+    if op == "put_many":
+        wire = [
+            [signature, size, domain, list(cases),
+             [encode_verdict(value) for value in verdicts]]
+            for signature, size, domain, cases, verdicts in groups
+        ]
+    else:
+        wire = [
+            [signature, size, domain, list(cases)]
+            for signature, size, domain, cases in groups
+        ]
+    return {"op": op, "groups": wire}
 
 
 def _groups_from_wire(request: Dict[str, Any], width: int) -> List[list]:
@@ -616,52 +608,63 @@ class ServiceStore:
     # -- lookups ----------------------------------------------------------------
 
     def _lookup(
-        self, keys: Sequence["SimKey"]
-    ) -> Tuple[Dict["SimKey", Any], int]:
+        self, groups: List[Sequence[Any]]
+    ) -> Tuple[List[Dict[str, Any]], int]:
         """One ``get_many`` round trip, no client-side stat effects:
-        the verdicts found, and how many of ``keys`` (duplicates
-        included) were hits."""
-        if not keys:
-            return {}, 0
-        frame, groups = batch_frame("get_many", keys)
-        answer = self._request(frame).get("found")
+        one ``{case: verdict}`` dict per group with the cases found,
+        and how many cases asked (duplicates included) were hits."""
+        if not groups:
+            return [], 0
+        answer = self._request(batch_frame("get_many", groups)).get("found")
         if not isinstance(answer, list) or len(answer) != len(groups):
             raise ServiceError(
                 f"malformed get_many answer: {len(groups)} group(s) asked,"
                 f" {len(answer) if isinstance(answer, list) else answer!r}"
                 " answered"
             )
-        found: Dict["SimKey", Any] = {}
+        answers: List[Dict[str, Any]] = []
         hits = 0
-        for members, encoded in zip(groups, answer):
-            if not isinstance(encoded, list) or len(encoded) != len(members):
+        for group, encoded in zip(groups, answer):
+            cases = group[3]
+            if not isinstance(encoded, list) or len(encoded) != len(cases):
                 raise ServiceError(
                     f"malformed get_many answer: {encoded!r} is not aligned"
-                    f" with a {len(members)}-case group"
+                    f" with a {len(cases)}-case group"
                 )
-            for key, text in zip(members, encoded):
+            found: Dict[str, Any] = {}
+            for case, text in zip(cases, encoded):
                 if text is not None:
-                    found[key] = _decode_wire_verdict(text)
+                    found[case] = _decode_wire_verdict(text)
                     hits += 1
-        return found, hits
+            answers.append(found)
+        return answers, hits
 
     def get(self, key: "SimKey", default: Any = None) -> Any:
-        found, _ = self._lookup([key])
-        if key in found:
-            self.stats.hits += 1
-            return found[key]
-        self.stats.misses += 1
-        return default
+        (found,) = self.get_groups(
+            [(key.signature, key.size, key.domain, [key.case])]
+        )
+        return found.get(key.case, default)
+
+    def get_groups(
+        self, groups: Iterable[Tuple[str, int, str, Sequence[str]]]
+    ) -> List[Dict[str, Any]]:
+        """:meth:`FaultDictionaryStore.get_groups` over the socket:
+        one ``{case: verdict}`` dict per group with the cases found;
+        hits and misses count per case asked."""
+        groups = list(groups)
+        answers, hits = self._lookup(groups)
+        self.stats.hits += hits
+        self.stats.misses += sum(len(group[3]) for group in groups) - hits
+        return answers
 
     def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
-        keys = list(keys)
-        found, hits = self._lookup(keys)
-        self.stats.hits += hits
-        self.stats.misses += len(keys) - hits
-        return found
+        return get_many_by_groups(self, keys)
 
     def __contains__(self, key: "SimKey") -> bool:
-        return key in self._lookup([key])[0]
+        (found,), _ = self._lookup(
+            [(key.signature, key.size, key.domain, [key.case])]
+        )
+        return key.case in found
 
     def __len__(self) -> int:
         return self.row_stats()["rows"]
@@ -672,14 +675,22 @@ class ServiceStore:
         self.put_many([(key, value)])
 
     def put_many(self, pairs: Sequence[Tuple["SimKey", Any]]) -> None:
-        pairs = list(pairs)
-        if not pairs:
+        self.put_groups(pair_groups(pairs))
+
+    def put_groups(
+        self,
+        groups: Iterable[Tuple[str, int, str, Sequence[str], Sequence[Any]]],
+    ) -> None:
+        """:meth:`FaultDictionaryStore.put_groups` over the socket."""
+        groups = list(groups)
+        written = sum(len(group[3]) for group in groups)
+        if not written:
             return
         if self.readonly:
-            self.stats.skipped_writes += len(pairs)
+            self.stats.skipped_writes += written
             return
-        self._request(batch_frame("put_many", pairs)[0])
-        self.stats.writes += len(pairs)
+        self._request(batch_frame("put_many", groups))
+        self.stats.writes += written
 
     # -- service surface --------------------------------------------------------
 
@@ -1210,6 +1221,9 @@ class VerdictService:
             if self.store is not None:
                 self.store.close()  # checkpoints the WAL
                 self.store = None
+            # Free the hot rows now, not when a cycle collection finds
+            # this daemon unreferenced.
+            self._hot_lru.clear()
             if self._owns_socket:
                 # Only unlink a socket this daemon bound (never the
                 # one a refused start() probed), and only while still

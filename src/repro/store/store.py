@@ -167,6 +167,48 @@ def decode_verdict(text: str) -> Any:
     raise StoreError(f"unrecognized verdict row {text!r}")
 
 
+# Stores, the wire and the kernel's cache move verdicts in groups of
+# cases sharing ``(signature, size, domain)``: ``(signature, size,
+# domain, cases)`` to look up, plus one verdict per case to write.  The
+# per-key ``get_many``/``put_many`` surface is grouped on its way in.
+
+
+def pair_groups(pairs: Iterable[Tuple["SimKey", Any]]) -> List[tuple]:
+    """``(key, verdict)`` pairs as ``put_groups`` groups: one per
+    ``(signature, size, domain)`` in first-seen order, pairs in input
+    order within their group."""
+    grouped: Dict[Tuple[str, int, str], Tuple[List[str], List[Any]]] = {}
+    for key, value in pairs:
+        cases, values = grouped.setdefault(
+            (key.signature, key.size, key.domain), ([], [])
+        )
+        cases.append(key.case)
+        values.append(value)
+    return [(*group, *members) for group, members in grouped.items()]
+
+
+def get_many_by_groups(
+    store: Any, keys: Iterable["SimKey"]
+) -> Dict["SimKey", Any]:
+    """``store.get_many(keys)`` as one ``store.get_groups`` call: one
+    group per ``(signature, size, domain)``; found keys only."""
+    grouped: Dict[Tuple[str, int, str], List["SimKey"]] = {}
+    for key in keys:
+        grouped.setdefault(
+            (key.signature, key.size, key.domain), []
+        ).append(key)
+    answers = store.get_groups([
+        (*group, [key.case for key in members])
+        for group, members in grouped.items()
+    ])
+    return {
+        key: found[key.case]
+        for members, found in zip(grouped.values(), answers)
+        for key in members
+        if key.case in found
+    }
+
+
 @dataclass
 class StoreStats:
     """Lookup/write counters of one store connection.
@@ -580,29 +622,11 @@ class FaultDictionaryStore:
         )
 
     def get(self, key: "SimKey", default: Any = None) -> Any:
-        """Look up one verdict, counting the hit or miss.
-
-        A hit refreshes the row's ``last_used`` timestamp (skipped in
-        readonly mode, rate-limited to
-        :data:`LAST_USED_RESOLUTION_SECONDS`, dropped under lock
-        contention) so :meth:`compact` can prune least-recently-used
-        rows; the bump is usage tracking, not a verdict write, and is
-        deliberately absent from :class:`StoreStats`.
-        """
-        now = int(time.time())
-        with self._lock:
-            row = self._conn.execute(
-                self._SELECT, (key.signature, key.case, key.size, key.domain)
-            ).fetchone()
-            if row is not None and self._needs_bump(now, row[1]):
-                self._bump(
-                    now, [(key.signature, key.case, key.size, key.domain)]
-                )
-        if row is None:
-            self.stats.misses += 1
-            return default
-        self.stats.hits += 1
-        return decode_verdict(row[0])
+        """Look up one verdict as a one-case :meth:`get_groups` group."""
+        (found,) = self.get_groups(
+            [(key.signature, key.size, key.domain, [key.case])]
+        )
+        return found.get(key.case, default)
 
     _SELECT_GROUP = (
         "SELECT case_name, verdict, last_used FROM verdicts"
@@ -619,8 +643,14 @@ class FaultDictionaryStore:
         A group is read by one ``SELECT .. case_name IN (..)`` per
         :data:`IN_CHUNK` distinct cases; hits and misses are counted
         per case asked.  Stale hits get their ``last_used`` refreshed
-        in one batched, best-effort transaction (see :meth:`get` for
-        the bump rules).
+        in one batched, best-effort transaction.
+
+        A hit refreshes the row's ``last_used`` timestamp (skipped in
+        readonly mode, rate-limited to
+        :data:`LAST_USED_RESOLUTION_SECONDS`, dropped under lock
+        contention) so :meth:`compact` can prune least-recently-used
+        rows; the bump is usage tracking, not a verdict write, and is
+        deliberately absent from :class:`StoreStats`.
         """
         answers: List[Dict[str, Any]] = []
         stale: List[Tuple[str, str, int, str]] = []
@@ -651,25 +681,9 @@ class FaultDictionaryStore:
         return answers
 
     def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
-        """Look up many keys; absent keys are simply not returned.
-
-        The keys are looked up as :meth:`get_groups` groups, one per
-        ``(signature, size, domain)``.
-        """
-        grouped: Dict[Tuple[str, int, str], List["SimKey"]] = {}
-        for key in keys:
-            group = (key.signature, key.size, key.domain)
-            grouped.setdefault(group, []).append(key)
-        answers = self.get_groups(
-            (signature, size, domain, [key.case for key in members])
-            for (signature, size, domain), members in grouped.items()
-        )
-        return {
-            key: found[key.case]
-            for members, found in zip(grouped.values(), answers)
-            for key in members
-            if key.case in found
-        }
+        """Look up many keys as :meth:`get_groups` groups; absent keys
+        are simply not returned."""
+        return get_many_by_groups(self, keys)
 
     def __len__(self) -> int:
         with self._lock:
@@ -696,47 +710,28 @@ class FaultDictionaryStore:
 
     def put(self, key: "SimKey", value: Any) -> None:
         """Atomically upsert one verdict (no-op in readonly mode)."""
-        if self.readonly:
-            self.stats.skipped_writes += 1
-            return
-        row = (
-            key.signature, key.case, key.size, key.domain,
-            encode_verdict(value), int(time.time()),
-        )
-        with self._lock:
-            self._conn.execute(self._UPSERT, row)
-        self.stats.writes += 1
+        self.put_many([(key, value)])
 
     def put_many(self, pairs: Sequence[Tuple["SimKey", Any]]) -> None:
         """Upsert a batch in one transaction: all land or none do."""
-        if self.readonly:
-            self.stats.skipped_writes += len(pairs)
-            return
-        now = int(time.time())
-        self._upsert([
-            (key.signature, key.case, key.size, key.domain,
-             encode_verdict(value), now)
-            for key, value in pairs
-        ])
+        self.put_groups(pair_groups(pairs))
 
     def put_groups(
         self,
         groups: Iterable[Tuple[str, int, str, Sequence[str], Sequence[Any]]],
     ) -> None:
-        """:meth:`put_many` of ``(signature, size, domain, cases,
-        verdicts)`` groups, one verdict per case."""
+        """Upsert ``(signature, size, domain, cases, verdicts)`` groups,
+        one verdict per case, in one transaction."""
         groups = list(groups)
         if self.readonly:
             self.stats.skipped_writes += sum(len(g[3]) for g in groups)
             return
         now = int(time.time())
-        self._upsert([
+        rows = [
             (signature, case, size, domain, encode_verdict(value), now)
             for signature, size, domain, cases, verdicts in groups
             for case, value in zip(cases, verdicts)
-        ])
-
-    def _upsert(self, rows: List[Tuple[str, str, int, str, str, int]]) -> None:
+        ]
         if not rows:
             return
         with self._lock:

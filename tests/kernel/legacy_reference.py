@@ -26,13 +26,13 @@ def legacy_detects_case(test, fault_case, size):
 
 
 def legacy_simulate(test, cases, size):
-    report = SimulationReport(test, size)
+    detected, missed = [], []
     for fault_case in cases:
         if legacy_detects_case(test, fault_case, size):
-            report.detected.append(fault_case.name)
+            detected.append(fault_case.name)
         else:
-            report.missed.append(fault_case.name)
-    return report
+            missed.append(fault_case.name)
+    return SimulationReport(test, size, detected, missed)
 
 
 def legacy_detection_matrix(tests, faults, size):

@@ -476,7 +476,11 @@ class TestDaemonLifecycle:
             "schema_version": 2,
         }
 
-        frame, groups = batch_frame("get_many", [key()])
+        asked = key()
+        frame = batch_frame(
+            "get_many",
+            [(asked.signature, asked.size, asked.domain, [asked.case])],
+        )
         requests = []
 
         def half_broken_server():
@@ -494,7 +498,7 @@ class TestDaemonLifecycle:
             _send_frame(conn, dict(hello, pid=2))
             requests.append(_recv_frame(conn))
             _send_frame(
-                conn, {"ok": True, "found": [[None] * len(g) for g in groups]}
+                conn, {"ok": True, "found": [[None]]}
             )
             conn.close()
 

@@ -25,6 +25,7 @@ from repro.store.service import (
     VerdictService,
     batch_frame,
 )
+from repro.store.store import pair_groups
 
 
 def key(i, prefix="c"):
@@ -40,20 +41,22 @@ def verdict(i):
 
 
 def put_frame(pairs):
-    return batch_frame("put_many", pairs)[0]
+    return batch_frame("put_many", pair_groups(pairs))
 
 
 def read_frame(keys):
     """A ``get_many`` frame, and a function zipping its aligned
     ``found`` answer back onto the keys (absent keys left out)."""
-    frame, groups = batch_frame("get_many", keys)
+    # Each group's fifth field holds its own keys, in case order.
+    groups = pair_groups((k, k) for k in keys)
+    frame = batch_frame("get_many", [group[:4] for group in groups])
 
     def zip_found(response):
         assert len(response["found"]) == len(groups)
         return {
             k: text
-            for members, answer in zip(groups, response["found"])
-            for k, text in zip(members, answer, strict=True)
+            for group, answer in zip(groups, response["found"])
+            for k, text in zip(group[4], answer, strict=True)
             if text is not None
         }
 

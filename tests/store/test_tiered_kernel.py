@@ -181,18 +181,19 @@ class TestTieredCache:
         writer.simulate_fault_list(MATS, saf_list, 3)
         writer.close()
         reader = SimulationKernel(store=store_path)
-        from repro.kernel import SimKey, canonical_signature
+        from repro.kernel import canonical_signature
 
-        keys = [
-            SimKey(canonical_signature(MATS), case.name, 3)
-            for case in saf_list.instances(3)
-        ] + [SimKey("absent", "case", 3)]
-        found = reader.cache.get_many(keys)
-        assert set(found) == set(keys[:-1])
-        assert reader.store.stats.hits == len(keys) - 1
-        # Found keys were promoted: a repeat stays in memory.
-        reader.cache.get_many(keys[:-1])
-        assert reader.store.stats.hits == len(keys) - 1
+        names = [case.name for case in saf_list.instances(3)]
+        groups = [
+            (canonical_signature(MATS), 3, "sp", names),
+            ("absent", 3, "sp", ["case"]),
+        ]
+        found, absent = reader.cache.get_groups(groups)
+        assert set(found) == set(names) and absent == {}
+        assert reader.store.stats.hits == len(names)
+        # Found cases were promoted: a repeat stays in memory.
+        reader.cache.get_groups(groups[:1])
+        assert reader.store.stats.hits == len(names)
         reader.close()
 
 
