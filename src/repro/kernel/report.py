@@ -12,14 +12,49 @@ from typing import List, Sequence, Tuple
 from ..march.test import MarchTest
 
 
+class _Cases(list):
+    """A report's ``detected`` or ``missed`` list.  A change to it is
+    written back to the report, as if the report held the list."""
+
+    __slots__ = ("_report", "_detected")
+
+    def __init__(self, report: "SimulationReport", detected: bool) -> None:
+        super().__init__(
+            case for case, flag in zip(report.cases, report.flags)
+            if flag == detected
+        )
+        self._report = report
+        self._detected = detected
+
+
+def _writes_back(name: str):
+    change = getattr(list, name)
+
+    def changed(self: _Cases, *args, **kwargs):
+        result = change(self, *args, **kwargs)
+        report = self._report
+        if self._detected:
+            report._assign(self, report.missed)
+        else:
+            report._assign(report.detected, self)
+        return result
+
+    return changed
+
+
+for _name in ("append", "extend", "insert", "remove", "pop", "clear", "sort",
+              "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+    setattr(_Cases, _name, _writes_back(_name))
+
+
 class SimulationReport:
     """Outcome of simulating a test against a set of fault cases.
 
-    Held as the case names in order plus one detected flag per case, so
-    the reports of one batch share one name tuple and cost a byte per
-    verdict, not a list slot per name.  ``detected`` and ``missed`` are
-    new lists built on each access, in case order: changing one does
-    not change the report.
+    Held as the case names plus one detected flag per case, so the
+    reports of one batch share one name tuple and cost a byte per
+    verdict, not a list slot per name.  ``detected`` and ``missed``
+    are lists in case order, built on each access; changing or
+    assigning one updates the report.
     """
 
     __slots__ = ("test", "size", "cases", "flags")
@@ -33,6 +68,9 @@ class SimulationReport:
     ) -> None:
         self.test = test
         self.size = size
+        self._assign(detected, missed)
+
+    def _assign(self, detected: Sequence[str], missed: Sequence[str]) -> None:
         self.cases: Tuple[str, ...] = (*detected, *missed)
         self.flags = bytes([1]) * len(detected) + bytes(len(missed))
 
@@ -47,11 +85,19 @@ class SimulationReport:
 
     @property
     def detected(self) -> List[str]:
-        return [case for case, flag in zip(self.cases, self.flags) if flag]
+        return _Cases(self, True)
+
+    @detected.setter
+    def detected(self, cases: Sequence[str]) -> None:
+        self._assign(list(cases), self.missed)
 
     @property
     def missed(self) -> List[str]:
-        return [case for case, flag in zip(self.cases, self.flags) if not flag]
+        return _Cases(self, False)
+
+    @missed.setter
+    def missed(self, cases: Sequence[str]) -> None:
+        self._assign(self.detected, list(cases))
 
     @property
     def complete(self) -> bool:

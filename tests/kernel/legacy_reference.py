@@ -26,13 +26,13 @@ def legacy_detects_case(test, fault_case, size):
 
 
 def legacy_simulate(test, cases, size):
-    detected, missed = [], []
+    report = SimulationReport(test, size)
     for fault_case in cases:
         if legacy_detects_case(test, fault_case, size):
-            detected.append(fault_case.name)
+            report.detected.append(fault_case.name)
         else:
-            missed.append(fault_case.name)
-    return SimulationReport(test, size, detected, missed)
+            report.missed.append(fault_case.name)
+    return report
 
 
 def legacy_detection_matrix(tests, faults, size):

@@ -196,6 +196,26 @@ class TestBatchedApis:
         )
         assert via_list == via_cases
 
+    def test_reports_share_names_and_write_changes_back(self, table3_list):
+        kernel = SimulationKernel()
+        cases = table3_list.instances(3)
+        first, second = kernel.simulate_many([MSCAN, MATS], cases, 3)
+        # One name tuple per batch, one flag per case.
+        assert first.cases is second.cases
+        assert len(first.flags) == len(cases)
+        # The lists behave like the report's own: a change to one, an
+        # in-place add or an assignment updates the report.
+        detected, missed = list(first.detected), list(first.missed)
+        first.missed.append(first.detected.pop())
+        assert first.detected == detected[:-1]
+        assert first.missed == missed + detected[-1:]
+        first.detected += ["extra"]
+        assert first.detected == detected[:-1] + ["extra"]
+        first.missed = []
+        assert first.complete and first.coverage == 1.0
+        assert second.detected + second.missed != []
+        assert second.cases == tuple(case.name for case in cases)
+
     def test_empty_cases_warn(self):
         kernel = SimulationKernel()
         with pytest.warns(EmptyFaultListWarning):
