@@ -880,10 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--hot-lru-size", type=int, default=DEFAULT_HOT_LRU_SIZE,
         metavar="N",
-        help="keep the N most recently served verdicts in an in-memory"
-             " hot tier so read-mostly traffic never touches SQLite"
-             " (hits surface as repro.service.hot_lru.* metrics);"
-             f" 0 disables (default {DEFAULT_HOT_LRU_SIZE})",
+        help="keep up to N verdicts in an in-memory hot tier so"
+             " read-mostly traffic never touches SQLite; recency is per"
+             " (signature, size, domain) group (hits surface as"
+             " repro.service.hot_lru.* metrics); 0 disables and every"
+             f" lookup goes to the store (default {DEFAULT_HOT_LRU_SIZE})",
     )
     serve.add_argument(
         "--max-clients", type=int, default=DEFAULT_MAX_CLIENTS,

@@ -152,6 +152,11 @@ class FaultDictionaryCache:
     * **write-through** -- every fresh batch lands in both tiers in the
       same call, so a killed process never loses completed work.
 
+    The store is written before the LRU, so a batch the store refused
+    is never served from memory.  Over a store, a ``max_entries`` of
+    ``0`` holds nothing: every lookup misses to the store and nothing
+    is inserted or evicted (the verdict daemon's ``--hot-lru-size 0``).
+
     LRU hits never touch the store.  A live ``telemetry`` handle times
     each store pass into the ``repro.store.read_through.seconds`` and
     ``repro.store.write_through.seconds`` histograms, one observation
@@ -167,7 +172,7 @@ class FaultDictionaryCache:
         store: Any = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if max_entries <= 0:
+        if max_entries < 0 or (max_entries == 0 and store is None):
             raise ValueError("cache needs room for at least one entry")
         self._max_entries = max_entries
         self.store = store
@@ -233,19 +238,22 @@ class FaultDictionaryCache:
         )
 
     def put_groups(self, groups: Sequence[WriteGroup]) -> None:
-        """Store ``(signature, size, domain, cases, verdicts)`` groups
-        in the LRU and write them through to the store in one call
-        (one transaction on a file store)."""
-        self._insert(groups)
+        """Write ``(signature, size, domain, cases, verdicts)`` groups
+        through to the store in one call (one transaction on a file
+        store), then store them in the LRU.  A store that raises leaves
+        the LRU as it was."""
         if self.store is not None:
             self._timed_store(
                 "repro.store.write_through.seconds",
                 self.store.put_groups, groups,
             )
+        self._insert(groups)
 
     def _insert(self, groups: Sequence[WriteGroup]) -> None:
         """Fill the LRU, then evict the least recently used groups'
         oldest cases until the verdict count fits the bound."""
+        if not self._max_entries:
+            return
         entries = self._groups
         count = self._count
         stored = 0

@@ -53,10 +53,10 @@ Topology
 * :class:`VerdictService` -- the server (``repro serve STORE --socket
   SOCK``): a **single-threaded selectors event loop** -- non-blocking
   accept/read/write, a per-connection frame buffer feeding a pipelined
-  dispatch, an in-daemon hot LRU in front of SQLite so read-mostly
-  traffic never touches disk, a per-client ledger, and drain-then-exit
-  rolling-restart support
-  (``shutdown {"drain": true}``).  Every batch still lands on the store
+  dispatch, the kernel's grouped cache as a hot tier in front of SQLite
+  so read-mostly traffic never touches disk, a per-client ledger, and
+  drain-then-exit rolling-restart support (``shutdown {"drain":
+  true}``).  Every batch still lands on the store
   through the store's own lock, so the concurrency discipline is
   unchanged from the threaded daemon -- there is simply no longer a
   thread per client to schedule or leak.
@@ -114,7 +114,8 @@ import stat
 import struct
 import threading
 import time
-from collections import OrderedDict
+import weakref
+from itertools import repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -127,7 +128,7 @@ from typing import (
     Union,
 )
 
-from ..kernel.cache import SimKey
+from ..kernel.cache import FaultDictionaryCache, SimKey
 from ..telemetry import Telemetry
 from .resilience import (
     RetryExhaustedError,
@@ -196,10 +197,10 @@ DEFAULT_IDLE_TIMEOUT_SECONDS = 900.0
 #: this bounds recovery work and WAL file growth).
 DEFAULT_CHECKPOINT_INTERVAL_SECONDS = 60.0
 
-#: Entry cap of the daemon's in-memory hot LRU.  Entries are one
-#: canonical encoded verdict each (tens of bytes); the default is
-#: sized so a read-mostly campaign's working set is served without
-#: touching SQLite at all.  ``0`` disables the tier.
+#: Verdict cap of the daemon's in-memory hot tier (a kernel
+#: :class:`~repro.kernel.cache.FaultDictionaryCache` over the store).
+#: The default is sized so a read-mostly campaign's working set is
+#: served without touching SQLite at all.  ``0`` disables the tier.
 DEFAULT_HOT_LRU_SIZE = 65536
 
 #: Concurrent-connection ceiling.  The event loop itself scales far
@@ -220,9 +221,9 @@ MAX_CLIENT_LEDGER = 4096
 
 _HEADER = struct.Struct(">I")
 
-#: A key's ``(signature, case, size, domain)`` fields: the daemon's
-#: hot-tier key, cheaper to build and hash than a :class:`SimKey`.
-_RowKey = Tuple[str, str, int, str]
+#: The canonical wire rows of detection verdicts, decoded by one dict
+#: lookup; any other row goes through :func:`_decode_wire_verdict`.
+_WIRE_BOOLS = {encode_verdict(True): True, encode_verdict(False): False}
 
 #: Selector registration tag for the loop's self-wake pipe.
 _WAKE = "wake"
@@ -357,7 +358,7 @@ def _groups_from_wire(request: Dict[str, Any], width: int) -> List[list]:
         signature, size, domain, cases = group[:4]
         if not (isinstance(signature, str) and type(size) is int
                 and isinstance(domain, str) and isinstance(cases, list)
-                and all(isinstance(case, str) for case in cases)):
+                and all(map(isinstance, cases, repeat(str)))):
             raise ServiceError(f"malformed wire group {group!r}")
         if width == 5 and not (isinstance(group[4], list)
                                and len(group[4]) == len(cases)):
@@ -365,6 +366,14 @@ def _groups_from_wire(request: Dict[str, Any], width: int) -> List[list]:
                 f"malformed wire group {group!r}: one verdict per case"
             )
     return groups
+
+
+def _decode_wire_verdicts(texts: List[Any]) -> List[Any]:
+    """A wire group's verdicts, decoded; a malformed one is refused."""
+    try:
+        return [_WIRE_BOOLS[text] for text in texts]
+    except (KeyError, TypeError):  # a syndrome, or not a verdict row
+        return [_decode_wire_verdict(text) for text in texts]
 
 
 def _decode_wire_verdict(text: Any) -> Any:
@@ -810,53 +819,17 @@ class ServiceStore:
 # -- the server ------------------------------------------------------------------
 
 
-class _HotLru:
-    """The daemon's in-memory read tier: one entry per key, keyed by
-    its ``(signature, case, size, domain)`` fields and holding the
-    canonical encoded row.
-
-    Entries are the *wire* form of a verdict
-    (:func:`~repro.store.store.encode_verdict` output), so a hit is a
-    dict lookup away from the response frame -- no SQLite SELECT, no
-    decode/encode round trip.  Mutated only on the event-loop thread;
-    counters are plain ints read lock-free by metric collectors.
-    """
-
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_rows")
-
-    def __init__(self, max_entries: int) -> None:
-        self.max_entries = max(0, int(max_entries or 0))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._rows: "OrderedDict[_RowKey, str]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def get(self, key: _RowKey) -> Optional[str]:
-        if not self.max_entries:
-            return None
-        encoded = self._rows.get(key)
-        if encoded is None:
-            self.misses += 1
-            return None
-        self._rows.move_to_end(key)
-        self.hits += 1
-        return encoded
-
-    def put(self, key: _RowKey, encoded: str) -> None:
-        if not self.max_entries:
-            return
-        self._rows[key] = encoded
-        self._rows.move_to_end(key)
-        while len(self._rows) > self.max_entries:
-            self._rows.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop entries (counters survive: they are lifetime totals)."""
-        self._rows.clear()
+def _tier_counts(tier: Optional[FaultDictionaryCache]) -> Dict[str, int]:
+    """The hot tier's ``health``/``metrics`` counts, in verdicts."""
+    if tier is None:
+        return dict.fromkeys(("entries", "hits", "misses", "evictions"), 0)
+    stats = tier.stats
+    return {
+        "entries": len(tier),
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
+    }
 
 
 class _Connection:
@@ -900,13 +873,18 @@ class VerdictService:
     the thread-per-client topology (and its scheduling/leak failure
     modes) without changing the concurrency discipline.
 
-    In front of SQLite sits an in-memory hot LRU
-    (:data:`DEFAULT_HOT_LRU_SIZE` canonical rows, ``--hot-lru-size``):
-    read-mostly traffic is served without touching disk, counted as
-    ``repro.service.hot_lru.*`` in the metrics registry.  Connections
-    are accounted per client.  ``--max-clients`` bounds concurrent
-    connections (over-cap connects are hung up on: transient to a
-    retrying client).
+    In front of SQLite sits the kernel's own grouped cache, a
+    :class:`~repro.kernel.cache.FaultDictionaryCache` over the store
+    (the *hot tier*: ``--hot-lru-size``, :data:`DEFAULT_HOT_LRU_SIZE`
+    verdicts, ``0`` disables it).  A ``get_many`` is one
+    ``get_groups`` through it and a ``put_many`` one ``put_groups``,
+    which writes the store in one transaction before filling the
+    tier.  Recency is per ``(signature, size, domain)`` group and the
+    bound counts verdicts.  Read-mostly traffic is served without
+    touching disk, counted as ``repro.service.hot_lru.*`` in the
+    metrics registry.  Connections are accounted per client.
+    ``--max-clients`` bounds concurrent connections (over-cap connects
+    are hung up on: transient to a retrying client).
 
     Lifecycle: :meth:`start` claims the socket (a *stale* socket file
     left by a dead server is reclaimed; a live verdict service or a
@@ -952,7 +930,12 @@ class VerdictService:
         self.started = False
         #: Per-instance override of :data:`MAX_CLIENT_LEDGER`.
         self.max_client_ledger = MAX_CLIENT_LEDGER
-        self._hot_lru = _HotLru(hot_lru_size)
+        #: Verdict cap of the hot tier; ``0`` disables it.
+        self.hot_lru_size = max(0, int(hot_lru_size or 0))
+        #: The hot tier over the open store, made by start() and
+        #: dropped by stop(); like the store's, its counters count
+        #: since the last start().
+        self._tier: Optional[FaultDictionaryCache] = None
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -999,46 +982,61 @@ class VerdictService:
     def _register_collectors(self) -> None:
         """Expose the daemon's existing counters through the registry.
 
-        Collectors read ``self`` dynamically (not captured objects), so
-        they survive stop()/start() cycles where the store instance is
-        replaced.  Sampling happens at snapshot time without the state
-        lock: the values are plain ints, and a metrics reader tolerates
-        being one increment behind.
+        The collectors live in ``self.telemetry``, so none may hold
+        ``self``: that cycle would keep a stopped daemon alive until a
+        cycle collection.  They capture the counter dicts, which live as
+        long as the daemon, and reach the hot tier and the store, which
+        start()/stop() replace, through a weak reference.  Sampling
+        happens at snapshot time without the state lock: the values are
+        plain ints, and a metrics reader tolerates being one increment
+        behind.
         """
         # repro-lint: disable-scope=lock-discipline -- collectors sample
         # at snapshot time without the state lock by design (see above);
         # every sampled value is a plain int or len() and may legally be
         # one increment stale
         registry = self.telemetry.registry
+        counters = self._counters
+        connections = self._connections
+        daemon = weakref.ref(self)
         for field in (
             "reaped_idle", "checkpoints", "errors", "rejected_full",
         ):
             registry.collector(
                 f"repro.service.{field}",
-                lambda field=field: [({}, self._counters[field])],
+                lambda field=field: [({}, counters[field])],
             )
         registry.collector(
             "repro.service.connections",
-            lambda: [({"state": "active"}, len(self._connections))],
+            lambda: [({"state": "active"}, len(connections))],
             kind="gauge",
         )
+
+        def tier_series(field: str) -> List[Tuple[Dict[str, str], int]]:
+            tier = getattr(daemon(), "_tier", None)
+            return [] if tier is None else [({}, _tier_counts(tier)[field])]
+
         for field in ("hits", "misses", "evictions"):
             registry.collector(
                 f"repro.service.hot_lru.{field}",
-                lambda field=field: [({}, getattr(self._hot_lru, field))],
+                lambda field=field: tier_series(field),
             )
         registry.collector(
             "repro.service.hot_lru.entries",
-            lambda: [({}, len(self._hot_lru))],
+            lambda: tier_series("entries"),
             kind="gauge",
         )
+
+        def store_series(field: str) -> List[Tuple[Dict[str, str], int]]:
+            store = getattr(daemon(), "store", None)
+            if store is None:
+                return []
+            return [({"tier": "store"}, getattr(store.stats, field))]
+
         for field in ("hits", "misses", "writes", "skipped_writes"):
             registry.collector(
                 f"repro.store.{field}",
-                lambda field=field: (
-                    [({"tier": "store"}, getattr(self.store.stats, field))]
-                    if self.store is not None else []
-                ),
+                lambda field=field: store_series(field),
             )
 
     @property
@@ -1093,9 +1091,8 @@ class VerdictService:
         os.set_blocking(self._wake_w, False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, _WAKE)
         # A restarted daemon may serve a different store file; the hot
-        # LRU starts empty (its lifetime counters survive, like the
-        # resilience counters).
-        self._hot_lru.clear()
+        # tier starts empty over it.
+        self._tier = FaultDictionaryCache(self.hot_lru_size, store=self.store)
         self._torn_down = False
         self._stop.clear()
         self._stopping = None
@@ -1221,9 +1218,8 @@ class VerdictService:
             if self.store is not None:
                 self.store.close()  # checkpoints the WAL
                 self.store = None
-            # Free the hot rows now, not when a cycle collection finds
-            # this daemon unreferenced.
-            self._hot_lru.clear()
+            # Free the hot tier now, not when this daemon is.
+            self._tier = None
             if self._owns_socket:
                 # Only unlink a socket this daemon bound (never the
                 # one a refused start() probed), and only while still
@@ -1560,75 +1556,41 @@ class VerdictService:
                 "schema_version": SCHEMA_VERSION,
             }
         if op == "get_many":
-            # Hot tier first: a hit is a dict lookup away from the
-            # answer, no SQLite, no decode/encode.  The answer is
-            # aligned with the request: one list per group, one
+            groups = _groups_from_wire(request, 4)
+            # The tier lookup (its misses go to the store in one call)
+            # and the ledger update are one atomic step under the state
+            # lock, so a concurrent stats op can never see store
+            # counters ahead of the per-client accounting.  The answer
+            # is aligned with the request: one list per group, one
             # encoded verdict or None per case.
-            lru = self._hot_lru
-            found_groups: List[List[Optional[str]]] = []
-            # Per group with hot-tier misses: the store lookup group
-            # and the answer slots it fills.
-            missing: List[Tuple[str, int, str, List[str]]] = []
-            slots: List[Tuple[List[Optional[str]], List[int]]] = []
-            for signature, size, domain, cases in _groups_from_wire(
-                request, 4
-            ):
-                found_row = [
-                    lru.get((signature, case, size, domain))
-                    for case in cases
-                ]
-                found_groups.append(found_row)
-                gaps = [i for i, text in enumerate(found_row) if text is None]
-                if gaps:
-                    missing.append(
-                        (signature, size, domain, [cases[i] for i in gaps])
-                    )
-                    slots.append((found_row, gaps))
-            # Store call and ledger update are one atomic step under
-            # the state lock, so a concurrent stats op can never see
-            # store counters ahead of the per-client accounting (the
-            # store's own lock already serializes the batches, so this
-            # costs no real concurrency).
             with self._state_lock:
-                answers = self.store.get_groups(missing) if missing else []
+                answers = self._tier.get_groups(groups)
+                found_groups = [
+                    [
+                        encode_verdict(found[case]) if case in found
+                        else None
+                        for case in cases
+                    ]
+                    for (_, _, _, cases), found in zip(groups, answers)
+                ]
                 asked = sum(len(row) for row in found_groups)
-                absent = sum(
-                    1
-                    for group, found in zip(missing, answers)
-                    for case in group[3] if case not in found
-                )
+                absent = sum(row.count(None) for row in found_groups)
                 counters["hits"] += asked - absent
                 counters["misses"] += absent
-            for group, found, (found_row, gaps) in zip(
-                missing, answers, slots
-            ):
-                signature, size, domain, cases = group
-                for case, index in zip(cases, gaps):
-                    if case in found:
-                        encoded = encode_verdict(found[case])
-                        lru.put((signature, case, size, domain), encoded)
-                        found_row[index] = encoded
             return {"ok": True, "found": found_groups}
         if op == "put_many":
             groups = [
                 (signature, size, domain, cases,
-                 [_decode_wire_verdict(text) for text in verdicts])
+                 _decode_wire_verdicts(verdicts))
                 for signature, size, domain, cases, verdicts
                 in _groups_from_wire(request, 5)
             ]
             written = sum(len(group[3]) for group in groups)
+            # One store transaction, then the tier: a batch the store
+            # refused is never served from memory.
             with self._state_lock:
-                self.store.put_groups(groups)
+                self._tier.put_groups(groups)
                 counters["writes"] += written
-            # Write-through into the hot tier, re-encoded canonically
-            # so LRU hits stay byte-identical to store reads even for
-            # a client that sent a non-canonical (but decodable) row.
-            lru = self._hot_lru
-            for signature, size, domain, cases, values in groups:
-                for case, value in zip(cases, values):
-                    lru.put(
-                        (signature, case, size, domain), encode_verdict(value)
-                    )
             return {"ok": True, "written": written}
         if op == "stats":
             return {"ok": True, **self.snapshot_stats()}
@@ -1646,8 +1608,8 @@ class VerdictService:
             # untouched: neither side of it moves.
             with self._state_lock:
                 merged = self.store.merge_from(source)
-            # The merge may have changed rows the hot tier holds.
-            self._hot_lru.clear()
+                # The merge may have changed rows the hot tier holds.
+                self._tier.clear()
             return {"ok": True, "merged": merged}
         if op == "compact":
             # Store swaps happen only in start()/teardown, which
@@ -1664,7 +1626,8 @@ class VerdictService:
             # are still *correct* -- verdicts are immutable -- but a
             # pruned-then-hit row would make LRU and store disagree on
             # population).
-            self._hot_lru.clear()
+            with self._state_lock:
+                self._tier.clear()
             return {"ok": True, "compacted": compacted}
         if op == "metrics":
             # Full registry snapshot: request counters, service-time
@@ -1814,6 +1777,7 @@ class VerdictService:
             # Same state-lock -> store-lock order as every dispatch
             # path, so health can never deadlock a batch.
             rows = self.store.row_stats() if self.store is not None else None
+            hot = _tier_counts(self._tier)
         by_op: Dict[str, Dict[str, Any]] = {}
         timed = 0
         seconds = 0.0
@@ -1826,7 +1790,6 @@ class VerdictService:
             }
             timed += entry["count"]
             seconds += entry["sum"]
-        lru = self._hot_lru
         return {
             "service": SERVICE_MAGIC,
             "protocol": PROTOCOL_VERSION,
@@ -1837,13 +1800,7 @@ class VerdictService:
             "requests": requests,
             "counters": counters,
             "rows": rows,
-            "hot_lru": {
-                "entries": len(lru),
-                "max_entries": lru.max_entries,
-                "hits": lru.hits,
-                "misses": lru.misses,
-                "evictions": lru.evictions,
-            },
+            "hot_lru": {"max_entries": self.hot_lru_size, **hot},
             "service_time": {
                 "count": timed, "seconds": seconds, "by_op": by_op
             },

@@ -88,8 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: schema or the verdict encoding changes incompatibly; unknown
 #: generations are refused with :class:`StoreSchemaError` rather than
 #: misread.  v2: ``last_used`` column (unix seconds) for LRU
-#: compaction -- purely additive, so v1 stores upgrade in place on a
-#: writable open.
+#: compaction.  It is not indexed: only :meth:`compact` orders by it.
 SCHEMA_VERSION = 2
 
 #: How long one connection waits on a writer lock before giving up.
@@ -431,10 +430,6 @@ class FaultDictionaryStore:
                     """
                 )
                 conn.execute(
-                    "CREATE INDEX IF NOT EXISTS verdicts_last_used"
-                    " ON verdicts (last_used)"
-                )
-                conn.execute(
                     "INSERT OR IGNORE INTO meta (key, value)"
                     " VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
@@ -451,57 +446,16 @@ class FaultDictionaryStore:
                 f"{self.path} is not a fault-dictionary store"
                 " (missing meta/verdicts tables)"
             )
-        if row[0] == "1" and not self.readonly:
-            # v1 -> v2 is purely additive (the last_used column, whose
-            # DEFAULT 0 "never used" rows are first in line for LRU
-            # pruning -- exactly right for rows of unknown recency),
-            # so a v1 dictionary is upgraded in place rather than
-            # refused: a known, versioned upgrade is not the silent
-            # migration the refusal policy forbids.
-            row = (self._upgrade_v1_to_v2(conn),)
         if row[0] != str(SCHEMA_VERSION):
-            advice = (
-                "open it writable once to upgrade in place"
-                if row[0] == "1"
-                else "move the file aside to rebuild"
-            )
             raise StoreSchemaError(
                 f"{self.path} uses store schema {row[0]},"
                 f" this build reads schema {SCHEMA_VERSION};"
-                f" refusing to touch it ({advice})"
+                " refusing to touch it (move the file aside to rebuild)"
             )
-
-    @staticmethod
-    def _upgrade_v1_to_v2(conn: sqlite3.Connection) -> str:
-        """Add the v2 ``last_used`` column to a v1 store, in place.
-
-        Serialized on the write lock like schema creation; a racing
-        upgrader's ALTER is skipped when the column already appeared.
-        Returns the new schema version string.
-        """
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            columns = {
-                column[1]
-                for column in conn.execute("PRAGMA table_info(verdicts)")
-            }
-            if "last_used" not in columns:
-                conn.execute(
-                    "ALTER TABLE verdicts ADD COLUMN"
-                    " last_used INTEGER NOT NULL DEFAULT 0"
-                )
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS verdicts_last_used"
-                " ON verdicts (last_used)"
-            )
-            conn.execute(
-                "UPDATE meta SET value = '2' WHERE key = 'schema_version'"
-            )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
-        return "2"
+        if not self.readonly:
+            # Stores written before the index was dropped still carry
+            # it; every upsert would keep paying to maintain it.
+            conn.execute("DROP INDEX IF EXISTS verdicts_last_used")
 
     @staticmethod
     def _has_table(conn: sqlite3.Connection, name: str) -> bool:
@@ -759,8 +713,9 @@ class FaultDictionaryStore:
         older than ``now - max_age``; ``max_rows`` then removes
         least-recently-used rows (ties broken by primary key, so
         compaction is deterministic) until at most ``max_rows`` remain.
-        Both prunes run in one transaction; ``vacuum`` reclaims the
-        freed pages afterwards.  Returns a stats dict suitable for
+        Both prunes run in one transaction, each one scan (and sort) of
+        the table, since ``last_used`` is not indexed; ``vacuum``
+        reclaims the freed pages afterwards.  Returns a stats dict suitable for
         machine-readable reporting (``repro store compact --json``).
         """
         if self.readonly:

@@ -6,7 +6,8 @@ properties pin it to the plain per-key ``SELECT`` it replaced: the
 same verdicts found, the same hit and miss counts (duplicates counted
 per key asked), the same rows whose ``last_used`` was bumped, and no
 bump at all through a readonly store.  The same draws then go through
-a verdict service, whose answers must equal the direct store's.
+a verdict service, with its hot tier off, tiny and at the default
+size, whose answers must equal the direct store's.
 """
 
 import dataclasses
@@ -16,11 +17,16 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kernel.cache import SimKey
 from repro.store import FaultDictionaryStore, decode_verdict
-from repro.store.service import ServiceStore, VerdictService
+from repro.store.service import (
+    DEFAULT_HOT_LRU_SIZE,
+    ServiceStore,
+    VerdictService,
+)
 from repro.store.store import IN_CHUNK, LAST_USED_RESOLUTION_SECONDS
 
 SIGNATURES = ("{up(w0)}", "{up(w0);dn(r0,w1)}", "{any(w1);up(r1)}")
@@ -174,13 +180,20 @@ def test_grouped_get_many_matches_the_per_key_oracle(scenario):
         assert bumped(before, last_used(path)) == stale
 
 
-def test_grouped_service_lookups_match_the_direct_store(tmp_path):
+@pytest.mark.parametrize(
+    "hot_lru_size", [0, 3, DEFAULT_HOT_LRU_SIZE], ids=["off", "3", "default"]
+)
+def test_grouped_service_lookups_match_the_direct_store(
+    tmp_path, hot_lru_size
+):
     # One daemon for every draw; each draw gets its own signatures so
-    # draws never see each other's rows.  The hot tier is off, so every
-    # read reaches the daemon store's grouped lookup.
+    # draws never see each other's rows.  With the hot tier off every
+    # read reaches the daemon store's grouped lookup; a 3-verdict tier
+    # evicts and reads through on almost every draw; the default one
+    # answers from memory.  All three face the same direct-store oracle.
     service = VerdictService(
         tmp_path / "served.sqlite", tmp_path / "verdict.sock",
-        hot_lru_size=0, checkpoint_interval=0,
+        hot_lru_size=hot_lru_size, checkpoint_interval=0,
     )
     draws = itertools.count()
 

@@ -198,47 +198,22 @@ def build_v1_store(path):
 
 
 class TestV1Upgrade:
-    def test_v1_store_is_upgraded_in_place(self, store_path):
+    """There is no v1 upgrade: a v1 file is refused like any other
+    schema it does not read."""
+
+    @pytest.mark.parametrize("readonly", [False, True],
+                             ids=["writable", "readonly"])
+    def test_v1_store_is_refused(self, store_path, readonly):
         build_v1_store(store_path)
-        with FaultDictionaryStore(store_path) as store:
-            # Existing rows survive the upgrade and read back (the
-            # read also refreshes SA0@0's recency).
-            assert store.get(key()) is True
-            assert store.get(key(case="SA1@0")) is False
-            assert store.row_stats()["rows"] == 2
-            # New writes use the v2 column.
-            store.put(key(case="fresh"), False)
+        with pytest.raises(StoreSchemaError, match="schema 1.*move the file"):
+            FaultDictionaryStore(store_path, readonly=readonly)
+        # The refusal left the file untouched at v1.
         conn = sqlite3.connect(store_path)
         assert conn.execute(
             "SELECT value FROM meta WHERE key='schema_version'"
-        ).fetchone() == ("2",)
-        columns = {
-            column[1]
-            for column in conn.execute("PRAGMA table_info(verdicts)")
-        }
-        assert "last_used" in columns
-        conn.close()
-
-    def test_upgraded_rows_start_never_used(self, store_path):
-        """Upgraded rows carry last_used 0 until read, so an age prune
-        treats a fresh upgrade's untouched rows as stale -- exactly
-        the rows nobody has needed since the upgrade."""
-        build_v1_store(store_path)
-        with FaultDictionaryStore(store_path) as store:
-            assert store.get(key()) is True  # bumps SA0@0 only
-            stats = store.compact(max_age=3600)
-            assert stats["removed_by_age"] == 1  # the never-read SA1@0
-            assert store.get(key(case="SA1@0")) is None
-            assert store.get(key()) is True
-
-    def test_v1_readonly_open_refuses_with_upgrade_advice(self, store_path):
-        build_v1_store(store_path)
-        with pytest.raises(StoreSchemaError, match="writable once"):
-            FaultDictionaryStore(store_path, readonly=True)
-        # The refusal left the file untouched at v1.
-        assert sqlite3.connect(store_path).execute(
-            "SELECT value FROM meta WHERE key='schema_version'"
         ).fetchone() == ("1",)
+        assert conn.execute("SELECT count(*) FROM verdicts").fetchone() == (2,)
+        conn.close()
 
     def test_newer_schema_still_refused(self, store_path):
         build_v1_store(store_path)
@@ -248,6 +223,78 @@ class TestV1Upgrade:
         conn.close()
         with pytest.raises(StoreSchemaError, match="schema 999"):
             FaultDictionaryStore(store_path)
+
+
+def build_indexed_v2_store(path):
+    """A v2 store as older builds wrote it: ``last_used`` indexed."""
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        CREATE TABLE verdicts (
+            signature TEXT    NOT NULL,
+            case_name TEXT    NOT NULL,
+            size      INTEGER NOT NULL,
+            domain    TEXT    NOT NULL,
+            verdict   TEXT    NOT NULL,
+            last_used INTEGER NOT NULL DEFAULT 0,
+            PRIMARY KEY (signature, case_name, size, domain)
+        ) WITHOUT ROWID;
+        CREATE INDEX verdicts_last_used ON verdicts (last_used);
+        INSERT INTO meta VALUES ('schema_version', '2');
+        INSERT INTO verdicts VALUES
+            ('{up(w0); up(r0)}', 'SA0@0', 3, 'sp', '1', 11);
+        INSERT INTO verdicts VALUES
+            ('{up(w0); up(r0)}', 'SA1@0', 3, 'sp', '0', 12);
+        INSERT INTO verdicts VALUES
+            ('{up(w0); up(r0)}', 'T@1', 3, 'syn', 'S[[0,1,2,3]]', 13);
+        """
+    )
+    conn.commit()
+    conn.close()
+
+
+def rows_and_indexes(path):
+    conn = sqlite3.connect(path)
+    rows = conn.execute(
+        "SELECT * FROM verdicts ORDER BY signature, case_name, size, domain"
+    ).fetchall()
+    indexes = [
+        name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type='index'"
+            " AND name NOT LIKE 'sqlite_autoindex%'"
+        )
+    ]
+    conn.close()
+    return rows, indexes
+
+
+class TestLastUsedIndex:
+    def test_fresh_stores_have_no_last_used_index(self, store_path):
+        FaultDictionaryStore(store_path).close()
+        assert rows_and_indexes(store_path) == ([], [])
+
+    def test_readonly_open_leaves_an_old_index_alone(self, store_path):
+        build_indexed_v2_store(store_path)
+        before = rows_and_indexes(store_path)
+        with FaultDictionaryStore(store_path, readonly=True) as store:
+            assert store.get(key()) is True
+        assert before[1] == ["verdicts_last_used"]
+        assert rows_and_indexes(store_path) == before
+
+    def test_writable_open_drops_an_old_index(self, store_path):
+        build_indexed_v2_store(store_path)
+        rows, _ = rows_and_indexes(store_path)
+        FaultDictionaryStore(store_path).close()
+        assert rows_and_indexes(store_path) == (rows, [])
+        with FaultDictionaryStore(store_path) as store:
+            assert store.get(key()) is True
+            assert store.get(key(case="SA1@0")) is False
+            store.put(key(case="fresh"), False)
+            assert store.get(key(case="fresh")) is False
+            assert store.row_stats()["rows"] == 4
+            assert store.compact(max_rows=2)["rows_after"] == 2
+        assert rows_and_indexes(store_path)[1] == []
 
 
 class TestMergeFrom:

@@ -10,6 +10,7 @@ on both the server and the client side; and ``repro campaign --jobs N
 any client-side SQLite open.
 """
 
+import gc
 import json
 import os
 import socket
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -321,6 +323,25 @@ class TestDaemonLifecycle:
         assert not (tmp_path / "dict.sqlite-wal").exists()
         with FaultDictionaryStore(tmp_path / "dict.sqlite") as store:
             assert len(store) == 5
+
+    def test_a_stopped_daemon_is_freed_without_the_cycle_collector(
+        self, tmp_path
+    ):
+        daemon = VerdictService(
+            tmp_path / "dict.sqlite", tmp_path / "verdict.sock"
+        ).start()
+        with ServiceStore(daemon.url) as client:
+            client.put_many([(key(case=f"c{i}"), True) for i in range(5)])
+            assert client.get_many([key(case="c0")]) == {key(case="c0"): True}
+            assert client.metrics()["metrics"]
+        daemon.stop()
+        alive = weakref.ref(daemon)
+        gc.disable()
+        try:
+            del daemon
+            assert alive() is None, "a reference cycle holds the daemon"
+        finally:
+            gc.enable()
 
     def test_live_service_socket_is_refused(self, service, tmp_path):
         # The daemon flock fires before any probe: two starters can

@@ -13,9 +13,9 @@ import pytest
 
 from repro.faults.faultlist import FaultList
 from repro.faults.library import MODEL_REGISTRY
-from repro.kernel import SimulationKernel
+from repro.kernel import FaultDictionaryCache, SimulationKernel
 from repro.march.catalog import MARCH_C_MINUS, MATS, MATS_PLUS_PLUS
-from repro.store import FaultDictionaryStore
+from repro.store import FaultDictionaryStore, StoreError
 
 TESTS = [MATS, MATS_PLUS_PLUS, MARCH_C_MINUS]
 
@@ -196,6 +196,29 @@ class TestTieredCache:
         assert reader.store.stats.hits == len(names)
         reader.close()
 
+    def test_a_refused_store_write_never_reaches_the_lru(self):
+        class RefusingStore:
+            refuse = False
+
+            def get_groups(self, groups):
+                return [{} for _ in groups]
+
+            def put_groups(self, groups):
+                if self.refuse:
+                    raise StoreError("disk full")
+
+        store = RefusingStore()
+        cache = FaultDictionaryCache(8, store=store)
+        cache.put_groups([("{up(w0)}", 3, "sp", ["held"], [True])])
+        store.refuse = True
+        batch = [("{up(w0)}", 3, "sp", ["held", "new"], [False, True])]
+        with pytest.raises(StoreError, match="disk full"):
+            cache.put_groups(batch)
+        # The LRU holds and answers exactly what it did before.
+        assert len(cache) == 1
+        assert cache.get_groups([("{up(w0)}", 3, "sp", ["held", "new"])]) == [
+            {"held": True}
+        ]
 
 # -- stat hygiene (the clear()/describe_stats() satellite) ---------------------
 
