@@ -21,8 +21,9 @@ in the literature catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..kernel.kernel import PackedVerifier
 from ..march.element import AddressOrder, MarchElement, MarchOp
 from ..march.test import MarchTest
 from .optimize import Verifier
@@ -79,32 +80,33 @@ def _element_bodies(
     yield from extend(first, background, max_ops - 1)
 
 
-#: ``(UP element, DOWN element, length, new background)`` per body.
-_Choice = Tuple[MarchElement, MarchElement, int, int]
+#: ``(elements, length, new background)``: the elements one body (or
+#: one initial write) offers as a tree edge, all of ``length`` ops.
+_Choice = Tuple[Tuple[MarchElement, ...], int, int]
 
 
 class _Alphabet:
     """The grammar's elements, each built once per search.
 
-    ``initial[value]`` are the write-only first elements ending on
-    ``value``; :meth:`after` yields the read-first element choices of
-    :func:`_element_bodies` in grammar order.  Choices are built on first
-    use, so a search touches only the bodies its bounds and budget reach,
-    and one body interns one UP/DOWN pair: equal elements of different
-    candidates are one object, cheap to compare when the verifier's
-    transition table looks them up.
+    ``initial`` are the write-only first elements, marching UP only;
+    :meth:`after` yields the read-first element choices of
+    :func:`_element_bodies` in grammar order, each body as its UP and
+    its DOWN element.  Choices are built on first use, so a search
+    touches only the bodies its bounds and budget reach, and one body
+    interns one UP/DOWN pair: equal elements of different candidates
+    are one object, cheap to compare when the verifier's transition
+    table looks them up.
     """
 
     def __init__(self) -> None:
-        self.initial: Dict[int, List[MarchElement]] = {
-            value: [
-                MarchElement(AddressOrder.UP, (MarchOp("w", value),)),
-                MarchElement(AddressOrder.UP, (
-                    MarchOp("w", value), MarchOp("w", 1 - value),
-                )),
-            ]
+        self.initial: List[_Choice] = [
+            ((MarchElement(AddressOrder.UP, ops),), len(ops), ops[-1].value)
             for value in (0, 1)
-        }
+            for ops in (
+                (MarchOp("w", value),),
+                (MarchOp("w", value), MarchOp("w", 1 - value)),
+            )
+        ]
         self._after: Dict[Tuple[int, int], List[_Choice]] = {}
         self._pairs: Dict[
             Tuple[MarchOp, ...], Tuple[MarchElement, MarchElement]
@@ -128,54 +130,127 @@ class _Alphabet:
                     MarchElement(AddressOrder.UP, body),
                     MarchElement(AddressOrder.DOWN, body),
                 )
-            choice = (*pair, len(body), new_background)
+            choice = (pair, len(body), new_background)
             choices.append(choice)
             yield choice
         self._after[background, budget] = choices
 
 
-def _marches(
-    max_complexity: int,
-    max_elements: int,
-    stats: SearchStats,
-    alphabet: _Alphabet,
-) -> Iterator[MarchTest]:
-    """Enumerate the canonical candidate tests of complexity exactly
-    ``max_complexity``.
+class _Predicate:
+    """A plain ``verify(test)`` seen through the prefix protocol of
+    :class:`~repro.kernel.kernel.PackedVerifier`: it carries no state
+    down the tree and decides each candidate as one call."""
 
-    Canonical form: an initial write-only element (one or two writes,
-    order fixed UP -- the mirror test is equivalent up to cell
-    relabelling for direction-symmetric fault lists), followed by
-    read-first elements marching either way.  Every candidate is a
-    distinct path of the grammar, so no candidate repeats
-    (``tests/core/test_exhaustive.py`` pins the counts per bound).
+    __slots__ = ("verify",)
+
+    def __init__(self, verify: Verifier) -> None:
+        self.verify = verify
+
+    def root(self) -> None:
+        return None
+
+    @staticmethod
+    def extend(node: None, element: MarchElement) -> None:
+        return None
+
+    def accepts(self, node: None, elements: Tuple[MarchElement, ...]) -> bool:
+        return self.verify(MarchTest(elements))
+
+    @staticmethod
+    def count(candidates: int, accepted: bool) -> None:
+        pass
+
+
+class _Search:
+    """One search's bounds, counters and verifier.
+
+    The candidates of one bound are the leaves of a grammar tree:
+    power-up at the root, an initial write element below it, then one
+    edge per read-first element (:class:`_Alphabet`), walked
+    depth-first with UP before DOWN.
+    Canonical form: the initial element marches UP only (the mirror
+    test is equivalent up to cell relabelling for direction-symmetric
+    fault lists).  Every candidate is a distinct path of the grammar,
+    so no candidate repeats (``tests/core/test_exhaustive.py`` pins the
+    counts per bound).
     """
-    after = alphabet.after
+
+    __slots__ = ("prefix", "stats", "alphabet", "max_elements", "limit",
+                 "decided")
+
+    def __init__(
+        self,
+        prefix: Any,
+        stats: SearchStats,
+        max_elements: int,
+        budget: Optional[int],
+    ) -> None:
+        self.prefix = prefix
+        self.stats = stats
+        self.alphabet = _Alphabet()
+        self.max_elements = max_elements
+        self.limit = budget if budget is not None else float("inf")
+        #: Candidates handed to ``prefix.accepts``.
+        self.decided = 0
+
+    def bound(self, complexity: int) -> Optional[Tuple[MarchElement, ...]]:
+        """Search the candidates of exactly ``complexity`` operations.
+
+        Returns the accepted candidate's elements, ``()`` when the
+        budget stopped the search, or ``None`` when the bound holds no
+        accepted candidate.
+        """
+        initial = [
+            choice for choice in self.alphabet.initial
+            if choice[1] <= complexity
+        ]
+        return self.grow(self.prefix.root(), (), initial, complexity)
 
     def grow(
+        self,
+        node: Any,
         elements: Tuple[MarchElement, ...],
-        background: int,
-        budget: int,
-    ) -> Iterator[MarchTest]:
-        if budget == 0:
-            yield MarchTest(elements)
-            return
-        if len(elements) >= max_elements:
-            return
-        for up, down, length, new_background in after(background, budget):
-            stats.nodes_expanded += 1
-            for element in (up, down):
-                yield from grow(
-                    elements + (element,), new_background, budget - length
-                )
+        choices: Iterable[_Choice],
+        remaining: int,
+    ) -> Optional[Tuple[MarchElement, ...]]:
+        """Search below ``node``, the verifier's node after
+        ``elements``, whose children are ``choices`` of at most
+        ``remaining`` ops; returns like :meth:`bound`.
 
-    for initial_value in (0, 1):
-        for element in alphabet.initial[initial_value]:
-            if len(element) <= max_complexity:
-                yield from grow(
-                    (element,), element.ops[-1].value,
-                    max_complexity - len(element),
-                )
+        A child is stepped only if it is a candidate or can still grow,
+        and only while the budget can still verify a candidate, so dead
+        ends cost nothing and no step is wasted.
+        """
+        stats = self.stats
+        prefix = self.prefix
+        limit = self.limit
+        can_grow = len(elements) + 1 < self.max_elements
+        for children, length, background in choices:
+            # The initial writes below the root are not grammar nodes.
+            if elements:
+                stats.nodes_expanded += 1
+            left = remaining - length
+            if left and not can_grow:
+                continue
+            for element in children:
+                child = elements + (element,)
+                if left:
+                    stop = self.grow(
+                        prefix.extend(node, element)
+                        if stats.candidates_tested < limit else node,
+                        child, self.alphabet.after(background, left), left,
+                    )
+                    if stop is not None:
+                        return stop
+                    continue
+                stats.candidates_tested += 1
+                if stats.candidates_tested > limit:
+                    stats.budget_exhausted = True
+                    return ()
+                self.decided += 1
+                if prefix.accepts(prefix.extend(node, element), child):
+                    return child
+        return None
 
 
 def exhaustive_search(
@@ -195,20 +270,30 @@ def exhaustive_search(
     apart.  The budget-th candidate is verified; the next one is counted
     and stops the search.
 
-    Candidates arrive depth-first, so consecutive ones share element
-    prefixes; the packed verifier's transition table
-    (:class:`~repro.simulator.bitengine.TransitionTable`) turns that
-    into element steps it has already simulated.
+    Candidates arrive depth-first, so the candidates below a tree node
+    share its element prefix.  The packed verifier
+    (:class:`~repro.kernel.kernel.PackedVerifier`) is not called per
+    candidate: the search carries its state ``(state words, detected
+    mask)`` down the tree and steps it once per tree edge through the
+    transition table (:meth:`~repro.simulator.bitengine.
+    TransitionTable.step`), so each prefix is simulated once, not once
+    per candidate from power-up.  Any other predicate is called once
+    per candidate, on a :class:`MarchTest` built for it.
     """
     stats = stats if stats is not None else SearchStats()
-    alphabet = _Alphabet()
-    for bound in range(max(2, min_complexity), max_complexity + 1):
-        stats.complexity_reached = bound
-        for candidate in _marches(bound, max_elements, stats, alphabet):
-            stats.candidates_tested += 1
-            if budget is not None and stats.candidates_tested > budget:
-                stats.budget_exhausted = True
-                return None
-            if verify(candidate):
-                return candidate
-    return None
+    # Only the packed verifier itself is stepped: a wrapper around it
+    # is a plain predicate, so it sees every candidate it wraps.
+    prefix = (
+        verify if isinstance(verify, PackedVerifier) else _Predicate(verify)
+    )
+    search = _Search(prefix, stats, max_elements, budget)
+    found: Optional[Tuple[MarchElement, ...]] = None
+    try:
+        for bound in range(max(2, min_complexity), max_complexity + 1):
+            stats.complexity_reached = bound
+            found = search.bound(bound)
+            if found is not None:
+                break
+    finally:
+        prefix.count(search.decided, bool(found))
+    return MarchTest(found) if found else None

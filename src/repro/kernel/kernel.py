@@ -536,7 +536,10 @@ class SimulationKernel:
         so each (packed state, element) pair is simulated once per
         predicate.  Unpackable user fault types then go through
         :meth:`detects` case by case.  The packed pass writes no
-        fault-dictionary entries.
+        fault-dictionary entries.  The predicate is a
+        :class:`PackedVerifier`, whose node protocol lets the
+        minimality search step shared prefixes once; under a live
+        telemetry each call is one ``kernel.verify`` span.
 
         Every other backend keeps the scalar reference predicate: an
         ``is_well_formed`` good-machine run per realization, then one
@@ -546,7 +549,9 @@ class SimulationKernel:
         """
         ordered: List[FaultCase] = list(cases)
         if self.backend.lane_packed:
-            return self._packed_verifier(ordered, size)
+            if self.telemetry.enabled:
+                return _TracedPackedVerifier(self, ordered, size)
+            return PackedVerifier(self, ordered, size)
 
         def verify(test: MarchTest) -> bool:
             return is_well_formed(test, size) and self._detects_all(
@@ -566,69 +571,6 @@ class SimulationKernel:
                     ordered.insert(0, ordered.pop(position))
                 return False
         return True
-
-    def _packed_verifier(
-        self, cases: List[FaultCase], size: int
-    ) -> Verifier:
-        """The packed predicate of :meth:`verifier`.
-
-        One :class:`PackedSimulation` and one
-        :class:`~repro.simulator.bitengine.TransitionTable` over it
-        serve every call.  The walk runs each segment through the
-        table, which is exact because a run is a pure function of the
-        packed state and the element.  This is not a verdict memo:
-        nothing is keyed by candidate, so the minimality search's
-        candidates, which share prefixes and collapse into a few
-        hundred states, reuse each other's element steps.
-        """
-        packable, scalar = partition_cases(cases)
-        simulation = PackedSimulation(packable, size)
-        stats = self.verify_stats
-        table = TransitionTable(
-            simulation, stats.table_hits, stats.table_misses
-        )
-        # Every realization must detect every fault lane and leave the
-        # fault-free reference lane 0 clear.
-        fault_lanes = simulation.full & ~1
-
-        # The walk stops at the first leaf that differs, so a skipped
-        # (merged) subtree only ever repeats leaves that passed.
-        rejects = fault_lanes.__ne__
-
-        def verify(test: MarchTest) -> bool:
-            walk = walk_realizations(table, test, rejects)
-            accepted = not walk.stopped and self._detects_all(
-                test, scalar, size
-            )
-            stats.realizations.inc(walk.leaves)
-            stats.segments.inc(walk.segments)
-            (stats.accepted if accepted else stats.rejected).inc()
-            return accepted
-
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return verify
-
-        def traced(test: MarchTest) -> bool:
-            leaves = stats.realizations.value
-            segments = stats.segments.value
-            hits = stats.table_hits.value
-            misses = stats.table_misses.value
-            with telemetry.span(
-                "kernel.verify", backend=self.backend.name,
-                cases=len(cases), lanes=simulation.lanes, size=size,
-            ) as span:
-                accepted = verify(test)
-                span.annotate(
-                    realizations=stats.realizations.value - leaves,
-                    segments=stats.segments.value - segments,
-                    table_hits=stats.table_hits.value - hits,
-                    table_misses=stats.table_misses.value - misses,
-                    accepted=accepted,
-                )
-            return accepted
-
-        return traced
 
     # -- diagnosis --------------------------------------------------------------
 
@@ -684,6 +626,154 @@ class SimulationKernel:
             verdict = detects_weak_case(test, case, size)
             self.cache.put(key, verdict)
         return verdict
+
+
+#: A search node of :class:`PackedVerifier`: the packed state words
+#: after a prefix of elements, and the lanes the prefix detected.
+Node = Tuple[Tuple[int, ...], int]
+
+
+class PackedVerifier:
+    """The packed predicate of :meth:`SimulationKernel.verifier`.
+
+    One :class:`PackedSimulation` and one
+    :class:`~repro.simulator.bitengine.TransitionTable` over it serve
+    every call.  The walk runs each segment through the table, which is
+    exact because a run is a pure function of the packed state and the
+    element.  This is not a verdict memo: nothing is keyed by
+    candidate, so candidates that share prefixes and collapse into a
+    few hundred states reuse each other's element steps.
+
+    The minimality search (:func:`~repro.core.exhaustive.
+    exhaustive_search`) does not call the predicate per candidate.  It
+    carries a :data:`Node` down its grammar tree through the prefix
+    protocol: :meth:`root` is power-up, :meth:`extend` is one table
+    step, :meth:`accepts` decides a complete candidate from its node,
+    and :meth:`count` adds the search's candidates to
+    :class:`VerifyStats`, each as the one call, realization and segment
+    the predicate would have counted (no candidate has a ``⇕``
+    element).
+    """
+
+    __slots__ = ("kernel", "stats", "scalar", "size", "table",
+                 "fault_lanes")
+
+    def __init__(
+        self, kernel: SimulationKernel, cases: List[FaultCase], size: int
+    ) -> None:
+        packable, self.scalar = partition_cases(cases)
+        simulation = PackedSimulation(packable, size)
+        self.kernel = kernel
+        self.stats = stats = kernel.verify_stats
+        self.size = size
+        self.table = TransitionTable(
+            simulation, stats.table_hits, stats.table_misses
+        )
+        # Every realization must detect every fault lane and leave the
+        # fault-free reference lane 0 clear.
+        self.fault_lanes = simulation.full & ~1
+
+    def __call__(self, test: MarchTest) -> bool:
+        # The walk stops at the first leaf that differs, so a skipped
+        # (merged) subtree only ever repeats leaves that passed.
+        walk = walk_realizations(self.table, test, self.fault_lanes.__ne__)
+        accepted = not walk.stopped and self.kernel._detects_all(
+            test, self.scalar, self.size
+        )
+        stats = self.stats
+        stats.realizations.inc(walk.leaves)
+        stats.segments.inc(walk.segments)
+        (stats.accepted if accepted else stats.rejected).inc()
+        return accepted
+
+    def root(self) -> Node:
+        """The power-up node a search starts from."""
+        return self.table.power_up, 0
+
+    def extend(self, node: Node, element: MarchElement) -> Node:
+        """``node`` followed by one fixed-order ``element``."""
+        words, found = self.table.step(node[0], element)
+        return words, node[1] | found
+
+    def accepts(
+        self, node: Node, elements: Tuple[MarchElement, ...]
+    ) -> bool:
+        """Whether the candidate ``elements``, which reached ``node``,
+        passes: what :meth:`__call__` answers for it."""
+        return node[1] == self.fault_lanes and (
+            not self.scalar or self.kernel._detects_all(
+                MarchTest(elements), self.scalar, self.size
+            )
+        )
+
+    def count(self, candidates: int, accepted: bool) -> None:
+        """Add a search's ``candidates`` decided by :meth:`accepts`."""
+        stats = self.stats
+        stats.realizations.inc(candidates)
+        stats.segments.inc(candidates)
+        stats.accepted.inc(accepted)
+        stats.rejected.inc(candidates - accepted)
+
+
+class _TracedPackedVerifier(PackedVerifier):
+    """:class:`PackedVerifier` under a live telemetry: each call, and
+    each candidate a search decides, is one ``kernel.verify`` span.  A
+    candidate's span holds the table steps since the previous one, so
+    the spans of a search add up to its steps."""
+
+    __slots__ = ("attrs", "mark")
+
+    def __init__(
+        self, kernel: SimulationKernel, cases: List[FaultCase], size: int
+    ) -> None:
+        super().__init__(kernel, cases, size)
+        self.attrs = {
+            "backend": kernel.backend.name, "cases": len(cases),
+            "lanes": self.table.simulation.lanes, "size": size,
+        }
+        self.mark = (0, 0)
+
+    def _span(self) -> Any:
+        return self.kernel.telemetry.span("kernel.verify", **self.attrs)
+
+    def __call__(self, test: MarchTest) -> bool:
+        stats = self.stats
+        leaves = stats.realizations.value
+        segments = stats.segments.value
+        hits = stats.table_hits.value
+        misses = stats.table_misses.value
+        with self._span() as span:
+            accepted = super().__call__(test)
+            span.annotate(
+                realizations=stats.realizations.value - leaves,
+                segments=stats.segments.value - segments,
+                table_hits=stats.table_hits.value - hits,
+                table_misses=stats.table_misses.value - misses,
+                accepted=accepted,
+            )
+        return accepted
+
+    def root(self) -> Node:
+        self.mark = self._steps()
+        return super().root()
+
+    def accepts(
+        self, node: Node, elements: Tuple[MarchElement, ...]
+    ) -> bool:
+        with self._span() as span:
+            accepted = super().accepts(node, elements)
+            hits, misses = self.mark
+            self.mark = self._steps()
+            span.annotate(
+                realizations=1, segments=1,
+                table_hits=self.mark[0] - hits,
+                table_misses=self.mark[1] - misses,
+                accepted=accepted,
+            )
+        return accepted
+
+    def _steps(self) -> Tuple[int, int]:
+        return self.stats.table_hits.value, self.stats.table_misses.value
 
 
 def concrete_realization(test: MarchTest) -> MarchTest:

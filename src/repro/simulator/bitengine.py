@@ -643,10 +643,10 @@ class PackedSimulation:
 
 #: Most transitions one :class:`TransitionTable` holds; on reaching it
 #: the table starts over empty.  The minimality search below MarchC-'s
-#: complexity (30,000 candidates, its budget) needs 1,384 distinct
-#: transitions at every memory size from 2 to 6, so this is ~3x
-#: headroom, and a verifier fed an unbounded candidate stream stays
-#: bounded in memory.
+#: complexity (30,000 candidates, its budget, stepped down the grammar
+#: tree in ~38.5k element steps) needs 1,384 distinct transitions at
+#: every memory size from 2 to 6, so this is ~3x headroom, and a
+#: verifier fed an unbounded candidate stream stays bounded in memory.
 TRANSITION_TABLE_LIMIT = 4096
 
 
@@ -660,8 +660,11 @@ class TransitionTable:
     state words, detected mask)`` and offers the walk's engine protocol
     (``new_state()``, ``run_variant(segment, state)``,
     :mod:`repro.simulator.ordertree`): a segment steps one element at a
-    time, and only a pair not seen before runs the engine, as one
-    :meth:`PackedSimulation.run_variant` over that element.
+    time through :meth:`step`, and only a pair not seen before runs the
+    engine, as one :meth:`PackedSimulation.run_variant` over that
+    element.  A caller that carries the state words itself, like the
+    minimality search down its grammar tree, calls :meth:`step`
+    directly.
 
     It pays where candidates share states: the minimality search's
     candidates collapse into a few hundred states.  A sweep over
@@ -683,29 +686,35 @@ class TransitionTable:
         #: the engine (the verifier passes its ``VerifyStats`` series).
         self.hits = hits if hits is not None else Counter()
         self.misses = misses if misses is not None else Counter()
-        self._power_up = simulation.new_state().words()
+        #: The state words of a fresh memory.
+        self.power_up = simulation.new_state().words()
 
     def new_state(self) -> PackedState:
         return self.simulation.new_state()
 
+    def step(
+        self, words: Tuple[int, ...], element: object
+    ) -> Tuple[Tuple[int, ...], int]:
+        """Run ``element`` from the state ``words``: ``(next state
+        words, detected mask)``, from the table when the pair was seen
+        before."""
+        step = self.transitions.get((words, element))
+        if step is None:
+            return self._miss(words, element)
+        self.hits.value += 1
+        return step
+
     def run_variant(
         self, test: MarchTest, state: Optional[PackedState] = None
     ) -> int:
-        """:meth:`PackedSimulation.run_variant`, one table step per
+        """:meth:`PackedSimulation.run_variant`, one :meth:`step` per
         element."""
-        words = self._power_up if state is None else state.words()
-        transitions = self.transitions
+        words = self.power_up if state is None else state.words()
+        step = self.step
         detected = 0
-        missed = 0
-        elements = test.elements
-        for element in elements:
-            step = transitions.get((words, element))
-            if step is None:
-                step = self._miss(words, element)
-                missed += 1
-            words, found = step
+        for element in test.elements:
+            words, found = step(words, element)
             detected |= found
-        self.hits.inc(len(elements) - missed)
         if state is not None:
             state.load(words)
         return detected

@@ -1,20 +1,18 @@
 """Tests for the bounded exhaustive baseline (Section 2)."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
 from repro.core.config import GeneratorConfig
-from repro.core.exhaustive import (
-    SearchStats,
-    _Alphabet,
-    _marches,
-    exhaustive_search,
-)
+from repro.core.exhaustive import SearchStats, exhaustive_search
 from repro.core.generator import MarchTestGenerator
 from repro.core.optimize import make_verifier
 from repro.faults import FaultList
 from repro.kernel import SimulationKernel
+from repro.telemetry import Telemetry, flatten_span_trees
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +92,9 @@ class TestSearch:
 class TestGrammar:
     """The candidate grammar, pinned: the search needs no dedup set."""
 
-    #: Candidates per bound 1..8 at ``max_elements`` 6 and 7.
+    #: Candidates per bound 1..8 at ``max_elements`` 6 and 7.  The
+    #: search starts at bound 2, so the two single writes of bound 1
+    #: are never candidates.
     COUNTS = {
         6: (2, 6, 24, 108, 488, 2208, 9856, 42464),
         7: (2, 6, 24, 108, 488, 2208, 9984, 44896),
@@ -103,15 +103,19 @@ class TestGrammar:
     @pytest.mark.parametrize("max_elements", sorted(COUNTS))
     def test_marches_are_exact_bound_and_distinct(self, max_elements):
         counts = []
-        for bound in range(1, 9):
-            candidates = list(
-                _marches(bound, max_elements, SearchStats(), _Alphabet())
+        for bound in range(2, 9):
+            candidates = []
+            exhaustive_search(
+                lambda test: candidates.append(test) and False,
+                max_complexity=bound,
+                max_elements=max_elements,
+                min_complexity=bound,
             )
             assert {c.complexity for c in candidates} == {bound}
             assert len({str(c) for c in candidates}) == len(candidates)
             assert all(len(c) <= max_elements for c in candidates)
             counts.append(len(candidates))
-        assert tuple(counts) == self.COUNTS[max_elements]
+        assert tuple(counts) == self.COUNTS[max_elements][1:]
 
     def test_table3_minimality_searches_test_the_grammar_counts(self):
         # Below each Table 3 complexity at size 2 with budget 30000: the
@@ -137,6 +141,71 @@ class TestGrammar:
             assert found is None, names
             assert stats.candidates_tested == tested, names
             assert stats.budget_exhausted == (tested > 30000), names
+
+
+class TestSteppedSearch:
+    """The search steps the packed verifier's node down the tree."""
+
+    def test_each_prefix_is_stepped_once(self):
+        # The MarchC- row below 10n: 30,000 candidates, each one table
+        # step below its parent node (not ~4.5 steps from power-up).
+        kernel = SimulationKernel(backend="bitparallel")
+        cases = FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
+        stats = SearchStats()
+        exhaustive_search(
+            kernel.verifier(cases.instances(2), 2), max_complexity=9,
+            max_elements=7, budget=30000, stats=stats,
+        )
+        verify = kernel.verify_stats
+        assert stats.candidates_tested == 30001
+        assert verify.calls == verify.realizations.value == 30000
+        assert verify.table_misses.value == 1384
+        steps = verify.table_hits.value + verify.table_misses.value
+        assert steps <= 1.5 * stats.candidates_tested
+
+    @pytest.mark.parametrize("budget", [50, None])
+    def test_a_finished_search_frees_its_kernel_by_refcount(self, budget):
+        kernel = SimulationKernel(backend="bitparallel")
+        verify = kernel.verifier(
+            FaultList.from_names("SAF", "TF").instances(2), 2
+        )
+        dead_kernel = weakref.ref(kernel)
+        dead_table = weakref.ref(verify.table)
+        gc.disable()
+        try:
+            stats = SearchStats()
+            found = exhaustive_search(
+                verify, max_complexity=9, budget=budget, stats=stats
+            )
+            assert (found is None) == stats.budget_exhausted
+            del kernel, verify
+            assert dead_kernel() is None and dead_table() is None
+        finally:
+            gc.enable()
+
+    def test_traced_search_spans_each_candidate(self):
+        telemetry = Telemetry()
+        kernel = SimulationKernel(backend="bitparallel", telemetry=telemetry)
+        verify = kernel.verifier(
+            FaultList.from_names("SAF", "TF").instances(2), 2
+        )
+        stats = SearchStats()
+        assert exhaustive_search(
+            verify, max_complexity=9, budget=100, stats=stats
+        ) is None
+        spans = [
+            line["attrs"]
+            for line in flatten_span_trees(telemetry.span_trees())
+            if line["name"] == "kernel.verify"
+        ]
+        counters = kernel.verify_stats
+        assert len(spans) == counters.calls == 100
+        assert all(span["realizations"] == span["segments"] == 1
+                   for span in spans)
+        for series in ("table_hits", "table_misses"):
+            assert sum(span[series] for span in spans) == getattr(
+                counters, series
+            ).value
 
 
 class TestPolishOutcome:
