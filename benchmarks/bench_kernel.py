@@ -408,9 +408,9 @@ def measure_coverage_sweep(repeats=3):
     ``simulate_many`` of every catalog test against the base models at
     size 16 (best of ``repeats``), plus the shape of its lane plan.
 
-    The plan's address-decoder tables hold one ``{target: mask}`` dict
-    per cell; ``entries`` counts the targets and ``lane_masks`` the
-    lane masks ORed into them (one per lane and table).
+    The plan holds one entry of role masks per (cell, target) pair and
+    per merged single-cell rule; ``plan`` records how many entries one
+    write and one read walk (the most over every cell and value).
     """
     from repro.march.catalog import CATALOG
     from repro.simulator.bitengine import PackedSimulation
@@ -424,16 +424,20 @@ def measure_coverage_sweep(repeats=3):
 
     seconds, reports = _best_of(repeats, sweep)
     plan = PackedSimulation(cases, COVERAGE_SIZE).plan
-    tables = {}
-    for name in ("write_redirect", "write_echo", "read_redirect"):
-        cells = getattr(plan, name)
-        tables[name] = {
-            "entries": sum(len(rules) for rules in cells),
-            "lane_masks": sum(
-                bin(mask).count("1")
-                for rules in cells for mask in rules.values()
-            ),
-        }
+    cells = range(COVERAGE_SIZE)
+    tables = {
+        "entries_per_write": max(
+            len(plan.write_rules[value][cell])
+            + len(plan.write_fanout[value][cell])
+            + len(plan.cfst_victim[cell])
+            for cell in cells for value in (0, 1)
+        ),
+        "entries_per_read": max(
+            len(plan.read_rules[cell]) + len(plan.read_sources[cell])
+            + len(plan.cf_read[cell])
+            for cell in cells
+        ),
+    }
     return {
         "tests": len(tests),
         "models": "+".join(COVERAGE_MODELS),
@@ -1217,14 +1221,13 @@ def test_front_end_shares_held_karp_masks():
 
 def test_coverage_sweep_record():
     """The coverage record counts the sweep's verdicts and lanes, and
-    its plan holds one entry per (cell, target) pair."""
+    the entries one write and one read of its lane plan walk."""
     record = measure_coverage_sweep(repeats=1)
     assert record["verdicts"] == 40512
     assert record["lanes"] == 4129
-    plan = record["plan"]
-    assert plan["write_echo"]["lane_masks"] > plan["write_echo"]["entries"]
-    for table in plan.values():
-        assert 0 < table["entries"] <= table["lane_masks"]
+    # A write walks 2 merged write rules, 15 fan-out targets and 15
+    # CFst aggressors; a read 6 merged read rules and 15 sources.
+    assert record["plan"] == {"entries_per_write": 32, "entries_per_read": 21}
     assert record["guard_enforced"] is False
 
 
@@ -1613,11 +1616,8 @@ def main():
         f" {coverage['seconds'] * 1e3:9.2f} ms"
     )
     print(
-        "  address-decoder plan entries (lane masks):"
-        + "".join(
-            f" {name} {table['entries']} ({table['lane_masks']})"
-            for name, table in sorted(plan.items())
-        )
+        f"  lane plan entries walked: {plan['entries_per_write']} per"
+        f" write, {plan['entries_per_read']} per read"
     )
     fanout = payload["workloads"]["campaign_fanout"]
     print(

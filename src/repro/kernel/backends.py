@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
-from ..simulator.bitengine import PackedSimulation, lane_packable_case
+from ..simulator.bitengine import PackedSimulation, pack_cases
 from ..simulator.engine import run_march
 
 
@@ -136,17 +136,17 @@ class BitParallelBackend(SerialBackend):
         )
         # Per case-name tuple, each case's route: one split per sweep.
         self._routes: "OrderedDict[Tuple, Tuple[bool, ...]]" = OrderedDict()
-        # Packability memo keyed by case name (the canonical fault
-        # identity): single-case probes repeat the same few cases
-        # against many tests.
-        self._packable: Dict[str, bool] = {}
 
-    def _is_packable(self, case: FaultCase) -> bool:
-        verdict = self._packable.get(case.name)
-        if verdict is None:
-            verdict = lane_packable_case(case)
-            self._packable[case.name] = verdict
-        return verdict
+    def _route(
+        self, cases: Sequence[FaultCase], names: Tuple, size: int
+    ) -> Tuple[bool, ...]:
+        """Route ``cases`` and memoize the simulation of the packable
+        ones, built in the same pass (each variant instantiated once)."""
+        simulation, scalar, routes = pack_cases(cases, size)
+        if len(scalar) < len(cases):
+            packed = tuple([n for n, packs in zip(names, routes) if packs])
+            self._memo(self._simulations, (packed, size), lambda: simulation)
+        return routes
 
     def _memo(self, table: OrderedDict, key: Tuple, build: Callable) -> Any:
         """``table[key]``, built on a miss (LRU of PLAN_CACHE_SIZE)."""
@@ -164,8 +164,7 @@ class BitParallelBackend(SerialBackend):
     ) -> List[bool]:
         names = tuple([case.name for case in cases])
         routes = self._memo(
-            self._routes, names,
-            lambda: tuple(map(self._is_packable, cases)),
+            self._routes, names, lambda: self._route(cases, names, size)
         )
         if all(routes):
             packable, scalar = cases, ()

@@ -54,11 +54,7 @@ from ..faults.instances import FaultCase
 from ..march.element import AddressOrder, MarchElement
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
-from ..simulator.bitengine import (
-    PackedSimulation,
-    TransitionTable,
-    partition_cases,
-)
+from ..simulator.bitengine import TransitionTable, pack_cases
 from ..simulator.engine import MarchRun, is_well_formed, run_march
 from ..simulator.ordertree import walk_realizations
 from ..store import FaultDictionaryStore, resolve_store
@@ -411,10 +407,17 @@ class SimulationKernel:
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
         names = tuple([case.name for case in cases])
+        high_first = names[::-1]
         reports = []
         for test in tests:
             row = verdicts[canonical_signature(test)]
-            flags = bytes([row[name] for name in names])
+            # Bit i of the flags is case i, so the last case's digit
+            # comes first.
+            flags = int(
+                "".join(["1" if row[name] else "0" for name in high_first])
+                or "0",
+                2,
+            )
             reports.append(
                 SimulationReport.from_flags(test, size, names, flags)
             )
@@ -525,7 +528,8 @@ class SimulationKernel:
         """A predicate: well-formed and detects every fault case.
 
         On the lane-packed ``bitparallel`` backend the predicate builds
-        one bignum :class:`PackedSimulation` over
+        one bignum
+        :class:`~repro.simulator.bitengine.PackedSimulation` over
         the lane-packable cases and walks a candidate's order
         realizations as one shared-prefix tree
         (:func:`~repro.simulator.ordertree.walk_realizations`): it
@@ -636,7 +640,7 @@ Node = Tuple[Tuple[int, ...], int]
 class PackedVerifier:
     """The packed predicate of :meth:`SimulationKernel.verifier`.
 
-    One :class:`PackedSimulation` and one
+    One :class:`~repro.simulator.bitengine.PackedSimulation` and one
     :class:`~repro.simulator.bitengine.TransitionTable` over it serve
     every call.  The walk runs each segment through the table, which is
     exact because a run is a pure function of the packed state and the
@@ -661,8 +665,7 @@ class PackedVerifier:
     def __init__(
         self, kernel: SimulationKernel, cases: List[FaultCase], size: int
     ) -> None:
-        packable, self.scalar = partition_cases(cases)
-        simulation = PackedSimulation(packable, size)
+        simulation, self.scalar, _ = pack_cases(cases, size)
         self.kernel = kernel
         self.stats = stats = kernel.verify_stats
         self.size = size

@@ -19,9 +19,12 @@ class _Cases(list):
     __slots__ = ("_report", "_detected")
 
     def __init__(self, report: "SimulationReport", detected: bool) -> None:
+        # Bit i of the flags is case i: index i of the reversed binary
+        # string, padded with the missed cases above the highest bit.
+        bits = format(report.flags, "b")[::-1].ljust(len(report.cases), "0")
+        flag = "1" if detected else "0"
         super().__init__(
-            case for case, flag in zip(report.cases, report.flags)
-            if flag == detected
+            case for case, bit in zip(report.cases, bits) if bit == flag
         )
         self._report = report
         self._detected = detected
@@ -50,11 +53,11 @@ for _name in ("append", "extend", "insert", "remove", "pop", "clear", "sort",
 class SimulationReport:
     """Outcome of simulating a test against a set of fault cases.
 
-    Held as the case names plus one detected flag per case, so the
-    reports of one batch share one name tuple and cost a byte per
-    verdict, not a list slot per name.  ``detected`` and ``missed``
-    are lists in case order, built on each access; changing or
-    assigning one updates the report.
+    Held as the case names plus one int whose bit ``i`` is set when
+    case ``i`` is detected, so the reports of one batch share one name
+    tuple and cost a bit per verdict, not a list slot per name.
+    ``detected`` and ``missed`` are lists in case order, built on each
+    access; changing or assigning one updates the report.
     """
 
     __slots__ = ("test", "size", "cases", "flags")
@@ -72,13 +75,14 @@ class SimulationReport:
 
     def _assign(self, detected: Sequence[str], missed: Sequence[str]) -> None:
         self.cases: Tuple[str, ...] = (*detected, *missed)
-        self.flags = bytes([1]) * len(detected) + bytes(len(missed))
+        self.flags = (1 << len(detected)) - 1
 
     @classmethod
     def from_flags(
-        cls, test: MarchTest, size: int, cases: Tuple[str, ...], flags: bytes
+        cls, test: MarchTest, size: int, cases: Tuple[str, ...], flags: int
     ) -> "SimulationReport":
-        """A report over ``cases`` with one 0/1 detected flag each."""
+        """A report over ``cases`` whose detected cases are the set bits
+        of ``flags`` (bit ``i``: ``cases[i]``)."""
         report = cls(test, size)
         report.cases, report.flags = cases, flags
         return report
@@ -101,7 +105,7 @@ class SimulationReport:
 
     @property
     def complete(self) -> bool:
-        return all(self.flags)
+        return self.flags == (1 << len(self.cases)) - 1
 
     @property
     def coverage(self) -> float:
@@ -111,9 +115,9 @@ class SimulationReport:
         coverage (the producer emits an :class:`EmptyFaultListWarning`
         at simulation time).
         """
-        if not self.flags:
+        if not self.cases:
             return 0.0
-        return self.flags.count(1) / len(self.flags)
+        return bin(self.flags).count("1") / len(self.cases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationReport):
@@ -131,7 +135,7 @@ class SimulationReport:
     def __str__(self) -> str:
         return (
             f"{self.test.name or self.test}: "
-            f"{self.flags.count(1)}/{len(self.flags)}"
+            f"{bin(self.flags).count('1')}/{len(self.cases)}"
             f" fault cases detected"
         )
 

@@ -28,22 +28,31 @@ as bitwise updates conditioned only on fixed cells of its own lane:
   to :class:`~repro.faults.primitives.MaskTransition` rules;
 * state faults (SA, the ADF type-A dead cell) become forced-value
   masks applied on every access of their cell;
-* coupling faults (CFid, CFin, CFst, CFrd) become per-aggressor-address
-  victim-update groups;
-* address-decoder faults B/C/D become per-address write/read redirect
-  and combine groups;
+* coupling faults (CFid, CFin, CFst, CFrd) become masks in the entry
+  of their (aggressor, victim) pair;
+* address-decoder faults B/C/D become masks in the write fan-out and
+  read-source entries of their (accessed cell, other cell) pair;
 * the stuck-open fault (SOF) packs through a dedicated per-lane *latch
   word*: each SOF lane carries one bit of shared sense-amplifier state
   that every read of a healthy cell reloads and every read of the open
   cell reports, so the "previous read" coupling that is non-local in
   cell space is still one bit per lane in lane space.
 
+Every lane's mask is ORed straight into the :class:`LanePlan` entry of
+the cell it acts on, one set of role masks per (cell, target) pair and
+per single-cell rule shape.  Each update is per lane and the lanes of
+different instances are disjoint, so the merge is exact, and a march
+operation costs one loop step per neighbour cell, not per fault lane:
+at size 16 over the twelve base models a write walks 32 entries and a
+read 21, however many lanes the plan carries.
+
 Unknown instance types (user-defined faults, composite multi-defect
 injections) are conservatively unpackable: a subclass may override any
 behavioural hook, so only exactly-known types are encoded.
-:func:`lane_packable_case` is the partition predicate; the
-``bitparallel`` kernel backend routes unpackable cases to the scalar
-serial engine (see :mod:`repro.kernel.backends`).
+:func:`lane_packable_case` is the partition predicate;
+:func:`pack_cases` routes a case list and encodes its packable cases
+in one pass, and the ``bitparallel`` kernel backend routes unpackable
+cases to the scalar serial engine (see :mod:`repro.kernel.backends`).
 
 Order realizations
 ------------------
@@ -64,8 +73,9 @@ runs the engine only for (state, element) pairs it has not seen.
 
 Equivalence with the scalar engine over the full standard fault
 library is property-tested in ``tests/kernel/test_equivalence.py``;
-the walk against the realization enumeration in
-``tests/simulator/test_ordertree.py``.
+element by element against the per-lane engine this plan replaced in
+``tests/simulator/test_lane_reference.py``; the walk against the
+realization enumeration in ``tests/simulator/test_ordertree.py``.
 """
 
 from __future__ import annotations
@@ -102,16 +112,44 @@ from ..march.test import MarchTest
 from ..telemetry.metrics import Counter
 from .ordertree import walk_realizations
 
-#: Victim-action sentinel: invert the victim instead of forcing a value.
-INVERT = -1
+# Roles of the mask lists in a lane plan's tables (list indices).  A
+# write fan-out entry forces its target cell unconditionally, or only
+# for the lanes whose write completes the aggressor transition
+# (``old == 1 - v``: CFid forces, CFin inverts a definite value).
+FORCE1, FORCE0, TRANSIT_FORCE1, TRANSIT_FORCE0, TRANSIT_INVERT = range(5)
+#: A read-source entry: which cell a read of the routed cell reports
+#: (ADF-B/D and ADF-C "other" report the source, ADF-C "own" the read
+#: cell, "and"/"or" the wired combination of both).
+OTHER, OWN, AND, OR = range(4)
+
+
+#: Single-cell rule masks of one cell keyed by rule shape.
+_Rules = Dict[Tuple[int, bool, bool], int]
 
 
 class UnpackableFaultError(TypeError):
     """A fault instance has no word-packed lane encoding."""
 
 
+def _entry(table: Dict[int, List[int]], cell: int, roles: int) -> List[int]:
+    """The mask list of ``cell`` in ``table``, added empty if absent."""
+    masks = table.get(cell)
+    if masks is None:
+        masks = table[cell] = [0] * roles
+    return masks
+
+
 class LanePlan:
-    """Per-address bitwise dispatch tables for one packed lane set.
+    """Per-cell bitwise dispatch tables for one packed lane set.
+
+    Every table is keyed by the cell an access touches and, below it,
+    by the cell an entry acts on (a write's targets, a read's sources,
+    a CFst victim's aggressors), and holds one mask per role with the
+    bits of every lane in that role ORed in.  This is exact: each
+    update is per lane and the lanes of different fault instances are
+    disjoint.  So a march operation walks one entry per neighbour cell
+    and per merged single-cell rule, however many lanes the plan
+    carries.
 
     Built once per (fault cases, size) pair and immutable afterwards;
     every order-variant run shares the plan and keeps its own
@@ -132,30 +170,36 @@ class LanePlan:
         #: Lanes whose write to the cell is unconditionally lost
         #: (dead cells, writes redirected to another cell).
         self.write_lost = [0] * n
-        # Conditional single-cell rules compiled from MaskTransition.
-        #   write: (mask, trigger_value, old_value, flip_store, lose_write)
-        #   read:  (mask, old_value, flip_store, flip_report)
-        #   wait:  (cell, mask, old_value)  -- flip_store implied
-        self.write_rules: List[List[Tuple[int, int, int, bool, bool]]] = [
-            [] for _ in range(n)
-        ]
-        self.read_rules: List[List[Tuple[int, int, bool, bool]]] = [
-            [] for _ in range(n)
-        ]
-        self.wait_rules: List[Tuple[int, int, int]] = []
-        # Coupling groups.  cf_write[a][v]: victims updated when a write
-        # of v to a completes an aggressor transition (old == 1-v);
-        # action is a forced value or INVERT.
-        self.cf_write: List[Tuple[list, list]] = [([], []) for _ in range(n)]
-        #: CFst aggressor side: victims forced when a holds the state.
-        self.cfst_write: List[Tuple[list, list]] = [([], []) for _ in range(n)]
-        #: CFst victim side: (aggressor, state, forced, mask) re-enforced
-        #: after any write to the victim cell.
-        self.cfst_victim: List[List[Tuple[int, int, int, int]]] = [
-            [] for _ in range(n)
-        ]
-        #: CFrd: victims forced by any read of the aggressor.
-        self.cf_read: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+        # Conditional single-cell rules compiled from MaskTransition,
+        # one mask per rule shape:
+        #   write_rules[v][cell]: {(old_value, flip_store, lose_write): mask}
+        #   read_rules[cell]:     {(old_value, flip_store, flip_report): mask}
+        #   wait_rules:           {(cell, old_value): mask}  -- flip implied
+        self.write_rules: Tuple[List[_Rules], ...] = (
+            [{} for _ in range(n)], [{} for _ in range(n)]
+        )
+        self.read_rules: List[_Rules] = [{} for _ in range(n)]
+        self.wait_rules: Dict[Tuple[int, int], int] = {}
+        #: write_fanout[v][cell]: {target: [FORCE1, FORCE0, TRANSIT_FORCE1,
+        #: TRANSIT_FORCE0, TRANSIT_INVERT]} -- the other cells a write of
+        #: ``v`` reaches: ADF-B/D redirects and ADF-C echoes (a forced
+        #: ``v``), CFst aggressors holding ``v`` and CFid/CFin aggressor
+        #: transitions to ``v``.
+        self.write_fanout: Tuple[List[Dict[int, List[int]]], ...] = (
+            [{} for _ in range(n)], [{} for _ in range(n)]
+        )
+        #: cfst_victim[cell]: {aggressor: four masks, index ``2 * held
+        #: state + forced value``} re-enforced after any write to the
+        #: victim cell.
+        self.cfst_victim: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        #: read_sources[cell]: {source: [OTHER, OWN, AND, OR]} -- what a
+        #: read of the cell reports on its routed lanes (ADF-B/C/D), and
+        #: ``read_routed[cell]`` the union of those lanes.
+        self.read_sources: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        self.read_routed = [0] * n
+        #: cf_read[cell]: {victim: [FORCE1, FORCE0]} forced by any read
+        #: of the cell (CFrd).
+        self.cf_read: List[Dict[int, List[int]]] = [{} for _ in range(n)]
         # Stuck-open sense-amplifier latch: per-lane shared read state.
         #: Lanes whose open cell is ``c``: reads of ``c`` report the
         #: latch word and writes to ``c`` are lost (also in write_lost).
@@ -165,31 +209,31 @@ class LanePlan:
         self.sof_lanes = 0
         #: Power-up latch content per lane (adversarially enumerated).
         self.sof_latch_init = 0
-        # Address-decoder rules, one ``{target: mask}`` dict per cell
-        # with every lane's mask ORed in (exact: each update is per
-        # lane and the lane masks are disjoint).  Writes of the cell
-        # land on the target (redirect: ADF-B/D) or also reach it
-        # (echo: ADF-C); reads of the cell report the target (ADF-B/D).
-        self.write_redirect: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.write_echo: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.read_redirect: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.read_combine: List[List[Tuple[int, str, int]]] = [
-            [] for _ in range(n)
-        ]
 
     def add_rule(self, cell: int, mask: int, rule: MaskTransition) -> None:
         """Register a compiled :class:`MaskTransition` for ``mask`` lanes."""
         if rule.trigger == "w":
-            self.write_rules[cell].append(
-                (mask, rule.trigger_value, rule.old_value, rule.flip_store,
-                 rule.lose_write)
-            )
+            rules = self.write_rules[rule.trigger_value][cell]
+            key = (rule.old_value, rule.flip_store, rule.lose_write)
         elif rule.trigger == "r":
-            self.read_rules[cell].append(
-                (mask, rule.old_value, rule.flip_store, rule.flip_report)
-            )
+            rules = self.read_rules[cell]
+            key = (rule.old_value, rule.flip_store, rule.flip_report)
         else:
-            self.wait_rules.append((cell, mask, rule.old_value))
+            rules = self.wait_rules
+            key = (cell, rule.old_value)
+        rules[key] = rules.get(key, 0) | mask
+
+    def fanout(self, written: int, cell: int, target: int) -> List[int]:
+        """The write fan-out masks of ``target`` for a write of
+        ``written`` to ``cell``."""
+        return _entry(self.write_fanout[written][cell], target, 5)
+
+    def route_read(self, cell: int, source: int, model: int,
+                   mask: int) -> None:
+        """Reads of ``cell`` report ``source`` under ``model`` for the
+        ``mask`` lanes."""
+        _entry(self.read_sources[cell], source, 4)[model] |= mask
+        self.read_routed[cell] |= mask
 
 
 # -- instance encoders ---------------------------------------------------------
@@ -273,35 +317,40 @@ def _enc_stuck_open(inst: StuckOpenInstance, plan: LanePlan, m: int) -> None:
 def _enc_cfid(inst: CouplingIdempotentInstance, plan: LanePlan,
               m: int) -> None:
     written = 1 if inst.rising else 0
-    plan.cf_write[inst.aggressor][written].append(
-        (inst.victim, inst.force_value, m)
-    )
+    role = TRANSIT_FORCE1 if inst.force_value else TRANSIT_FORCE0
+    plan.fanout(written, inst.aggressor, inst.victim)[role] |= m
 
 
 def _enc_cfin(inst: CouplingInversionInstance, plan: LanePlan,
               m: int) -> None:
     written = 1 if inst.rising else 0
-    plan.cf_write[inst.aggressor][written].append((inst.victim, INVERT, m))
+    plan.fanout(written, inst.aggressor, inst.victim)[TRANSIT_INVERT] |= m
 
 
 def _enc_cfst(inst: CouplingStateInstance, plan: LanePlan, m: int) -> None:
-    plan.cfst_write[inst.aggressor][inst.agg_state].append(
-        (inst.victim, inst.forced_value, m)
-    )
-    plan.cfst_victim[inst.victim].append(
-        (inst.aggressor, inst.agg_state, inst.forced_value, m)
-    )
+    # Writing the held state to the aggressor forces the victim at once.
+    role = FORCE1 if inst.forced_value else FORCE0
+    plan.fanout(inst.agg_state, inst.aggressor, inst.victim)[role] |= m
+    held = _entry(plan.cfst_victim[inst.victim], inst.aggressor, 4)
+    held[2 * inst.agg_state + inst.forced_value] |= m
 
 
 def _enc_cfrd(inst: ReadCouplingInstance, plan: LanePlan, m: int) -> None:
-    plan.cf_read[inst.aggressor].append((inst.victim, inst.forced, m))
+    forced = _entry(plan.cf_read[inst.aggressor], inst.victim, 2)
+    forced[FORCE1 if inst.forced else FORCE0] |= m
+
+
+def _reach(plan: LanePlan, cell: int, target: int, m: int) -> None:
+    """Writes to ``cell`` also land on ``target`` for the ``m`` lanes."""
+    plan.fanout(1, cell, target)[FORCE1] |= m
+    plan.fanout(0, cell, target)[FORCE0] |= m
 
 
 def _redirect(plan: LanePlan, cell: int, target: int, m: int) -> None:
     """Accesses to ``cell`` land on ``target`` for the ``m`` lanes."""
     plan.write_lost[cell] |= m
-    for rules in (plan.write_redirect[cell], plan.read_redirect[cell]):
-        rules[target] = rules.get(target, 0) | m
+    _reach(plan, cell, target, m)
+    plan.route_read(cell, target, OTHER, m)
 
 
 def _enc_wrong_cell(inst: WrongCellAccessInstance, plan: LanePlan,
@@ -314,12 +363,15 @@ def _enc_shared_cell(inst: SharedCellAccessInstance, plan: LanePlan,
     _redirect(plan, inst.b, inst.a, m)  # ADF-D: accesses to b land on a
 
 
+#: ADF-C read model -> read-source role.
+_READ_MODELS = {"other": OTHER, "own": OWN, "and": AND, "or": OR}
+
+
 def _enc_multi_cell(inst: MultiCellAccessInstance, plan: LanePlan,
                     m: int) -> None:
     # ADF-C: writes to a also reach b; conflicting reads combine.
-    echo = plan.write_echo[inst.a]
-    echo[inst.b] = echo.get(inst.b, 0) | m
-    plan.read_combine[inst.a].append((inst.b, inst.read_model, m))
+    _reach(plan, inst.a, inst.b, m)
+    plan.route_read(inst.a, inst.b, _READ_MODELS[inst.read_model], m)
 
 
 _ENCODERS: Dict[Type, Callable[[object, LanePlan, int], None]] = {
@@ -341,24 +393,47 @@ _ENCODERS: Dict[Type, Callable[[object, LanePlan, int], None]] = {
 }
 
 
+def _instances(case: FaultCase) -> List[object]:
+    return [factory() for factory in case.variants]
+
+
+def _packable(instances: Sequence[object]) -> bool:
+    return all(type(instance) in _ENCODERS for instance in instances)
+
+
 def lane_packable_case(case: FaultCase) -> bool:
     """True when every behavioural variant of ``case`` can be packed.
 
     The partition predicate of the ``bitparallel`` backend: packable
     cases share one packed run, the rest route to the scalar engine.
     """
-    return all(type(factory()) in _ENCODERS for factory in case.variants)
+    return _packable(_instances(case))
 
 
-def partition_cases(
-    cases: Sequence[FaultCase],
-) -> Tuple[List[FaultCase], List[FaultCase]]:
-    """Split ``cases`` into (packable, unpackable) preserving order."""
+def pack_cases(
+    cases: Sequence[FaultCase], size: int
+) -> Tuple["PackedSimulation", List[FaultCase], Tuple[bool, ...]]:
+    """Route ``cases`` and pack the lane-packable ones in one pass.
+
+    Returns the simulation of the packable cases, the unpackable ones
+    (in order) and each case's route (``True``: packed).  Every
+    behavioural variant is instantiated once, for both the routing and
+    the encoding.
+    """
     packable: List[FaultCase] = []
+    lanes: List[List[object]] = []
     unpackable: List[FaultCase] = []
+    routes = []
     for case in cases:
-        (packable if lane_packable_case(case) else unpackable).append(case)
-    return packable, unpackable
+        instances = _instances(case)
+        packs = _packable(instances)
+        routes.append(packs)
+        if packs:
+            packable.append(case)
+            lanes.append(instances)
+        else:
+            unpackable.append(case)
+    return PackedSimulation(packable, size, lanes), unpackable, tuple(routes)
 
 
 class PackedState:
@@ -405,28 +480,41 @@ class PackedSimulation:
     shared-prefix tree (:mod:`repro.simulator.ordertree`).
     """
 
-    def __init__(self, cases: Sequence[FaultCase], size: int) -> None:
+    def __init__(
+        self,
+        cases: Sequence[FaultCase],
+        size: int,
+        instances: Optional[Sequence[Sequence[object]]] = None,
+    ) -> None:
+        """``instances``, when given, holds each case's variant
+        instances, one list per case (:func:`pack_cases` passes the
+        ones it routed by), so no variant is instantiated twice."""
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size
         self.cases = tuple(cases)
-        lane_specs = []
-        for case_index, case in enumerate(self.cases):
-            for factory in case.variants:
-                lane_specs.append((case_index, factory()))
-        self.lanes = 1 + len(lane_specs)
+        if instances is None:
+            instances = [_instances(case) for case in self.cases]
+        self.lanes = 1 + sum(map(len, instances))
         plan = LanePlan(size, self.lanes)
-        self.case_masks = [0] * len(self.cases)
-        for bit, (case_index, instance) in enumerate(lane_specs, start=1):
-            encoder = _ENCODERS.get(type(instance))
-            if encoder is None:
-                raise UnpackableFaultError(
-                    f"{type(instance).__name__} (case"
-                    f" {self.cases[case_index].name!r}) has no word-packed"
-                    " lane encoding; route it to the scalar engine"
-                )
-            encoder(instance, plan, 1 << bit)
-            self.case_masks[case_index] |= 1 << bit
+        #: The case index of each lane (the reference lane 0: -1); a
+        #: case's variants take consecutive lanes, in case order.
+        self.lane_cases = [-1]
+        bit = 1
+        for case_index, (case, variants) in enumerate(
+            zip(self.cases, instances)
+        ):
+            for instance in variants:
+                encoder = _ENCODERS.get(type(instance))
+                if encoder is None:
+                    raise UnpackableFaultError(
+                        f"{type(instance).__name__} (case {case.name!r})"
+                        " has no word-packed lane encoding; route it to"
+                        " the scalar engine"
+                    )
+                encoder(instance, plan, 1 << bit)
+                bit += 1
+            self.lane_cases += [case_index] * len(variants)
         self.plan = plan
         self.full = plan.full
 
@@ -462,11 +550,16 @@ class PackedSimulation:
         detected = 0
         stuck0, stuck1 = plan.stuck0, plan.stuck1
         dead0, dead1 = plan.dead0, plan.dead1
+        write_lost = plan.write_lost
+        write_rules, write_fanout = plan.write_rules, plan.write_fanout
+        cfst_victim = plan.cfst_victim
+        read_rules, read_sources = plan.read_rules, plan.read_sources
+        read_routed, cf_read = plan.read_routed, plan.cf_read
         sof_lanes = plan.sof_lanes
         latch = state.latch
         for element in test.elements:
             if isinstance(element, DelayElement):
-                for cell, mask, old in plan.wait_rules:
+                for (cell, old), mask in plan.wait_rules.items():
                     fired = mask & defined[cell] & (
                         value[cell] if old else ~value[cell]
                     )
@@ -481,12 +574,11 @@ class PackedSimulation:
                     if op.is_write:
                         old_val = value[a]
                         old_def = defined[a]
-                        lost = plan.write_lost[a]
+                        lost = write_lost[a]
                         flip = 0
-                        for (mask, trigger, old, flip_store,
-                             lose) in plan.write_rules[a]:
-                            if trigger != v:
-                                continue
+                        for (old, flip_store, lose), mask in (
+                            write_rules[v][a].items()
+                        ):
                             fired = mask & old_def & (
                                 old_val if old else ~old_val
                             )
@@ -506,59 +598,55 @@ class PackedSimulation:
                             new_val ^= flip
                         value[a] = new_val
                         defined[a] = old_def | written
-                        for target, mask in plan.write_redirect[a].items():
-                            value[target] = (
-                                (value[target] & ~mask) | (value_mask & mask)
-                            )
-                            defined[target] |= mask
-                        for other, mask in plan.write_echo[a].items():
-                            value[other] = (
-                                (value[other] & ~mask) | (value_mask & mask)
-                            )
-                            defined[other] |= mask
-                        coupled = plan.cf_write[a][v]
-                        if coupled:
-                            # The aggressor transition completes iff the
+                        fanout = write_fanout[v][a]
+                        if fanout:
+                            # An aggressor transition completes iff the
                             # old value was the complement of the write.
-                            transit = old_def & (old_val if v == 0
-                                                 else ~old_val)
-                            if transit:
-                                for victim, action, mask in coupled:
-                                    fired = mask & transit
-                                    if not fired:
-                                        continue
-                                    if action == INVERT:
-                                        value[victim] ^= fired & defined[victim]
-                                    elif action:
-                                        value[victim] |= fired
-                                        defined[victim] |= fired
-                                    else:
-                                        value[victim] &= ~fired
-                                        defined[victim] |= fired
-                        for victim, forced, mask in plan.cfst_write[a][v]:
-                            if forced:
-                                value[victim] |= mask
-                            else:
-                                value[victim] &= ~mask
-                            defined[victim] |= mask
-                        for (agg, held_state, forced,
-                             mask) in plan.cfst_victim[a]:
-                            held = mask & defined[agg] & (
-                                value[agg] if held_state else ~value[agg]
-                            )
-                            if not held:
-                                continue
-                            if forced:
-                                value[a] |= held
-                            else:
-                                value[a] &= ~held
+                            transit = old_def & (~old_val if v else old_val)
+                            for target, (one, zero, t_one, t_zero,
+                                         t_invert) in fanout.items():
+                                if transit:
+                                    one |= t_one & transit
+                                    zero |= t_zero & transit
+                                    t_invert &= transit
+                                    if t_invert:
+                                        value[target] ^= (
+                                            t_invert & defined[target]
+                                        )
+                                forced = one | zero
+                                if forced:
+                                    value[target] = (
+                                        (value[target] | one) & ~zero
+                                    )
+                                    defined[target] |= forced
+                        held_by = cfst_victim[a]
+                        if held_by:
+                            # CFst: a victim holds the forced value
+                            # while its aggressor holds the state.
+                            cell = value[a]
+                            for agg, (h0f0, h0f1, h1f0, h1f1) in (
+                                held_by.items()
+                            ):
+                                agg_val = value[agg]
+                                agg_def = defined[agg]
+                                agg_inv = ~agg_val
+                                one = agg_def & (
+                                    (h1f1 & agg_val) | (h0f1 & agg_inv)
+                                )
+                                zero = agg_def & (
+                                    (h1f0 & agg_val) | (h0f0 & agg_inv)
+                                )
+                                cell = (cell | one) & ~zero
+                            value[a] = cell
                         continue
                     # -- read ------------------------------------------------
                     raw_val = value[a]
                     raw_def = defined[a]
                     reported = raw_val
                     reported_def = raw_def
-                    for mask, old, flip_store, flip_report in plan.read_rules[a]:
+                    for (old, flip_store, flip_report), mask in (
+                        read_rules[a].items()
+                    ):
                         fired = mask & raw_def & (raw_val if old else ~raw_val)
                         if not fired:
                             continue
@@ -573,30 +661,31 @@ class PackedSimulation:
                         force1 = s1 | d1
                         reported = (reported & ~force0) | force1
                         reported_def |= force0 | force1
-                    for source, mask in plan.read_redirect[a].items():
-                        reported = (reported & ~mask) | (value[source] & mask)
-                        reported_def = (
-                            (reported_def & ~mask) | (defined[source] & mask)
-                        )
-                    for other, model, mask in plan.read_combine[a]:
-                        if model == "own":
-                            sub_val, sub_def = value[a], defined[a]
-                        elif model == "other":
-                            sub_val, sub_def = value[other], defined[other]
-                        elif model == "and":
-                            sub_val = value[a] & value[other]
-                            sub_def = defined[a] & defined[other]
-                        else:  # "or"
-                            sub_val = value[a] | value[other]
-                            sub_def = defined[a] & defined[other]
-                        reported = (reported & ~mask) | (sub_val & mask)
-                        reported_def = (reported_def & ~mask) | (sub_def & mask)
-                    for victim, forced, mask in plan.cf_read[a]:
-                        if forced:
-                            value[victim] |= mask
-                        else:
-                            value[victim] &= ~mask
-                        defined[victim] |= mask
+                    sources = read_sources[a]
+                    if sources:
+                        # The routed lanes report a source cell, their
+                        # own cell (after the read-rule flips above) or
+                        # the wired AND/OR of both.
+                        own_val = value[a]
+                        own_def = defined[a]
+                        got_val = got_def = 0
+                        for source, (other, own, both, either) in (
+                            sources.items()
+                        ):
+                            src_val = value[source]
+                            src_def = defined[source]
+                            got_val |= (
+                                src_val & (other | either | (own_val & both))
+                            ) | (own_val & (own | either))
+                            got_def |= (
+                                src_def & (other | (own_def & (both | either)))
+                            ) | (own_def & own)
+                        routed = ~read_routed[a]
+                        reported = (reported & routed) | got_val
+                        reported_def = (reported_def & routed) | got_def
+                    for victim, (one, zero) in cf_read[a].items():
+                        value[victim] = (value[victim] | one) & ~zero
+                        defined[victim] |= one | zero
                     if sof_lanes:
                         sof_here = plan.sof_cell[a]
                         if sof_here:
@@ -638,7 +727,18 @@ class PackedSimulation:
             return not agreed & fault_lanes
 
         walk_realizations(self, test, visit)
-        return [(agreed & mask) == mask for mask in self.case_masks]
+        verdicts = [True] * len(self.cases)
+        missed = fault_lanes & ~agreed
+        if missed:
+            # Only the missed lanes are visited: lane L is bit L, index
+            # L of the reversed binary string.
+            lane_cases = self.lane_cases
+            find = format(missed, "b")[::-1].find
+            lane = find("1")
+            while lane >= 0:
+                verdicts[lane_cases[lane]] = False
+                lane = find("1", lane + 1)
+        return verdicts
 
 
 #: Most transitions one :class:`TransitionTable` holds; on reaching it

@@ -8,10 +8,14 @@ with a plain per-key model of the last verdict put: whatever it
 returns is that verdict, it never holds more than its bound, its
 counters add up, and it evicts exactly what it stopped holding.
 
-The lane plan's address-decoder rules are one ``{target: mask}`` dict
-per cell; the plan-shape test rebuilds them lane by lane from the
-fault instances and checks they are the OR of every lane's mask.
+The lane plan's neighbour tables hold one entry of role masks per
+(cell, target) pair; the plan-shape test rebuilds them lane by lane
+from the fault instances and checks they are the OR of every lane's
+mask.
 """
+
+from functools import reduce
+from operator import or_
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,12 +23,28 @@ import pytest
 
 from repro.faults.faultlist import FaultList
 from repro.faults.instances import (
+    CouplingIdempotentInstance,
+    CouplingInversionInstance,
+    CouplingStateInstance,
     MultiCellAccessInstance,
+    ReadCouplingInstance,
     SharedCellAccessInstance,
     WrongCellAccessInstance,
 )
+from repro.faults.library import MODEL_REGISTRY
 from repro.kernel import FaultDictionaryCache, SimKey
-from repro.simulator.bitengine import PackedSimulation
+from repro.simulator.bitengine import (
+    AND,
+    FORCE0,
+    FORCE1,
+    OR,
+    OTHER,
+    OWN,
+    TRANSIT_FORCE0,
+    TRANSIT_FORCE1,
+    TRANSIT_INVERT,
+    PackedSimulation,
+)
 
 SIGNATURES = ("{up(w0)}", "{up(w0);dn(r0,w1)}")
 SIZES = (3, 4)
@@ -160,50 +180,103 @@ def test_eviction_drops_the_oldest_group_first():
     assert cache.stats.evictions == 1
 
 
-# -- the coalesced address-decoder plan ------------------------------------------
+# -- the coalesced lane plan ----------------------------------------------------
+
+#: Every neighbour table of the plan, with its number of roles.
+NEIGHBOUR_TABLES = {
+    "write_fanout[0]": 5,
+    "write_fanout[1]": 5,
+    "cfst_victim": 4,
+    "read_sources": 4,
+    "cf_read": 2,
+}
+
+READ_ROLES = {"other": OTHER, "own": OWN, "and": AND, "or": OR}
 
 
-def expected_decoder_rules(cases, size):
-    """The redirect/echo tables rebuilt lane by lane from the fault
+def neighbour_entries(instance):
+    """``(table, cell, target, role)`` of each mask bit ``instance``'s
+    lane sets in the plan's neighbour tables."""
+    kind = type(instance)
+    if kind in (WrongCellAccessInstance, SharedCellAccessInstance):
+        # ADF-B: accesses to a land on b; ADF-D: accesses to b land on a.
+        cell, target = (
+            (instance.a, instance.b) if kind is WrongCellAccessInstance
+            else (instance.b, instance.a)
+        )
+        return [("write_fanout[1]", cell, target, FORCE1),
+                ("write_fanout[0]", cell, target, FORCE0),
+                ("read_sources", cell, target, OTHER)]
+    if kind is MultiCellAccessInstance:
+        return [("write_fanout[1]", instance.a, instance.b, FORCE1),
+                ("write_fanout[0]", instance.a, instance.b, FORCE0),
+                ("read_sources", instance.a, instance.b,
+                 READ_ROLES[instance.read_model])]
+    if kind is CouplingIdempotentInstance:
+        role = TRANSIT_FORCE1 if instance.force_value else TRANSIT_FORCE0
+        return [(f"write_fanout[{int(instance.rising)}]",
+                 instance.aggressor, instance.victim, role)]
+    if kind is CouplingInversionInstance:
+        return [(f"write_fanout[{int(instance.rising)}]",
+                 instance.aggressor, instance.victim, TRANSIT_INVERT)]
+    if kind is CouplingStateInstance:
+        return [(f"write_fanout[{instance.agg_state}]", instance.aggressor,
+                 instance.victim,
+                 FORCE1 if instance.forced_value else FORCE0),
+                ("cfst_victim", instance.victim, instance.aggressor,
+                 2 * instance.agg_state + instance.forced_value)]
+    if kind is ReadCouplingInstance:
+        return [("cf_read", instance.aggressor, instance.victim,
+                 FORCE1 if instance.forced else FORCE0)]
+    return []
+
+
+def expected_neighbour_tables(cases, size):
+    """The neighbour tables rebuilt lane by lane from the fault
     instances, in the lane order :class:`PackedSimulation` assigns."""
-    tables = {
-        name: [{} for _ in range(size)]
-        for name in ("write_redirect", "write_echo", "read_redirect")
-    }
+    tables = {name: [{} for _ in range(size)] for name in NEIGHBOUR_TABLES}
     lane = 0
     for fault_case in cases:
         for factory in fault_case.variants:
             lane += 1
-            instance = factory()
-            if type(instance) is WrongCellAccessInstance:
-                entries = [("write_redirect", instance.a, instance.b),
-                           ("read_redirect", instance.a, instance.b)]
-            elif type(instance) is SharedCellAccessInstance:
-                entries = [("write_redirect", instance.b, instance.a),
-                           ("read_redirect", instance.b, instance.a)]
-            elif type(instance) is MultiCellAccessInstance:
-                entries = [("write_echo", instance.a, instance.b)]
-            else:
-                entries = []
-            for table, cell, target in entries:
-                rules = tables[table][cell]
-                rules[target] = rules.get(target, 0) | (1 << lane)
+            for table, cell, target, role in neighbour_entries(factory()):
+                masks = tables[table][cell].setdefault(
+                    target, [0] * NEIGHBOUR_TABLES[table]
+                )
+                masks[role] |= 1 << lane
     return tables
 
 
+def plan_tables(plan):
+    return {
+        "write_fanout[0]": plan.write_fanout[0],
+        "write_fanout[1]": plan.write_fanout[1],
+        "cfst_victim": plan.cfst_victim,
+        "read_sources": plan.read_sources,
+        "cf_read": plan.cf_read,
+    }
+
+
 @pytest.mark.parametrize("size", [3, 4, 16])
-def test_decoder_rules_are_one_mask_per_target(size):
-    cases = FaultList.from_names("SAF", "ADF", "CFIN").instances(size)
+def test_lane_plan_is_one_entry_per_target(size):
+    cases = FaultList.from_names(*MODEL_REGISTRY).instances(size)
     plan = PackedSimulation(cases, size).plan
-    expected = expected_decoder_rules(cases, size)
+    expected = expected_neighbour_tables(cases, size)
+    ours = plan_tables(plan)
     for table, cells in expected.items():
-        ours = getattr(plan, table)
-        assert ours == cells, table
-        for rules in ours:
-            # One entry per target, and the masks of different targets
-            # never share a lane.
-            seen = 0
-            for mask in rules.values():
-                assert mask and not seen & mask
-                seen |= mask
-    assert any(any(rules) for rules in plan.write_echo)
+        # Equal dicts: one entry per (cell, target) pair an instance
+        # names, and each role mask the OR of its lanes' bits.
+        assert ours[table] == cells, table
+        for entries in ours[table]:
+            for role in range(NEIGHBOUR_TABLES[table]):
+                # Within a role, different targets never share a lane.
+                seen = 0
+                for masks in entries.values():
+                    assert not seen & masks[role]
+                    seen |= masks[role]
+            for masks in entries.values():
+                assert any(masks)
+        assert any(cells), table
+    for cell, entries in enumerate(plan.read_sources):
+        routed = [mask for masks in entries.values() for mask in masks]
+        assert plan.read_routed[cell] == reduce(or_, routed, 0)

@@ -200,9 +200,11 @@ class TestBatchedApis:
         kernel = SimulationKernel()
         cases = table3_list.instances(3)
         first, second = kernel.simulate_many([MSCAN, MATS], cases, 3)
-        # One name tuple per batch, one flag per case.
+        # One name tuple per batch, one flag bit per case.
         assert first.cases is second.cases
-        assert len(first.flags) == len(cases)
+        assert isinstance(first.flags, int)
+        assert first.flags.bit_length() <= len(cases)
+        assert bin(first.flags).count("1") == len(first.detected)
         # The lists behave like the report's own: a change to one, an
         # in-place add or an assignment updates the report.
         detected, missed = list(first.detected), list(first.missed)

@@ -28,8 +28,8 @@ from repro.simulator.bitengine import (
     PackedSimulation,
     UnpackableFaultError,
     lane_packable_case,
+    pack_cases,
     packed_detects,
-    partition_cases,
 )
 
 
@@ -130,9 +130,10 @@ class TestPartition:
         custom = [case("custom@0", CustomInstance),
                   case("custom@1", CustomInstance)]
         mixed = [saf[0], custom[0], saf[1], custom[1]]
-        packable, unpackable = partition_cases(mixed)
-        assert packable == [saf[0], saf[1]]
+        simulation, unpackable, routes = pack_cases(mixed, 3)
+        assert simulation.cases == (saf[0], saf[1])
         assert unpackable == custom
+        assert routes == (True, False, True, False)
 
     def test_packed_simulation_rejects_unpackable_cases(self):
         class CustomInstance(NullFaultInstance):
@@ -273,8 +274,11 @@ class TestPackedSimulation:
     def test_case_masks_cover_all_variant_lanes(self):
         cases = FaultList.from_names("ADF").instances(3)  # ADF-C: 4 variants
         sim = PackedSimulation(cases, 3)
-        packed_lanes = 0
-        for mask in sim.case_masks:
-            assert mask and mask & 1 == 0  # never the reference lane
-            packed_lanes |= mask
-        assert packed_lanes == sim.full & ~1
+        # Lane 0 is the reference; every other lane belongs to one
+        # case, and each case's variants take consecutive lanes.
+        assert sim.lane_cases[0] == -1
+        assert len(sim.lane_cases) == sim.lanes
+        assert sim.lane_cases[1:] == [
+            index for index, fault_case in enumerate(cases)
+            for _ in fault_case.variants
+        ]
