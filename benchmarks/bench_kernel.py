@@ -45,7 +45,10 @@ Compared paths:
 * **coverage sweep** -- one cold bitparallel ``simulate_many`` of
   every catalog test against the twelve base fault models at size 16:
   seconds, verdicts, lanes and the lane plan's address-decoder entries
-  (``coverage_size16_sweep``).
+  (``coverage_size16_sweep``);
+* **Table 3 optimize** -- per Table 3 row, the optimize phase of one
+  ``generate()``: climbs, steps, shrink moves listed, candidates built,
+  malformed and verified, seconds (``table3_optimize``).
 
 ``python benchmarks/bench_kernel.py`` prints the comparison table and
 writes the machine-readable ``BENCH_kernel.json`` next to the repo
@@ -568,6 +571,110 @@ def measure_table3_front_end(repeats=5):
             "informational record: CI guards only the mask share"
             " (test_front_end_shares_held_karp_masks); the seconds are"
             " trajectory data without a floor"
+        ),
+    }
+
+
+class CountingOptimize:
+    """Counts the optimize phase's work while active: ``tighten``
+    climbs, climb steps, shrink moves listed, candidates built (and
+    malformed ones), candidates verified by the climbs, and the seconds
+    of ``optimize``.  It wraps the module attributes that ``generate``
+    and ``optimize`` call through."""
+
+    COUNTS = ("climbs", "steps", "moves", "built", "malformed", "verified")
+
+    def __enter__(self):
+        import repro.core.generator as generator_module
+
+        module = sys.modules["repro.core.optimize"]
+        normalize = module.normalize_expectations
+        shrink_moves = module._shrink_moves
+        tighten = module.tighten
+        optimize = generator_module.optimize
+        counts = self.counts = dict.fromkeys(self.COUNTS, 0)
+        self.seconds = 0.0
+
+        def counted_normalize(test):
+            out = normalize(test)
+            counts["built" if out is not None else "malformed"] += 1
+            return out
+
+        def counted_moves(test):
+            moves = shrink_moves(test)
+            counts["steps"] += 1
+            counts["moves"] += len(moves)
+            return moves
+
+        def counted_tighten(test, verify, memo=None):
+            def counted_verify(candidate):
+                counts["verified"] += 1
+                return verify(candidate)
+
+            counts["climbs"] += 1
+            return tighten(test, counted_verify, memo)
+
+        def timed_optimize(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return optimize(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - started
+
+        self._patches = [
+            (module, "normalize_expectations", counted_normalize, normalize),
+            (module, "_shrink_moves", counted_moves, shrink_moves),
+            (module, "tighten", counted_tighten, tighten),
+            (generator_module, "optimize", timed_optimize, optimize),
+        ]
+        for owner, name, wrapper, _ in self._patches:
+            setattr(owner, name, wrapper)
+        return self
+
+    def __exit__(self, *exc_info):
+        for owner, name, _, original in self._patches:
+            setattr(owner, name, original)
+
+
+def measure_table3_optimize():
+    """The ``table3_optimize`` record: per Table 3 row, one default
+    ``generate()`` (cold kernel) and the optimize phase's work in it.
+
+    The climbs list their shrink moves sorted by metric and build a
+    candidate only when the walk reaches it, so ``built`` equals
+    ``verified`` (the malformed candidates are built and skipped);
+    ``moves`` is what building every one-step shrink would build.  The
+    finalists share their climbs, so ``climbs`` counts one per
+    distinct finalist.  Informational: the counts are exact, the
+    seconds are trajectory data without a floor.
+    """
+    from repro.core import MarchTestGenerator
+
+    rows = []
+    for names in TABLE3_ROWS:
+        with CountingOptimize() as counter:
+            report = MarchTestGenerator().generate(
+                FaultList.from_names(*names)
+            )
+        rows.append({
+            "faults": "+".join(names),
+            "test": str(report.test),
+            **counter.counts,
+            "seconds": counter.seconds,
+        })
+    per_pass = {
+        name: sum(row[name] for row in rows)
+        for name in CountingOptimize.COUNTS
+    }
+    per_pass["seconds"] = sum(row["seconds"] for row in rows)
+    return {
+        "rows": rows,
+        "per_pass": per_pass,
+        "guard_enforced": False,
+        "skipped_reason": (
+            "informational record: CI guards only built == verified"
+            " (test_table3_optimize_builds_what_it_verifies); the seconds"
+            " are trajectory data without a floor"
         ),
     }
 
@@ -1219,6 +1326,16 @@ def test_front_end_shares_held_karp_masks():
             ), row
 
 
+def test_table3_optimize_builds_what_it_verifies():
+    """The climbs build no candidate they do not verify, except the
+    malformed ones they skip, and build fewer than they list."""
+    record = measure_table3_optimize()
+    for row in record["rows"] + [record["per_pass"]]:
+        assert row["built"] == row["verified"], row
+        assert row["built"] + row["malformed"] <= row["moves"], row
+    assert record["guard_enforced"] is False
+
+
 def test_coverage_sweep_record():
     """The coverage record counts the sweep's verdicts and lanes, and
     the entries one write and one read of its lane plan walk."""
@@ -1301,6 +1418,7 @@ def collect_benchmarks():
     certify_record = measure_certify_step_table()
     front_end_record = measure_table3_front_end()
     coverage_record = measure_coverage_sweep()
+    optimize_record = measure_table3_optimize()
     fanout_sequential_seconds, _ = measure_campaign_fanout(1)
     fanout_parallel_seconds, _ = measure_campaign_fanout(FANOUT_JOBS)
     cpus = os.cpu_count() or 1
@@ -1438,6 +1556,7 @@ def collect_benchmarks():
             "certify_step_table": certify_record,
             "table3_front_end": front_end_record,
             "coverage_size16_sweep": coverage_record,
+            "table3_optimize": optimize_record,
             "campaign_fanout": {
                 "jobs": len(fanout_spec().jobs()),
                 "workers": FANOUT_JOBS,

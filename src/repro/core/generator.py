@@ -14,8 +14,10 @@ Pipeline, per equivalence-class selection (Section 5):
    rules of Sections 4.1-4.3, reconstructed -- see DESIGN.md);
 6. validate by fault simulation and, if the reconstructed rules fall
    short, repair with the direct per-pattern realization;
-7. shrink with the simulation-checked optimizer and keep the best
-   result across selections.
+7. shrink the four best attempts (the finalists) with the
+   simulation-checked optimizer, through one memo of climbs per call,
+   and keep the best result; a budgeted search below it (the polish)
+   may replace it, once its witness passes at the confirm size.
 
 The generated test is finally re-verified on a larger memory and
 checked non-redundant through the Coverage Matrix / Set Covering
@@ -32,6 +34,7 @@ from ..atsp.held_karp import PathMemo
 from ..atsp.hungarian import FORBIDDEN
 from ..atsp.solver import HELD_KARP_LIMIT, solve_path
 from ..faults.faultlist import BFEClass, FaultList
+from ..faults.instances import FaultCase
 from ..kernel import SimulationKernel
 from ..march.builder import build_march, sequential_march
 from ..march.catalog import CATALOG
@@ -110,15 +113,22 @@ class MarchTestGenerator:
             )
 
         attempts.sort(key=lambda a: a.metric)
-        finalists = attempts[:4]
+        # The finalists share their climbs: a distinct test is optimized
+        # once, and a climb stops at a test an earlier climb passed
+        # through (exact, as a climb is a pure function of its test).
+        climbs: Dict[MarchTest, MarchTest] = {}
+        optimized: Dict[MarchTest, MarchTest] = {}
         best: Optional[_Attempt] = None
-        for attempt in finalists:
-            improved = optimize(
-                attempt.test,
-                verify,
-                do_tighten=config.tighten,
-                do_canonicalize=config.canonicalize_orders,
-            )
+        for attempt in attempts[:4]:
+            improved = optimized.get(attempt.test)
+            if improved is None:
+                improved = optimized[attempt.test] = optimize(
+                    attempt.test,
+                    verify,
+                    do_tighten=config.tighten,
+                    do_canonicalize=config.canonicalize_orders,
+                    memo=climbs,
+                )
             candidate = _Attempt(
                 improved, attempt.gts, attempt.tour, attempt.tpg_size,
                 attempt.used_repair,
@@ -130,24 +140,36 @@ class MarchTestGenerator:
         lower_bound = min(
             -(-a.gts.length // 2) for a in attempts if a.gts is not None
         ) if any(a.gts is not None for a in attempts) else 2
+        confirm_cases = faults.instances(config.confirm_size)
+        confirm_verify = self.kernel.verifier(
+            confirm_cases, config.confirm_size
+        )
         notes: List[str] = []
         if config.polish and best.test.complexity > lower_bound:
-            polished = self._polish(best, verify, lower_bound, notes)
+            polished = self._polish(
+                best, verify, confirm_verify, lower_bound, notes
+            )
             if polished is not None:
                 best = polished
 
-        report = self._finalize(best, faults, explored, space, started)
+        report = self._finalize(
+            best, faults, confirm_cases, confirm_verify, explored, space,
+            started,
+        )
         report.notes.extend(notes)
         return report
 
     def _polish(
-        self, best: _Attempt, verify: Verifier, lower_bound: int,
-        notes: List[str],
+        self, best: _Attempt, verify: Verifier, confirm_verify: Verifier,
+        lower_bound: int, notes: List[str],
     ) -> Optional[_Attempt]:
         """Budgeted global search strictly below the incumbent.
 
         When it finds nothing, ``notes`` says whether the search
-        covered the whole grammar or stopped at its budget.
+        covered the whole grammar or stopped at its budget.  The search
+        runs at ``verify_size``; a witness that fails ``confirm_verify``
+        (a size-2 witness can miss a fault at size 3) is not adopted,
+        and ``notes`` names it.
         """
         from .exhaustive import SearchStats, exhaustive_search
 
@@ -175,6 +197,12 @@ class MarchTestGenerator:
             do_tighten=False,
             do_canonicalize=config.canonicalize_orders,
         )
+        if not confirm_verify(improved):
+            notes.append(
+                f"polish witness {improved} failed confirmation at size"
+                f" {config.confirm_size}; kept {best.test}"
+            )
+            return None
         return _Attempt(improved, best.gts, best.tour, best.tpg_size, True)
 
     # -- pipeline ----------------------------------------------------------------
@@ -237,15 +265,13 @@ class MarchTestGenerator:
         self,
         best: _Attempt,
         faults: FaultList,
+        confirm_cases: Sequence[FaultCase],
+        confirm_verify: Verifier,
         explored: int,
         space: int,
         started: float,
     ) -> GenerationReport:
         config = self.config
-        confirm_cases = faults.instances(config.confirm_size)
-        confirm_verify = self.kernel.verifier(
-            confirm_cases, config.confirm_size
-        )
         verified = confirm_verify(best.test)
 
         non_redundant: Optional[bool] = None

@@ -222,3 +222,29 @@ class TestPolishOutcome:
         )
         assert "polish budget exhausted at 3 candidates" in report.notes
         assert report.complexity == 4
+
+    def test_witness_failing_confirmation_is_not_adopted(self, monkeypatch):
+        # At size 2 this 6n test detects ADF+SOF; at the confirm size 3
+        # it misses SOF.  Without tightening the incumbent is above 6n,
+        # so the polish runs.
+        import repro.core.exhaustive as exhaustive_module
+        from repro.march.test import parse_march
+
+        witness = parse_march("{up(w0); up(r0,w1); down(r1,w0); up(r0)}")
+        faults = FaultList.from_names("ADF", "SOF")
+        incumbent = MarchTestGenerator(
+            GeneratorConfig(tighten=False, polish=False)
+        ).generate(faults)
+        monkeypatch.setattr(
+            exhaustive_module, "exhaustive_search", lambda *a, **k: witness
+        )
+        report = MarchTestGenerator(GeneratorConfig(tighten=False)).generate(
+            faults
+        )
+        assert report.verified
+        assert report.test == incumbent.test
+        assert any(
+            note.startswith("polish witness {⇕(w0); ⇑(r0,w1)")
+            and "failed confirmation at size 3" in note
+            for note in report.notes
+        ), report.notes

@@ -1,5 +1,7 @@
 """Tests for the simulation-checked optimizer."""
 
+import sys
+
 import pytest
 
 from repro.core.optimize import (
@@ -9,7 +11,7 @@ from repro.core.optimize import (
     tighten,
 )
 from repro.faults import FaultList
-from repro.march.catalog import MARCH_C, MARCH_C_MINUS, MATS
+from repro.march.catalog import MARCH_B, MARCH_C, MARCH_C_MINUS, MATS
 from repro.march.element import AddressOrder
 from repro.march.test import parse_march
 
@@ -47,6 +49,47 @@ class TestTighten:
 
     def test_already_minimal_unchanged(self, saf_verifier):
         assert tighten(MATS, saf_verifier).complexity == MATS.complexity
+
+    @pytest.mark.parametrize("start, names", [
+        (MARCH_C, ("SAF", "TF", "ADF", "CFIN", "CFID")),
+        (MARCH_B, ("SAF", "TF")),
+        (parse_march("{any(r0); any(w0); Del; any(r0,w1); any(r1)}"), ("SAF",)),
+    ])
+    def test_builds_only_the_candidates_it_verifies(
+        self, monkeypatch, start, names
+    ):
+        # The moves are sorted before any candidate exists, so every
+        # candidate built is verified, except the malformed ones.
+        module = sys.modules["repro.core.optimize"]
+        normalize = module.normalize_expectations
+        built, verified = [], []
+
+        def counted_normalize(test):
+            out = normalize(test)
+            if out is not None:
+                built.append(out)
+            return out
+
+        monkeypatch.setattr(module, "normalize_expectations", counted_normalize)
+        verify = make_verifier(FaultList.from_names(*names).instances(2), 2)
+
+        def counted_verify(test):
+            verified.append(test)
+            return verify(test)
+
+        slim = tighten(start, counted_verify)
+        assert slim.complexity < start.complexity
+        assert built == verified
+
+    def test_shared_memo_stops_at_a_visited_test(self):
+        faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
+        verify = make_verifier(faults.instances(2), 2)
+        memo = {}
+        slim = tighten(MARCH_C, verify, memo)
+        assert memo[MARCH_C] == memo[slim] == slim
+        calls = []
+        assert tighten(MARCH_C, lambda t: calls.append(t), memo) == slim
+        assert calls == []
 
 
 class TestCanonicalize:
