@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the generator's design choices.
 
 * the f.4.4 start-state constraint on vs off;
 * the local optimizer (tighten) on vs off;

@@ -297,7 +297,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             store_path=args.store,
             store_readonly=args.store_readonly,
             jobs=args.jobs,
-            shard=args.shard,
             progress=live_progress,
             retry=retry,
             degrade=not args.no_degrade,
@@ -786,12 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool width: fan the campaign's jobs out over N"
              " processes (default 1 = sequential); the manifest stays"
              " deterministic regardless of N",
-    )
-    camp.add_argument(
-        "--shard", action="store_true",
-        help="give every job a private shard store merged into --store"
-             " at the end, instead of contending on the shared WAL file"
-             " (trades duplicate simulation for zero writer contention)",
     )
     camp.add_argument(
         "--retry-attempts", type=int, default=None, metavar="N",

@@ -11,7 +11,8 @@ Pipeline, per equivalence-class selection (Section 5):
    between selections are computed once;
 4. concatenate the tour into a Global Test Sequence;
 5. reorder + minimize + segment the GTS into a March test (rewrite
-   rules of Sections 4.1-4.3, reconstructed -- see DESIGN.md);
+   rules of Sections 4.1-4.3, reconstructed in
+   :mod:`repro.sequence.rewrite`);
 6. validate by fault simulation and, if the reconstructed rules fall
    short, repair with the direct per-pattern realization;
 7. shrink the four best attempts (the finalists) with the

@@ -1,11 +1,11 @@
 """Simulation-checked optimization of March tests.
 
 The paper's rewrite rules aim at a *minimal* March test; because the
-published rule tables are OCR-corrupted (see DESIGN.md), this module
-closes the gap with a deterministic local search whose every step is
-validated by the fault simulator: an operation or element is removed
-(or two elements merged) only when the shrunken test still detects the
-whole target fault list.  The result is non-redundant by construction
+published rule tables are OCR-corrupted, this module closes the gap
+with a deterministic local search whose every step is validated by
+the fault simulator: an operation or element is removed (or two
+elements merged) only when the shrunken test still detects the whole
+target fault list.  The result is non-redundant by construction
 at operation granularity.
 
 The hill-climb generates its successors lazily.  A shrink *move* (an

@@ -4,7 +4,7 @@ The paper drives this phase with string rewrite rules (Tables 1 and 2)
 over the extended regular-expression formalism (terminal, Red and Blue
 operators).  The published tables are OCR-corrupted in the only
 available full text, so this module implements a reconstruction with
-the same mechanics and the same outcomes (see DESIGN.md):
+the same mechanics:
 
 * **Reordering** (Section 4.1): setup writes are value-grouped (done at
   GTS construction) and every *observation read* immediately followed
@@ -19,6 +19,12 @@ the same mechanics and the same outcomes (see DESIGN.md):
 Every transformation is semantics-checked downstream: the generated
 March test must pass fault simulation (Section 6), exactly as the
 paper validates its own output.
+
+The reconstruction alone does not reach the paper's outcomes.  With
+the optimizer's ``tighten``, ``canonicalize_orders`` and ``polish``
+off, the six Table 3 rows come out at 4n/5n/15n/13n/21n/15n against
+the paper's 4n/5n/6n/6n/10n/5n; the shipped generator reaches the
+paper's figures on rows 3-6 only through :mod:`repro.core.optimize`.
 """
 
 from __future__ import annotations

@@ -44,13 +44,8 @@ fans the jobs out over ``N`` worker processes:
 * one crashed job is *recorded* (its manifest entry carries an
   ``"error"`` string, ``totals["failed"]`` counts it) and the sweep
   continues -- a 1000-job sweep never dies at job 999;
-* with ``shard=True`` each **job** writes its own shard store
-  (``<store>.shard-<job index>``) instead of contending on the shared
-  WAL file; the shards are merged into the main store atomically at
-  the end (:meth:`~repro.store.store.FaultDictionaryStore.merge_from`)
-  and deleted.  Shared-WAL mode (the default) deduplicates *during*
-  the run; shard mode trades duplicate simulation (and one small
-  SQLite file per job) for zero writer contention.
+* every job writes through the one shared store (WAL file or verdict
+  daemon), so verdicts are deduplicated *during* the run.
 
 Resilience (verdict-service stores)
 -----------------------------------
@@ -60,13 +55,14 @@ transient socket failures with backoff (the ``retry`` policy rides
 along in the job request), and when a policy is exhausted the worker
 *degrades* instead of failing: its client is wrapped in a
 :class:`~repro.store.resilience.DegradingStore` that demotes to a
-per-worker SQLite spill shard (``<socket>.spill-<job index>``) --
-the same shard machinery as ``shard=True`` -- so the job finishes
-with full write capture.  Surviving spills are merged back at the
-end (through the daemon's ``merge`` op when it recovered, directly
-into the server's store file otherwise) and the schema-3 manifest
-records ``degraded``/``attempts``/``spill`` per job plus a
-``resilience`` block, instead of failed rows.  Infrastructure faults
+per-worker SQLite spill shard (``<socket>.spill-<job index>``), so
+the job finishes with full write capture.  Surviving spills are
+merged back at the end
+(:meth:`~repro.store.store.FaultDictionaryStore.merge_from`, through
+the daemon's ``merge`` op when it recovered, directly into the
+server's store file otherwise) and the manifest records
+``degraded``/``attempts``/``spill`` per job plus a ``resilience``
+block, instead of failed rows.  Infrastructure faults
 change *where* verdicts land, never *what* they are, so
 ``normalized_manifest`` strips all of it.
 
@@ -111,8 +107,10 @@ from .store import FaultDictionaryStore, StoreError
 #: ``spill`` and ``totals["degraded"]``.  v4: per-job ``telemetry``
 #: blocks (metrics snapshot + span trees) and the top-level
 #: ``telemetry`` merge -- all run-dependent, all stripped by
-#: :func:`normalized_manifest`.
-MANIFEST_SCHEMA = 4
+#: :func:`normalized_manifest`.  v5: the ``parallel`` block drops the
+#: ``"sharded"`` mode and its merge counters (every campaign writes
+#: one shared store).
+MANIFEST_SCHEMA = 5
 
 DEFAULT_MANIFEST_NAME = "campaign_manifest.json"
 
@@ -411,7 +409,6 @@ def run_campaign(
     store_path: Optional[str] = None,
     store_readonly: bool = False,
     jobs: int = 1,
-    shard: bool = False,
     progress: Optional[ProgressSink] = None,
     retry: Optional[RetryPolicy] = None,
     degrade: bool = True,
@@ -426,13 +423,10 @@ def run_campaign(
     the kernel's usual byte-identical results, so the fan-out changes
     wall-clock, never content.
 
-    ``shard=True`` (needs a writable *file* store and is pointless
-    without one) gives every job a private shard store and merges the
-    shards into the main dictionary atomically after the sweep; the
-    default writes through the shared WAL store, deduplicating live.
-    With a verdict-service URL as the store, workers write through the
-    daemon instead -- one serialized WAL owner, no shard-and-merge
-    step -- which is the designated substrate for cross-host fan-out.
+    Every job writes through the shared WAL store, deduplicating
+    live.  With a verdict-service URL as the store, workers write
+    through the daemon instead -- one serialized WAL owner -- which is
+    the designated substrate for cross-host fan-out.
 
     ``progress`` is called as each job completes (in completion order)
     with ``(done, total, job_record)``.
@@ -458,21 +452,6 @@ def run_campaign(
     service = store is not None and is_service_url(str(store))
     policy = retry if retry is not None else RetryPolicy()
     degrade_active = service and degrade and not store_readonly
-    if shard:
-        if store is None:
-            raise CampaignSpecError("shard mode needs --store")
-        if store_readonly:
-            raise CampaignSpecError(
-                "shard mode writes shards; it cannot run --store-readonly"
-            )
-        if service:
-            raise CampaignSpecError(
-                "shard mode needs a file store; a verdict service"
-                " (repro+unix://) already serializes concurrent writers"
-            )
-
-    def shard_path(index: int) -> str:
-        return f"{store}.shard-{index}"
 
     def spill_path(index: int) -> str:
         # Next to the socket, not the daemon's store file: the client
@@ -487,9 +466,7 @@ def run_campaign(
             backend=backend,
             size=size,
             faults=spec.faults,
-            store_path=shard_path(index) if shard else (
-                str(store) if store is not None else None
-            ),
+            store_path=str(store) if store is not None else None,
             store_readonly=store_readonly,
             retry=policy if service else None,
             degrade=degrade_active,
@@ -515,10 +492,9 @@ def run_campaign(
         finally:
             probe.close()
     elif store is not None and not store_readonly:
-        # Pre-create the (shared store / shard-merge target) schema in
-        # the parent: workers then only ever open an existing store,
-        # and a store problem fails the campaign up front instead of
-        # failing every job.
+        # Pre-create the shared store's schema in the parent: workers
+        # then only ever open an existing store, and a store problem
+        # fails the campaign up front instead of failing every job.
         FaultDictionaryStore(store).close()
     records: List[Optional[Dict[str, Any]]] = [None] * len(requests)
     done = 0
@@ -583,11 +559,6 @@ def run_campaign(
                         request.index, _error_record(request, pool_break)
                     )
 
-    merge_stats: Optional[Dict[str, int]] = None
-    if shard:
-        merge_stats = _merge_shards(
-            store, [shard_path(request.index) for request in requests]
-        )
     spill_merge: Optional[Dict[str, Any]] = None
     if degrade_active:
         spill_merge = _merge_spills(
@@ -613,10 +584,6 @@ def run_campaign(
     )
     failed = sum(1 for record in ordered if record["error"] is not None)
     degraded = sum(1 for record in ordered if record.get("degraded"))
-    mode = (
-        "sequential" if jobs == 1
-        else ("sharded" if shard else "shared")
-    )
     return {
         "schema": MANIFEST_SCHEMA,
         "campaign": spec.name,
@@ -630,8 +597,7 @@ def run_campaign(
         "store_readonly": store_readonly,
         "parallel": {
             "jobs": jobs,
-            "mode": mode,
-            "shard_merge": merge_stats,
+            "mode": "sequential" if jobs == 1 else "shared",
         },
         "resilience": {
             "retry": policy.knobs() if service else None,
@@ -662,40 +628,6 @@ def run_campaign(
             "seconds": time.perf_counter() - started_campaign,
         },
     }
-
-
-def _merge_shards(
-    store: str, shard_paths: List[str]
-) -> Dict[str, int]:
-    """Fold every per-job shard into the main store, then delete them.
-
-    One atomic transaction per shard; a shard a failed job never
-    created is simply skipped.  The shards' WAL/SHM droppings go with
-    them.
-    """
-    totals = {"shards": 0, "source_rows": 0, "inserted": 0, "merged": 0}
-    main = FaultDictionaryStore(store)
-    try:
-        for shard in shard_paths:
-            path = Path(shard)
-            if not path.exists():
-                continue
-            stats = main.merge_from(path)
-            totals["shards"] += 1
-            for field in ("source_rows", "inserted", "merged"):
-                totals[field] += stats[field]
-            for dropping in (
-                path,
-                path.with_name(path.name + "-wal"),
-                path.with_name(path.name + "-shm"),
-            ):
-                try:
-                    dropping.unlink()
-                except FileNotFoundError:
-                    pass
-    finally:
-        main.close()
-    return totals
 
 
 def _merge_spills(
@@ -818,10 +750,10 @@ _RUN_DEPENDENT_TOTALS = (
 def normalized_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
     """The manifest minus everything scheduling-dependent.
 
-    Two runs of the same spec -- any ``--jobs`` width, shared or
-    sharded store, warm or cold -- must normalize byte-identically
-    (``json.dumps(..., sort_keys=True)``); CI's ``campaign-fanout`` job
-    enforces exactly that.  What survives is the determinism contract:
+    Two runs of the same spec -- any ``--jobs`` width, warm or cold
+    store -- must normalize byte-identically (``json.dumps(...,
+    sort_keys=True)``); CI's ``campaign-fanout`` job enforces exactly
+    that.  What survives is the determinism contract:
     the job list in job order, every verdict count, every missed-case
     list, every coverage figure and every error.
     """

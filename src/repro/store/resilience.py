@@ -20,10 +20,10 @@ degraded execution mode, shared by every store-shaped client:
 * :class:`DegradingStore` -- graceful degradation for campaign
   workers: wraps a primary (service) store and, the moment a request
   exhausts its retries, demotes to a private local SQLite *spill
-  shard* (the PR 4 shard machinery) so the job keeps simulating with
-  full write capture instead of failing.  The campaign runner merges
-  surviving spills back into the main dictionary at the end -- zero
-  verdicts lost, the job records ``degraded`` instead of an error.
+  shard* so the job keeps simulating with full write capture instead
+  of failing.  The campaign runner merges surviving spills back into
+  the main dictionary at the end -- zero verdicts lost, the job
+  records ``degraded`` instead of an error.
 
 Place in the store stack
 ------------------------
@@ -51,7 +51,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -304,26 +303,11 @@ class DegradingStore:
 
     # -- store surface -----------------------------------------------------------
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self._call("get", key, default)
-
-    def get_many(self, keys: Iterable[Any]) -> Dict[Any, Any]:
-        return self._call("get_many", list(keys))
-
     def get_groups(self, groups: Iterable[Any]) -> List[Dict[str, Any]]:
         return self._call("get_groups", list(groups))
 
-    def put(self, key: Any, value: Any) -> None:
-        self._call("put", key, value)
-
-    def put_many(self, pairs: Sequence[Tuple[Any, Any]]) -> None:
-        self._call("put_many", list(pairs))
-
     def put_groups(self, groups: Iterable[Any]) -> None:
         self._call("put_groups", list(groups))
-
-    def __contains__(self, key: Any) -> bool:
-        return self._call("__contains__", key)
 
     @property
     def stats(self) -> StoreStats:

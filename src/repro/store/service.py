@@ -61,7 +61,7 @@ Topology
   unchanged from the threaded daemon -- there is simply no longer a
   thread per client to schedule or leak.
 * :class:`ServiceStore` -- the client: the same
-  ``get_groups``/``put_groups`` (and per-key) lookup/write surface as
+  ``get_groups``/``put_groups`` lookup/write surface as
   :class:`~repro.store.store.FaultDictionaryStore`, so the kernel's
   :class:`~repro.kernel.cache.FaultDictionaryCache` cannot tell the
   difference.  Pass a ``repro+unix:///path/to.sock`` URL anywhere a
@@ -95,7 +95,7 @@ semantics, tuning, probing, rolling restarts -- is written down in
 
 ``repro campaign --jobs N --store repro+unix://...`` is the designated
 cross-host fan-out substrate: N concurrent writers become N socket
-clients of one serialized WAL owner, with no shard-and-merge step.
+clients of one serialized WAL owner.
 
 This module depends on :mod:`repro.kernel` (for :class:`SimKey`), which
 imports the store package at startup -- import it as
@@ -648,12 +648,6 @@ class ServiceStore:
             answers.append(found)
         return answers, hits
 
-    def get(self, key: "SimKey", default: Any = None) -> Any:
-        (found,) = self.get_groups(
-            [(key.signature, key.size, key.domain, [key.case])]
-        )
-        return found.get(key.case, default)
-
     def get_groups(
         self, groups: Iterable[Tuple[str, int, str, Sequence[str]]]
     ) -> List[Dict[str, Any]]:
@@ -666,22 +660,15 @@ class ServiceStore:
         self.stats.misses += sum(len(group[3]) for group in groups) - hits
         return answers
 
+    # The per-key batch forms: nothing in ``src/`` calls them, but
+    # perfbench's span tracer wraps ``get_many``/``put_many``.
     def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
         return get_many_by_groups(self, keys)
-
-    def __contains__(self, key: "SimKey") -> bool:
-        (found,), _ = self._lookup(
-            [(key.signature, key.size, key.domain, [key.case])]
-        )
-        return key.case in found
 
     def __len__(self) -> int:
         return self.row_stats()["rows"]
 
     # -- writes -----------------------------------------------------------------
-
-    def put(self, key: "SimKey", value: Any) -> None:
-        self.put_many([(key, value)])
 
     def put_many(self, pairs: Sequence[Tuple["SimKey", Any]]) -> None:
         self.put_groups(pair_groups(pairs))

@@ -21,7 +21,7 @@ overwritten -- the operator decides.
 
 Durability rules
 ----------------
-* every ``put``/``put_many`` is one atomic SQLite transaction (atomic
+* every ``put_groups`` is one atomic SQLite transaction (atomic
   upsert: ``INSERT .. ON CONFLICT DO UPDATE``);
 * opening runs ``PRAGMA quick_check``; a corrupt or truncated file is
   *quarantined* (renamed to ``<name>.corrupt-N`` next to the store)
@@ -42,8 +42,9 @@ A long-lived dictionary grows without bound, so every row carries a
 bump is a usage-tracking side channel, not a verdict write, so it never
 appears in :class:`StoreStats`).  :meth:`FaultDictionaryStore.compact`
 prunes by age and/or LRU row cap, :meth:`FaultDictionaryStore.merge_from`
-folds another store (e.g. a campaign worker's shard) into this one in
-one atomic transaction, and :meth:`FaultDictionaryStore.row_stats`
+folds another store (a degraded campaign worker's spill, or the
+source of ``repro store merge``) into this one in one atomic
+transaction, and :meth:`FaultDictionaryStore.row_stats`
 reports the row population for ``repro store stats``.
 
 Place in the store stack
@@ -168,8 +169,9 @@ def decode_verdict(text: str) -> Any:
 
 # Stores, the wire and the kernel's cache move verdicts in groups of
 # cases sharing ``(signature, size, domain)``: ``(signature, size,
-# domain, cases)`` to look up, plus one verdict per case to write.  The
-# per-key ``get_many``/``put_many`` surface is grouped on its way in.
+# domain, cases)`` to look up, plus one verdict per case to write.
+# ``ServiceStore``'s per-key ``get_many``/``put_many`` are grouped by
+# these two helpers on their way in.
 
 
 def pair_groups(pairs: Iterable[Tuple["SimKey", Any]]) -> List[tuple]:
@@ -270,14 +272,13 @@ class FaultDictionaryStore:
     absorbs short lock contention.
 
     >>> import tempfile, pathlib
-    >>> from repro.kernel.cache import SimKey
-    >>> path = pathlib.Path(tempfile.mkdtemp()) / "dict.sqlite"
-    >>> store = FaultDictionaryStore(path)
-    >>> key = SimKey("{up(w0)}", "SA0@0", 3)
-    >>> store.put(key, True)
-    >>> store.get(key)
-    True
+    >>> root = tempfile.TemporaryDirectory()
+    >>> store = FaultDictionaryStore(pathlib.Path(root.name) / "dict.sqlite")
+    >>> store.put_groups([("{up(w0)}", 3, "sp", ["SA0@0"], [True])])
+    >>> store.get_groups([("{up(w0)}", 3, "sp", ["SA0@0", "SA1@0"])])
+    [{'SA0@0': True}]
     >>> store.close()
+    >>> root.cleanup()
     """
 
     def __init__(
@@ -532,11 +533,6 @@ class FaultDictionaryStore:
 
     # -- lookups ----------------------------------------------------------------
 
-    _SELECT = (
-        "SELECT verdict, last_used FROM verdicts"
-        " WHERE signature=? AND case_name=? AND size=? AND domain=?"
-    )
-
     _TOUCH = (
         "UPDATE verdicts SET last_used=?"
         " WHERE signature=? AND case_name=? AND size=? AND domain=?"
@@ -549,7 +545,7 @@ class FaultDictionaryStore:
         ``(signature, case, size, domain)`` tuple per row.
 
         Usage tracking must never fail (or stall) a lookup: when the
-        write lock cannot be had -- another worker mid-``put_many``, a
+        write lock cannot be had -- another worker mid-``put_groups``, a
         concurrent compaction holding the file -- the bump is simply
         dropped; the rows keep their previous recency.  Called under
         ``self._lock``.
@@ -574,13 +570,6 @@ class FaultDictionaryStore:
             not self.readonly
             and now - last_used >= LAST_USED_RESOLUTION_SECONDS
         )
-
-    def get(self, key: "SimKey", default: Any = None) -> Any:
-        """Look up one verdict as a one-case :meth:`get_groups` group."""
-        (found,) = self.get_groups(
-            [(key.signature, key.size, key.domain, [key.case])]
-        )
-        return found.get(key.case, default)
 
     _SELECT_GROUP = (
         "SELECT case_name, verdict, last_used FROM verdicts"
@@ -634,22 +623,11 @@ class FaultDictionaryStore:
             self.stats.misses += asked - hits
         return answers
 
-    def get_many(self, keys: Iterable["SimKey"]) -> Dict["SimKey", Any]:
-        """Look up many keys as :meth:`get_groups` groups; absent keys
-        are simply not returned."""
-        return get_many_by_groups(self, keys)
-
     def __len__(self) -> int:
         with self._lock:
             return self._conn.execute(
                 "SELECT count(*) FROM verdicts"
             ).fetchone()[0]
-
-    def __contains__(self, key: "SimKey") -> bool:
-        with self._lock:
-            return self._conn.execute(
-                self._SELECT, (key.signature, key.case, key.size, key.domain)
-            ).fetchone() is not None
 
     # -- writes -----------------------------------------------------------------
 
@@ -662,20 +640,13 @@ class FaultDictionaryStore:
         "               last_used = excluded.last_used"
     )
 
-    def put(self, key: "SimKey", value: Any) -> None:
-        """Atomically upsert one verdict (no-op in readonly mode)."""
-        self.put_many([(key, value)])
-
-    def put_many(self, pairs: Sequence[Tuple["SimKey", Any]]) -> None:
-        """Upsert a batch in one transaction: all land or none do."""
-        self.put_groups(pair_groups(pairs))
-
     def put_groups(
         self,
         groups: Iterable[Tuple[str, int, str, Sequence[str], Sequence[Any]]],
     ) -> None:
         """Upsert ``(signature, size, domain, cases, verdicts)`` groups,
-        one verdict per case, in one transaction."""
+        one verdict per case, in one transaction: all land or none do
+        (a counted no-op in readonly mode)."""
         groups = list(groups)
         if self.readonly:
             self.stats.skipped_writes += sum(len(g[3]) for g in groups)
@@ -779,13 +750,14 @@ class FaultDictionaryStore:
     ) -> Dict[str, int]:
         """Fold another store's rows into this one, atomically.
 
-        This is the sharded campaign fan-out's join step: each worker
-        writes its own shard store, then the parent merges every shard
-        into the main dictionary in one transaction per shard.
+        Spill recovery uses it to fold a degraded campaign worker's
+        spill back into the main dictionary, and ``repro store merge``
+        to fold one store file into another; either way one
+        transaction per source.
 
         Conflict resolution: when both stores hold a row for the same
         ``SimKey``, the row with the **newer** ``last_used`` wins the
-        verdict (the incoming row wins ties -- freshly simulated shard
+        verdict (the incoming row wins ties -- freshly simulated spill
         rows supersede what the main store remembered), and the merged
         ``last_used`` is the maximum of the two.  Returns
         ``{"source_rows", "inserted", "merged"}``.

@@ -196,7 +196,7 @@ class TestRunCampaign:
 
 
 class TestFanOut:
-    """The parallel executor: determinism, isolation, sharding."""
+    """The parallel executor: determinism and isolation."""
 
     SWEEP = dict(SPEC, backends=["bitparallel", "serial"])  # 4 jobs
 
@@ -204,9 +204,7 @@ class TestFanOut:
         spec = CampaignSpec.from_dict(self.SWEEP)
         sequential = run_campaign(spec, store_path=str(store_path), jobs=1)
         fanned = run_campaign(spec, store_path=str(store_path), jobs=4)
-        assert fanned["parallel"] == {
-            "jobs": 4, "mode": "shared", "shard_merge": None,
-        }
+        assert fanned["parallel"] == {"jobs": 4, "mode": "shared"}
         assert normalized_dump(fanned) == normalized_dump(sequential)
         # The normalized form still carries the determinism contract.
         normalized = normalized_manifest(fanned)
@@ -303,49 +301,3 @@ class TestFanOut:
         assert manifest["totals"]["failed"] + manifest["totals"]["results"] \
             == manifest["totals"]["jobs"]
         assert "FAILED" in summarize(manifest)
-
-
-class TestSharding:
-    SWEEP = dict(SPEC, backends=["bitparallel", "serial"])
-
-    def test_shards_are_merged_and_deleted(self, store_path):
-        spec = CampaignSpec.from_dict(self.SWEEP)
-        manifest = run_campaign(
-            spec, store_path=str(store_path), jobs=2, shard=True
-        )
-        assert manifest["parallel"]["mode"] == "sharded"
-        merge = manifest["parallel"]["shard_merge"]
-        assert merge["shards"] == 4
-        # Shard mode trades live dedup away: both backends simulated,
-        # so half the merged rows were conflict-resolved duplicates.
-        assert merge["inserted"] > 0 and merge["merged"] > 0
-        assert merge["inserted"] + merge["merged"] == merge["source_rows"]
-        assert not list(
-            store_path.parent.glob(f"{store_path.name}.shard-*")
-        ), "worker shards must be cleaned up"
-        # The merged store now serves a sequential re-run entirely.
-        again = run_campaign(spec, store_path=str(store_path), jobs=1)
-        assert again["totals"]["verdicts_simulated"] == 0
-        assert again["totals"]["verdicts_from_store"] > 0
-
-    def test_sharded_manifest_identical_to_sequential(self, tmp_path):
-        spec = CampaignSpec.from_dict(self.SWEEP)
-        sequential = run_campaign(
-            spec, store_path=str(tmp_path / "seq.sqlite"), jobs=1
-        )
-        sharded = run_campaign(
-            spec, store_path=str(tmp_path / "shard.sqlite"),
-            jobs=2, shard=True,
-        )
-        assert normalized_dump(sharded) == normalized_dump(sequential)
-
-    def test_shard_requires_writable_store(self, store_path):
-        spec = CampaignSpec.from_dict(SPEC)
-        with pytest.raises(CampaignSpecError, match="--store"):
-            run_campaign(spec, jobs=2, shard=True)
-        run_campaign(spec, store_path=str(store_path))  # build the store
-        with pytest.raises(CampaignSpecError, match="readonly"):
-            run_campaign(
-                spec, store_path=str(store_path), jobs=2,
-                shard=True, store_readonly=True,
-            )

@@ -1,11 +1,12 @@
 """Grouped lookups against a per-key oracle.
 
-:meth:`FaultDictionaryStore.get_many` reads one ``SELECT .. case_name
+:meth:`FaultDictionaryStore.get_groups` reads one ``SELECT .. case_name
 IN (..)`` per ``(signature, size, domain)`` group and chunk.  These
-properties pin it to the plain per-key ``SELECT`` it replaced: the
-same verdicts found, the same hit and miss counts (duplicates counted
-per key asked), the same rows whose ``last_used`` was bumped, and no
-bump at all through a readonly store.  The same draws then go through
+properties pin it, through :func:`~repro.store.store.get_many_by_groups`,
+to the plain per-key ``SELECT`` it replaced: the same verdicts found,
+the same hit and miss counts (duplicates counted per key asked), the
+same rows whose ``last_used`` was bumped, and no bump at all through
+a readonly store.  The same draws then go through
 a verdict service, with its hot tier off, tiny and at the default
 size, whose answers must equal the direct store's.
 """
@@ -27,7 +28,12 @@ from repro.store.service import (
     ServiceStore,
     VerdictService,
 )
-from repro.store.store import IN_CHUNK, LAST_USED_RESOLUTION_SECONDS
+from repro.store.store import (
+    IN_CHUNK,
+    LAST_USED_RESOLUTION_SECONDS,
+    get_many_by_groups,
+    pair_groups,
+)
 
 SIGNATURES = ("{up(w0)}", "{up(w0);dn(r0,w1)}", "{any(w1);up(r1)}")
 SIZES = (3, 4, 16)
@@ -86,9 +92,9 @@ def scenarios(draw):
 
 def seed(path, stored):
     with FaultDictionaryStore(path) as store:
-        store.put_many(
+        store.put_groups(pair_groups(
             [(k, verdict(k.domain, bit)) for k, (bit, _) in stored.items()]
-        )
+        ))
     stamp(path, stored)
 
 
@@ -168,14 +174,14 @@ def test_grouped_get_many_matches_the_per_key_oracle(scenario):
         before = last_used(path)
 
         with FaultDictionaryStore(path, readonly=True) as readonly:
-            assert readonly.get_many(asked) == found
+            assert get_many_by_groups(readonly, asked) == found
             assert (readonly.stats.hits, readonly.stats.misses) == (
                 hits, misses
             )
         assert last_used(path) == before, "a readonly store bumped rows"
 
         with FaultDictionaryStore(path) as store:
-            assert store.get_many(asked) == found
+            assert get_many_by_groups(store, asked) == found
             assert (store.stats.hits, store.stats.misses) == (hits, misses)
         assert bumped(before, last_used(path)) == stale
 
@@ -213,7 +219,7 @@ def test_grouped_service_lookups_match_the_direct_store(
             path = Path(root) / "direct.sqlite"
             seed(path, stored)
             with FaultDictionaryStore(path) as direct:
-                expected = direct.get_many(asked)
+                expected = get_many_by_groups(direct, asked)
                 expected_counts = (direct.stats.hits, direct.stats.misses)
         with ServiceStore(service.url) as client:
             client.put_many(pairs)

@@ -3,8 +3,8 @@
 The persistent dictionary of PR 3 grew without bound; these tests pin
 the lifecycle layer that keeps long-lived stores tractable --
 :meth:`FaultDictionaryStore.compact` (LRU-by-``last_used`` pruning),
-:meth:`FaultDictionaryStore.merge_from` (the sharded campaign's join
-step) and :meth:`FaultDictionaryStore.row_stats` (the ``repro store
+:meth:`FaultDictionaryStore.merge_from` (spill recovery and ``repro
+store merge``) and :meth:`FaultDictionaryStore.row_stats` (the ``repro store
 stats`` report).
 """
 
@@ -12,8 +12,10 @@ import sqlite3
 
 import pytest
 
+from grouped import get, put
 from repro.kernel.cache import SimKey
 from repro.store import FaultDictionaryStore, StoreError, StoreSchemaError
+from repro.store.store import get_many_by_groups, pair_groups
 
 
 @pytest.fixture
@@ -43,25 +45,27 @@ def force_last_used(path, case, stamp):
 class TestLastUsed:
     def test_writes_stamp_last_used(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         assert last_used_of(store_path, "SA0@0") > 0
 
     def test_read_hits_bump_last_used(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         force_last_used(store_path, "SA0@0", 5)
         with FaultDictionaryStore(store_path) as store:
-            assert store.get(key()) is True
+            assert get(store, key()) is True
         assert last_used_of(store_path, "SA0@0") > 5
 
     def test_batched_hits_bump_last_used(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put_many([(key(case=f"c{i}"), True) for i in range(4)])
+            store.put_groups(
+                pair_groups([(key(case=f"c{i}"), True) for i in range(4)])
+            )
         for i in range(4):
             force_last_used(store_path, f"c{i}", i)
         with FaultDictionaryStore(store_path) as store:
-            found = store.get_many(
-                [key(case="c0"), key(case="c1"), key(case="absent")]
+            found = get_many_by_groups(
+                store, [key(case="c0"), key(case="c1"), key(case="absent")]
             )
             assert len(found) == 2
         assert last_used_of(store_path, "c0") > 3
@@ -70,26 +74,27 @@ class TestLastUsed:
 
     def test_readonly_hits_do_not_bump(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         force_last_used(store_path, "SA0@0", 5)
         with FaultDictionaryStore(store_path, readonly=True) as store:
-            assert store.get(key()) is True
-            assert store.get_many([key()]) == {key(): True}
+            assert get(store, key()) is True
         assert last_used_of(store_path, "SA0@0") == 5
 
     def test_bumps_are_not_counted_as_verdict_writes(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
             store.stats.reset()
-            store.get(key())
-            store.get_many([key()])
+            get(store, key())
+            get(store, key())
             assert store.stats.writes == 0
             assert store.stats.hits == 2
 
 
 class TestCompact:
     def populate(self, store, rows=20):
-        store.put_many([(key(case=f"c{i:03d}"), True) for i in range(rows)])
+        store.put_groups(pair_groups(
+            [(key(case=f"c{i:03d}"), True) for i in range(rows)]
+        ))
 
     def test_row_cap_prunes_least_recently_used(self, store_path):
         with FaultDictionaryStore(store_path) as store:
@@ -105,8 +110,8 @@ class TestCompact:
             assert stats["rows_after"] == 5 == len(store)
             # The five most recently used rows survive.
             for i in range(15, 20):
-                assert store.get(key(case=f"c{i:03d}")) is True
-            assert store.get(key(case="c000")) is None
+                assert get(store, key(case=f"c{i:03d}")) is True
+            assert get(store, key(case="c000")) is None
 
     def test_age_cap_prunes_stale_rows(self, store_path):
         with FaultDictionaryStore(store_path) as store:
@@ -118,8 +123,8 @@ class TestCompact:
             # cutoff 1500: rows stamped 1000..1400 go, 1500+ stay.
             assert stats["removed_by_age"] == 5
             assert stats["rows_after"] == 5
-            assert store.get(key(case="c009")) is True
-            assert store.get(key(case="c000")) is None
+            assert get(store, key(case="c009")) is True
+            assert get(store, key(case="c000")) is None
 
     def test_age_and_cap_compose(self, store_path):
         with FaultDictionaryStore(store_path) as store:
@@ -140,14 +145,14 @@ class TestCompact:
         with FaultDictionaryStore(store_path) as store:
             store.compact(max_rows=3, vacuum=False)
             # Ties break by primary key: lexicographically first go.
-            assert store.get(key(case="c000")) is None
-            assert store.get(key(case="c005")) is True
+            assert get(store, key(case="c000")) is None
+            assert get(store, key(case="c005")) is True
 
     def test_vacuum_reclaims_disk_space(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put_many(
+            store.put_groups(pair_groups(
                 [(key(case=f"c{i:05d}"), True) for i in range(3000)]
-            )
+            ))
             stats = store.compact(max_rows=10)
         assert stats["bytes_after"] < stats["bytes_before"]
 
@@ -278,7 +283,7 @@ class TestLastUsedIndex:
         build_indexed_v2_store(store_path)
         before = rows_and_indexes(store_path)
         with FaultDictionaryStore(store_path, readonly=True) as store:
-            assert store.get(key()) is True
+            assert get(store, key()) is True
         assert before[1] == ["verdicts_last_used"]
         assert rows_and_indexes(store_path) == before
 
@@ -288,10 +293,10 @@ class TestLastUsedIndex:
         FaultDictionaryStore(store_path).close()
         assert rows_and_indexes(store_path) == (rows, [])
         with FaultDictionaryStore(store_path) as store:
-            assert store.get(key()) is True
-            assert store.get(key(case="SA1@0")) is False
-            store.put(key(case="fresh"), False)
-            assert store.get(key(case="fresh")) is False
+            assert get(store, key()) is True
+            assert get(store, key(case="SA1@0")) is False
+            put(store, key(case="fresh"), False)
+            assert get(store, key(case="fresh")) is False
             assert store.row_stats()["rows"] == 4
             assert store.compact(max_rows=2)["rows_after"] == 2
         assert rows_and_indexes(store_path)[1] == []
@@ -301,22 +306,22 @@ class TestMergeFrom:
     def test_disjoint_stores_union(self, tmp_path):
         a_path, b_path = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
         with FaultDictionaryStore(b_path) as b:
-            b.put(key(case="only-b"), False)
+            put(b, key(case="only-b"), False)
         with FaultDictionaryStore(a_path) as a:
-            a.put(key(case="only-a"), True)
+            put(a, key(case="only-a"), True)
             stats = a.merge_from(b_path)
             assert stats == {"source_rows": 1, "inserted": 1, "merged": 0}
-            assert a.get(key(case="only-a")) is True
-            assert a.get(key(case="only-b")) is False
+            assert get(a, key(case="only-a")) is True
+            assert get(a, key(case="only-b")) is False
 
     def test_conflicts_resolve_to_newest_last_used(self, tmp_path):
         a_path, b_path = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
         with FaultDictionaryStore(a_path) as a:
-            a.put(key(case="newer-here"), True)
-            a.put(key(case="newer-there"), True)
+            put(a, key(case="newer-here"), True)
+            put(a, key(case="newer-there"), True)
         with FaultDictionaryStore(b_path) as b:
-            b.put(key(case="newer-here"), False)
-            b.put(key(case="newer-there"), False)
+            put(b, key(case="newer-here"), False)
+            put(b, key(case="newer-there"), False)
         force_last_used(a_path, "newer-here", 200)
         force_last_used(a_path, "newer-there", 100)
         force_last_used(b_path, "newer-here", 100)
@@ -325,9 +330,9 @@ class TestMergeFrom:
             stats = a.merge_from(b_path)
             assert stats == {"source_rows": 2, "inserted": 0, "merged": 2}
             # Destination row was fresher: its verdict survives.
-            assert a.get(key(case="newer-here")) is True
+            assert get(a, key(case="newer-here")) is True
             # Source row was fresher: its verdict wins.
-            assert a.get(key(case="newer-there")) is False
+            assert get(a, key(case="newer-there")) is False
         # Merged recency is the max of the two sides.
         assert last_used_of(a_path, "newer-here") >= 200
         assert last_used_of(a_path, "newer-there") >= 200
@@ -335,14 +340,14 @@ class TestMergeFrom:
     def test_merge_accepts_open_store_instances(self, tmp_path):
         a_path, b_path = tmp_path / "a.sqlite", tmp_path / "b.sqlite"
         with FaultDictionaryStore(b_path) as b:
-            b.put(key(), True)
+            put(b, key(), True)
             with FaultDictionaryStore(a_path) as a:
                 assert a.merge_from(b)["inserted"] == 1
 
     def test_merge_refuses_self_readonly_and_foreign(self, tmp_path):
         a_path = tmp_path / "a.sqlite"
         with FaultDictionaryStore(a_path) as a:
-            a.put(key(), True)
+            put(a, key(), True)
             with pytest.raises(StoreError, match="itself"):
                 a.merge_from(a_path)
         with FaultDictionaryStore(a_path, readonly=True) as a:
@@ -361,7 +366,7 @@ class TestMergeFrom:
         """A refused source leaves the destination untouched."""
         a_path = tmp_path / "a.sqlite"
         with FaultDictionaryStore(a_path) as a:
-            a.put(key(), True)
+            put(a, key(), True)
             with pytest.raises(StoreError):
                 a.merge_from(tmp_path / "absent.sqlite")
             assert len(a) == 1
@@ -370,9 +375,9 @@ class TestMergeFrom:
 class TestRowStats:
     def test_population_report(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(case="a"), True)
-            store.put(key(case="b", domain="2p"), False)
-            store.put(key(case="c", domain="syn"), frozenset())
+            put(store, key(case="a"), True)
+            put(store, key(case="b", domain="2p"), False)
+            put(store, key(case="c", domain="syn"), frozenset())
             stats = store.row_stats()
         assert stats["rows"] == 3
         assert stats["by_domain"] == {"sp": 1, "2p": 1, "syn": 1}

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from grouped import get, put
 from repro.cli import main
 from repro.kernel import SimKey, SimulationKernel
 from repro.store import (
@@ -26,6 +27,7 @@ from repro.store.service import (
     ServiceUnavailableError,
     VerdictService,
 )
+from repro.store.store import pair_groups
 
 
 def key(signature="{up(w0)}", case="SA0@0", size=3, domain="sp"):
@@ -178,23 +180,12 @@ class FlakyPrimary:
         if self.calls > self.survive:
             raise TransientStoreError("primary gone")
 
-    def get(self, key, default=None):
+    def get_groups(self, groups):
         self._maybe_die()
-        return default
+        return [{} for _ in groups]
 
-    def get_many(self, keys):
+    def put_groups(self, groups):
         self._maybe_die()
-        return {}
-
-    def put(self, key, value):
-        self._maybe_die()
-
-    def put_many(self, pairs):
-        self._maybe_die()
-
-    def __contains__(self, key):
-        self._maybe_die()
-        return False
 
     def close(self):
         self.closed = True
@@ -210,10 +201,12 @@ class TestDegradingStore:
             with DegradingStore(primary, spill_path) as store:
                 # The very first call dies on the primary -- and lands
                 # in the spill anyway (the batch is replayed).
-                store.put_many([(key(), True), (key(case="SA1@0"), False)])
+                store.put_groups(pair_groups(
+                    [(key(), True), (key(case="SA1@0"), False)]
+                ))
                 assert store.degraded
-                assert store.get(key()) is True
-                assert key(case="SA1@0") in store
+                assert get(store, key()) is True
+                assert get(store, key(case="SA1@0")) is False
                 report = store.resilience()
         assert report == {
             "attempts": 4,
@@ -223,13 +216,13 @@ class TestDegradingStore:
         assert primary.closed
         # The spill shard is a real store: reopen it directly.
         with FaultDictionaryStore(spill_path, readonly=True) as spill:
-            assert spill.get(key()) is True
+            assert get(spill, key()) is True
 
     def test_passthrough_while_primary_lives(self, tmp_path):
         primary = FlakyPrimary(survive=100)
         store = DegradingStore(primary, tmp_path / "spill.sqlite")
-        store.put(key(), True)
-        assert store.get(key(), default="miss") == "miss"  # stub store
+        put(store, key(), True)
+        assert get(store, key(), default="miss") == "miss"  # stub store
         assert not store.degraded
         assert store.resilience()["spill"] is None
         assert not (tmp_path / "spill.sqlite").exists(), (
@@ -241,8 +234,8 @@ class TestDegradingStore:
         primary = FlakyPrimary(survive=0)
         with pytest.warns(RuntimeWarning):
             with DegradingStore(primary, tmp_path / "s.sqlite") as store:
-                store.put(key(), True)
-                store.get(key())
+                put(store, key(), True)
+                get(store, key())
                 assert store.stats.writes == 1
                 assert store.stats.hits == 1
 
@@ -259,7 +252,7 @@ class TestDaemonHardening:
         daemon.start()
         try:
             client = ServiceStore(daemon.url)
-            client.put(key(), True)
+            put(client, key(), True)
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 with ServiceStore(daemon.url) as probe:
@@ -272,7 +265,7 @@ class TestDaemonHardening:
             )
             # The reaped client's next request reconnects transparently
             # (the reap looks like any server-side hangup: transient).
-            assert client.get(key()) is True
+            assert get(client, key()) is True
             client.close()
         finally:
             daemon.stop()
@@ -285,7 +278,7 @@ class TestDaemonHardening:
         daemon.start()
         try:
             with ServiceStore(daemon.url) as client:
-                client.put(key(), True)
+                put(client, key(), True)
                 deadline = time.monotonic() + 10
                 checkpoints = 0
                 while time.monotonic() < deadline:
@@ -305,7 +298,7 @@ class TestDaemonHardening:
         daemon.start()
         try:
             with ServiceStore(daemon.url) as client:
-                client.put(key(), True)
+                put(client, key(), True)
                 health = client.health()
         finally:
             daemon.stop()
@@ -321,8 +314,8 @@ class TestDaemonHardening:
     def test_merge_op_folds_a_local_store_in(self, tmp_path):
         side = tmp_path / "side.sqlite"
         with FaultDictionaryStore(side) as source:
-            source.put(key(), True)
-            source.put(key(case="SA1@0"), False)
+            put(source, key(), True)
+            put(source, key(case="SA1@0"), False)
         daemon = VerdictService(
             tmp_path / "dict.sqlite", tmp_path / "verdict.sock"
         )
@@ -332,7 +325,7 @@ class TestDaemonHardening:
                 merged = client.merge_from(side)
                 assert merged["source_rows"] == 2
                 assert merged["inserted"] == 2
-                assert client.get(key()) is True
+                assert get(client, key()) is True
                 # The ledger invariant survives a merge: stats must
                 # not see writes the per-client counters don't hold.
                 stats = client.server_stats()
@@ -376,7 +369,7 @@ class TestServiceStoreRetry:
                 max_attempts=40, base_delay=0.02, max_delay=0.2, seed=1
             ),
         )
-        client.put(key(), True)
+        put(client, key(), True)
         first.stop()
 
         second = VerdictService(store_path, sock_path)
@@ -390,7 +383,7 @@ class TestServiceStoreRetry:
         try:
             # Issued while nothing is listening: the retry loop backs
             # off until the restarted daemon answers.
-            assert client.get(key()) is True
+            assert get(client, key()) is True
             assert client.retries >= 1
         finally:
             thread.join(timeout=10)
@@ -413,7 +406,7 @@ class TestServiceStoreRetry:
         with pytest.raises(
             ServiceUnavailableError, match="after 2 attempt"
         ):
-            client.get(key())
+            get(client, key())
         assert isinstance(
             ServiceUnavailableError("x"), TransientStoreError
         ), "exhaustion must stay degradable for DegradingStore"

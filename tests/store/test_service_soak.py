@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from grouped import get, put
 from repro.kernel import SimKey
 from repro.store import FaultDictionaryStore, encode_verdict
 from repro.store.resilience import RetryPolicy
@@ -146,7 +147,7 @@ class TestSoak:
         # exactly the canonical encoding the direct store holds.
         with FaultDictionaryStore(store_path) as direct:
             for k, encoded in served.items():
-                assert encoded == encode_verdict(direct.get(k))
+                assert encoded == encode_verdict(get(direct, k))
             assert len(direct) == SOAK_CLIENTS * KEYS_PER_CLIENT
 
 
@@ -202,9 +203,9 @@ class TestHotLru:
         ) as daemon:
             with ServiceStore(daemon.url) as client:
                 k = key(0, prefix="lru")
-                client.put(k, True)  # write-through primes the tier
+                put(client, k, True)  # write-through primes the tier
                 for _ in range(3):
-                    assert client.get(k) is True
+                    assert get(client, k) is True
                 health = client.health()
                 hot = health["hot_lru"]
                 assert hot["max_entries"] == 8
@@ -233,11 +234,11 @@ class TestHotLru:
             with ServiceStore(daemon.url) as client:
                 keys = [key(i, prefix="evict") for i in range(5)]
                 for i, k in enumerate(keys):
-                    client.put(k, verdict(i))
+                    put(client, k, verdict(i))
                 # Capacity 2 < 5 writes: evictions happened, yet every
                 # verdict still round-trips (store fallback).
                 for i, k in enumerate(keys):
-                    assert client.get(k) == verdict(i)
+                    assert get(client, k) == verdict(i)
                 assert client.health()["hot_lru"]["evictions"] >= 3
 
     def test_zero_size_disables_the_tier(self, tmp_path):
@@ -247,8 +248,8 @@ class TestHotLru:
         ) as daemon:
             with ServiceStore(daemon.url) as client:
                 k = key(0, prefix="off")
-                client.put(k, False)
-                assert client.get(k) is False
+                put(client, k, False)
+                assert get(client, k) is False
                 hot = client.health()["hot_lru"]
                 assert hot["entries"] == 0
                 assert hot["max_entries"] == 0
@@ -345,4 +346,4 @@ class TestDrain:
         # Every in-flight batch landed.
         with FaultDictionaryStore(store_path) as direct:
             for i, k in enumerate(keys):
-                assert direct.get(k) == verdict(i)
+                assert get(direct, k) == verdict(i)

@@ -12,6 +12,7 @@ import sqlite3
 
 import pytest
 
+from grouped import get, put
 from repro.kernel.cache import SimKey
 from repro.store import (
     SCHEMA_VERSION,
@@ -21,6 +22,7 @@ from repro.store import (
     decode_verdict,
     encode_verdict,
 )
+from repro.store.store import get_many_by_groups, pair_groups
 
 
 @pytest.fixture
@@ -70,55 +72,48 @@ class TestEncoding:
 class TestRoundTrip:
     def test_verdicts_survive_reopen(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(case="SA0@0"), True)
-            store.put(key(case="SA1@0"), False)
+            put(store, key(case="SA0@0"), True)
+            put(store, key(case="SA1@0"), False)
         with FaultDictionaryStore(store_path) as store:
-            assert store.get(key(case="SA0@0")) is True
-            assert store.get(key(case="SA1@0")) is False
-            assert store.get(key(case="absent")) is None
+            assert get(store, key(case="SA0@0")) is True
+            assert get(store, key(case="SA1@0")) is False
+            assert get(store, key(case="absent")) is None
             assert len(store) == 2
 
     def test_upsert_overwrites_atomically(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
-            store.put(key(), False)
-            assert store.get(key()) is False
+            put(store, key(), True)
+            put(store, key(), False)
+            assert get(store, key()) is False
             assert len(store) == 1
 
     def test_domains_partition_the_namespace(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(domain="sp"), True)
-            store.put(key(domain="2p"), False)
-            store.put(key(domain="syn"), frozenset({(0, 0, 0, 1)}))
-            assert store.get(key(domain="sp")) is True
-            assert store.get(key(domain="2p")) is False
-            assert store.get(key(domain="syn")) == frozenset({(0, 0, 0, 1)})
+            put(store, key(domain="sp"), True)
+            put(store, key(domain="2p"), False)
+            put(store, key(domain="syn"), frozenset({(0, 0, 0, 1)}))
+            assert get(store, key(domain="sp")) is True
+            assert get(store, key(domain="2p")) is False
+            assert get(store, key(domain="syn")) == frozenset({(0, 0, 0, 1)})
 
-    def test_put_many_is_one_transaction(self, store_path):
+    def test_put_groups_is_one_transaction(self, store_path):
         pairs = [(key(case=f"SA0@{i}"), bool(i % 2)) for i in range(50)]
         with FaultDictionaryStore(store_path) as store:
-            store.put_many(pairs)
+            store.put_groups(pair_groups(pairs))
             assert len(store) == 50
-            found = store.get_many([k for k, _ in pairs])
+            found = get_many_by_groups(store, [k for k, _ in pairs])
             assert found == dict(pairs)
 
     def test_stats_count_hits_misses_writes(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
-            store.get(key())
-            store.get(key(case="absent"))
+            put(store, key(), True)
+            get(store, key())
+            get(store, key(case="absent"))
             assert store.stats.writes == 1
             assert store.stats.hits == 1
             assert store.stats.misses == 1
             store.stats.reset()
             assert store.stats.writes == store.stats.hits == 0
-
-    def test_contains_has_no_stat_side_effects(self, store_path):
-        with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
-            assert key() in store
-            assert key(case="absent") not in store
-            assert store.stats.hits == 0 and store.stats.misses == 0
 
     def test_close_is_idempotent(self, store_path):
         store = FaultDictionaryStore(store_path)
@@ -132,18 +127,18 @@ class TestRoundTrip:
 class TestReadonly:
     def test_lookups_work_but_writes_are_counted_noops(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         with FaultDictionaryStore(store_path, readonly=True) as store:
             assert store.readonly
-            assert store.get(key()) is True
-            store.put(key(), False)
-            store.put_many([(key(case="x"), True)])
+            assert get(store, key()) is True
+            put(store, key(), False)
+            store.put_groups(pair_groups([(key(case="x"), True)]))
             store.put_groups(
                 [("{up(w0)}", 3, "sp", ["a", "b"], [True, False])]
             )
             assert store.stats.writes == 0
             assert store.stats.skipped_writes == 4
-            assert store.get(key()) is True  # unchanged
+            assert get(store, key()) is True  # unchanged
             assert "readonly" in store.describe()
         with FaultDictionaryStore(store_path) as store:
             assert len(store) == 1
@@ -177,7 +172,7 @@ class TestReadonly:
         # SQLite refuse writes even if a future code path forgot the
         # readonly flag and issued raw SQL.
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         with FaultDictionaryStore(store_path, readonly=True) as store:
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 store._conn.execute("DELETE FROM verdicts")
@@ -196,7 +191,7 @@ class TestSchema:
 
     def test_mismatched_version_is_refused_not_rebuilt(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         conn = sqlite3.connect(store_path)
         conn.execute(
             "UPDATE meta SET value='999' WHERE key='schema_version'"
@@ -232,15 +227,15 @@ class TestCorruptionRecovery:
         assert store.quarantined.read_bytes().startswith(b"this is not")
         # The rebuilt store is empty but fully functional.
         assert len(store) == 0
-        store.put(key(), True)
-        assert store.get(key()) is True
+        put(store, key(), True)
+        assert get(store, key()) is True
         store.close()
 
     def test_truncated_database_is_quarantined_and_rebuilt(self, store_path):
         with FaultDictionaryStore(store_path) as store:
-            store.put_many(
+            store.put_groups(pair_groups(
                 [(key(case=f"SA0@{i}"), True) for i in range(200)]
-            )
+            ))
         # Chop the file mid-page: header stays valid, content does not.
         payload = store_path.read_bytes()
         assert len(payload) > 1024
@@ -248,8 +243,8 @@ class TestCorruptionRecovery:
         store = FaultDictionaryStore(store_path)
         assert store.quarantined is not None
         assert len(store) == 0
-        store.put(key(), False)
-        assert store.get(key()) is False
+        put(store, key(), False)
+        assert get(store, key()) is False
         store.close()
 
     def test_quarantine_names_do_not_collide(self, store_path):
@@ -289,7 +284,7 @@ class TestCorruptionRecovery:
         without waiting (the WAL switch of a racing creator).  That is
         retried, not quarantined, and the store opens once it clears."""
         with FaultDictionaryStore(store_path) as store:
-            store.put(key(), True)
+            put(store, key(), True)
         connect = FaultDictionaryStore._connect_and_check
         attempts = []
 
@@ -304,7 +299,7 @@ class TestCorruptionRecovery:
         )
         with FaultDictionaryStore(store_path, timeout=10.0) as store:
             assert store.quarantined is None
-            assert store.get(key()) is True
+            assert get(store, key()) is True
         assert len(attempts) == 3
         assert not list(store_path.parent.glob("*.corrupt-*"))
 
@@ -325,8 +320,8 @@ def _hammer(path, offset, count, barrier):
     store = FaultDictionaryStore(path)
     barrier.wait()  # maximize write overlap across processes
     for i in range(count):
-        store.put(SimKey(f"sig-{offset + i}", "case", 3), bool(i % 2))
-    store.put(SimKey("contended", "case", 3), True)
+        put(store, SimKey(f"sig-{offset + i}", "case", 3), bool(i % 2))
+    put(store, SimKey("contended", "case", 3), True)
     store.close()
 
 
@@ -335,7 +330,7 @@ def _race_create(path, offset, barrier):
     the barrier, then write a couple of rows."""
     barrier.wait()  # maximize overlap on schema creation itself
     store = FaultDictionaryStore(path)
-    store.put(SimKey(f"sig-{offset}", "case", 3), True)
+    put(store, SimKey(f"sig-{offset}", "case", 3), True)
     store.close()
 
 
@@ -387,10 +382,10 @@ def test_concurrent_multiprocess_writes_are_all_durable(
         assert process.exitcode == 0
     with FaultDictionaryStore(store_path) as store:
         assert len(store) == workers * per_worker + 1
-        assert store.get(SimKey("contended", "case", 3)) is True
+        assert get(store, SimKey("contended", "case", 3)) is True
         for w in range(workers):
             for i in range(0, per_worker, 7):
-                verdict = store.get(
+                verdict = get(store,
                     SimKey(f"sig-{w * per_worker + i}", "case", 3)
                 )
                 assert verdict == bool(i % 2)

@@ -141,7 +141,7 @@ class TestTieredCache:
         assert report.detected or report.missed
         assert second.store.stats.hits > 0
         second.close()
-        store.get_many([])  # still open: the caller owns its lifecycle
+        store.get_groups([])  # still open: the caller owns its lifecycle
         store.close()
 
     def test_close_closes_stores_opened_from_a_path(

@@ -6,15 +6,17 @@ import pytest
 
 from repro.cli import main
 from repro.faults.faultlist import FaultList
-from repro.kernel import SimKey, SimulationKernel
+from repro.kernel import SimulationKernel
 from repro.march.catalog import by_name
 from repro.store.campaign import CampaignSpec, run_campaign, \
     normalized_manifest
 from repro.store.service import SERVICE_MAGIC, ServiceStore, VerdictService
 from repro.telemetry import TELEMETRY_OFF, Telemetry, counter_total
 
-def key(signature="{up(w0)}", case="SA0@0", size=3, domain="sp"):
-    return SimKey(signature, case, size, domain)
+#: One verdict as a lookup group and as a write group of the stores'
+#: grouped surface: ``(signature, size, domain, cases[, verdicts])``.
+LOOKUP = ("{up(w0)}", 3, "sp", ["SA0@0"])
+WRITE = (*LOOKUP, [True])
 
 
 SPEC = {
@@ -237,8 +239,8 @@ class TestDaemonTelemetry:
         daemon.start()
         try:
             with ServiceStore(daemon.url) as client:
-                client.put(key(), True)
-                client.get(key())
+                client.put_groups([WRITE])
+                client.get_groups([LOOKUP])
                 payload = client.metrics()
         finally:
             daemon.stop()
@@ -248,7 +250,7 @@ class TestDaemonTelemetry:
             entry["labels"]["op"]: entry["value"]
             for entry in metrics["repro.service.requests"]["series"]
         }
-        # Single put/get ride the batched wire ops.
+        # One-group writes and reads ride the batched wire ops.
         assert requests["put_many"] == 1
         assert requests["get_many"] == 1
         assert metrics["repro.service.request.seconds"]["series"]
@@ -261,7 +263,7 @@ class TestDaemonTelemetry:
         daemon.start()
         try:
             with ServiceStore(daemon.url) as client:
-                client.put(key(), True)
+                client.put_groups([WRITE])
                 health = client.health()
         finally:
             daemon.stop()

@@ -128,9 +128,7 @@ class TestCampaign:
         out = capsys.readouterr().out
         assert "[4/4]" in out  # live per-job progress lines
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["parallel"] == {
-            "jobs": 2, "mode": "shared", "shard_merge": None,
-        }
+        assert manifest["parallel"] == {"jobs": 2, "mode": "shared"}
         assert manifest["totals"]["jobs"] == 4
 
     def test_campaign_failed_job_sets_exit_code(self, capsys, tmp_path):
@@ -144,20 +142,6 @@ class TestCampaign:
                      "--manifest", str(tmp_path / "m.json")]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out and "ValueError" in out
-
-    def test_campaign_shard_mode(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "name": "cli-shard",
-            "tests": ["MATS"],
-            "faults": ["SAF"],
-        }))
-        store = tmp_path / "dict.sqlite"
-        assert main(["campaign", str(spec), "--jobs", "2", "--shard",
-                     "--store", str(store),
-                     "--manifest", str(tmp_path / "m.json")]) == 0
-        assert store.exists()
-        assert not list(tmp_path.glob("dict.sqlite.shard-*"))
 
 
 class TestStoreSubcommand:
