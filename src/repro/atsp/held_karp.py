@@ -182,7 +182,7 @@ class PathMemo:
         for node in nodes:
             full |= 1 << node
         if full not in self._offsets:
-            self._build(full)
+            self._build(nodes)
 
         values, ties, offsets = self._values, self._ties, self._offsets
         position = {node: p for p, node in enumerate(nodes)}
@@ -209,38 +209,38 @@ class PathMemo:
         path.reverse()
         return [position[node] for node in path], total
 
-    def _build(self, mask: int) -> None:
-        """Compute the row of ``mask``, building missing subsets first."""
-        offsets = self._offsets
-        members = _members(mask)
-        for end in members:
-            sub = mask ^ (1 << end)
-            if sub and sub not in offsets:
-                self._build(sub)
-        values, ties = self._values, self._ties
-        row = len(values)
-        if len(members) == 1:
-            values.append(self.starts[members[0]])
-            ties.append(0)
-        else:
-            into = self.into
-            for at, end in enumerate(members):
-                others = members[:at] + members[at + 1:]
-                start = offsets[mask ^ (1 << end)]
-                arcs = into[end]
-                prev = values[start:start + len(others)]
-                best, tie, bit = _INF, 0, 1
-                for value, node in zip(prev, others):
-                    candidate = value + arcs[node]
-                    if candidate < best:
-                        best, tie = candidate, bit
-                    elif candidate == best:
-                        tie |= bit
-                    bit <<= 1
-                values.append(best)
-                ties.append(tie)
-        offsets[mask] = row
-        self.masks_built += 1
+    def _build(self, nodes: List[int]) -> None:
+        """Build the missing subsets of ``nodes``, by ascending local mask."""
+        offsets, values, ties = self._offsets, self._values, self._ties
+        bits = {1 << local: 1 << node for local, node in enumerate(nodes)}
+        masks = [0] * (1 << len(nodes))
+        for local in range(1, len(masks)):
+            low = local & -local
+            mask = masks[local] = masks[local ^ low] | bits[low]
+            if mask in offsets:
+                continue
+            offsets[mask] = len(values)
+            members = _members(mask)
+            if len(members) == 1:
+                values.append(self.starts[members[0]])
+                ties.append(0)
+            else:
+                for at, end in enumerate(members):
+                    others = members[:at] + members[at + 1:]
+                    start = offsets[mask ^ (1 << end)]
+                    arcs = self.into[end]
+                    prev = values[start:start + len(others)]
+                    best, tie, bit = _INF, 0, 1
+                    for value, node in zip(prev, others):
+                        candidate = value + arcs[node]
+                        if candidate < best:
+                            best, tie = candidate, bit
+                        elif candidate == best:
+                            tie |= bit
+                        bit <<= 1
+                    values.append(best)
+                    ties.append(tie)
+            self.masks_built += 1
 
 
 def _members(mask: int) -> List[int]:

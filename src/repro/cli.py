@@ -182,7 +182,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .simulator.coverage import coverage_matrix
+    from .simulator.coverage import coverage_matrix, demotion_redundant_blocks
 
     test = _resolve_test(args.test)
     faults = _fault_list(args.faults)
@@ -193,15 +193,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(report)
         cases = faults.instances(args.size)
         cm = coverage_matrix(test, cases, args.size, kernel=kernel)
-        verdict = "non-redundant" if cm.is_non_redundant() else "redundant"
+        # The verdict covers every order realization; the Coverage
+        # Matrix only the ascending one.
+        redundant = demotion_redundant_blocks(
+            test, cases, args.size, kernel=kernel
+        )
+        if not all(model.complete for model in report.models):
+            verdict = "incomplete"
+        else:
+            verdict = "redundant" if redundant else "non-redundant"
         print(f"covers all cases : {cm.covers_all}")
         print(f"block analysis   : {verdict}"
               f" ({len(cm.blocks)} elementary blocks)")
-        redundant = cm.redundant_blocks()
         if redundant:
-            blocks = ", ".join(
-                cm.blocks[k].describe(cm.test) for k in redundant
-            )
+            blocks = ", ".join(block.describe(test) for block in redundant)
             print(f"redundant blocks : {blocks}")
         _maybe_print_stats(args, kernel)
     finally:

@@ -42,7 +42,7 @@ from ..march.catalog import CATALOG
 from ..march.test import MarchTest
 from ..patterns.test_pattern import TestPattern
 from ..patterns.tpg import TestPatternGraph, edge_weight, start_weight
-from ..sequence.gts import GlobalTestSequence, build_gts
+from ..sequence.gts import GTSStep, GTSStepKey, GlobalTestSequence, build_gts
 from ..sequence.rewrite import reorder_and_minimize
 from ..simulator.coverage import is_non_redundant
 from .config import GeneratorConfig
@@ -245,7 +245,7 @@ class MarchTestGenerator:
             tpg.add(pattern, class_name)
 
         order = tours.solve([node.pattern for node in tpg.nodes])
-        gts = build_gts(tpg, order)
+        gts = build_gts(tpg, order, memo=tours.gts_steps)
         minimized = reorder_and_minimize(gts)
         candidate = build_march(minimized, name="generated")
 
@@ -279,7 +279,7 @@ class MarchTestGenerator:
         if config.check_redundancy and verified:
             non_redundant = is_non_redundant(
                 best.test, confirm_cases, config.confirm_size,
-                kernel=self.kernel,
+                kernel=self.kernel, verifier=confirm_verify,
             )
 
         equivalent = _known_equivalent(
@@ -326,6 +326,9 @@ class SelectionTours:
     :data:`~repro.atsp.solver.HELD_KARP_LIMIT` nodes, is solved by
     ``solve_path`` on the selection's sub-matrix of the same tables.
 
+    The front end also keeps the call's :func:`~repro.sequence.gts.
+    build_gts` steps (``gts_steps``), which the selections' tours repeat.
+
     Nothing in the memos points back here, so the front end and its
     memos are freed as soon as the selection loop drops it.
     """
@@ -348,6 +351,7 @@ class SelectionTours:
         self._uniform_starts: List[float] = []
         self.free = PathMemo(self._into, self._starts)
         self.uniform = PathMemo(self._into, self._uniform_starts)
+        self.gts_steps: Dict[GTSStepKey, GTSStep] = {}
         #: Pair weights computed, over the front end's lifetime.
         self.weight_computations = 0
 

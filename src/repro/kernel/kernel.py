@@ -13,9 +13,13 @@ kernel, which
   ``(signature, size, domain)`` group, with hit/miss stats;
 * hoists ``concrete_order_variants()`` out of all inner loops (each
   scalar run allocates a fresh :class:`~repro.memory.array.MemoryArray`);
-* answers the Section 6 analysis with one plain scalar run per
-  (realization, behavioural variant), reporting the set of reads that
-  mismatched (:meth:`SimulationKernel.read_detections`);
+* answers the Section 6 analysis with the lanes each verifying read
+  detects: on ``bitparallel``, one step per element and read through
+  the packed verifier's transition table
+  (:meth:`PackedVerifier.read_detections`); for the unpackable cases
+  and on ``serial``, one plain scalar run per (realization,
+  behavioural variant), reporting the set of reads that mismatched
+  (:meth:`SimulationKernel.read_detections`);
 * resolves every verdict on one path (:meth:`SimulationKernel._verdicts`,
   which single probes share): one cache lookup for all the pairs, then
   one call per test over that test's misses to a pluggable
@@ -51,7 +55,7 @@ from typing import (
 
 from ..faults.faultlist import FaultList
 from ..faults.instances import FaultCase
-from ..march.element import AddressOrder, MarchElement
+from ..march.element import AddressOrder, MarchElement, MarchOp
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
 from ..simulator.bitengine import TransitionTable, pack_cases
@@ -82,7 +86,8 @@ class VerifyStats:
     """
 
     __slots__ = ("accepted", "rejected", "realizations", "segments",
-                 "table_hits", "table_misses")
+                 "table_hits", "table_misses", "section6_hits",
+                 "section6_misses")
 
     def __init__(self) -> None:
         self.accepted = Counter()
@@ -95,18 +100,28 @@ class VerifyStats:
         #: table, and steps that ran the engine.
         self.table_hits = Counter()
         self.table_misses = Counter()
+        #: The same for the Section 6 check's element steps
+        #: (:meth:`PackedVerifier.read_detections`), which share the
+        #: table but not these counts.
+        self.section6_hits = Counter()
+        self.section6_misses = Counter()
 
     @property
     def calls(self) -> int:
         return self.accepted.value + self.rejected.value
 
+    @property
+    def section6_steps(self) -> int:
+        return self.section6_hits.value + self.section6_misses.value
+
     def reset(self) -> None:
         for counter in (self.accepted, self.rejected, self.realizations,
-                        self.segments, self.table_hits, self.table_misses):
+                        self.segments, self.table_hits, self.table_misses,
+                        self.section6_hits, self.section6_misses):
             counter.value = 0
 
     def __str__(self) -> str:
-        return (
+        text = (
             f"verify: {self.calls} packed calls"
             f" ({self.accepted.value} accepted),"
             f" {self.realizations.value} realizations"
@@ -114,6 +129,12 @@ class VerifyStats:
             f" {self.table_hits.value} table hits"
             f" / {self.table_misses.value} misses"
         )
+        if self.section6_steps:
+            text += (
+                f"; section 6: {self.section6_hits.value} table hits"
+                f" / {self.section6_misses.value} misses"
+            )
+        return text
 
 
 def canonical_signature(test: Union[MarchTest, object]) -> str:
@@ -225,6 +246,14 @@ class SimulationKernel:
         registry.adopt(
             "repro.kernel.verify.table_misses", verify.table_misses
         )
+        registry.adopt(
+            "repro.kernel.verify.section6_steps", verify.section6_hits,
+            table="hit",
+        )
+        registry.adopt(
+            "repro.kernel.verify.section6_steps", verify.section6_misses,
+            table="miss",
+        )
         backend = self.backend
         registry.collector(
             "repro.backend.served",
@@ -286,7 +315,7 @@ class SimulationKernel:
                     f"{'y' if report['attempts'] == 1 else 'ies'}"
                     f" (spill {report.get('spill')})"
                 )
-        if self.verify_stats.calls:
+        if self.verify_stats.calls or self.verify_stats.section6_steps:
             segments["verify"] = str(self.verify_stats)
         served = getattr(self.backend, "served", None) or {}
         routing = ", ".join(
@@ -657,10 +686,14 @@ class PackedVerifier:
     :class:`VerifyStats`, each as the one call, realization and segment
     the predicate would have counted (no candidate has a ``⇕``
     element).
+
+    The Section 6 check (:mod:`repro.simulator.coverage`) steps the
+    test it confirmed through the same transitions, in
+    :meth:`read_detections`.
     """
 
     __slots__ = ("kernel", "stats", "scalar", "size", "table",
-                 "fault_lanes")
+                 "fault_lanes", "section6")
 
     def __init__(
         self, kernel: SimulationKernel, cases: List[FaultCase], size: int
@@ -671,6 +704,9 @@ class PackedVerifier:
         self.size = size
         self.table = TransitionTable(
             simulation, stats.table_hits, stats.table_misses
+        )
+        self.section6 = self.table.view(
+            stats.section6_hits, stats.section6_misses
         )
         # Every realization must detect every fault lane and leave the
         # fault-free reference lane 0 clear.
@@ -716,6 +752,40 @@ class PackedVerifier:
         stats.segments.inc(candidates)
         stats.accepted.inc(accepted)
         stats.rejected.inc(candidates - accepted)
+
+    def read_detections(
+        self, test: MarchTest
+    ) -> Iterator[List[Tuple[Tuple[int, int], int]]]:
+        """The fault lanes each verifying read detects, one list of
+        ``((element_index, op_index), lanes)`` per order realization of
+        ``test``, for the packed cases.
+
+        Each element is stepped once per verifying read, from the same
+        state words, with every other read of the element demoted to a
+        plain read; an element with one verifying read is its own
+        demotion.  A demoted read still executes, so every step lands
+        in the same next state.
+        """
+        step = self.section6.step
+        fault_lanes = self.fault_lanes
+        demotions: Dict[object, List[Tuple[int, object]]] = {}
+        for realization in test.concrete_order_variants():
+            words = self.table.power_up
+            detections = []
+            for element_index, element in enumerate(realization.elements):
+                reads = demotions.get(element)
+                if reads is None:
+                    reads = demotions[element] = _demotions(element)
+                if not reads:
+                    words, _ = step(words, element)
+                    continue
+                before = words
+                for op_index, demoted in reads:
+                    words, found = step(before, demoted)
+                    detections.append(
+                        ((element_index, op_index), found & fault_lanes)
+                    )
+            yield detections
 
 
 class _TracedPackedVerifier(PackedVerifier):
@@ -777,6 +847,26 @@ class _TracedPackedVerifier(PackedVerifier):
 
     def _steps(self) -> Tuple[int, int]:
         return self.stats.table_hits.value, self.stats.table_misses.value
+
+
+def _demotions(element: object) -> List[Tuple[int, object]]:
+    """Each verifying read of ``element`` (its op index) with the
+    element that keeps only that read verifying."""
+    if not isinstance(element, MarchElement):
+        return []
+    ops = element.ops
+    reads = [
+        k for k, op in enumerate(ops) if op.is_read and op.value is not None
+    ]
+    if len(reads) == 1:
+        return [(reads[0], element)]
+    plain = MarchOp("r", None)
+    return [
+        (k, MarchElement(element.order, tuple(
+            plain if j in reads and j != k else op for j, op in enumerate(ops)
+        )))
+        for k in reads
+    ]
 
 
 def concrete_realization(test: MarchTest) -> MarchTest:

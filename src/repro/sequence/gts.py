@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..memory.operations import Operation, format_sequence
 from ..memory.state import MemoryState
+from ..patterns.test_pattern import TestPattern
 from ..patterns.tpg import TestPatternGraph
 
 
@@ -115,16 +116,29 @@ class GlobalTestSequence:
         return iter(self.symbols)
 
 
+#: A :func:`build_gts` step: the state before it and the pattern, and
+#: the setup writes it emits and the state after the pattern.
+GTSStepKey = Tuple[MemoryState, TestPattern]
+GTSStep = Tuple[Tuple[Operation, ...], MemoryState]
+
+
 def build_gts(
     tpg: TestPatternGraph,
     order: Sequence[int],
     power_up: Optional[MemoryState] = None,
+    memo: Optional[Dict[GTSStepKey, GTSStep]] = None,
 ) -> GlobalTestSequence:
     """Concatenate the tour's patterns into a raw GTS.
 
     Setup writes are emitted value-grouped (both cells' writes of the
     same value adjacent) so the later cross-cell merge rules apply; this
     mirrors the reordering the paper performs in Section 4.1.
+
+    A step -- the setup writes that take ``state`` to a pattern's
+    initialization, and the state after the pattern -- is a pure
+    function of ``(state, pattern)``.  ``memo``, when given, keeps the
+    steps across calls: the generator passes one dict per
+    ``generate()``, whose selections repeat most of their steps.
     """
     if not order:
         return GlobalTestSequence([], ())
@@ -134,19 +148,31 @@ def build_gts(
     symbols: List[GTSSymbol] = []
     for position, node_index in enumerate(order):
         pattern = tpg.nodes[node_index].pattern
-        setup = sorted(
-            pattern.setup_operations(state),
-            key=lambda op: (op.value, op.cell),
-        )
+        step = None if memo is None else memo.get((state, pattern))
+        if step is None:
+            step = _step(state, pattern)
+            if memo is not None:
+                memo[state, pattern] = step
+        setup, state = step
         for op in setup:
             symbols.append(GTSSymbol(op, Role.SETUP, position))
-            state = state.apply(op)
-        state = state.merge(pattern.init)
         if pattern.excite is not None:
             symbols.append(GTSSymbol(pattern.excite, Role.EXCITE, position))
-            state = state.apply(pattern.excite)
         symbols.append(GTSSymbol(pattern.observe, Role.OBSERVE, position))
     return GlobalTestSequence(symbols, tuple(order))
+
+
+def _step(state: MemoryState, pattern: TestPattern) -> GTSStep:
+    setup = tuple(sorted(
+        pattern.setup_operations(state),
+        key=lambda op: (op.value, op.cell),
+    ))
+    for op in setup:
+        state = state.apply(op)
+    state = state.merge(pattern.init)
+    if pattern.excite is not None:
+        state = state.apply(pattern.excite)
+    return setup, state
 
 
 def gts_text(gts: GlobalTestSequence) -> str:

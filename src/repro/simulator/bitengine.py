@@ -80,6 +80,7 @@ realization enumeration in ``tests/simulator/test_ordertree.py``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -791,6 +792,13 @@ class TransitionTable:
 
     def new_state(self) -> PackedState:
         return self.simulation.new_state()
+
+    def view(self, hits: Counter, misses: Counter) -> "TransitionTable":
+        """A table over the same simulation and transitions that counts
+        its steps in ``hits`` and ``misses``."""
+        view = copy.copy(self)
+        view.hits, view.misses = hits, misses
+        return view
 
     def step(
         self, words: Tuple[int, ...], element: object

@@ -23,6 +23,15 @@ analyses are set algebra over those sets:
 * ``CM[block][column]`` is ``block in D`` on the ascending realization;
 * block ``b`` can be demoted iff every ``D`` keeps a member other than
   ``b``.
+
+On a lane-packed backend the demotion check reads the same sets as
+words, one run per lane: per realization, the lanes ``W_k`` that read
+``k`` detects, stepped through the confirm verifier's transition table
+(:meth:`~repro.kernel.kernel.PackedVerifier.read_detections`).  With
+``ones`` the lanes some read detects and ``twos`` the lanes two reads
+detect, a fault lane outside ``ones`` has an empty ``D``, and read
+``k`` is the only member of some ``D`` iff ``W_k`` meets
+``ones & ~twos``.  Cases with no packed encoding keep the scalar runs.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from ..kernel import (
     concrete_realization,
     get_default_kernel,
 )
+from ..kernel.kernel import PackedVerifier, Verifier
 from ..march.element import MarchElement
 from ..march.test import MarchTest
 from .setcover import is_exact_cover_needed, minimum_cover
@@ -180,6 +190,7 @@ def demotion_redundant_blocks(
     cases: Sequence[FaultCase],
     size: int = DEFAULT_SIZE,
     kernel: Optional[SimulationKernel] = None,
+    verifier: Optional[Verifier] = None,
 ) -> List[ElementaryBlock]:
     """Blocks whose verification can be dropped without losing coverage.
 
@@ -188,11 +199,30 @@ def demotion_redundant_blocks(
     detects every case in the worst case, i.e. when every run's
     detecting set keeps a read other than ``b``.  The runs stream until
     no block is left undecided.  An empty result means every
-    observation is load-bearing.
+    observation is load-bearing, or that some run detects nothing.
+
+    On a lane-packed kernel the packed cases are decided as words
+    through ``verifier``, the kernel's verifier over the same ``cases``
+    and ``size`` (the generator passes its confirmation predicate);
+    without a :class:`~repro.kernel.kernel.PackedVerifier` one is built.
     """
     kernel = kernel or get_default_kernel()
     blocks = elementary_blocks(test)
     undecided = {block.key for block in blocks}
+    if kernel.backend.lane_packed:
+        if not isinstance(verifier, PackedVerifier) or verifier.size != size:
+            verifier = PackedVerifier(kernel, list(cases), size)
+        fault_lanes = verifier.fault_lanes
+        for detections in verifier.read_detections(test):
+            ones = twos = 0
+            for _, lanes in detections:
+                twos |= ones & lanes
+                ones |= lanes
+            if not undecided or ones != fault_lanes:
+                return []
+            once = ones & ~twos
+            undecided -= {key for key, lanes in detections if lanes & once}
+        cases = verifier.scalar
     for fault_case in cases:
         for detected in kernel.read_detections(
             test, fault_case.variants, size
@@ -211,6 +241,7 @@ def is_non_redundant(
     cases: Sequence[FaultCase],
     size: int = DEFAULT_SIZE,
     kernel: Optional[SimulationKernel] = None,
+    verifier: Optional[Verifier] = None,
 ) -> bool:
     """True when no single observation can be demoted (Section 6)."""
-    return not demotion_redundant_blocks(test, cases, size, kernel)
+    return not demotion_redundant_blocks(test, cases, size, kernel, verifier)

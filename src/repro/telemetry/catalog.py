@@ -32,6 +32,8 @@ CATALOG: Dict[str, str] = {
     "repro.kernel.verify.segments": "run_variant segment runs behind them",
     "repro.kernel.verify.table_hits": "element steps the transition table answered",
     "repro.kernel.verify.table_misses": "element steps that ran the packed engine",
+    "repro.kernel.verify.section6_steps":
+        "Section 6 element steps through the same table, by hit or miss",
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
     "repro.backend.detect.seconds": "backend batch latency histogram",

@@ -64,6 +64,46 @@ class TestTable3:
         assert report.verified
 
 
+NO_SHORTER = "no shorter test within the grammar (search completed)"
+
+#: Each Table 3 row's whole output at the generator's defaults: the
+#: test, its GTS, the notes and the catalog match (every row is
+#: verified and non-redundant).
+TABLE3_OUTPUTS = [
+    (("SAF",), "{⇕(w0,r0,w1,r1)}", "w0i, r0i, w1i, r1i", [NO_SHORTER],
+     "MATS (4n)"),
+    (("SAF", "TF"), "{⇕(w1,w0,r0,w1,r1)}", "w1i, w0i, r0i, w1i, r1i",
+     [NO_SHORTER], None),
+    (("SAF", "TF", "ADF"), "{⇕(w1); ⇓(r1,w0); ⇑(r0,w1,r1)}",
+     "w1i, w1j, w0j, r1i, w0i, w1i, r0j, w0i, r0i, w1i, r1i", [],
+     "MATS++ (6n)"),
+    (("SAF", "TF", "ADF", "CFIN"), "{⇑(w1,w0); ⇓(r0,w1); ⇑(r1,w0)}",
+     "w0i, w1i, r1i, w0j, w0i, r0j, w1j, r0i, w0j, r0i, w1i, r0j, w1j,"
+     " r1i, w0i, r0i", [], "MarchX (6n)"),
+    (("SAF", "TF", "ADF", "CFIN", "CFID"),
+     "{⇕(w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇑(r0,w1); ⇕(r1)}",
+     "w1i, w1j, w0j, r1i, w1j, r1i, w0i, r1j, w0j, r0i, w1i, r0j, w0i,"
+     " r0j, w1j, r0i, w1i, r1j, w0i, r0i, w1i, r1i", [], "MarchC- (10n)"),
+    (("CFIN",), "{⇕(w1); ⇕(r1,w0,w1); ⇕(r1)}",
+     "w1i, w1j, w0j, r1i, w1j, w0i, r1j, w0j, w1j, r0i, w0j, w1i, r0j",
+     [], None),
+]
+
+
+@pytest.mark.parametrize(
+    "names,test,gts,notes,equivalent", TABLE3_OUTPUTS,
+    ids=["+".join(row[0]) for row in TABLE3_OUTPUTS],
+)
+def test_table3_outputs_are_pinned(names, test, gts, notes, equivalent):
+    report = generate(*names)
+    assert str(report.test) == test
+    assert str(report.gts) == gts
+    assert report.notes == notes
+    assert report.verified is True
+    assert report.non_redundant is True
+    assert report.equivalent_known == equivalent
+
+
 class TestReportInvariants:
     def test_generated_test_detects_its_fault_list(self):
         faults = FaultList.from_names("SAF", "TF")

@@ -8,6 +8,7 @@ before the memo -- and pin the Table 3 tours.
 """
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -18,6 +19,7 @@ from repro.atsp.solver import solve_path
 from repro.core.generator import SelectionTours, _uniform_init
 from repro.faults import FaultList
 from repro.patterns.tpg import TestPatternGraph
+from repro.sequence.gts import build_gts
 
 TABLE3 = [
     (("SAF",), (1, 0)),
@@ -89,6 +91,57 @@ def test_ablation_configs_match_the_facade(config):
     generator = FacadeChecking(config)
     generator.generate(FaultList.from_names("SAF", "TF", "ADF", "CFIN"))
     assert generator.checked >= 1
+
+
+class GTSChecking(MarchTestGenerator):
+    """Checks every selection's GTS built through the call's shared
+    step memo against a build with no memo."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.checked = 0
+
+    def _attempt(self, selection, verify, tours):
+        tpg = TestPatternGraph(weight_mode=self.config.weight_mode)
+        for class_name, pattern in selection.choices:
+            tpg.add(pattern, class_name)
+        order = tours.solve([node.pattern for node in tpg.nodes])
+        shared = build_gts(tpg, order, memo=tours.gts_steps)
+        alone = build_gts(tpg, order)
+        assert shared.symbols == alone.symbols, selection
+        assert shared.tour == alone.tour
+        self.checked += 1
+        return super()._attempt(selection, verify, tours)
+
+
+@pytest.mark.parametrize(
+    "names", [names for names, _ in TABLE3],
+    ids=["+".join(names) for names, _ in TABLE3],
+)
+def test_every_selection_gts_matches_a_memo_less_build(names):
+    generator = GTSChecking()
+    generator.generate(FaultList.from_names(*names))
+    assert generator.checked >= 1
+
+
+def test_generate_keeps_no_gts_memo(monkeypatch):
+    """Every selection of one call shares one step memo, and only the
+    caller's own reference to it outlives ``generate()``."""
+    memos = []
+    original = generator_module.build_gts
+
+    def recording(tpg, order, memo=None):
+        if not any(memo is seen for seen in memos):
+            memos.append(memo)
+        return original(tpg, order, memo=memo)
+
+    monkeypatch.setattr(generator_module, "build_gts", recording)
+    MarchTestGenerator().generate(FaultList.from_names("SAF", "TF", "ADF"))
+    # Counted before any assert: a rewritten assert keeps its operands.
+    references = sys.getrefcount(memos[0])
+    assert len(memos) == 1 and len(memos[0]) > 0
+    # One reference from ``memos``, one from getrefcount's argument.
+    assert references == 2
 
 
 def test_finished_selection_loop_leaves_no_live_memo(monkeypatch):

@@ -224,7 +224,29 @@ class TestAnalyze:
         assert main(["analyze", "MarchC", "SAF", "TF", "CFIN", "CFID"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "block analysis   : redundant (6 elementary blocks)" in lines
-        assert "redundant blocks : block2[elem3:⇑ op0:r0]" in lines
+        assert "redundant blocks : block2[elem3:⇕ op0:r0]" in lines
+
+    @pytest.mark.parametrize("size", ["3", "4"])
+    def test_a_read_only_the_descending_realization_needs_is_kept(
+        self, capsys, size
+    ):
+        """CFIN+SOF's generated test: under the ascending realization
+        alone (the Coverage Matrix) the ``r0`` of the second element
+        looks redundant, but demoting it fails the verifier."""
+        test = "{any(w1); any(r1,w0,r0,w1); any(r1)}"
+        assert main(["analyze", test, "CFIN", "SOF", "--size", size,
+                     "--sim-stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "covers all cases : True" in lines
+        assert "block analysis   : non-redundant (3 elementary blocks)" in lines
+        assert not [line for line in lines if "redundant blocks" in line]
+        (stats,) = [line for line in lines if line.startswith("simulation ")]
+        assert "; section 6: " in stats
+
+    def test_a_test_that_misses_faults_has_no_block_verdict(self, capsys):
+        assert main(["analyze", "MATS", "SAF", "TF"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "block analysis   : incomplete (2 elementary blocks)" in lines
 
 
 class TestDiagnose:
