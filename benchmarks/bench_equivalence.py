@@ -16,16 +16,14 @@ def test_selection_space_formula():
     assert selection_space_size(faults.classes()) == 2 ** 4  # E = prod |Ci|
 
 
-def _generate(enumerate_classes: bool):
-    config = GeneratorConfig(
-        equivalence_enumeration=enumerate_classes,
-    )
-    return MarchTestGenerator(config).generate(FaultList.from_names("CFIN"))
+def _generate(**config):
+    generator = MarchTestGenerator(GeneratorConfig(**config))
+    return generator.generate(FaultList.from_names("CFIN"))
 
 
 def test_with_enumeration(benchmark):
     report = benchmark.pedantic(
-        _generate, args=(True,), rounds=1, iterations=1, warmup_rounds=0
+        _generate, rounds=1, iterations=1, warmup_rounds=0
     )
     assert report.verified
     assert report.complexity == 5
@@ -33,8 +31,10 @@ def test_with_enumeration(benchmark):
 
 
 def test_without_enumeration(benchmark):
+    # One selection: the single greedy one.
     report = benchmark.pedantic(
-        _generate, args=(False,), rounds=1, iterations=1, warmup_rounds=0
+        _generate, kwargs={"selection_limit": 1}, rounds=1, iterations=1,
+        warmup_rounds=0,
     )
     assert report.verified
     assert report.selections_explored == 1

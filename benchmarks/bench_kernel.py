@@ -266,7 +266,7 @@ def measure_any_order_tree(repeats=3):
     def enumerate_all(test):
         agreed = simulation.full
         for variant in test.concrete_order_variants():
-            agreed &= simulation.run_variant(variant)
+            agreed &= simulation.run_variant(variant)[1]
         return agreed
 
     def walk_all(test):

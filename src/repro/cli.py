@@ -102,11 +102,10 @@ def _maybe_print_stats(args: argparse.Namespace, kernel: SimulationKernel) -> No
 def cmd_generate(args: argparse.Namespace) -> int:
     telemetry = _telemetry_for(args)
     config = GeneratorConfig(
-        equivalence_enumeration=not args.no_equivalence,
         prefer_uniform_start=not args.no_start_constraint,
         tighten=not args.no_tighten,
         polish=not args.no_polish,
-        selection_limit=args.selection_limit,
+        selection_limit=1 if args.no_equivalence else args.selection_limit,
         backend=args.backend,
         store_path=args.store,
         store_readonly=args.store_readonly,

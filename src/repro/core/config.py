@@ -24,12 +24,9 @@ class GeneratorConfig:
         Apply the f.4.4 optimization: restrict tours to start at test
         patterns whose initialization is compatible with the all-0 /
         all-1 state.  Falls back to unrestricted when infeasible.
-    equivalence_enumeration:
-        Enumerate the Section 5 equivalence-class selections (up to
-        ``selection_limit`` combinations); when off, a single greedy
-        selection is used.
     selection_limit:
-        Maximum number of class-member selections explored.
+        Maximum number of Section 5 equivalence-class selections
+        explored; 1 keeps the single greedy selection.
     atsp_method:
         Method forwarded to :func:`repro.atsp.solve_path`.
     tighten:
@@ -49,8 +46,6 @@ class GeneratorConfig:
         budget allows.
     polish_budget:
         Maximum candidates the polish phase may simulate.
-    polish_max_elements:
-        Element-count cap of the polish search grammar.
     weight_mode:
         TPG edge cost: ``"hamming"`` (f.4.1) or ``"uniform"`` (ablation).
     backend:
@@ -66,8 +61,6 @@ class GeneratorConfig:
         raise ``ValueError`` at construction time.  See
         :mod:`repro.kernel.backends` and the README section "Choosing
         a backend".
-    sim_cache_size:
-        Bound of the kernel's fault-dictionary cache (LRU beyond it).
     store_path:
         Path of the persistent fault-dictionary store
         (:mod:`repro.store`), layered under the in-memory cache so
@@ -86,7 +79,6 @@ class GeneratorConfig:
     verify_size: int = 2
     confirm_size: int = 3
     prefer_uniform_start: bool = True
-    equivalence_enumeration: bool = True
     selection_limit: int = 128
     atsp_method: str = "auto"
     tighten: bool = True
@@ -95,10 +87,8 @@ class GeneratorConfig:
     check_redundancy: bool = True
     polish: bool = True
     polish_budget: int = 30000
-    polish_max_elements: int = 7
     weight_mode: str = "hamming"
     backend: str = "bitparallel"
-    sim_cache_size: int = 1_000_000
     store_path: Optional[str] = None
     store_readonly: bool = False
     # Typed loosely (Any-ish via Optional[object]) on purpose: core

@@ -51,6 +51,10 @@ from .report import GenerationReport
 from .selection import Selection, enumerate_selections, selection_space_size
 
 
+#: Element-count cap of the polish search grammar.
+POLISH_MAX_ELEMENTS = 7
+
+
 class GenerationError(RuntimeError):
     """Raised when no verified March test could be produced."""
 
@@ -179,7 +183,7 @@ class MarchTestGenerator:
         found = exhaustive_search(
             verify,
             max_complexity=best.test.complexity - 1,
-            max_elements=config.polish_max_elements,
+            max_elements=POLISH_MAX_ELEMENTS,
             min_complexity=lower_bound,
             budget=config.polish_budget,
             stats=stats,
@@ -218,14 +222,13 @@ class MarchTestGenerator:
         exactly as long as this loop.
         """
         config = self.config
-        limit = config.selection_limit if config.equivalence_enumeration else 1
         tours = SelectionTours(
             config.weight_mode, config.prefer_uniform_start, config.atsp_method
         )
         attempts: List[_Attempt] = []
         seen_pattern_sets: Set[frozenset] = set()
         explored = 0
-        for selection in enumerate_selections(classes, limit):
+        for selection in enumerate_selections(classes, config.selection_limit):
             explored += 1
             pattern_set = frozenset(p.key() for p in selection.patterns)
             if pattern_set in seen_pattern_sets:

@@ -27,13 +27,17 @@ variant must be caught).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
 from ..simulator.bitengine import PackedSimulation, pack_cases
 from ..simulator.engine import run_march
+
+#: A routed case list: each case's route (``True``: packed) and the
+#: simulation of the packable cases, if any.
+_Plan = Tuple[Tuple[bool, ...], Optional[PackedSimulation]]
 
 
 def worst_case_detects(
@@ -115,8 +119,9 @@ class BitParallelBackend(SerialBackend):
     inherited scalar serial evaluation; ``served`` records how many
     cases each side handled.
 
-    Packed simulations are cached per (case names, size) -- case names
-    are the repository-wide canonical fault identity -- so every test
+    Each (case names, size) pair -- case names are the repository-wide
+    canonical fault identity -- is routed and packed once, by one
+    :func:`~repro.simulator.bitengine.pack_cases` call, so every test
     of a batched sweep, and the single-case probes of ``dominates``,
     reuse one lane plan.  The generator's verifier does not come
     through here: with ``lane_packed`` set,
@@ -131,60 +136,35 @@ class BitParallelBackend(SerialBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._simulations: "OrderedDict[Tuple, PackedSimulation]" = (
-            OrderedDict()
-        )
-        # Per case-name tuple, each case's route: one split per sweep.
-        self._routes: "OrderedDict[Tuple, Tuple[bool, ...]]" = OrderedDict()
+        #: (case names, size) -> (each case's route, the simulation of
+        #: the packable cases or ``None`` when there are none).
+        self._plans: "OrderedDict[Tuple, _Plan]" = OrderedDict()
 
-    def _route(
-        self, cases: Sequence[FaultCase], names: Tuple, size: int
-    ) -> Tuple[bool, ...]:
-        """Route ``cases`` and memoize the simulation of the packable
-        ones, built in the same pass (each variant instantiated once)."""
-        simulation, scalar, routes = pack_cases(cases, size)
-        if len(scalar) < len(cases):
-            packed = tuple([n for n, packs in zip(names, routes) if packs])
-            self._memo(self._simulations, (packed, size), lambda: simulation)
-        return routes
-
-    def _memo(self, table: OrderedDict, key: Tuple, build: Callable) -> Any:
-        """``table[key]``, built on a miss (LRU of PLAN_CACHE_SIZE)."""
-        value = table.get(key)
-        if value is None:
-            value = table[key] = build()
-            while len(table) > self.PLAN_CACHE_SIZE:
-                table.popitem(last=False)
+    def _plan(self, cases: Sequence[FaultCase], size: int) -> _Plan:
+        key = (tuple([case.name for case in cases]), size)
+        plans = self._plans
+        plan = plans.get(key)
+        if plan is None:
+            simulation, scalar, routes = pack_cases(cases, size)
+            plan = plans[key] = (
+                routes, simulation if len(scalar) < len(cases) else None
+            )
+            if len(plans) > self.PLAN_CACHE_SIZE:
+                plans.popitem(last=False)
         else:
-            table.move_to_end(key)
-        return value
+            plans.move_to_end(key)
+        return plan
 
     def detect_batch(
         self, cases: Sequence[FaultCase], test: MarchTest, size: int
     ) -> List[bool]:
-        names = tuple([case.name for case in cases])
-        routes = self._memo(
-            self._routes, names, lambda: self._route(cases, names, size)
-        )
-        if all(routes):
-            packable, scalar = cases, ()
-        else:
-            packable = [case for case, packs in zip(cases, routes) if packs]
-            scalar = [case for case, packs in zip(cases, routes) if not packs]
-            names = tuple([case.name for case in packable])
-        packed = (
-            self._memo(
-                self._simulations, (names, size),
-                lambda: PackedSimulation(packable, size),
-            ).worst_case_verdicts(test)
-            if packable else []
-        )
-        fallback = iter(
-            super().detect_batch(scalar, test, size) if scalar else ()
-        )
-        self.count_served(self.name, len(packable))
-        if not scalar:
+        routes, simulation = self._plan(cases, size)
+        packed = simulation.worst_case_verdicts(test) if simulation else []
+        self.count_served(self.name, len(packed))
+        if len(packed) == len(cases):
             return packed
+        scalar = [case for case, packs in zip(cases, routes) if not packs]
+        fallback = iter(super().detect_batch(scalar, test, size))
         packed = iter(packed)
         return [next(packed if packs else fallback) for packs in routes]
 

@@ -277,7 +277,6 @@ class SimulationKernel:
         """Build a kernel from a :class:`~repro.core.config.GeneratorConfig`."""
         return cls(
             backend=config.backend,
-            cache_size=config.sim_cache_size,
             store=config.store_path,
             store_readonly=config.store_readonly,
             telemetry=config.telemetry,

@@ -49,22 +49,23 @@ read 21, however many lanes the plan carries.
 Unknown instance types (user-defined faults, composite multi-defect
 injections) are conservatively unpackable: a subclass may override any
 behavioural hook, so only exactly-known types are encoded.
-:func:`lane_packable_case` is the partition predicate;
-:func:`pack_cases` routes a case list and encodes its packable cases
-in one pass, and the ``bitparallel`` kernel backend routes unpackable
-cases to the scalar serial engine (see :mod:`repro.kernel.backends`).
+:func:`pack_cases` routes a case list by that rule and encodes its
+packable cases in one pass, and the ``bitparallel`` kernel backend
+routes unpackable cases to the scalar serial engine (see
+:mod:`repro.kernel.backends`).
 
 Order realizations
 ------------------
-A run carries its packed memory in a :class:`PackedState` (the
-``value``/``defined`` words plus the SOF latch word), and
-:meth:`PackedSimulation.run_variant` can start a segment from a given
-state and leave its end state there.  :meth:`PackedSimulation.
-worst_case_verdicts` uses that to walk a test's ``⇕`` realizations as
-one shared-prefix tree (:mod:`repro.simulator.ordertree`): fixed-order
-runs execute once per tree node, states fork only at ``⇕`` elements,
-and equal (state, detected) nodes merge.  The scalar engine keeps
-enumerating every realization as the reference.
+A packed state is one immutable tuple of :data:`Words`: the ``value``
+words, the ``defined`` words, then the SOF latch word.
+:meth:`PackedSimulation.run_variant` runs a segment from given words
+(default :attr:`~PackedSimulation.power_up`) and returns its end words
+with its detected mask.  :meth:`PackedSimulation.worst_case_verdicts`
+uses that to walk a test's ``⇕`` realizations as one shared-prefix
+tree (:mod:`repro.simulator.ordertree`): fixed-order runs execute once
+per tree node, the UP and DOWN branch of a ``⇕`` element start from
+the same words, and equal (step, words, detected) nodes merge.  The
+scalar engine keeps enumerating every realization as the reference.
 
 A run is a pure function of the state words and the elements, so a
 :class:`TransitionTable` over a simulation can memoize it element by
@@ -126,6 +127,10 @@ OTHER, OWN, AND, OR = range(4)
 
 #: Single-cell rule masks of one cell keyed by rule shape.
 _Rules = Dict[Tuple[int, bool, bool], int]
+
+#: The packed state of a run: the ``value`` words of cells ``0..n-1``,
+#: their ``defined`` words, then the per-lane SOF latch word.
+Words = Tuple[int, ...]
 
 
 class UnpackableFaultError(TypeError):
@@ -402,15 +407,6 @@ def _packable(instances: Sequence[object]) -> bool:
     return all(type(instance) in _ENCODERS for instance in instances)
 
 
-def lane_packable_case(case: FaultCase) -> bool:
-    """True when every behavioural variant of ``case`` can be packed.
-
-    The partition predicate of the ``bitparallel`` backend: packable
-    cases share one packed run, the rest route to the scalar engine.
-    """
-    return _packable(_instances(case))
-
-
 def pack_cases(
     cases: Sequence[FaultCase], size: int
 ) -> Tuple["PackedSimulation", List[FaultCase], Tuple[bool, ...]]:
@@ -435,38 +431,6 @@ def pack_cases(
         else:
             unpackable.append(case)
     return PackedSimulation(packable, size, lanes), unpackable, tuple(routes)
-
-
-class PackedState:
-    """Mutable packed memory of one run: per-cell ``value``/``defined``
-    words plus the per-lane SOF sense-amplifier ``latch`` word."""
-
-    __slots__ = ("value", "defined", "latch")
-
-    def __init__(self, value: List[int], defined: List[int],
-                 latch: int) -> None:
-        self.value = value
-        self.defined = defined
-        self.latch = latch
-
-    def copy(self) -> "PackedState":
-        return PackedState(self.value[:], self.defined[:], self.latch)
-
-    def key(self, detected: int) -> Tuple[int, ...]:
-        """Hashable identity of this state plus a detected mask."""
-        return (*self.value, *self.defined, self.latch, detected)
-
-    def words(self) -> Tuple[int, ...]:
-        """The state as one tuple: ``value`` words, ``defined`` words,
-        then the latch."""
-        return (*self.value, *self.defined, self.latch)
-
-    def load(self, words: Tuple[int, ...]) -> None:
-        """Overwrite this state with a :meth:`words` tuple."""
-        n = len(self.value)
-        self.value[:] = words[:n]
-        self.defined[:] = words[n:2 * n]
-        self.latch = words[-1]
 
 
 class PackedSimulation:
@@ -518,36 +482,33 @@ class PackedSimulation:
             self.lane_cases += [case_index] * len(variants)
         self.plan = plan
         self.full = plan.full
+        #: The state words of a fresh memory: every cell undefined, the
+        #: SOF latches at their power-up content.
+        self.power_up: Words = (0,) * (2 * size) + (plan.sof_latch_init,)
 
     # -- execution --------------------------------------------------------------
 
-    def new_state(self) -> PackedState:
-        """The power-up state: every cell undefined, latches at init."""
-        n = self.size
-        return PackedState([0] * n, [0] * n, self.plan.sof_latch_init)
-
     def run_variant(
-        self, test: MarchTest, state: Optional[PackedState] = None
-    ) -> int:
-        """Run one concrete order realization; return the detected mask.
+        self, test: MarchTest, words: Optional[Words] = None
+    ) -> Tuple[Words, int]:
+        """Run one concrete order realization from ``words`` (default
+        :attr:`power_up`): ``(end state words, detected mask)``.
 
-        Bit ``L`` of the result is set when lane ``L`` observed at
-        least one verifying read whose definite value differed from the
+        Bit ``L`` of the mask is set when lane ``L`` observed at least
+        one verifying read whose definite value differed from the
         expectation -- exactly the scalar engine's ``MarchRun.detected``
         per lane.  Bit 0 (the fault-free reference) only sets for
         malformed tests expecting values the good machine never holds.
-
-        With ``state``, ``test`` is a segment of a realization: the run
-        starts from that state instead of the power-up one, leaves its
-        final state in it, and returns only the segment's detections.
+        From a state other than power-up, ``test`` is a segment of a
+        realization, and the mask holds only the segment's detections.
         """
-        if state is None:
-            state = self.new_state()
+        if words is None:
+            words = self.power_up
         plan = self.plan
         n = self.size
         full = plan.full
-        value = state.value
-        defined = state.defined
+        value = list(words[:n])
+        defined = list(words[n:2 * n])
         detected = 0
         stuck0, stuck1 = plan.stuck0, plan.stuck1
         dead0, dead1 = plan.dead0, plan.dead1
@@ -557,7 +518,7 @@ class PackedSimulation:
         read_rules, read_sources = plan.read_rules, plan.read_sources
         read_routed, cf_read = plan.read_routed, plan.cf_read
         sof_lanes = plan.sof_lanes
-        latch = state.latch
+        latch = words[-1]
         for element in test.elements:
             if isinstance(element, DelayElement):
                 for (cell, old), mask in plan.wait_rules.items():
@@ -708,8 +669,7 @@ class PackedSimulation:
                     if v is not None:
                         expected = full if v else 0
                         detected |= (reported ^ expected) & reported_def
-        state.latch = latch
-        return detected
+        return (*value, *defined, latch), detected
 
     def worst_case_verdicts(self, test: MarchTest) -> List[bool]:
         """Worst-case detection verdict per case, in input order.
@@ -756,15 +716,15 @@ class TransitionTable:
     once.
 
     The lane plan is read-only, so running one march element is a pure
-    function of the packed state words ``(value, defined, latch)`` and
-    the element.  The table maps ``(state words, element)`` to ``(next
-    state words, detected mask)`` and offers the walk's engine protocol
-    (``new_state()``, ``run_variant(segment, state)``,
-    :mod:`repro.simulator.ordertree`): a segment steps one element at a
-    time through :meth:`step`, and only a pair not seen before runs the
-    engine, as one :meth:`PackedSimulation.run_variant` over that
-    element.  A caller that carries the state words itself, like the
-    minimality search down its grammar tree, calls :meth:`step`
+    function of the packed state :data:`Words` and the element.  The
+    table maps ``(words, element)`` to ``(next words, detected mask)``
+    and offers the engine's protocol (``power_up``,
+    ``run_variant(segment, words)``, as the walk of
+    :mod:`repro.simulator.ordertree` uses it): a segment steps one
+    element at a time through :meth:`step`, and only a pair not seen
+    before runs the engine, as one :meth:`PackedSimulation.run_variant`
+    over that element.  A caller that carries the words itself, like
+    the minimality search down its grammar tree, calls :meth:`step`
     directly.
 
     It pays where candidates share states: the minimality search's
@@ -780,18 +740,12 @@ class TransitionTable:
         misses: Optional[Counter] = None,
     ) -> None:
         self.simulation = simulation
-        self.transitions: Dict[
-            Tuple[Tuple[int, ...], object], Tuple[Tuple[int, ...], int]
-        ] = {}
+        self.transitions: Dict[Tuple[Words, object], Tuple[Words, int]] = {}
         #: Element steps answered from the table, and those that ran
         #: the engine (the verifier passes its ``VerifyStats`` series).
         self.hits = hits if hits is not None else Counter()
         self.misses = misses if misses is not None else Counter()
-        #: The state words of a fresh memory.
-        self.power_up = simulation.new_state().words()
-
-    def new_state(self) -> PackedState:
-        return self.simulation.new_state()
+        self.power_up = simulation.power_up
 
     def view(self, hits: Counter, misses: Counter) -> "TransitionTable":
         """A table over the same simulation and transitions that counts
@@ -800,9 +754,7 @@ class TransitionTable:
         view.hits, view.misses = hits, misses
         return view
 
-    def step(
-        self, words: Tuple[int, ...], element: object
-    ) -> Tuple[Tuple[int, ...], int]:
+    def step(self, words: Words, element: object) -> Tuple[Words, int]:
         """Run ``element`` from the state ``words``: ``(next state
         words, detected mask)``, from the table when the pair was seen
         before."""
@@ -813,41 +765,28 @@ class TransitionTable:
         return step
 
     def run_variant(
-        self, test: MarchTest, state: Optional[PackedState] = None
-    ) -> int:
+        self, test: MarchTest, words: Optional[Words] = None
+    ) -> Tuple[Words, int]:
         """:meth:`PackedSimulation.run_variant`, one :meth:`step` per
         element."""
-        words = self.power_up if state is None else state.words()
+        if words is None:
+            words = self.power_up
         step = self.step
         detected = 0
         for element in test.elements:
             words, found = step(words, element)
             detected |= found
-        if state is not None:
-            state.load(words)
-        return detected
+        return words, detected
 
-    def _miss(
-        self, words: Tuple[int, ...], element: object
-    ) -> Tuple[Tuple[int, ...], int]:
-        simulation = self.simulation
-        state = simulation.new_state()
-        state.load(words)
+    def _miss(self, words: Words, element: object) -> Tuple[Words, int]:
         # Through the class attribute, so a wrapped engine (a profiler,
         # a run counter) sees every run the table makes.
-        found = PackedSimulation.run_variant(
-            simulation, MarchTest((element,)), state
+        step = PackedSimulation.run_variant(
+            self.simulation, MarchTest((element,)), words
         )
         transitions = self.transitions
         if len(transitions) >= TRANSITION_TABLE_LIMIT:
             transitions.clear()
-        step = transitions[(words, element)] = (state.words(), found)
+        transitions[(words, element)] = step
         self.misses.inc()
         return step
-
-
-def packed_detects(
-    test: MarchTest, cases: Sequence[FaultCase], size: int
-) -> List[bool]:
-    """One-shot worst-case verdicts for lane-packable ``cases``."""
-    return PackedSimulation(cases, size).worst_case_verdicts(test)

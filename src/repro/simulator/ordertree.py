@@ -9,27 +9,26 @@ memory:
 
 * each maximal run of fixed-order elements is one segment, run once
   per tree node (:meth:`~repro.march.test.MarchTest.order_segments`);
-* the packed memory state is copied only where a ``⇕`` element forks
-  it into its UP and DOWN branch, so a walk holds at most one state
-  per ``⇕`` element on the current path, plus one;
-* a node whose key ``(step index, state words, latch, prefix-detected)``
-  was already walked is skipped.  That is exact: equal states have
-  equal suffixes, so the skipped subtree's leaves are the walked ones,
-  and the AND over leaves of ``prefix | suffix`` is
-  ``prefix | AND(suffix)``.
+* the packed state is an immutable word tuple, so the UP and DOWN
+  branch of a ``⇕`` element both start from the same words, and no
+  state is ever copied;
+* a node whose key ``(step index, words, prefix-detected)`` was already
+  walked is skipped.  That is exact: equal states have equal suffixes,
+  so the skipped subtree's leaves are the walked ones, and the AND over
+  leaves of ``prefix | suffix`` is ``prefix | AND(suffix)``.
 
 The walk is depth-first with UP before DOWN, so its first leaf is the
 all-UP realization and a caller can stop at any leaf.  The packed
 engine (:class:`~repro.simulator.bitengine.PackedSimulation`, or a
 :class:`~repro.simulator.bitengine.TransitionTable` over one) supplies
-``new_state()``, ``run_variant(segment, state)`` and states with
-``copy()`` and ``key(detected)``; the scalar engine keeps enumerating
-realizations as the reference oracle.
+``power_up`` and ``run_variant(segment, words) -> (words, detected)``;
+the scalar engine keeps enumerating realizations as the reference
+oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Set
+from typing import Any, Callable, NamedTuple, Set, Tuple
 
 from ..march.test import MarchTest
 
@@ -46,52 +45,43 @@ class Walk(NamedTuple):
 
 
 def walk_realizations(
-    simulation: Any, test: MarchTest, visit: Callable[[Any], Any]
+    engine: Any, test: MarchTest, visit: Callable[[int], Any]
 ) -> Walk:
     """Call ``visit(detected)`` on the detected mask of each distinct
     realization leaf of ``test``; stop at the first leaf where it
     returns true.
 
     A test without ``⇕`` elements costs exactly one plain
-    ``simulation.run_variant(test)``, with no key building and no copy.
+    ``engine.run_variant(test)``, with no key building.
     """
     steps = test.order_segments()
     if len(steps) == 1 and len(steps[0]) == 1:
         # No ⇕ element: one plain run.  ``descend`` would give the same
         # walk, but this is every candidate of the minimality search,
-        # and its closure, state and bookkeeping cost ~10% per call.
-        return Walk(bool(visit(simulation.run_variant(test))), 1, 1)
+        # and its closure and bookkeeping cost ~10% per call.
+        return Walk(bool(visit(engine.run_variant(test)[1])), 1, 1)
     last = len(steps) - 1
-    seen: Set[Any] = set()
+    seen: Set[Tuple[int, Any, int]] = set()
     leaves = segments = 0
 
-    def descend(index: int, state: Any, detected: Any) -> bool:
+    def descend(index: int, words: Any, detected: int) -> bool:
         nonlocal leaves, segments
-        alternatives = steps[index]
-        final = len(alternatives) - 1
-        for position, segment in enumerate(alternatives):
-            if state is None:
-                branch = simulation.new_state()
-            elif position == final:
-                branch = state
-            else:
-                branch = state.copy()
-            reached = detected | simulation.run_variant(segment, branch)
+        for segment in steps[index]:
+            reached, found = engine.run_variant(segment, words)
+            found |= detected
             segments += 1
             if index == last:
                 leaves += 1
-                if visit(reached):
+                if visit(found):
                     return True
                 continue
-            key = (index, branch.key(reached))
+            key = (index, reached, found)
             if key in seen:
                 continue
             seen.add(key)
-            if descend(index + 1, branch, reached):
+            if descend(index + 1, reached, found):
                 return True
         return False
 
-    # The power-up root is made per branch, so a leading ⇕ element
-    # forks it without a live copy.
-    stopped = descend(0, None, 0)
+    stopped = descend(0, engine.power_up, 0)
     return Walk(stopped, leaves, segments)

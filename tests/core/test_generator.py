@@ -152,7 +152,7 @@ class TestReportInvariants:
 
 class TestConfigurations:
     def test_without_equivalence_enumeration(self):
-        report = generate("SAF", equivalence_enumeration=False)
+        report = generate("SAF", selection_limit=1)
         assert report.verified
         assert report.selections_explored == 1
 

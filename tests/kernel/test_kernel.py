@@ -154,13 +154,20 @@ class TestBitParallelBackend:
         backend.PLAN_CACHE_SIZE = 2
         cases = saf_list.instances(3)
         backend.detect_batch(cases, MATS, 3)
-        first = next(iter(backend._simulations.values()))
+        first = next(iter(backend._plans.values()))
         backend.detect_batch(cases, MARCH_C_MINUS, 3)
         # Same (case names, size) key: the packed plan is reused.
-        assert first in backend._simulations.values()
+        assert list(backend._plans.values()) == [first]
+        # The same case names at another size are another plan.
+        probe = [cases[0]]
+        backend.detect_batch(probe, MATS, 3)
+        backend.detect_batch(probe, MATS, 4)
+        (_, at3), (_, at4) = list(backend._plans.values())
+        assert (at3.size, at4.size) == (3, 4)
+        assert at3.cases == at4.cases == (cases[0],)
         for size in (2, 4, 5):
             backend.detect_batch(saf_list.instances(size), MATS, size)
-        assert len(backend._simulations) <= 2
+        assert len(backend._plans) <= 2
 
     def test_single_probe_batches_work(self, saf_list):
         # The generator's verifier sends batches of one; the packed

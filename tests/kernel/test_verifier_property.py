@@ -40,7 +40,7 @@ from repro.simulator import bitengine
 from repro.simulator.bitengine import (
     PackedSimulation,
     TransitionTable,
-    lane_packable_case,
+    pack_cases,
 )
 from repro.store import FaultDictionaryStore
 
@@ -162,7 +162,7 @@ def test_packed_detection_matrix_agrees_with_serial(models, size, tests):
 
 def test_custom_cases_ride_the_scalar_remainder():
     cases = custom_cases(3)
-    assert not any(lane_packable_case(c) for c in cases)
+    assert not any(pack_cases(cases, 3)[2])
     kernel = SimulationKernel(backend="bitparallel")
     verify = kernel.verifier(
         FaultList.from_names("SAF").instances(3) + cases, 3
@@ -258,13 +258,6 @@ def concrete_tests():
     return tests
 
 
-def direct_run(simulation, elements):
-    """The state and detected mask of one plain engine run."""
-    state = simulation.new_state()
-    detected = simulation.run_variant(MarchTest(elements), state)
-    return state, detected
-
-
 def test_table_hits_reach_the_direct_state():
     size = 3
     simulation = PackedSimulation(
@@ -280,14 +273,15 @@ def test_table_hits_reach_the_direct_state():
         # table reached mid-test.
         elements = test.elements
         split = len(elements) // 2
-        state = table.new_state()
-        detected = table.run_variant(MarchTest(elements[:split] or elements),
-                                     state)
+        words, detected = table.run_variant(
+            MarchTest(elements[:split] or elements)
+        )
         if split:
-            detected |= table.run_variant(MarchTest(elements[split:]), state)
-        direct, direct_detected = direct_run(simulation, elements)
-        assert state.key(detected) == direct.key(direct_detected), str(test)
-        assert table.run_variant(test) == direct_detected
+            words, found = table.run_variant(MarchTest(elements[split:]), words)
+            detected |= found
+        direct = simulation.run_variant(test)
+        assert (words, detected) == direct, str(test)
+        assert table.run_variant(test) == direct
     assert table.misses.value == misses
     assert table.hits.value > 0
 
@@ -301,9 +295,9 @@ def test_a_full_table_starts_over_and_still_agrees(monkeypatch):
     table = TransitionTable(simulation)
     tests = concrete_tests()
     for test in tests + tests:
-        detected = table.run_variant(test)
+        ran = table.run_variant(test)
         assert len(table.transitions) <= limit
-        assert detected == simulation.run_variant(test), str(test)
+        assert ran == simulation.run_variant(test), str(test)
     assert table.misses.value > 2 * limit  # the table filled and started over
     kernel = SimulationKernel(backend="bitparallel")
     packed = kernel.verifier(cases, size)
@@ -324,12 +318,9 @@ def assert_table_matches_engine(simulation, stream):
     table = TransitionTable(simulation)
     for test in stream:
         for variant in test.concrete_order_variants():
-            state = table.new_state()
-            detected = table.run_variant(variant, state)
-            direct, direct_detected = direct_run(simulation, variant.elements)
-            assert state.key(detected) == direct.key(direct_detected), (
-                str(variant)
-            )
+            assert table.run_variant(variant) == simulation.run_variant(
+                variant
+            ), str(variant)
     return table
 
 

@@ -5,10 +5,10 @@
 tables were coalesced per target cell: every fault lane keeps its own
 rule entry (a victim, a target or a trigger with a one-bit mask), and
 a march operation walks those entries one by one.  It encodes the
-lanes in the same order and steps the same :class:`~repro.simulator.
-bitengine.PackedState`, so after every element its detected mask and
-state words must equal the coalesced engine's
-(``tests/simulator/test_lane_reference.py``).
+lanes in the same order and speaks the same protocol (``power_up``,
+``run_variant(test, words) -> (words, detected)``), so after every
+element its detected mask and state words must equal the coalesced
+engine's (``tests/simulator/test_lane_reference.py``).
 """
 
 from dataclasses import replace
@@ -40,7 +40,7 @@ from repro.faults.primitives import (
 )
 from repro.march.element import DelayElement, MarchElement
 from repro.march.test import MarchTest
-from repro.simulator.bitengine import PackedState
+from repro.simulator.bitengine import Words
 
 #: Victim-action sentinel: invert the victim instead of forcing a value.
 INVERT = -1
@@ -289,39 +289,32 @@ class LaneReferenceSimulation:
             _ENCODERS[type(instance)](instance, plan, 1 << bit)
         self.plan = plan
         self.full = plan.full
-
-    def new_state(self) -> PackedState:
-        """The power-up state: every cell undefined, latches at init."""
-        n = self.size
-        return PackedState([0] * n, [0] * n, self.plan.sof_latch_init)
+        self.power_up = (0,) * (2 * size) + (plan.sof_latch_init,)
 
     def run_variant(
-        self, test: MarchTest, state: Optional[PackedState] = None
-    ) -> int:
-        """Run one concrete order realization; return the detected mask.
+        self, test: MarchTest, words: Optional[Words] = None
+    ) -> Tuple[Words, int]:
+        """Run one concrete order realization from ``words`` (default
+        ``power_up``): ``(end state words, detected mask)``.
 
-        Bit ``L`` of the result is set when lane ``L`` observed at
-        least one verifying read whose definite value differed from the
+        Bit ``L`` of the mask is set when lane ``L`` observed at least
+        one verifying read whose definite value differed from the
         expectation -- exactly the scalar engine's ``MarchRun.detected``
         per lane.  Bit 0 (the fault-free reference) only sets for
         malformed tests expecting values the good machine never holds.
-
-        With ``state``, ``test`` is a segment of a realization: the run
-        starts from that state instead of the power-up one, leaves its
-        final state in it, and returns only the segment's detections.
         """
-        if state is None:
-            state = self.new_state()
+        if words is None:
+            words = self.power_up
         plan = self.plan
         n = self.size
         full = plan.full
-        value = state.value
-        defined = state.defined
+        value = list(words[:n])
+        defined = list(words[n:2 * n])
         detected = 0
         stuck0, stuck1 = plan.stuck0, plan.stuck1
         dead0, dead1 = plan.dead0, plan.dead1
         sof_lanes = plan.sof_lanes
-        latch = state.latch
+        latch = words[-1]
         for element in test.elements:
             if isinstance(element, DelayElement):
                 for cell, mask, old in plan.wait_rules:
@@ -476,5 +469,4 @@ class LaneReferenceSimulation:
                     if v is not None:
                         expected = full if v else 0
                         detected |= (reported ^ expected) & reported_def
-        state.latch = latch
-        return detected
+        return (*value, *defined, latch), detected

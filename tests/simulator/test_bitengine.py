@@ -27,10 +27,18 @@ from repro.memory.array import NullFaultInstance
 from repro.simulator.bitengine import (
     PackedSimulation,
     UnpackableFaultError,
-    lane_packable_case,
     pack_cases,
-    packed_detects,
 )
+
+
+def packed_verdicts(test, cases, size):
+    """The engine's worst-case verdicts for lane-packable ``cases``."""
+    return PackedSimulation(cases, size).worst_case_verdicts(test)
+
+
+def packs(fault_case):
+    """Whether :func:`pack_cases` routes ``fault_case`` to the engine."""
+    return pack_cases([fault_case], 3)[2] == (True,)
 
 
 def serial_verdicts(test, cases, size):
@@ -99,7 +107,7 @@ class TestPartition:
         # whole standard library runs word-packed.
         for name, model_cls in MODEL_REGISTRY.items():
             for fault_case in model_cls().instances(3):
-                assert lane_packable_case(fault_case), (
+                assert packs(fault_case), (
                     name, fault_case.name,
                 )
 
@@ -108,7 +116,7 @@ class TestPartition:
             pass
 
         custom = case("custom", CustomInstance)
-        assert not lane_packable_case(custom)
+        assert not packs(custom)
 
     def test_subclasses_do_not_inherit_the_encoding(self):
         # A subclass may override any hook; exact-type dispatch keeps
@@ -120,7 +128,7 @@ class TestPartition:
                 return "-"
 
         weird = case("weird", lambda: WeirdStuck(0, 1))
-        assert not lane_packable_case(weird)
+        assert not packs(weird)
 
     def test_partition_preserves_order(self):
         class CustomInstance(NullFaultInstance):
@@ -172,7 +180,7 @@ def test_packed_verdicts_match_serial_per_model(model_name):
     test = MODEL_TESTS[model_name]
     for size in (3, 4):
         cases = FaultList.from_names(model_name).instances(size)
-        assert packed_detects(test, cases, size) == serial_verdicts(
+        assert packed_verdicts(test, cases, size) == serial_verdicts(
             test, cases, size
         ), (model_name, size)
 
@@ -194,7 +202,7 @@ class TestStuckOpenLatch:
         for size in (3, 4, 5):
             cases = FaultList.from_names("SOF").instances(size)
             for test in tests:
-                assert packed_detects(test, cases, size) == serial_verdicts(
+                assert packed_verdicts(test, cases, size) == serial_verdicts(
                     test, cases, size
                 ), (str(test), size)
 
@@ -203,13 +211,13 @@ class TestStuckOpenLatch:
         # latch; only the power-up content can be observed.
         test = parse_march("{up(r); up(r0)}")
         cases = FaultList.from_names("SOF").instances(3)
-        assert packed_detects(test, cases, 3) == serial_verdicts(
+        assert packed_verdicts(test, cases, 3) == serial_verdicts(
             test, cases, 3
         )
 
     def test_sof_mixes_with_other_packed_models_in_one_word(self):
         cases = FaultList.from_names("SAF", "SOF", "CFID").instances(3)
-        assert packed_detects(MARCH_C_MINUS, cases, 3) == serial_verdicts(
+        assert packed_verdicts(MARCH_C_MINUS, cases, 3) == serial_verdicts(
             MARCH_C_MINUS, cases, 3
         )
 
@@ -218,7 +226,7 @@ def test_packed_partial_detection_is_per_case():
     # MATS misses TF-down but a march with a second read pass catches
     # it; verdicts must differ per case, not per batch.
     cases = FaultList.from_names("TF").instances(3)
-    verdicts = packed_detects(MATS, cases, 3)
+    verdicts = packed_verdicts(MATS, cases, 3)
     assert True in verdicts or False in verdicts
     assert verdicts == serial_verdicts(MATS, cases, 3)
 
@@ -231,14 +239,14 @@ class TestPackedSimulation:
         cases = FaultList.from_names("SAF").instances(3)
         sim = PackedSimulation(cases, 3)
         for variant in MARCH_C_MINUS.concrete_order_variants():
-            assert sim.run_variant(variant) & 1 == 0
+            assert sim.run_variant(variant)[1] & 1 == 0
 
     def test_good_lane_flags_malformed_expectations(self):
         cases = FaultList.from_names("SAF").instances(3)
         sim = PackedSimulation(cases, 3)
         malformed = parse_march("{up(w1); up(r0)}")
         (variant,) = malformed.concrete_order_variants()
-        assert sim.run_variant(variant) & 1 == 1
+        assert sim.run_variant(variant)[1] & 1 == 1
 
     def test_worst_case_requires_every_order_variant(self):
         # {any(w0); any(r0,w1); any(r1,w0)} detects TF-up ascending but
@@ -263,7 +271,7 @@ class TestPackedSimulation:
         # verifying; only the final r0 may detect.
         test = parse_march("{up(w0); up(r); up(r0)}")
         cases = FaultList.from_names("RDF").instances(3)
-        assert packed_detects(test, cases, 3) == serial_verdicts(
+        assert packed_verdicts(test, cases, 3) == serial_verdicts(
             test, cases, 3
         )
 

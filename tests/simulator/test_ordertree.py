@@ -1,10 +1,11 @@
 """The shared-prefix realization walk against the ``2**k`` enumeration.
 
 ``walk_realizations`` runs each segment of a march test once per tree
-node, forks the packed state only at ``⇕`` elements and skips subtrees
-whose (step, state, latch, prefix-detected) key it already walked.  The
-reference is the enumeration it replaced: one bignum ``run_variant``
-per ``concrete_order_variants()`` realization from an empty memory.
+node, starts both branches of a ``⇕`` element from the same state words
+and skips subtrees whose (step, words, prefix-detected) key it already
+walked.  The reference is the enumeration it replaced: one bignum
+``run_variant`` per ``concrete_order_variants()`` realization from an
+empty memory.
 The walk must produce the same set of leaf masks -- hence the same
 AND, the same worst-case verdicts and the same first failing leaf --
 on the bare bignum engine and through a
@@ -12,7 +13,6 @@ on the bare bignum engine and through a
 also match the bare walk leaf for leaf.
 """
 
-import weakref
 from functools import lru_cache, reduce
 
 import pytest
@@ -28,11 +28,7 @@ from repro.march.element import (
     MarchOp,
 )
 from repro.march.test import MarchTest, parse_march
-from repro.simulator.bitengine import (
-    PackedSimulation,
-    PackedState,
-    TransitionTable,
-)
+from repro.simulator.bitengine import PackedSimulation, TransitionTable
 from repro.simulator.ordertree import walk_realizations
 
 MODELS = tuple(sorted(MODEL_REGISTRY))
@@ -93,7 +89,8 @@ def simulation(engine, models, size):
 
 def enumerated_leaves(sim, test):
     return [
-        sim.run_variant(variant) for variant in test.concrete_order_variants()
+        sim.run_variant(variant)[1]
+        for variant in test.concrete_order_variants()
     ]
 
 
@@ -171,24 +168,52 @@ def test_a_test_without_any_element_is_one_plain_run(engine):
     assert leaves == enumerated_leaves(sim, test)
 
 
+def never(detected):
+    """A ``visit`` that walks every leaf."""
+    return False
+
+
+#: One ⇕ element, then a read: the walk's one fork and merge point.
+FORK = parse_march("{any(w0); up(r0)}")
+
+
+class ForkedEngine:
+    """``engine`` whose run of ``FORK``'s DOWN branch ends in ``down``.
+
+    The walk runs the UP branch, its read, then the DOWN branch."""
+
+    def __init__(self, engine, down):
+        self.engine = engine
+        self.down = down
+        self.power_up = engine.power_up
+        self.calls = 0
+
+    def run_variant(self, test, words=None):
+        self.calls += 1
+        if self.calls == 3:
+            return self.down
+        return self.engine.run_variant(test, words)
+
+
 @pytest.mark.parametrize("engine", ENGINE_PARAMS)
 def test_state_keys_cover_every_field(engine):
-    # Equal keys must mean equal suffixes, so every field of the state
-    # and the prefix-detected mask has to reach the key.
+    # Equal keys must mean equal suffixes, so every state word and the
+    # prefix-detected mask has to reach the key: a DOWN branch that
+    # ends one word or one detected bit away from the UP branch is
+    # walked, not merged.
     sim = simulation(engine, ("SOF",), 2)
-    state = sim.new_state()
-    detected = sim.run_variant(MARCH_C_MINUS, state)
-    base = state.key(detected)
-    assert state.copy().key(detected) == base
-    assert state.key(detected ^ 2) != base
-    for field in type(state).__slots__:
-        changed = state.copy()
-        words = getattr(changed, field)
-        if isinstance(words, int):
-            setattr(changed, field, words ^ 2)
-        else:
-            words[-1] ^= 2
-        assert changed.key(detected) != base, field
+    up = sim.run_variant(FORK.order_segments()[0][0])
+    merged = walk_realizations(ForkedEngine(sim, up), FORK, never)
+    assert merged == (False, 1, 3)
+    words, detected = up
+    assert len(words) == 2 * 2 + 1  # value words, defined words, latch
+    downs = [(words, detected ^ 2)] + [
+        (words[:index] + (words[index] ^ 2,) + words[index + 1:], detected)
+        for index in range(len(words))
+    ]
+    for down in downs:
+        walk = walk_realizations(ForkedEngine(sim, down), FORK, never)
+        assert walk == (False, 2, 4), down
 
 
 class CountingSimulation(PackedSimulation):
@@ -198,17 +223,16 @@ class CountingSimulation(PackedSimulation):
         super().__init__(cases, size)
         self.runs = []
 
-    def run_variant(self, test, state=None):
+    def run_variant(self, test, words=None):
         self.runs.append(len(test.elements))
-        return super().run_variant(test, state)
+        return super().run_variant(test, words)
 
 
 def test_march_c_minus_states_merge():
     # 4 realizations x 6 elements when every realization starts from
     # an empty memory; ⇕(w0) leaves one state whichever way it runs.
     sim = CountingSimulation(FaultList.from_names(*MODELS).instances(4), 4)
-    reference = [sim.run_variant(v)
-                 for v in MARCH_C_MINUS.concrete_order_variants()]
+    reference = enumerated_leaves(sim, MARCH_C_MINUS)
     assert sum(sim.runs) == 4 * 6
     sim.runs.clear()
     leaves, walk = walked_leaves(sim, MARCH_C_MINUS)
@@ -218,46 +242,41 @@ def test_march_c_minus_states_merge():
     assert reduce(int.__and__, leaves) == reduce(int.__and__, reference)
 
 
-class TrackedState(PackedState):
-    """A packed state that registers itself, and its copies, in
-    ``live``: a ``WeakSet`` plus the most members it ever held."""
-
-    __slots__ = ("__weakref__", "live")
-
-    def __init__(self, value, defined, latch, live):
-        super().__init__(value, defined, latch)
-        self.live = live
-        live.add(self)
-        live.most = max(live.most, len(live))
-
-    def copy(self):
-        return TrackedState(
-            self.value[:], self.defined[:], self.latch, self.live
-        )
-
-
-class LiveStates(weakref.WeakSet):
-    most = 0
-
-
 class TrackingSimulation(PackedSimulation):
+    """Records the start and end words of every run, by identity."""
+
     def __init__(self, cases, size):
         super().__init__(cases, size)
-        self.live = LiveStates()
+        self.runs = []
 
-    def new_state(self):
-        state = super().new_state()
-        return TrackedState(
-            state.value, state.defined, state.latch, self.live
-        )
+    def run_variant(self, test, words=None):
+        ended = super().run_variant(test, words)
+        start = self.power_up if words is None else words
+        self.runs.append((start, ended[0]))
+        return ended
+
+
+def most_pending(runs, power_up):
+    """The most states a walk holds for later at once: before each run,
+    the reached states (power-up included) that it or a later run
+    starts from."""
+    last_start = {id(start): index for index, (start, _) in enumerate(runs)}
+    reached = {id(power_up)}
+    most = 0
+    for index, (_, end) in enumerate(runs):
+        pending = sum(last_start.get(state, -1) >= index for state in reached)
+        most = max(most, pending)
+        reached.add(id(end))
+    return most
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_walk_holds_one_state_per_any_element_plus_one(name):
-    # At large sizes the walk's memory is its live states; the
-    # enumeration it replaced held one at a time.
+    # At large sizes the walk's memory is the states it must come back
+    # to; the enumeration it replaced held one at a time.  Depth-first,
+    # that is the start of each pending DOWN branch plus the current one.
     test = CATALOG[name]
     any_count = len(test.concrete_order_variants()).bit_length() - 1
     sim = TrackingSimulation(FaultList.from_names("SAF", "TF").instances(3), 3)
-    walk_realizations(sim, test, lambda detected: False)
-    assert 1 <= sim.live.most <= any_count + 1
+    walk_realizations(sim, test, never)
+    assert 1 <= most_pending(sim.runs, sim.power_up) <= any_count + 1
