@@ -44,8 +44,9 @@ Compared paths:
   weights computed, seconds (``table3_front_end``);
 * **coverage sweep** -- one cold bitparallel ``simulate_many`` of
   every catalog test against the twelve base fault models at size 16:
-  seconds, verdicts, lanes and the lane plan's address-decoder entries
-  (``coverage_size16_sweep``);
+  seconds, verdicts, lanes, the lane plan's address-decoder entries,
+  and the element steps, engine runs and table hits/misses of the one
+  transition table its tests share (``coverage_size16_sweep``);
 * **Table 3 optimize** -- per Table 3 row, the optimize phase of one
   ``generate()``: climbs, steps, shrink moves listed, candidates built,
   malformed and verified, seconds (``table3_optimize``).
@@ -344,10 +345,11 @@ def certify_search(size):
     kernel = SimulationKernel(backend="bitparallel")
     stats = SearchStats()
     cases = FaultList.from_names(*CERTIFY_FAULTS).instances(size)
+    verifier = kernel.verifier(cases, size)
     with CountingRuns() as counter:
         started = time.perf_counter()
         found = exhaustive_search(
-            kernel.verifier(cases, size),
+            verifier,
             max_complexity=CERTIFY_BOUND,
             max_elements=CERTIFY_MAX_ELEMENTS,
             budget=CERTIFY_BUDGET,
@@ -369,6 +371,7 @@ def certify_search(size):
             verify.table_hits.value + verify.table_misses.value
         ),
         "budget_exhausted": stats.budget_exhausted,
+        "table_limit": verifier.table.limit,
     }
 
 
@@ -381,13 +384,15 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
     limit, so no clear happened and ``engine_runs`` is also the table
     size.  The search steps each prefix once down its grammar tree, so
     ``element_steps`` (table hits + engine runs) is about one per
-    candidate.  Informational: the counts are exact, the seconds are
-    trajectory data without a floor.
+    candidate.  At these sizes the table is bound by its entry count
+    (``table_limit``), not by its state bits.  Informational: the
+    counts are exact, the seconds are trajectory data without a floor.
     """
     from repro.simulator.bitengine import TRANSITION_TABLE_LIMIT
 
     rows = [certify_search(size) for size in sizes]
     for row in rows:
+        assert row["table_limit"] == TRANSITION_TABLE_LIMIT
         assert row["engine_runs"] < TRANSITION_TABLE_LIMIT
         row["table_entries"] = row["engine_runs"]
     return {
@@ -409,24 +414,41 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
 def measure_coverage_sweep(repeats=3):
     """The coverage sweep record: one cold bitparallel
     ``simulate_many`` of every catalog test against the base models at
-    size 16 (best of ``repeats``), plus the shape of its lane plan.
+    size 16 (best of ``repeats``), plus the shape of its lane plan and
+    the steps of its transition table.
 
     The plan holds one entry of role masks per (cell, target) pair and
     per merged single-cell rule; ``plan`` records how many entries one
-    write and one read walk (the most over every cell and value).
+    write and one read walk (the most over every cell and value).  The
+    tests share one table: ``steps`` records the element steps they
+    make, the engine runs behind them (counted untimed, on one more
+    sweep), the table hits and misses, and the distinct transitions
+    the table holds at the end.
     """
     from repro.march.catalog import CATALOG
-    from repro.simulator.bitengine import PackedSimulation
 
     tests = list(CATALOG.values())
     cases = FaultList.from_names(*COVERAGE_MODELS).instances(COVERAGE_SIZE)
 
     def sweep():
         kernel = SimulationKernel(backend="bitparallel")
-        return kernel.simulate_many(tests, cases, COVERAGE_SIZE)
+        return kernel.simulate_many(tests, cases, COVERAGE_SIZE), kernel
 
-    seconds, reports = _best_of(repeats, sweep)
-    plan = PackedSimulation(cases, COVERAGE_SIZE).plan
+    seconds, _ = _best_of(repeats, sweep)
+    with CountingRuns() as counter:
+        reports, kernel = sweep()
+    backend = kernel.backend
+    ((_, table),) = backend._plans.values()
+    hits, misses = backend.table_hits.value, backend.table_misses.value
+    steps = {
+        "element_steps": hits + misses,
+        "engine_runs": counter.runs,
+        "table_hits": hits,
+        "table_misses": misses,
+        "distinct_transitions": len(table.transitions),
+        "table_limit": table.limit,
+    }
+    plan = table.simulation.plan
     cells = range(COVERAGE_SIZE)
     tables = {
         "entries_per_write": max(
@@ -454,6 +476,7 @@ def measure_coverage_sweep(repeats=3):
         "detected": sum(len(report.detected) for report in reports),
         "seconds": seconds,
         "plan": tables,
+        "steps": steps,
         "guard_enforced": False,
         "skipped_reason": (
             "informational record: the counts are exact, the seconds"
@@ -1348,6 +1371,18 @@ def test_coverage_sweep_record():
     assert record["guard_enforced"] is False
 
 
+def test_coverage_sweep_runs_each_transition_once():
+    """The twelve tests of the coverage sweep share one transition
+    table: the engine runs once per distinct (state, element) pair,
+    not once per element step, and the table never started over."""
+    steps = measure_coverage_sweep(repeats=1)["steps"]
+    assert steps["engine_runs"] == steps["table_misses"]
+    assert steps["engine_runs"] == steps["distinct_transitions"]
+    assert steps["distinct_transitions"] < steps["table_limit"]
+    assert steps["element_steps"] == 98
+    assert steps["engine_runs"] == 44
+
+
 def test_telemetry_overhead_guard():
     """Acceptance criterion of the telemetry layer: instrumenting the
     serial Table 3 matrix costs at most 5% wall-clock, and the
@@ -1737,6 +1772,13 @@ def main():
     print(
         f"  lane plan entries walked: {plan['entries_per_write']} per"
         f" write, {plan['entries_per_read']} per read"
+    )
+    steps = coverage["steps"]
+    print(
+        f"  {steps['element_steps']} element steps,"
+        f" {steps['engine_runs']} engine runs"
+        f" ({steps['table_hits']} table hits /"
+        f" {steps['table_misses']} misses)"
     )
     fanout = payload["workloads"]["campaign_fanout"]
     print(

@@ -32,12 +32,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..faults.instances import FaultCase
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
-from ..simulator.bitengine import PackedSimulation, pack_cases
+from ..simulator.bitengine import TransitionTable, pack_cases
 from ..simulator.engine import run_march
+from ..telemetry.metrics import Counter
 
 #: A routed case list: each case's route (``True``: packed) and the
-#: simulation of the packable cases, if any.
-_Plan = Tuple[Tuple[bool, ...], Optional[PackedSimulation]]
+#: transition table over the simulation of the packable cases, if any.
+_Plan = Tuple[Tuple[bool, ...], Optional[TransitionTable]]
 
 
 def worst_case_detects(
@@ -123,9 +124,14 @@ class BitParallelBackend(SerialBackend):
     canonical fault identity -- is routed and packed once, by one
     :func:`~repro.simulator.bitengine.pack_cases` call, so every test
     of a batched sweep, and the single-case probes of ``dominates``,
-    reuse one lane plan.  The generator's verifier does not come
-    through here: with ``lane_packed`` set,
-    ``SimulationKernel.verifier`` builds its own whole-list simulation.
+    reuse one lane plan.  Each plan keeps one
+    :class:`~repro.simulator.bitengine.TransitionTable`, so the tests
+    of a sweep, and later calls on the same plan, run each distinct
+    (state, element) step once: a test whose steps are all in the
+    table runs no engine.  A batch with no packable case builds no
+    simulation.  The generator's verifier does not come through here:
+    with ``lane_packed`` set, ``SimulationKernel.verifier`` builds its
+    own whole-list table.
     """
 
     name = "bitparallel"
@@ -136,19 +142,23 @@ class BitParallelBackend(SerialBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        #: (case names, size) -> (each case's route, the simulation of
-        #: the packable cases or ``None`` when there are none).
+        #: (case names, size) -> (each case's route, the transition
+        #: table over the packable cases or ``None`` when there are none).
         self._plans: "OrderedDict[Tuple, _Plan]" = OrderedDict()
+        #: Element steps of every plan's table: answered from the table,
+        #: and run on the engine (``--sim-stats``).
+        self.table_hits = Counter()
+        self.table_misses = Counter()
 
     def _plan(self, cases: Sequence[FaultCase], size: int) -> _Plan:
         key = (tuple([case.name for case in cases]), size)
         plans = self._plans
         plan = plans.get(key)
         if plan is None:
-            simulation, scalar, routes = pack_cases(cases, size)
-            plan = plans[key] = (
-                routes, simulation if len(scalar) < len(cases) else None
-            )
+            simulation, _, routes = pack_cases(cases, size)
+            plan = plans[key] = (routes, None if simulation is None else (
+                TransitionTable(simulation, self.table_hits, self.table_misses)
+            ))
             if len(plans) > self.PLAN_CACHE_SIZE:
                 plans.popitem(last=False)
         else:
@@ -158,8 +168,8 @@ class BitParallelBackend(SerialBackend):
     def detect_batch(
         self, cases: Sequence[FaultCase], test: MarchTest, size: int
     ) -> List[bool]:
-        routes, simulation = self._plan(cases, size)
-        packed = simulation.worst_case_verdicts(test) if simulation else []
+        routes, table = self._plan(cases, size)
+        packed = table.worst_case_verdicts(test) if table else []
         self.count_served(self.name, len(packed))
         if len(packed) == len(cases):
             return packed

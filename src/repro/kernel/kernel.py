@@ -58,7 +58,11 @@ from ..faults.instances import FaultCase
 from ..march.element import AddressOrder, MarchElement, MarchOp
 from ..march.test import MarchTest
 from ..memory.array import MemoryArray
-from ..simulator.bitengine import TransitionTable, pack_cases
+from ..simulator.bitengine import (
+    PackedSimulation,
+    TransitionTable,
+    pack_cases,
+)
 from ..simulator.engine import MarchRun, is_well_formed, run_march
 from ..simulator.ordertree import walk_realizations
 from ..store import FaultDictionaryStore, resolve_store
@@ -72,6 +76,14 @@ from .report import SimulationReport, warn_if_empty
 DEFAULT_SIZE = 3
 
 Verifier = Callable[[MarchTest], bool]
+
+#: Case-name tuples of recent :meth:`SimulationKernel.simulate_many`
+#: calls, each mapped to itself: the reports of sweeps over an equal
+#: case list share one tuple across calls and kernels.  At most
+#: :data:`CASE_NAMES_INTERNED` are kept; the intern starts over when
+#: full.
+_CASE_NAMES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+CASE_NAMES_INTERNED = 8
 
 #: One failing observation: (element, op, address, observed value).
 Failure = Tuple[int, int, int, object]
@@ -255,6 +267,13 @@ class SimulationKernel:
             table="miss",
         )
         backend = self.backend
+        hits = getattr(backend, "table_hits", None)
+        if hits is not None:
+            registry.adopt("repro.backend.table_steps", hits, table="hit")
+            registry.adopt(
+                "repro.backend.table_steps", backend.table_misses,
+                table="miss",
+            )
         registry.collector(
             "repro.backend.served",
             lambda: [
@@ -324,6 +343,12 @@ class SimulationKernel:
             f"backend [{self.backend.name}]"
             f" served {routing if routing else 'no tasks'}"
         )
+        hits = getattr(self.backend, "table_hits", None)
+        if hits is not None and hits.value + self.backend.table_misses.value:
+            segments["backend"] += (
+                f", {hits.value} table hits"
+                f" / {self.backend.table_misses.value} misses"
+            )
         return [
             (tier, segments[tier])
             for tier in self.STATS_TIER_ORDER
@@ -358,6 +383,9 @@ class SimulationKernel:
         served = getattr(self.backend, "served", None)
         if served is not None:
             served.clear()
+        hits = getattr(self.backend, "table_hits", None)
+        if hits is not None:
+            hits.value = self.backend.table_misses.value = 0
         if self.store is not None:
             self.store.stats.reset()
 
@@ -430,11 +458,18 @@ class SimulationKernel:
 
         Cache hits are answered from the fault dictionary; each test's
         misses are evaluated in one backend call and stored.  The
-        reports share one tuple of the case names.
+        reports share one tuple of the case names, and so do those of
+        a recent call over an equal case list.
         """
         warn_if_empty(cases)
         verdicts = self._verdicts(tests, cases, size)
         names = tuple([case.name for case in cases])
+        shared = _CASE_NAMES.get(names)
+        if shared is None:
+            if len(_CASE_NAMES) >= CASE_NAMES_INTERNED:
+                _CASE_NAMES.clear()
+            shared = _CASE_NAMES.setdefault(names, names)
+        names = shared
         high_first = names[::-1]
         reports = []
         for test in tests:
@@ -698,6 +733,10 @@ class PackedVerifier:
         self, kernel: SimulationKernel, cases: List[FaultCase], size: int
     ) -> None:
         simulation, self.scalar, _ = pack_cases(cases, size)
+        if simulation is None:
+            # No packable case: lane 0 alone still checks that the
+            # candidate is well formed.
+            simulation = PackedSimulation((), size)
         self.kernel = kernel
         self.stats = stats = kernel.verify_stats
         self.size = size

@@ -60,17 +60,20 @@ A packed state is one immutable tuple of :data:`Words`: the ``value``
 words, the ``defined`` words, then the SOF latch word.
 :meth:`PackedSimulation.run_variant` runs a segment from given words
 (default :attr:`~PackedSimulation.power_up`) and returns its end words
-with its detected mask.  :meth:`PackedSimulation.worst_case_verdicts`
-uses that to walk a test's ``⇕`` realizations as one shared-prefix
-tree (:mod:`repro.simulator.ordertree`): fixed-order runs execute once
-per tree node, the UP and DOWN branch of a ``⇕`` element start from
-the same words, and equal (step, words, detected) nodes merge.  The
-scalar engine keeps enumerating every realization as the reference.
+with its detected mask.
 
 A run is a pure function of the state words and the elements, so a
-:class:`TransitionTable` over a simulation can memoize it element by
-element: the packed verifier steps every candidate through one, and
-runs the engine only for (state, element) pairs it has not seen.
+:class:`TransitionTable` over a simulation memoizes it element by
+element and runs the engine only for (state, element) pairs it has
+not seen.  Every packed walk goes through one: the verifier steps its
+candidates through its table, and the ``bitparallel`` backend keeps
+one table per lane plan, which every test of a sweep over that plan
+shares.  :meth:`TransitionTable.worst_case_verdicts` walks a test's
+``⇕`` realizations as one shared-prefix tree
+(:mod:`repro.simulator.ordertree`): fixed-order runs execute once per
+tree node, the UP and DOWN branch of a ``⇕`` element start from the
+same words, and equal (step, words, detected) nodes merge.  The scalar
+engine keeps enumerating every realization as the reference.
 
 Equivalence with the scalar engine over the full standard fault
 library is property-tested in ``tests/kernel/test_equivalence.py``;
@@ -409,13 +412,13 @@ def _packable(instances: Sequence[object]) -> bool:
 
 def pack_cases(
     cases: Sequence[FaultCase], size: int
-) -> Tuple["PackedSimulation", List[FaultCase], Tuple[bool, ...]]:
+) -> Tuple[Optional["PackedSimulation"], List[FaultCase], Tuple[bool, ...]]:
     """Route ``cases`` and pack the lane-packable ones in one pass.
 
-    Returns the simulation of the packable cases, the unpackable ones
-    (in order) and each case's route (``True``: packed).  Every
-    behavioural variant is instantiated once, for both the routing and
-    the encoding.
+    Returns the simulation of the packable cases (``None`` when there
+    are none), the unpackable ones (in order) and each case's route
+    (``True``: packed).  Every behavioural variant is instantiated
+    once, for both the routing and the encoding.
     """
     packable: List[FaultCase] = []
     lanes: List[List[object]] = []
@@ -430,7 +433,8 @@ def pack_cases(
             lanes.append(instances)
         else:
             unpackable.append(case)
-    return PackedSimulation(packable, size, lanes), unpackable, tuple(routes)
+    simulation = PackedSimulation(packable, size, lanes) if packable else None
+    return simulation, unpackable, tuple(routes)
 
 
 class PackedSimulation:
@@ -440,9 +444,8 @@ class PackedSimulation:
     one behavioural variant of one fault case each.  The plan is
     read-only after construction, so one ``PackedSimulation`` serves
     any number of :meth:`run_variant` calls (different tests, different
-    order realizations or segments of one), and
-    :meth:`worst_case_verdicts` walks a test's realizations as one
-    shared-prefix tree (:mod:`repro.simulator.ordertree`).
+    order realizations or segments of one).  It is the engine only: a
+    :class:`TransitionTable` over it steps and walks tests.
     """
 
     def __init__(
@@ -671,36 +674,6 @@ class PackedSimulation:
                         detected |= (reported ^ expected) & reported_def
         return (*value, *defined, latch), detected
 
-    def worst_case_verdicts(self, test: MarchTest) -> List[bool]:
-        """Worst-case detection verdict per case, in input order.
-
-        Matches the scalar kernel's semantics exactly: a case is
-        detected only when **every** order realization of ``test``
-        detects **every** behavioural variant lane.  The walk stops as
-        soon as no fault lane is detected by every leaf so far.
-        """
-        fault_lanes = self.full & ~1
-        agreed = self.full
-
-        def visit(detected: int) -> bool:
-            nonlocal agreed
-            agreed &= detected
-            return not agreed & fault_lanes
-
-        walk_realizations(self, test, visit)
-        verdicts = [True] * len(self.cases)
-        missed = fault_lanes & ~agreed
-        if missed:
-            # Only the missed lanes are visited: lane L is bit L, index
-            # L of the reversed binary string.
-            lane_cases = self.lane_cases
-            find = format(missed, "b")[::-1].find
-            lane = find("1")
-            while lane >= 0:
-                verdicts[lane_cases[lane]] = False
-                lane = find("1", lane + 1)
-        return verdicts
-
 
 #: Most transitions one :class:`TransitionTable` holds; on reaching it
 #: the table starts over empty.  The minimality search below MarchC-'s
@@ -709,6 +682,14 @@ class PackedSimulation:
 #: every memory size from 2 to 6, so this is ~3x headroom, and a
 #: verifier fed an unbounded candidate stream stays bounded in memory.
 TRANSITION_TABLE_LIMIT = 4096
+
+#: Most state bits one :class:`TransitionTable` holds, counted as one
+#: state (``len(power_up)`` words of ``lanes`` bits) per entry: a wide
+#: simulation holds fewer entries than :data:`TRANSITION_TABLE_LIMIT`.
+#: The size-16 coverage sweep over 4,129 lanes (136k bits a state)
+#: may hold 246 entries and needs 44; the verifier's tables at sizes
+#: up to 6 stay bound by the entry count.
+TRANSITION_TABLE_BITS = 2 ** 25
 
 
 class TransitionTable:
@@ -727,10 +708,15 @@ class TransitionTable:
     the minimality search down its grammar tree, calls :meth:`step`
     directly.
 
-    It pays where candidates share states: the minimality search's
-    candidates collapse into a few hundred states.  A sweep over
-    thousands of lanes rarely repeats a state, so those callers use the
-    bare simulation.
+    Every packed walk goes through a table: the verifier's candidates
+    collapse into a few hundred states, and the tests of a sweep share
+    their prefixes -- every catalog test starts with ``⇕(w0)`` from
+    power-up, and most go on with ``⇑(r0,w1)`` or ``⇓(r1,w0)`` -- so
+    the twelve catalog tests of the size-16 sweep make 98 element
+    steps over 44 distinct pairs.  A table holds at most
+    :data:`TRANSITION_TABLE_LIMIT` entries and
+    :data:`TRANSITION_TABLE_BITS` state bits, and starts over empty
+    when full.
     """
 
     def __init__(
@@ -746,6 +732,11 @@ class TransitionTable:
         self.hits = hits if hits is not None else Counter()
         self.misses = misses if misses is not None else Counter()
         self.power_up = simulation.power_up
+        #: Most entries the table holds before it starts over.
+        self.limit = min(
+            TRANSITION_TABLE_LIMIT,
+            TRANSITION_TABLE_BITS // (len(self.power_up) * simulation.lanes),
+        )
 
     def view(self, hits: Counter, misses: Counter) -> "TransitionTable":
         """A table over the same simulation and transitions that counts
@@ -778,6 +769,38 @@ class TransitionTable:
             detected |= found
         return words, detected
 
+    def worst_case_verdicts(self, test: MarchTest) -> List[bool]:
+        """Worst-case detection verdict per case of the simulation, in
+        its case order.
+
+        Matches the scalar kernel's semantics exactly: a case is
+        detected only when **every** order realization of ``test``
+        detects **every** behavioural variant lane.  The walk stops as
+        soon as no fault lane is detected by every leaf so far.
+        """
+        simulation = self.simulation
+        fault_lanes = simulation.full & ~1
+        agreed = simulation.full
+
+        def visit(detected: int) -> bool:
+            nonlocal agreed
+            agreed &= detected
+            return not agreed & fault_lanes
+
+        walk_realizations(self, test, visit)
+        verdicts = [True] * len(simulation.cases)
+        missed = fault_lanes & ~agreed
+        if missed:
+            # Only the missed lanes are visited: lane L is bit L, index
+            # L of the reversed binary string.
+            lane_cases = simulation.lane_cases
+            find = format(missed, "b")[::-1].find
+            lane = find("1")
+            while lane >= 0:
+                verdicts[lane_cases[lane]] = False
+                lane = find("1", lane + 1)
+        return verdicts
+
     def _miss(self, words: Words, element: object) -> Tuple[Words, int]:
         # Through the class attribute, so a wrapped engine (a profiler,
         # a run counter) sees every run the table makes.
@@ -785,7 +808,7 @@ class TransitionTable:
             self.simulation, MarchTest((element,)), words
         )
         transitions = self.transitions
-        if len(transitions) >= TRANSITION_TABLE_LIMIT:
+        if len(transitions) >= self.limit:
             transitions.clear()
         transitions[(words, element)] = step
         self.misses.inc()

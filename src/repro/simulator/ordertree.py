@@ -18,12 +18,16 @@ memory:
   leaves of ``prefix | suffix`` is ``prefix | AND(suffix)``.
 
 The walk is depth-first with UP before DOWN, so its first leaf is the
-all-UP realization and a caller can stop at any leaf.  The packed
-engine (:class:`~repro.simulator.bitengine.PackedSimulation`, or a
-:class:`~repro.simulator.bitengine.TransitionTable` over one) supplies
-``power_up`` and ``run_variant(segment, words) -> (words, detected)``;
-the scalar engine keeps enumerating realizations as the reference
-oracle.
+all-UP realization and a caller can stop at any leaf.  The engine
+supplies ``power_up`` and ``run_variant(segment, words) -> (words,
+detected)``.  Every packed caller passes a
+:class:`~repro.simulator.bitengine.TransitionTable`, so a segment is
+stepped element by element and each distinct (state, element) pair
+runs once per table: the verifier's table serves its candidates, and
+the ``bitparallel`` backend's table per lane plan serves every test of
+a sweep.  A bare :class:`~repro.simulator.bitengine.PackedSimulation`
+speaks the same protocol.  The scalar engine keeps enumerating
+realizations as the reference oracle.
 """
 
 from __future__ import annotations
@@ -63,25 +67,27 @@ def walk_realizations(
     last = len(steps) - 1
     seen: Set[Tuple[int, Any, int]] = set()
     leaves = segments = 0
-
-    def descend(index: int, words: Any, detected: int) -> bool:
-        nonlocal leaves, segments
-        for segment in steps[index]:
-            reached, found = engine.run_variant(segment, words)
-            found |= detected
-            segments += 1
-            if index == last:
-                leaves += 1
-                if visit(found):
-                    return True
-                continue
-            key = (index, reached, found)
-            if key in seen:
-                continue
-            seen.add(key)
-            if descend(index + 1, reached, found):
-                return True
-        return False
-
-    stopped = descend(0, engine.power_up, 0)
-    return Walk(stopped, leaves, segments)
+    # Pending segment runs ``(step index, segment, start words, prefix
+    # detected)``, the next on top: a node's children go on top of its
+    # siblings, so the runs come depth-first, UP before DOWN.  A stack,
+    # not a recursive closure, so a walk makes no reference cycle that
+    # would keep ``engine`` alive until a cycle collection.
+    pending = [(0, segment, engine.power_up, 0) for segment in steps[0][::-1]]
+    while pending:
+        index, segment, words, detected = pending.pop()
+        reached, found = engine.run_variant(segment, words)
+        found |= detected
+        segments += 1
+        if index == last:
+            leaves += 1
+            if visit(found):
+                return Walk(True, leaves, segments)
+            continue
+        key = (index, reached, found)
+        if key in seen:
+            continue
+        seen.add(key)
+        index += 1
+        pending += [(index, child, reached, found)
+                    for child in steps[index][::-1]]
+    return Walk(False, leaves, segments)

@@ -36,6 +36,8 @@ CATALOG: Dict[str, str] = {
         "Section 6 element steps through the same table, by hit or miss",
     # -- simulation backends --------------------------------------------------
     "repro.backend.served": "verdicts computed, by backend and strategy",
+    "repro.backend.table_steps":
+        "packed sweep element steps through the plan tables, by hit or miss",
     "repro.backend.detect.seconds": "backend batch latency histogram",
     # -- persistent store (file or service tier) ------------------------------
     "repro.store.hits": "store lookups answered from SQLite/service",

@@ -1,5 +1,8 @@
 """Unit tests of the kernel subsystem itself: cache, backends."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.faults.faultlist import FaultList
@@ -20,6 +23,7 @@ from repro.kernel import (
 from repro.march.catalog import MARCH_C_MINUS, MATS, MSCAN
 from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
+from repro.simulator import bitengine
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +144,11 @@ class TestBitParallelBackend:
         assert "evictions" in description
         assert "backend [bitparallel]" in description
         assert "bitparallel:" in description
+        backend = kernel.backend
+        assert description.endswith(
+            f", {backend.table_hits.value} table hits"
+            f" / {backend.table_misses.value} misses"
+        )
 
     def test_clear_resets_routing_counters_too(self):
         kernel = SimulationKernel(backend="bitparallel")
@@ -147,7 +156,9 @@ class TestBitParallelBackend:
         assert kernel.backend.served
         kernel.clear()
         assert kernel.backend.served == {}
+        assert kernel.backend.table_misses.value == 0
         assert "served no tasks" in kernel.describe_stats()
+        assert "table hits" not in kernel.describe_stats()
 
     def test_lane_plan_cache_is_bounded_and_reused(self, saf_list):
         backend = BitParallelBackend()
@@ -163,11 +174,85 @@ class TestBitParallelBackend:
         backend.detect_batch(probe, MATS, 3)
         backend.detect_batch(probe, MATS, 4)
         (_, at3), (_, at4) = list(backend._plans.values())
-        assert (at3.size, at4.size) == (3, 4)
-        assert at3.cases == at4.cases == (cases[0],)
+        assert (at3.simulation.size, at4.simulation.size) == (3, 4)
+        assert at3.simulation.cases == at4.simulation.cases == (cases[0],)
+        # A later call on a plan steps through its table: all hits.
+        misses = backend.table_misses.value
+        backend.detect_batch(probe, MATS, 4)
+        assert backend.table_misses.value == misses
+        assert backend.table_hits.value >= len(MATS)
         for size in (2, 4, 5):
             backend.detect_batch(saf_list.instances(size), MATS, size)
         assert len(backend._plans) <= 2
+
+    def test_a_batch_with_no_packable_case_builds_no_simulation(
+        self, monkeypatch
+    ):
+        class CustomInstance(NullFaultInstance):
+            pass
+
+        built = []
+        init = bitengine.PackedSimulation.__init__
+
+        def counted(simulation, *args, **kwargs):
+            built.append(simulation)
+            init(simulation, *args, **kwargs)
+
+        monkeypatch.setattr(bitengine.PackedSimulation, "__init__", counted)
+        backend = BitParallelBackend()
+        cases = [case("custom-a", CustomInstance),
+                 case("custom-b", CustomInstance)]
+        assert backend.detect_batch(cases, MATS, 3) == [False, False]
+        assert built == []
+        assert list(backend._plans.values()) == [((False, False), None)]
+        assert backend.served == {"serial": 2}
+        # The verifier keeps its lane-0 simulation: lane 0 rejects a
+        # malformed candidate before any scalar run.
+        kernel = SimulationKernel(backend="bitparallel")
+        verify = kernel.verifier(cases, 3)
+        assert len(built) == 1
+        assert not verify(parse_march("{up(w0); up(r1)}"))
+        assert kernel.backend.served == {}
+        assert not verify(MATS)
+        assert kernel.backend.served == {"serial": 1}
+
+    def test_a_dead_kernel_frees_its_plan_tables(self, saf_list):
+        kernel = SimulationKernel(backend="bitparallel")
+        kernel.simulate_many([MATS, MARCH_C_MINUS], saf_list.instances(3), 3)
+        ((_, table),) = kernel.backend._plans.values()
+        freed = weakref.ref(table)
+        del table
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del kernel
+            # Reference counting alone frees it: no cycle holds a table.
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_wide_table_keeps_to_the_bit_bound(self, monkeypatch):
+        cases = FaultList.from_names("SAF", "TF").instances(3)
+        lanes = 1 + sum(len(fault_case.variants) for fault_case in cases)
+        # A bound so small that this simulation counts as wide: four
+        # states of 7 words (3 cells) x ``lanes`` bits fit, five do not.
+        state_bits = 7 * lanes
+        monkeypatch.setattr(
+            bitengine, "TRANSITION_TABLE_BITS", 5 * state_bits - 1
+        )
+        backend = BitParallelBackend()
+        serial = SerialBackend()
+        for test in (MATS, MSCAN, MARCH_C_MINUS, MATS, MARCH_C_MINUS):
+            assert backend.detect_batch(cases, test, 3) == (
+                serial.detect_batch(cases, test, 3)
+            )
+            ((_, table),) = backend._plans.values()
+            assert table.limit == 4
+            assert len(table.transitions) * state_bits <= (
+                bitengine.TRANSITION_TABLE_BITS
+            )
+        assert backend.table_misses.value > 4  # it filled and started over
 
     def test_single_probe_batches_work(self, saf_list):
         # The generator's verifier sends batches of one; the packed
@@ -223,6 +308,21 @@ class TestBatchedApis:
         first.missed = []
         assert first.complete and first.coverage == 1.0
         assert second.detected + second.missed != []
+        assert second.cases == tuple(case.name for case in cases)
+
+    def test_sweeps_of_one_case_list_share_one_name_tuple(self, table3_list):
+        cases = table3_list.instances(3)
+        (first,) = SimulationKernel().simulate_many([MATS], cases, 3)
+        (second,) = SimulationKernel(backend="bitparallel").simulate_many(
+            [MATS], list(cases), 3
+        )
+        assert first.cases is second.cases
+        # A change to one report leaves the other as it was.
+        missed = list(second.missed)
+        first.detected = []
+        first.missed.append("extra")
+        assert not first.detected
+        assert second.missed == missed
         assert second.cases == tuple(case.name for case in cases)
 
     def test_empty_cases_warn(self):

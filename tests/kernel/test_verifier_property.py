@@ -147,7 +147,7 @@ def test_packed_verifier_agrees_with_serial(models, size, custom, tests):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_packed_detection_matrix_agrees_with_serial(models, size, tests):
     # Per test, one verdict per fault case: the batched sweep path
-    # (``PackedSimulation.worst_case_verdicts``), not the verifier.  The
+    # (``TransitionTable.worst_case_verdicts``), not the verifier.  The
     # scalar reference runs every realization, so drawn tests keep to at
     # most three ⇕ elements.
     cases = fault_cases(models, size, False)

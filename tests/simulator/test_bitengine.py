@@ -26,6 +26,7 @@ from repro.march.test import parse_march
 from repro.memory.array import NullFaultInstance
 from repro.simulator.bitengine import (
     PackedSimulation,
+    TransitionTable,
     UnpackableFaultError,
     pack_cases,
 )
@@ -33,7 +34,9 @@ from repro.simulator.bitengine import (
 
 def packed_verdicts(test, cases, size):
     """The engine's worst-case verdicts for lane-packable ``cases``."""
-    return PackedSimulation(cases, size).worst_case_verdicts(test)
+    return TransitionTable(PackedSimulation(cases, size)).worst_case_verdicts(
+        test
+    )
 
 
 def packs(fault_case):
@@ -142,6 +145,8 @@ class TestPartition:
         assert simulation.cases == (saf[0], saf[1])
         assert unpackable == custom
         assert routes == (True, False, True, False)
+        # No packable case: no simulation.
+        assert pack_cases(custom, 3) == (None, custom, (False, False))
 
     def test_packed_simulation_rejects_unpackable_cases(self):
         class CustomInstance(NullFaultInstance):
@@ -253,18 +258,19 @@ class TestPackedSimulation:
         # the worst case must conjoin all realizations.
         test = parse_march("{any(w0); any(r0,w1); any(r1,w0); any(r0)}")
         cases = FaultList.from_names("TF").instances(3)
-        sim = PackedSimulation(cases, 3)
-        assert sim.worst_case_verdicts(test) == serial_verdicts(
+        assert packed_verdicts(test, cases, 3) == serial_verdicts(
             test, cases, 3
         )
 
     def test_one_simulation_serves_many_tests(self):
         cases = FaultList.from_names("SAF", "TF").instances(3)
-        sim = PackedSimulation(cases, 3)
+        table = TransitionTable(PackedSimulation(cases, 3))
         for test in (MATS, MATS_PLUS_PLUS, MARCH_C_MINUS):
-            assert sim.worst_case_verdicts(test) == serial_verdicts(
+            assert table.worst_case_verdicts(test) == serial_verdicts(
                 test, cases, 3
             )
+        # All three start with ⇕(w0) from power-up: one engine run.
+        assert table.hits.value >= 2
 
     def test_non_verifying_reads_still_disturb(self):
         # A plain r read must fire read-disturb side effects without

@@ -66,6 +66,18 @@ class TestKernelTelemetry:
             telemetry.snapshot(), "repro.backend.served"
         ) == sum(kernel.backend.served.values())
 
+    def test_backend_table_steps_are_adopted(self):
+        telemetry = Telemetry()
+        kernel = self.simulate(telemetry, backend="bitparallel")
+        series = telemetry.snapshot()["metrics"]["repro.backend.table_steps"]
+        steps = {row["labels"]["table"]: row["value"]
+                 for row in series["series"]}
+        assert steps == {
+            "hit": kernel.backend.table_hits.value,
+            "miss": kernel.backend.table_misses.value,
+        }
+        assert steps["miss"] > 0
+
     def test_batches_are_spanned_and_timed(self):
         telemetry = Telemetry()
         self.simulate(telemetry)
