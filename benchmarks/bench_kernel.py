@@ -200,6 +200,9 @@ COVERAGE_MODELS = (
     "WDF", "DRF", "SOF",
 )
 COVERAGE_SIZE = 16
+#: The sweep's two-cell lanes (ADF-B/C/D, CFin, CFid, CFst): 240 + 960
+#: + 240 + 480 + 960 + 960 of its 4,128 fault lanes.
+TWO_CELL_LANES = 3840
 
 #: The six Table 3 rows, in ``repro table3`` order.
 TABLE3_ROWS = (
@@ -317,16 +320,19 @@ def measure_any_order_tree(repeats=3):
 
 class CountingRuns:
     """Counts ``PackedSimulation.run_variant`` calls while active, by
-    wrapping the class attribute the transition table calls."""
+    wrapping the class attribute the transition table calls, and keeps
+    each call's arguments for :meth:`engine_seconds`."""
 
     def __enter__(self):
         from repro.simulator.bitengine import PackedSimulation
 
         self.runs = 0
+        self.calls = []
         self._original = original = PackedSimulation.run_variant
 
         def counted(simulation, *args, **kwargs):
             self.runs += 1
+            self.calls.append((simulation, args, kwargs))
             return original(simulation, *args, **kwargs)
 
         PackedSimulation.run_variant = counted
@@ -336,6 +342,18 @@ class CountingRuns:
         from repro.simulator.bitengine import PackedSimulation
 
         PackedSimulation.run_variant = self._original
+
+    def engine_seconds(self, repeats=3):
+        """The engine alone: the recorded runs -- one per (state,
+        element) miss of a transition table -- replayed back to back,
+        best of ``repeats``."""
+        run = self._original
+
+        def replay():
+            for simulation, args, kwargs in self.calls:
+                run(simulation, *args, **kwargs)
+
+        return _best_of(repeats, replay)[0]
 
 
 def certify_search(size):
@@ -363,6 +381,7 @@ def certify_search(size):
         "size": size,
         "fault_cases": len(cases),
         "seconds": seconds,
+        "engine_seconds": counter.engine_seconds(),
         "candidates": stats.candidates_tested,
         "verify_calls": verify.calls,
         "engine_runs": counter.runs,
@@ -385,8 +404,10 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
     size.  The search steps each prefix once down its grammar tree, so
     ``element_steps`` (table hits + engine runs) is about one per
     candidate.  At these sizes the table is bound by its entry count
-    (``table_limit``), not by its state bits.  Informational: the
-    counts are exact, the seconds are trajectory data without a floor.
+    (``table_limit``), not by its state bits.  ``engine_seconds`` is
+    the engine alone: the search's engine runs replayed from their
+    recorded (state, element) misses.  Informational: the counts are
+    exact, the seconds are trajectory data without a floor.
     """
     from repro.simulator.bitengine import TRANSITION_TABLE_LIMIT
 
@@ -417,13 +438,17 @@ def measure_coverage_sweep(repeats=3):
     size 16 (best of ``repeats``), plus the shape of its lane plan and
     the steps of its transition table.
 
-    The plan holds one entry of role masks per (cell, target) pair and
-    per merged single-cell rule; ``plan`` records how many entries one
-    write and one read walk (the most over every cell and value).  The
-    tests share one table: ``steps`` records the element steps they
-    make, the engine runs behind them (counted untimed, on one more
-    sweep), the table hits and misses, and the distinct transitions
-    the table holds at the end.
+    The plan holds one mask per role of each cell; ``plan`` records
+    what one write and one read work through: the merged single-cell
+    rules (the most over every cell and value) and the role masks
+    (fan-out and CFst hold; read source and CFrd), which stay the same
+    however many neighbours a cell has, plus the two-cell lanes the
+    engine carries in its victim lane words.  The tests share one
+    table: ``steps`` records the element steps they make, the engine
+    runs behind them (counted untimed, on one more sweep), the table
+    hits and misses, and the distinct transitions the table holds at
+    the end.  ``engine_seconds`` is the engine alone: those engine
+    runs replayed from their recorded (state, element) misses.
     """
     from repro.march.catalog import CATALOG
 
@@ -450,17 +475,22 @@ def measure_coverage_sweep(repeats=3):
     }
     plan = table.simulation.plan
     cells = range(COVERAGE_SIZE)
-    tables = {
-        "entries_per_write": max(
+    shape = {
+        "write_rules": max(
             len(plan.write_rules[value][cell])
-            + len(plan.write_fanout[value][cell])
-            + len(plan.cfst_victim[cell])
             for cell in cells for value in (0, 1)
         ),
-        "entries_per_read": max(
-            len(plan.read_rules[cell]) + len(plan.read_sources[cell])
-            + len(plan.cf_read[cell])
+        "write_role_masks": max(
+            len(plan.fanout[value][cell]) + len(plan.hold[cell])
+            for cell in cells for value in (0, 1)
+        ),
+        "read_rules": max(len(plan.read_rules[cell]) for cell in cells),
+        "read_role_masks": max(
+            len(plan.read_source[cell]) + len(plan.read_force[cell])
             for cell in cells
+        ),
+        "two_cell_lanes": sum(
+            bin(lanes).count("1") for lanes in plan.aggressor
         ),
     }
     return {
@@ -475,7 +505,8 @@ def measure_coverage_sweep(repeats=3):
         ),
         "detected": sum(len(report.detected) for report in reports),
         "seconds": seconds,
-        "plan": tables,
+        "engine_seconds": counter.engine_seconds(repeats),
+        "plan": shape,
         "steps": steps,
         "guard_enforced": False,
         "skipped_reason": (
@@ -1361,13 +1392,21 @@ def test_table3_optimize_builds_what_it_verifies():
 
 def test_coverage_sweep_record():
     """The coverage record counts the sweep's verdicts and lanes, and
-    the entries one write and one read of its lane plan walk."""
+    what one write and one read of its lane plan work through."""
     record = measure_coverage_sweep(repeats=1)
     assert record["verdicts"] == 40512
     assert record["lanes"] == 4129
-    # A write walks 2 merged write rules, 15 fan-out targets and 15
-    # CFst aggressors; a read 6 merged read rules and 15 sources.
-    assert record["plan"] == {"entries_per_write": 32, "entries_per_read": 21}
+    # A write works through 2 merged write rules and 5 fan-out plus 4
+    # CFst hold masks; a read through 6 merged read rules and 4 source
+    # plus 2 CFrd masks, whatever the 15 neighbours of its cell.
+    assert record["plan"] == {
+        "write_rules": 2,
+        "write_role_masks": 9,
+        "read_rules": 6,
+        "read_role_masks": 6,
+        "two_cell_lanes": TWO_CELL_LANES,
+    }
+    assert record["engine_seconds"] <= record["seconds"]
     assert record["guard_enforced"] is False
 
 
@@ -1745,6 +1784,7 @@ def main():
             f" {row['element_steps']:6d} element steps"
             f" {row['engine_runs']:5d} engine runs"
             f" {row['seconds'] * 1e3:9.2f} ms"
+            f" (engine alone {row['engine_seconds'] * 1e3:7.2f} ms)"
         )
     front_end = payload["workloads"]["table3_front_end"]
     print(
@@ -1770,8 +1810,11 @@ def main():
         f" {coverage['seconds'] * 1e3:9.2f} ms"
     )
     print(
-        f"  lane plan entries walked: {plan['entries_per_write']} per"
-        f" write, {plan['entries_per_read']} per read"
+        f"  lane plan per write: {plan['write_rules']} rules,"
+        f" {plan['write_role_masks']} role masks; per read:"
+        f" {plan['read_rules']} rules, {plan['read_role_masks']} role"
+        f" masks ({plan['two_cell_lanes']} two-cell lanes);"
+        f" engine alone {coverage['engine_seconds'] * 1e3:.2f} ms"
     )
     steps = coverage["steps"]
     print(

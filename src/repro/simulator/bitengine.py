@@ -28,23 +28,29 @@ as bitwise updates conditioned only on fixed cells of its own lane:
   to :class:`~repro.faults.primitives.MaskTransition` rules;
 * state faults (SA, the ADF type-A dead cell) become forced-value
   masks applied on every access of their cell;
-* coupling faults (CFid, CFin, CFst, CFrd) become masks in the entry
-  of their (aggressor, victim) pair;
-* address-decoder faults B/C/D become masks in the write fan-out and
-  read-source entries of their (accessed cell, other cell) pair;
+* coupling faults (CFid, CFin, CFst, CFrd) and address-decoder faults
+  B/C/D are *two-cell* lanes: each has one aggressor cell, whose write
+  or read triggers it (the accessed cell of an ADF), and one victim
+  cell, which it forces, inverts or reads in place of the aggressor;
 * the stuck-open fault (SOF) packs through a dedicated per-lane *latch
   word*: each SOF lane carries one bit of shared sense-amplifier state
   that every read of a healthy cell reloads and every read of the open
   cell reports, so the "previous read" coupling that is non-local in
   cell space is still one bit per lane in lane space.
 
-Every lane's mask is ORed straight into the :class:`LanePlan` entry of
-the cell it acts on, one set of role masks per (cell, target) pair and
-per single-cell rule shape.  Each update is per lane and the lanes of
-different instances are disjoint, so the merge is exact, and a march
-operation costs one loop step per neighbour cell, not per fault lane:
-at size 16 over the twelve base models a write walks 32 entries and a
-read 21, however many lanes the plan carries.
+Every lane's bit is ORed straight into the :class:`LanePlan` mask of
+its role at the cell it is keyed by: one mask per single-cell rule
+shape, and for two-cell lanes one per role of the aggressor (the
+write fan-out per written value, the routed read source, the CFrd
+forcing) or the victim (the CFst hold).  Each update is per lane and
+the lanes of different instances are disjoint, so the merge is exact.
+The two-cell lanes follow the SOF latch's idea: during a run the
+engine holds every lane's victim cell as one bit of two *lane words*
+(value, defined), and a CFst lane's aggressor cell in two more, so a
+fan-out, a hold, a routed read or a CFrd forcing is a few operations
+on those words however many neighbours the cell has: at size 16 over
+the twelve base models a write works through 2 merged rules and 9
+role masks and a read through 6 rules and 6 role masks.
 
 Unknown instance types (user-defined faults, composite multi-defect
 injections) are conservatively unpackable: a subclass may override any
@@ -117,14 +123,15 @@ from ..march.test import MarchTest
 from ..telemetry.metrics import Counter
 from .ordertree import walk_realizations
 
-# Roles of the mask lists in a lane plan's tables (list indices).  A
-# write fan-out entry forces its target cell unconditionally, or only
-# for the lanes whose write completes the aggressor transition
-# (``old == 1 - v``: CFid forces, CFin inverts a definite value).
+# Roles of the per-cell role mask lists of a lane plan (list indices).
+# A write fan-out forces the victims of the written cell's lanes
+# unconditionally, or only for the lanes whose write completes the
+# aggressor transition (``old == 1 - v``: CFid forces, CFin inverts a
+# definite value).
 FORCE1, FORCE0, TRANSIT_FORCE1, TRANSIT_FORCE0, TRANSIT_INVERT = range(5)
-#: A read-source entry: which cell a read of the routed cell reports
-#: (ADF-B/D and ADF-C "other" report the source, ADF-C "own" the read
-#: cell, "and"/"or" the wired combination of both).
+#: A read-source role: what a read of the routed cell reports (ADF-B/D
+#: and ADF-C "other" report the lane's victim cell, ADF-C "own" the
+#: read cell, "and"/"or" the wired combination of both).
 OTHER, OWN, AND, OR = range(4)
 
 
@@ -140,25 +147,23 @@ class UnpackableFaultError(TypeError):
     """A fault instance has no word-packed lane encoding."""
 
 
-def _entry(table: Dict[int, List[int]], cell: int, roles: int) -> List[int]:
-    """The mask list of ``cell`` in ``table``, added empty if absent."""
-    masks = table.get(cell)
-    if masks is None:
-        masks = table[cell] = [0] * roles
-    return masks
-
-
 class LanePlan:
-    """Per-cell bitwise dispatch tables for one packed lane set.
+    """Per-cell bitwise dispatch masks for one packed lane set.
 
-    Every table is keyed by the cell an access touches and, below it,
-    by the cell an entry acts on (a write's targets, a read's sources,
-    a CFst victim's aggressors), and holds one mask per role with the
-    bits of every lane in that role ORed in.  This is exact: each
-    update is per lane and the lanes of different fault instances are
-    disjoint.  So a march operation walks one entry per neighbour cell
-    and per merged single-cell rule, however many lanes the plan
-    carries.
+    Single-cell lanes keep masks keyed by their cell and rule shape.
+    Every two-cell lane (CFid, CFin, CFst, CFrd, ADF-B/C/D) has exactly
+    one aggressor cell, the one whose access triggers it, and one victim
+    cell, the one it acts on or reads: :meth:`pair` records them in the
+    per-cell :attr:`aggressor` and :attr:`victim` masks, and
+    :meth:`check_pairs` refuses a lane named under a second cell of
+    either role.  So each role of a
+    cell is one mask with the bits of every lane in that role ORed in,
+    whichever neighbour the lane's other cell is: a write's fan-out per
+    written value, a CFst victim's hold, a read's routed source and its
+    CFrd forcing.  The engine keeps every lane's victim cell in one pair
+    of lane words during a run, so a march operation costs a constant
+    number of word operations per role, however many neighbours and
+    lanes the cell has.
 
     Built once per (fault cases, size) pair and immutable afterwards;
     every order-variant run shares the plan and keeps its own
@@ -189,26 +194,31 @@ class LanePlan:
         )
         self.read_rules: List[_Rules] = [{} for _ in range(n)]
         self.wait_rules: Dict[Tuple[int, int], int] = {}
-        #: write_fanout[v][cell]: {target: [FORCE1, FORCE0, TRANSIT_FORCE1,
-        #: TRANSIT_FORCE0, TRANSIT_INVERT]} -- the other cells a write of
-        #: ``v`` reaches: ADF-B/D redirects and ADF-C echoes (a forced
-        #: ``v``), CFst aggressors holding ``v`` and CFid/CFin aggressor
-        #: transitions to ``v``.
-        self.write_fanout: Tuple[List[Dict[int, List[int]]], ...] = (
-            [{} for _ in range(n)], [{} for _ in range(n)]
+        #: The two-cell lanes whose aggressor / victim is the cell.
+        self.aggressor = [0] * n
+        self.victim = [0] * n
+        #: fanout[v][cell]: [FORCE1, FORCE0, TRANSIT_FORCE1,
+        #: TRANSIT_FORCE0, TRANSIT_INVERT] -- what a write of ``v`` to
+        #: the aggressor cell does to the victim: ADF-B/D redirects and
+        #: ADF-C echoes (a forced ``v``), CFst aggressors holding ``v``
+        #: and CFid/CFin aggressor transitions to ``v``.
+        self.fanout: Tuple[List[List[int]], ...] = (
+            [[0] * 5 for _ in range(n)], [[0] * 5 for _ in range(n)]
         )
-        #: cfst_victim[cell]: {aggressor: four masks, index ``2 * held
-        #: state + forced value``} re-enforced after any write to the
-        #: victim cell.
-        self.cfst_victim: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-        #: read_sources[cell]: {source: [OTHER, OWN, AND, OR]} -- what a
-        #: read of the cell reports on its routed lanes (ADF-B/C/D), and
+        #: hold[cell]: four CFst masks, index ``2 * held state + forced
+        #: value``, re-enforced after any write to the victim cell, and
+        #: ``cfst_aggressor[cell]`` the CFst lanes whose aggressor is the
+        #: cell.
+        self.hold = [[0] * 4 for _ in range(n)]
+        self.cfst_aggressor = [0] * n
+        #: read_source[cell]: [OTHER, OWN, AND, OR] -- what a read of the
+        #: aggressor cell reports on its routed lanes (ADF-B/C/D), and
         #: ``read_routed[cell]`` the union of those lanes.
-        self.read_sources: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        self.read_source = [[0] * 4 for _ in range(n)]
         self.read_routed = [0] * n
-        #: cf_read[cell]: {victim: [FORCE1, FORCE0]} forced by any read
-        #: of the cell (CFrd).
-        self.cf_read: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+        #: read_force[cell]: [FORCE1, FORCE0] forced on the victim by any
+        #: read of the aggressor cell (CFrd).
+        self.read_force = [[0] * 2 for _ in range(n)]
         # Stuck-open sense-amplifier latch: per-lane shared read state.
         #: Lanes whose open cell is ``c``: reads of ``c`` report the
         #: latch word and writes to ``c`` are lost (also in write_lost).
@@ -232,16 +242,47 @@ class LanePlan:
             key = (cell, rule.old_value)
         rules[key] = rules.get(key, 0) | mask
 
-    def fanout(self, written: int, cell: int, target: int) -> List[int]:
-        """The write fan-out masks of ``target`` for a write of
-        ``written`` to ``cell``."""
-        return _entry(self.write_fanout[written][cell], target, 5)
+    def pair(self, aggressor: int, victim: int, mask: int) -> None:
+        """The ``mask`` lanes are two-cell lanes triggered at
+        ``aggressor`` and acting on ``victim`` (:meth:`check_pairs`
+        refuses a lane named under a second cell)."""
+        self.aggressor[aggressor] |= mask
+        self.victim[victim] |= mask
 
-    def route_read(self, cell: int, source: int, model: int,
-                   mask: int) -> None:
-        """Reads of ``cell`` report ``source`` under ``model`` for the
-        ``mask`` lanes."""
-        _entry(self.read_sources[cell], source, 4)[model] |= mask
+    def check_pairs(self) -> None:
+        """Refuse a two-cell lane named under a second aggressor or
+        victim cell, or under one cell in both roles.
+
+        A lane may take several roles, but at one aggressor and one
+        victim cell: the engine carries each lane's victim cell as one
+        bit of its lane words, so any other lane would be silently
+        mis-simulated.
+        """
+        for role, masks in (("aggressor", self.aggressor),
+                            ("victim", self.victim)):
+            seen = 0
+            for cell, mask in enumerate(masks):
+                twice = seen & mask
+                if twice:
+                    raise ValueError(
+                        f"lanes {twice:#x} are paired under a second {role}"
+                        f" cell ({cell}); a two-cell lane has one aggressor"
+                        " and one victim cell"
+                    )
+                seen |= mask
+        for cell, (lanes, victims) in enumerate(
+            zip(self.aggressor, self.victim)
+        ):
+            if lanes & victims:
+                raise ValueError(
+                    f"lanes {lanes & victims:#x} name cell {cell} as both"
+                    " aggressor and victim; a two-cell lane has two cells"
+                )
+
+    def route_read(self, cell: int, model: int, mask: int) -> None:
+        """Reads of ``cell`` report under ``model`` for the ``mask``
+        lanes, already paired with ``cell`` as their aggressor."""
+        self.read_source[cell][model] |= mask
         self.read_routed[cell] |= mask
 
 
@@ -327,39 +368,43 @@ def _enc_cfid(inst: CouplingIdempotentInstance, plan: LanePlan,
               m: int) -> None:
     written = 1 if inst.rising else 0
     role = TRANSIT_FORCE1 if inst.force_value else TRANSIT_FORCE0
-    plan.fanout(written, inst.aggressor, inst.victim)[role] |= m
+    plan.pair(inst.aggressor, inst.victim, m)
+    plan.fanout[written][inst.aggressor][role] |= m
 
 
 def _enc_cfin(inst: CouplingInversionInstance, plan: LanePlan,
               m: int) -> None:
     written = 1 if inst.rising else 0
-    plan.fanout(written, inst.aggressor, inst.victim)[TRANSIT_INVERT] |= m
+    plan.pair(inst.aggressor, inst.victim, m)
+    plan.fanout[written][inst.aggressor][TRANSIT_INVERT] |= m
 
 
 def _enc_cfst(inst: CouplingStateInstance, plan: LanePlan, m: int) -> None:
     # Writing the held state to the aggressor forces the victim at once.
     role = FORCE1 if inst.forced_value else FORCE0
-    plan.fanout(inst.agg_state, inst.aggressor, inst.victim)[role] |= m
-    held = _entry(plan.cfst_victim[inst.victim], inst.aggressor, 4)
-    held[2 * inst.agg_state + inst.forced_value] |= m
+    plan.pair(inst.aggressor, inst.victim, m)
+    plan.fanout[inst.agg_state][inst.aggressor][role] |= m
+    plan.hold[inst.victim][2 * inst.agg_state + inst.forced_value] |= m
+    plan.cfst_aggressor[inst.aggressor] |= m
 
 
 def _enc_cfrd(inst: ReadCouplingInstance, plan: LanePlan, m: int) -> None:
-    forced = _entry(plan.cf_read[inst.aggressor], inst.victim, 2)
-    forced[FORCE1 if inst.forced else FORCE0] |= m
+    plan.pair(inst.aggressor, inst.victim, m)
+    plan.read_force[inst.aggressor][FORCE1 if inst.forced else FORCE0] |= m
 
 
 def _reach(plan: LanePlan, cell: int, target: int, m: int) -> None:
     """Writes to ``cell`` also land on ``target`` for the ``m`` lanes."""
-    plan.fanout(1, cell, target)[FORCE1] |= m
-    plan.fanout(0, cell, target)[FORCE0] |= m
+    plan.pair(cell, target, m)
+    plan.fanout[1][cell][FORCE1] |= m
+    plan.fanout[0][cell][FORCE0] |= m
 
 
 def _redirect(plan: LanePlan, cell: int, target: int, m: int) -> None:
     """Accesses to ``cell`` land on ``target`` for the ``m`` lanes."""
     plan.write_lost[cell] |= m
     _reach(plan, cell, target, m)
-    plan.route_read(cell, target, OTHER, m)
+    plan.route_read(cell, OTHER, m)
 
 
 def _enc_wrong_cell(inst: WrongCellAccessInstance, plan: LanePlan,
@@ -380,7 +425,7 @@ def _enc_multi_cell(inst: MultiCellAccessInstance, plan: LanePlan,
                     m: int) -> None:
     # ADF-C: writes to a also reach b; conflicting reads combine.
     _reach(plan, inst.a, inst.b, m)
-    plan.route_read(inst.a, inst.b, _READ_MODELS[inst.read_model], m)
+    plan.route_read(inst.a, _READ_MODELS[inst.read_model], m)
 
 
 _ENCODERS: Dict[Type, Callable[[object, LanePlan, int], None]] = {
@@ -483,11 +528,21 @@ class PackedSimulation:
                 encoder(instance, plan, 1 << bit)
                 bit += 1
             self.lane_cases += [case_index] * len(variants)
+        plan.check_pairs()
         self.plan = plan
         self.full = plan.full
         #: The state words of a fresh memory: every cell undefined, the
         #: SOF latches at their power-up content.
         self.power_up: Words = (0,) * (2 * size) + (plan.sof_latch_init,)
+        # The cells a run loads into its lane words, with their lanes:
+        # every two-cell lane's victim cell and every CFst aggressor.
+        self._victim_cells = tuple(
+            (cell, mask) for cell, mask in enumerate(plan.victim) if mask
+        )
+        self._cfst_cells = tuple(
+            (cell, mask) for cell, mask in enumerate(plan.cfst_aggressor)
+            if mask
+        )
 
     # -- execution --------------------------------------------------------------
 
@@ -504,6 +559,15 @@ class PackedSimulation:
         malformed tests expecting values the good machine never holds.
         From a state other than power-up, ``test`` is a segment of a
         realization, and the mask holds only the segment's detections.
+
+        During the run, bit ``L`` of the *lane words* ``vic_val`` /
+        ``vic_def`` holds two-cell lane ``L``'s victim cell, and of
+        ``agg_val`` / ``agg_def`` a CFst lane's aggressor cell.  A
+        fan-out, a CFst hold or a CFrd forcing updates the victim words
+        alone; a write to a victim cell updates both its cell words and
+        the lane words, so the two differ only after such an effect
+        (``touched``), and only then does a read of a victim cell take
+        the lane words' bits or the run fold them back at its end.
         """
         if words is None:
             words = self.power_up
@@ -516,12 +580,23 @@ class PackedSimulation:
         stuck0, stuck1 = plan.stuck0, plan.stuck1
         dead0, dead1 = plan.dead0, plan.dead1
         write_lost = plan.write_lost
-        write_rules, write_fanout = plan.write_rules, plan.write_fanout
-        cfst_victim = plan.cfst_victim
-        read_rules, read_sources = plan.read_rules, plan.read_sources
-        read_routed, cf_read = plan.read_routed, plan.cf_read
+        write_rules, read_rules = plan.write_rules, plan.read_rules
+        aggressor, victim = plan.aggressor, plan.victim
+        fanout, hold = plan.fanout, plan.hold
+        cfst_aggressor, cfst_cells = plan.cfst_aggressor, self._cfst_cells
+        read_source, read_routed = plan.read_source, plan.read_routed
+        read_force = plan.read_force
         sof_lanes = plan.sof_lanes
         latch = words[-1]
+        victim_cells = self._victim_cells
+        vic_val = vic_def = agg_val = agg_def = 0
+        for cell, mask in victim_cells:
+            vic_val |= value[cell] & mask
+            vic_def |= defined[cell] & mask
+        for cell, mask in cfst_cells:
+            agg_val |= value[cell] & mask
+            agg_def |= defined[cell] & mask
+        touched = False
         for element in test.elements:
             if isinstance(element, DelayElement):
                 for (cell, old), mask in plan.wait_rules.items():
@@ -532,11 +607,10 @@ class PackedSimulation:
                         value[cell] ^= fired
                 continue
             assert isinstance(element, MarchElement)
-            ops = element.ops
+            ops = [(op.kind == "w", op.value) for op in element.ops]
             for a in element.order.addresses(n):
-                for op in ops:
-                    v = op.value
-                    if op.is_write:
+                for is_write, v in ops:
+                    if is_write:
                         old_val = value[a]
                         old_def = defined[a]
                         lost = write_lost[a]
@@ -563,37 +637,18 @@ class PackedSimulation:
                             new_val ^= flip
                         value[a] = new_val
                         defined[a] = old_def | written
-                        fanout = write_fanout[v][a]
-                        if fanout:
-                            # An aggressor transition completes iff the
-                            # old value was the complement of the write.
-                            transit = old_def & (~old_val if v else old_val)
-                            for target, (one, zero, t_one, t_zero,
-                                         t_invert) in fanout.items():
-                                if transit:
-                                    one |= t_one & transit
-                                    zero |= t_zero & transit
-                                    t_invert &= transit
-                                    if t_invert:
-                                        value[target] ^= (
-                                            t_invert & defined[target]
-                                        )
-                                forced = one | zero
-                                if forced:
-                                    value[target] = (
-                                        (value[target] | one) & ~zero
-                                    )
-                                    defined[target] |= forced
-                        held_by = cfst_victim[a]
-                        if held_by:
-                            # CFst: a victim holds the forced value
-                            # while its aggressor holds the state.
-                            cell = value[a]
-                            for agg, (h0f0, h0f1, h1f0, h1f1) in (
-                                held_by.items()
-                            ):
-                                agg_val = value[agg]
-                                agg_def = defined[agg]
+                        victims = victim[a]
+                        if victims:
+                            # No single-cell mask names a lane's victim
+                            # cell: the write stores ``v`` there.
+                            vic_val = (
+                                vic_val | victims if v else vic_val & ~victims
+                            )
+                            vic_def |= victims
+                            if cfst_cells:
+                                # CFst: a victim holds the forced value
+                                # while its aggressor holds the state.
+                                h0f0, h0f1, h1f0, h1f1 = hold[a]
                                 agg_inv = ~agg_val
                                 one = agg_def & (
                                     (h1f1 & agg_val) | (h0f1 & agg_inv)
@@ -601,12 +656,44 @@ class PackedSimulation:
                                 zero = agg_def & (
                                     (h1f0 & agg_val) | (h0f0 & agg_inv)
                                 )
-                                cell = (cell | one) & ~zero
-                            value[a] = cell
+                                if one or zero:
+                                    vic_val = (vic_val | one) & ~zero
+                                    touched = True
+                        if aggressor[a]:
+                            one, zero, t_one, t_zero, t_invert = fanout[v][a]
+                            if t_one or t_zero or t_invert:
+                                # An aggressor transition completes iff
+                                # the old value was the complement of
+                                # the write.
+                                transit = old_def & (
+                                    ~old_val if v else old_val
+                                )
+                                one |= t_one & transit
+                                zero |= t_zero & transit
+                                t_invert &= transit & vic_def
+                                if t_invert:
+                                    vic_val ^= t_invert
+                                    touched = True
+                            if one or zero:
+                                vic_val = (vic_val | one) & ~zero
+                                vic_def |= one | zero
+                                touched = True
+                            holders = cfst_aggressor[a]
+                            if holders:
+                                agg_val = (
+                                    agg_val | holders if v
+                                    else agg_val & ~holders
+                                )
+                                agg_def |= holders
                         continue
                     # -- read ------------------------------------------------
                     raw_val = value[a]
                     raw_def = defined[a]
+                    if touched:
+                        victims = victim[a]
+                        if victims:
+                            raw_val ^= (raw_val ^ vic_val) & victims
+                            raw_def ^= (raw_def ^ vic_def) & victims
                     reported = raw_val
                     reported_def = raw_def
                     for (old, flip_store, flip_report), mask in (
@@ -626,31 +713,29 @@ class PackedSimulation:
                         force1 = s1 | d1
                         reported = (reported & ~force0) | force1
                         reported_def |= force0 | force1
-                    sources = read_sources[a]
-                    if sources:
-                        # The routed lanes report a source cell, their
-                        # own cell (after the read-rule flips above) or
-                        # the wired AND/OR of both.
-                        own_val = value[a]
-                        own_def = defined[a]
-                        got_val = got_def = 0
-                        for source, (other, own, both, either) in (
-                            sources.items()
-                        ):
-                            src_val = value[source]
-                            src_def = defined[source]
-                            got_val |= (
-                                src_val & (other | either | (own_val & both))
+                    if aggressor[a]:
+                        routed = read_routed[a]
+                        if routed:
+                            # The routed lanes report their victim cell,
+                            # their own cell (after the read-rule flips
+                            # above) or the wired AND/OR of both.
+                            other, own, both, either = read_source[a]
+                            own_val = value[a]
+                            own_def = defined[a]
+                            got_val = (
+                                vic_val & (other | either | (own_val & both))
                             ) | (own_val & (own | either))
-                            got_def |= (
-                                src_def & (other | (own_def & (both | either)))
+                            got_def = (
+                                vic_def & (other | (own_def & (both | either)))
                             ) | (own_def & own)
-                        routed = ~read_routed[a]
-                        reported = (reported & routed) | got_val
-                        reported_def = (reported_def & routed) | got_def
-                    for victim, (one, zero) in cf_read[a].items():
-                        value[victim] = (value[victim] | one) & ~zero
-                        defined[victim] |= one | zero
+                            routed = ~routed
+                            reported = (reported & routed) | got_val
+                            reported_def = (reported_def & routed) | got_def
+                        one, zero = read_force[a]
+                        if one or zero:
+                            vic_val = (vic_val | one) & ~zero
+                            vic_def |= one | zero
+                            touched = True
                     if sof_lanes:
                         sof_here = plan.sof_cell[a]
                         if sof_here:
@@ -672,6 +757,10 @@ class PackedSimulation:
                     if v is not None:
                         expected = full if v else 0
                         detected |= (reported ^ expected) & reported_def
+        if touched:
+            for cell, mask in victim_cells:
+                value[cell] ^= (value[cell] ^ vic_val) & mask
+                defined[cell] ^= (defined[cell] ^ vic_def) & mask
         return (*value, *defined, latch), detected
 
 

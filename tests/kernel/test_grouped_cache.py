@@ -8,10 +8,10 @@ with a plain per-key model of the last verdict put: whatever it
 returns is that verdict, it never holds more than its bound, its
 counters add up, and it evicts exactly what it stopped holding.
 
-The lane plan's neighbour tables hold one entry of role masks per
-(cell, target) pair; the plan-shape test rebuilds them lane by lane
-from the fault instances and checks they are the OR of every lane's
-mask.
+The lane plan holds one mask per role of each cell; the plan-shape
+test rebuilds them lane by lane from the fault instances, checks they
+are the OR of every lane's bit and that each two-cell lane has one
+aggressor and one victim cell.
 """
 
 from functools import reduce
@@ -33,6 +33,7 @@ from repro.faults.instances import (
 )
 from repro.faults.library import MODEL_REGISTRY
 from repro.kernel import FaultDictionaryCache, SimKey
+from repro.simulator import bitengine
 from repro.simulator.bitengine import (
     AND,
     FORCE0,
@@ -43,6 +44,7 @@ from repro.simulator.bitengine import (
     TRANSIT_FORCE0,
     TRANSIT_FORCE1,
     TRANSIT_INVERT,
+    LanePlan,
     PackedSimulation,
 )
 
@@ -182,21 +184,21 @@ def test_eviction_drops_the_oldest_group_first():
 
 # -- the coalesced lane plan ----------------------------------------------------
 
-#: Every neighbour table of the plan, with its number of roles.
-NEIGHBOUR_TABLES = {
-    "write_fanout[0]": 5,
-    "write_fanout[1]": 5,
-    "cfst_victim": 4,
-    "read_sources": 4,
-    "cf_read": 2,
+#: Every per-cell role list of the plan, with its number of roles.
+ROLE_TABLES = {
+    "fanout[0]": 5,
+    "fanout[1]": 5,
+    "hold": 4,
+    "read_source": 4,
+    "read_force": 2,
 }
 
 READ_ROLES = {"other": OTHER, "own": OWN, "and": AND, "or": OR}
 
 
-def neighbour_entries(instance):
-    """``(table, cell, target, role)`` of each mask bit ``instance``'s
-    lane sets in the plan's neighbour tables."""
+def lane_roles(instance):
+    """``(aggressor, victim, [(table, cell, role), ...])`` of a two-cell
+    instance's lane, ``None`` for a single-cell one."""
     kind = type(instance)
     if kind in (WrongCellAccessInstance, SharedCellAccessInstance):
         # ADF-B: accesses to a land on b; ADF-D: accesses to b land on a.
@@ -204,79 +206,144 @@ def neighbour_entries(instance):
             (instance.a, instance.b) if kind is WrongCellAccessInstance
             else (instance.b, instance.a)
         )
-        return [("write_fanout[1]", cell, target, FORCE1),
-                ("write_fanout[0]", cell, target, FORCE0),
-                ("read_sources", cell, target, OTHER)]
+        return cell, target, [("fanout[1]", cell, FORCE1),
+                              ("fanout[0]", cell, FORCE0),
+                              ("read_source", cell, OTHER)]
     if kind is MultiCellAccessInstance:
-        return [("write_fanout[1]", instance.a, instance.b, FORCE1),
-                ("write_fanout[0]", instance.a, instance.b, FORCE0),
-                ("read_sources", instance.a, instance.b,
-                 READ_ROLES[instance.read_model])]
+        return instance.a, instance.b, [
+            ("fanout[1]", instance.a, FORCE1),
+            ("fanout[0]", instance.a, FORCE0),
+            ("read_source", instance.a, READ_ROLES[instance.read_model]),
+        ]
     if kind is CouplingIdempotentInstance:
         role = TRANSIT_FORCE1 if instance.force_value else TRANSIT_FORCE0
-        return [(f"write_fanout[{int(instance.rising)}]",
-                 instance.aggressor, instance.victim, role)]
+        return instance.aggressor, instance.victim, [
+            (f"fanout[{int(instance.rising)}]", instance.aggressor, role)
+        ]
     if kind is CouplingInversionInstance:
-        return [(f"write_fanout[{int(instance.rising)}]",
-                 instance.aggressor, instance.victim, TRANSIT_INVERT)]
+        return instance.aggressor, instance.victim, [
+            (f"fanout[{int(instance.rising)}]", instance.aggressor,
+             TRANSIT_INVERT)
+        ]
     if kind is CouplingStateInstance:
-        return [(f"write_fanout[{instance.agg_state}]", instance.aggressor,
-                 instance.victim,
-                 FORCE1 if instance.forced_value else FORCE0),
-                ("cfst_victim", instance.victim, instance.aggressor,
-                 2 * instance.agg_state + instance.forced_value)]
+        return instance.aggressor, instance.victim, [
+            (f"fanout[{instance.agg_state}]", instance.aggressor,
+             FORCE1 if instance.forced_value else FORCE0),
+            ("hold", instance.victim,
+             2 * instance.agg_state + instance.forced_value),
+        ]
     if kind is ReadCouplingInstance:
-        return [("cf_read", instance.aggressor, instance.victim,
-                 FORCE1 if instance.forced else FORCE0)]
-    return []
+        return instance.aggressor, instance.victim, [
+            ("read_force", instance.aggressor,
+             FORCE1 if instance.forced else FORCE0)
+        ]
+    return None
 
 
-def expected_neighbour_tables(cases, size):
-    """The neighbour tables rebuilt lane by lane from the fault
+def expected_plan(cases, size):
+    """The per-cell masks rebuilt lane by lane from the fault
     instances, in the lane order :class:`PackedSimulation` assigns."""
-    tables = {name: [{} for _ in range(size)] for name in NEIGHBOUR_TABLES}
+    tables = {
+        name: [[0] * roles for _ in range(size)]
+        for name, roles in ROLE_TABLES.items()
+    }
+    cells = {name: [0] * size
+             for name in ("aggressor", "victim", "cfst_aggressor")}
     lane = 0
     for fault_case in cases:
         for factory in fault_case.variants:
             lane += 1
-            for table, cell, target, role in neighbour_entries(factory()):
-                masks = tables[table][cell].setdefault(
-                    target, [0] * NEIGHBOUR_TABLES[table]
-                )
-                masks[role] |= 1 << lane
-    return tables
+            instance = factory()
+            roles = lane_roles(instance)
+            if roles is None:
+                continue
+            aggressor, victim, entries = roles
+            cells["aggressor"][aggressor] |= 1 << lane
+            cells["victim"][victim] |= 1 << lane
+            if type(instance) is CouplingStateInstance:
+                cells["cfst_aggressor"][aggressor] |= 1 << lane
+            for table, cell, role in entries:
+                tables[table][cell][role] |= 1 << lane
+    return tables, cells, lane
 
 
 def plan_tables(plan):
     return {
-        "write_fanout[0]": plan.write_fanout[0],
-        "write_fanout[1]": plan.write_fanout[1],
-        "cfst_victim": plan.cfst_victim,
-        "read_sources": plan.read_sources,
-        "cf_read": plan.cf_read,
+        "fanout[0]": plan.fanout[0],
+        "fanout[1]": plan.fanout[1],
+        "hold": plan.hold,
+        "read_source": plan.read_source,
+        "read_force": plan.read_force,
     }
 
 
 @pytest.mark.parametrize("size", [3, 4, 16])
-def test_lane_plan_is_one_entry_per_target(size):
+def test_lane_plan_is_one_mask_per_cell_role(size):
     cases = FaultList.from_names(*MODEL_REGISTRY).instances(size)
     plan = PackedSimulation(cases, size).plan
-    expected = expected_neighbour_tables(cases, size)
-    ours = plan_tables(plan)
-    for table, cells in expected.items():
-        # Equal dicts: one entry per (cell, target) pair an instance
-        # names, and each role mask the OR of its lanes' bits.
-        assert ours[table] == cells, table
-        for entries in ours[table]:
-            for role in range(NEIGHBOUR_TABLES[table]):
-                # Within a role, different targets never share a lane.
-                seen = 0
-                for masks in entries.values():
-                    assert not seen & masks[role]
-                    seen |= masks[role]
-            for masks in entries.values():
-                assert any(masks)
-        assert any(cells), table
-    for cell, entries in enumerate(plan.read_sources):
-        routed = [mask for masks in entries.values() for mask in masks]
-        assert plan.read_routed[cell] == reduce(or_, routed, 0)
+    tables, cells, lanes = expected_plan(cases, size)
+    assert plan.lanes == lanes + 1
+    # Each role mask of a cell is the OR of its lanes' bits, whichever
+    # neighbour a lane's other cell is.
+    for table, masks in plan_tables(plan).items():
+        assert masks == tables[table], table
+        assert any(map(any, masks)), table
+    for name, masks in cells.items():
+        assert getattr(plan, name) == masks, name
+    assert plan.read_routed == [reduce(or_, roles) for roles in
+                                plan.read_source]
+    # Each two-cell lane sits in exactly one aggressor mask and one
+    # victim mask, never both of one cell.
+    paired = reduce(or_, plan.aggressor)
+    assert paired == reduce(or_, plan.victim)
+    for lane in range(1, plan.lanes):
+        bit = 1 << lane
+        if paired & bit:
+            assert sum(bool(mask & bit) for mask in plan.aggressor) == 1
+            assert sum(bool(mask & bit) for mask in plan.victim) == 1
+    for cell in range(size):
+        assert not plan.aggressor[cell] & plan.victim[cell]
+        # A role mask holds only the lanes the cell triggers (fan-out,
+        # read source, CFrd) or those it is the victim of (CFst hold).
+        for table in ("fanout[0]", "fanout[1]", "read_source",
+                      "read_force"):
+            for mask in plan_tables(plan)[table][cell]:
+                assert not mask & ~plan.aggressor[cell], table
+        for mask in plan.hold[cell]:
+            assert not mask & ~plan.victim[cell]
+
+
+def test_plan_refuses_a_lane_under_a_second_cell(monkeypatch):
+    plan = LanePlan(4, 3)
+    plan.pair(0, 1, 0b10)
+    plan.pair(0, 1, 0b10)  # one lane may take several roles of one pair
+    plan.pair(2, 3, 0b100)
+    plan.check_pairs()
+    for aggressor, victim, role in ((0, 2, "victim"), (3, 1, "aggressor"),
+                                    (1, 0, "aggressor")):
+        plan = LanePlan(4, 3)
+        plan.pair(0, 1, 0b10)
+        plan.pair(aggressor, victim, 0b10)
+        with pytest.raises(ValueError, match=f"a second {role} cell"):
+            plan.check_pairs()
+    plan = LanePlan(4, 3)
+    plan.pair(2, 2, 0b100)
+    with pytest.raises(ValueError, match="both aggressor and victim"):
+        plan.check_pairs()
+
+    # An encoder that also registers its lane under a second victim cell
+    # (a three-cell fault) fails the plan build instead of simulating it.
+    encode = bitengine._ENCODERS[CouplingIdempotentInstance]
+
+    def three_cells(instance, plan, mask):
+        encode(instance, plan, mask)
+        other = next(cell for cell in range(plan.size)
+                     if cell not in (instance.aggressor, instance.victim))
+        plan.pair(instance.aggressor, other, mask)
+
+    monkeypatch.setitem(
+        bitengine._ENCODERS, CouplingIdempotentInstance, three_cells
+    )
+    cases = FaultList.from_names("CFID").instances(3)
+    with pytest.raises(ValueError, match="a second victim cell"):
+        PackedSimulation(cases, 3)

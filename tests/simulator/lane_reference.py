@@ -2,7 +2,7 @@
 
 ``LaneReferenceSimulation`` is the lane plan and ``run_variant`` that
 :class:`~repro.simulator.bitengine.PackedSimulation` used before its
-tables were coalesced per target cell: every fault lane keeps its own
+masks were coalesced per cell and role: every fault lane keeps its own
 rule entry (a victim, a target or a trigger with a one-bit mask), and
 a march operation walks those entries one by one.  It encodes the
 lanes in the same order and speaks the same protocol (``power_up``,

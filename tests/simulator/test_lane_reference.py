@@ -1,12 +1,14 @@
 """The coalesced lane plan against the per-lane engine it replaced.
 
 :class:`~repro.simulator.bitengine.PackedSimulation` merges the rule
-entries of all lanes that act on the same (cell, target) pair into one
-set of role masks.  ``lane_reference.LaneReferenceSimulation`` is the
-engine before that change, one rule entry per lane.  Both encode the
-same lanes in the same order, so stepping a march test one element at
-a time must give equal detected masks and equal state words after
-every element -- from power-up and from an arbitrary state.  That is
+entries of all lanes in one role of a cell into one mask, and carries
+every two-cell lane's victim cell in lane words during a run.
+``lane_reference.LaneReferenceSimulation`` is the engine before
+coalescing, one rule entry per lane, walking its victims and sources
+cell by cell.  Both encode the same lanes in the same order, so
+stepping a march test one element at a time must give equal detected
+masks and equal state words after every element -- from power-up and
+from an arbitrary state.  That is
 the property :class:`~repro.simulator.bitengine.TransitionTable` and
 the minimality search rely on: a step is a function of the state
 words and the element alone.
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lane_reference import LaneReferenceSimulation
 from repro.faults.faultlist import FaultList
+from repro.faults.instances import CouplingStateInstance, case
 from repro.faults.library import MODEL_REGISTRY
 from repro.march.element import (
     AddressOrder,
@@ -54,6 +57,13 @@ march_tests = st.lists(elements, min_size=1, max_size=7).map(
     lambda drawn: MarchTest(tuple(drawn))
 )
 
+#: The coverage sweep's twelve base models, whose size-16 plan carries
+#: 4,129 lanes with 15 neighbours per cell.
+SWEEP = (
+    "SAF", "TF", "ADF", "CFIN", "CFID", "CFST", "RDF", "DRDF", "IRF",
+    "WDF", "DRF", "SOF",
+)
+
 model_sets = st.one_of(
     st.just(MIXED),
     st.lists(
@@ -86,6 +96,19 @@ def engines(models, size):
     test=parse_march("{up(w1); down(r1,w0,r0,w1); up(r,w0); Del; up(r0)}"),
     models=MIXED, size=8, seed=7, realization=0,
 )
+@example(
+    test=parse_march(
+        "{any(w0); up(r0,w1); up(r1,w0); down(r0,w1); down(r1,w0); any(r0)}"
+    ),
+    models=SWEEP, size=16, seed=None, realization=3,
+)
+@example(
+    test=parse_march(
+        "{up(w1); Del; down(r1,w0,r0,w1); any(r,w0,w1); up(r1,w0); Del;"
+        " down(r0)}"
+    ),
+    models=SWEEP, size=16, seed=11, realization=1,
+)
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_every_element_steps_like_the_lane_oracle(
     test, models, size, seed, realization
@@ -108,3 +131,19 @@ def test_every_element_steps_like_the_lane_oracle(
         assert ours == reference.run_variant(step, words), str(element)
         words = ours[0]
     assert packed.run_variant(variant) == reference.run_variant(variant)
+
+
+def test_a_cfst_hold_alone_reaches_the_end_words():
+    """A run whose only two-cell effect is a CFst hold -- the aggressor
+    holds its state from the start words and the run writes no held
+    state to it -- still folds the held victim into its end words."""
+    cases = [case("cfst", lambda: CouplingStateInstance(0, 1, 1, 1))]
+    packed = PackedSimulation(cases, 2)
+    reference = LaneReferenceSimulation(cases, 2)
+    # Lane 1's aggressor (cell 0) holds a definite 1; ⇓(w0) writes the
+    # victim (cell 1) first, then a 0 to the aggressor.
+    words = (0b10, 0, 0b10, 0, 0)
+    step = parse_march("{down(w0)}")
+    ours = packed.run_variant(step, words)
+    assert ours == reference.run_variant(step, words)
+    assert ours == ((0, 0b10, 0b11, 0b11, 0), 0)
