@@ -81,7 +81,6 @@ from repro.faults import FaultList
 from repro.kernel import SimKey, SimulationKernel, canonical_signature
 from repro.store.campaign import CampaignSpec, normalized_manifest, \
     run_campaign
-from repro.store.resilience import RetryPolicy
 from repro.store.service import (
     PROTOCOL_VERSION,
     ServiceStore,
@@ -907,67 +906,6 @@ def measure_service_warm_read():
     return runs
 
 
-def measure_service_retry_read():
-    """Warm read through one injected disconnect+reconnect.
-
-    Returns ``((warm_s, warm_matrix), (retry_s, retry_matrix),
-    retries)``.  The retry client pre-connects (ping), the daemon is
-    then stopped and a fresh one started on the same socket, and the
-    timed warm read rides out the dead cached connection through the
-    client's :class:`RetryPolicy` -- one transient failure, one
-    backoff sleep, one reconnect.  The delta against the plain warm
-    read is the whole cost of resilience on the happy path.
-    """
-    with tempfile.TemporaryDirectory() as scratch:
-        root = pathlib.Path(scratch)
-        store_path = root / "service-store.sqlite"
-        sock = root / "verdict.sock"
-        service = VerdictService(store_path, sock)
-        service.start()
-        try:
-            kernel = SimulationKernel(backend="serial", store=service.url)
-            try:  # populate the store once
-                kernel.detection_matrix(TESTS, table3_faults(), SIZE)
-            finally:
-                kernel.close()
-            kernel = SimulationKernel(backend="serial", store=service.url)
-            try:  # plain warm read: the baseline
-                started = time.perf_counter()
-                warm_matrix = kernel.detection_matrix(
-                    TESTS, table3_faults(), SIZE
-                )
-                warm_seconds = time.perf_counter() - started
-            finally:
-                kernel.close()
-            kernel = SimulationKernel(
-                backend="serial",
-                store=service.url,
-                store_retry=RetryPolicy(
-                    base_delay=0.01, jitter=0.0, seed=0
-                ),
-            )
-            try:
-                kernel.store.ping()  # cache a soon-to-be-dead socket
-                service.stop()
-                service = VerdictService(store_path, sock)
-                service.start()
-                started = time.perf_counter()
-                retry_matrix = kernel.detection_matrix(
-                    TESTS, table3_faults(), SIZE
-                )
-                retry_seconds = time.perf_counter() - started
-                retries = kernel.store.retries
-            finally:
-                kernel.close()
-        finally:
-            service.stop()
-    return (
-        (warm_seconds, json.dumps(warm_matrix, sort_keys=True)),
-        (retry_seconds, json.dumps(retry_matrix, sort_keys=True)),
-        retries,
-    )
-
-
 def measure_service_async_read():
     """Warm Table 3 reads through the event-loop daemon, three ways.
 
@@ -1279,22 +1217,6 @@ def test_service_warm_read_guard():
     assert second_matrix == in_memory, "service diverged from in-memory"
 
 
-def test_service_retry_read_guard():
-    """A mid-read daemon restart must cost a reconnect, never a
-    verdict: the retried matrix is byte-identical to the plain warm
-    read and at least one retry actually happened."""
-    (_, warm_matrix), (_, retry_matrix), retries = (
-        measure_service_retry_read()
-    )
-    assert retries >= 1, (
-        "the daemon restart never forced a retry; the measurement"
-        " exercised nothing"
-    )
-    assert retry_matrix == warm_matrix, (
-        "riding out a reconnect changed the verdicts"
-    )
-
-
 def test_service_async_read_guard():
     """Acceptance criterion of the event-loop daemon: with the hot LRU
     on, the warm Table 3 read is at least as fast as a daemon with the
@@ -1480,9 +1402,6 @@ def collect_benchmarks():
     service_runs = measure_service_warm_read()
     service_first_seconds = service_runs[0][0]
     service_second_seconds = service_runs[1][0]
-    (retry_warm_seconds, _), (retry_read_seconds, _), retry_count = (
-        measure_service_retry_read()
-    )
     (
         (async_no_lru_seconds, _),
         (async_hot_seconds, _),
@@ -1585,22 +1504,6 @@ def collect_benchmarks():
                 },
                 "service_warm_speedup": (
                     service_first_seconds / service_second_seconds
-                ),
-            },
-            "table3_size3_service_retry": {
-                "tests": len(TESTS),
-                "fault_cases": len(faults.instances(SIZE)),
-                "size": SIZE,
-                "backend": "serial",
-                "transport": "unix-socket",
-                "protocol": PROTOCOL_VERSION,
-                "retries": retry_count,
-                "seconds": {
-                    "warm_client": retry_warm_seconds,
-                    "warm_client_through_reconnect": retry_read_seconds,
-                },
-                "reconnect_overhead_ratio": (
-                    retry_read_seconds / retry_warm_seconds
                 ),
             },
             "table3_size3_service_async": {
@@ -1719,22 +1622,6 @@ def main():
         f"  {'second client (service)':26s}"
         f" {service['seconds']['second_warm_client'] * 1e3:9.2f} ms"
         f"   {service['service_warm_speedup']:7.1f}x"
-    )
-    retry = payload["workloads"]["table3_size3_service_retry"]
-    print(
-        f"verdict-service retry read ({retry['tests']} tests x"
-        f" {retry['fault_cases']} cases, one daemon restart mid-read,"
-        f" {retry['retries']} retr"
-        f"{'y' if retry['retries'] == 1 else 'ies'})"
-    )
-    print(
-        f"  {'warm read (no faults)':26s}"
-        f" {retry['seconds']['warm_client'] * 1e3:9.2f} ms"
-    )
-    print(
-        f"  {'warm read + reconnect':26s}"
-        f" {retry['seconds']['warm_client_through_reconnect'] * 1e3:9.2f} ms"
-        f"   {retry['reconnect_overhead_ratio']:7.2f}x overhead"
     )
     async_record = payload["workloads"]["table3_size3_service_async"]
     print(

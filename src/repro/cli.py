@@ -262,8 +262,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "ok" if record["error"] is None
             else f"FAILED: {record['error']}"
         )
-        if record.get("degraded"):
-            status += " (degraded to spill)"
         timing = (
             f" {record['seconds'] * 1e3:8.1f} ms"
             if record["seconds"] is not None else ""
@@ -282,17 +280,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except BrokenPipeError:
             pipe_gone = True
 
-    retry = None
-    if args.retry_attempts is not None or args.retry_base_delay is not None:
-        from .store.resilience import RetryPolicy
-
-        knobs = {}
-        if args.retry_attempts is not None:
-            knobs["max_attempts"] = args.retry_attempts
-        if args.retry_base_delay is not None:
-            knobs["base_delay"] = args.retry_base_delay
-        retry = RetryPolicy(**knobs)
-
     from .store.service import ServiceUnavailableError
 
     try:
@@ -302,13 +289,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             store_readonly=args.store_readonly,
             jobs=args.jobs,
             progress=live_progress,
-            retry=retry,
-            degrade=not args.no_degrade,
         )
     except ServiceUnavailableError as error:
         # The up-front daemon probe failed: with no store to run
-        # against there is nothing to degrade to -- one diagnostic,
-        # not a traceback.
+        # against, one diagnostic, not a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 1
     # Persist the artifact before printing: a consumer cutting the
@@ -470,16 +454,11 @@ def cmd_store(args: argparse.Namespace) -> int:
         )
 
     if args.store_command == "ping":
-        from .store.resilience import RetryPolicy
         from .store.service import ServiceStore
 
-        # One probe, no backoff: ping answers "is it up *right now*",
-        # and scripts polling in a loop supply their own cadence.
-        client = ServiceStore(
-            args.socket,
-            timeout=args.timeout,
-            retry=RetryPolicy.no_retry(),
-        )
+        # One probe: ping answers "is it up *right now*", and scripts
+        # polling in a loop supply their own cadence.
+        client = ServiceStore(args.socket, timeout=args.timeout)
         try:
             # health, not ping: same liveness answer plus row totals
             # and service-time figures, still one round trip.
@@ -790,22 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
              " processes (default 1 = sequential); the manifest stays"
              " deterministic regardless of N",
     )
-    camp.add_argument(
-        "--retry-attempts", type=int, default=None, metavar="N",
-        help="max attempts per verdict-service request before a worker"
-             " degrades to its spill shard (default: the RetryPolicy"
-             " default, 5); only meaningful with a repro+unix:// store",
-    )
-    camp.add_argument(
-        "--retry-base-delay", type=float, default=None, metavar="SECONDS",
-        help="first backoff delay for verdict-service retries; doubles"
-             " per attempt with jitter (default 0.05)",
-    )
-    camp.add_argument(
-        "--no-degrade", action="store_true",
-        help="fail a job outright when its retry policy is exhausted"
-             " instead of degrading to a local spill shard",
-    )
     add_telemetry_options(camp)
     add_store_options(camp)
     camp.set_defaults(fn=cmd_campaign)
@@ -862,8 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout", type=float,
         default=DEFAULT_IDLE_TIMEOUT_SECONDS, metavar="SECONDS",
         help="reap a client connection after SECONDS without a request"
-             " (its ledger entry retires cleanly; retrying clients"
-             " reconnect transparently); 0 disables"
+             " (its ledger entry retires cleanly; the client"
+             " reconnects on its next request); 0 disables"
              f" (default {DEFAULT_IDLE_TIMEOUT_SECONDS:g} s)",
     )
     serve.add_argument(
@@ -887,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-clients", type=int, default=DEFAULT_MAX_CLIENTS,
         metavar="N",
         help="refuse connections beyond N concurrent clients (the"
-             " refused client sees a transient hangup and retries);"
+             " refused client sees a transient hangup);"
              f" 0 removes the cap (default {DEFAULT_MAX_CLIENTS})",
     )
     serve.set_defaults(fn=cmd_serve)

@@ -2,8 +2,7 @@
 ambient.
 
 Byte-identical manifests and exact-timing tests depend on every time
-source and RNG being injectable: :class:`RetryPolicy` takes
-``clock``/``sleep``/``seed``, :class:`SpanTracer` and
+source and RNG being injectable: :class:`SpanTracer` and
 :class:`Telemetry` take ``clock``, and ``run_campaign`` takes
 ``clock``.  This rule forbids *calling* ``time.time()``,
 ``time.monotonic()`` or ``random.Random()`` (no seed) anywhere in
@@ -68,8 +67,8 @@ class InjectableClockRule(Rule):
                         rule=self.id, path=source.relpath, line=node.lineno,
                         message=(
                             f"inline {name}() call -- accept an injectable "
-                            "`clock` (see RetryPolicy/SpanTracer) or waive "
-                            "with a justification"
+                            "`clock` (see SpanTracer/run_campaign(clock=)) "
+                            "or waive with a justification"
                         ),
                     )
                 elif chain == ("random", "Random") and not node.args \
@@ -78,6 +77,6 @@ class InjectableClockRule(Rule):
                         rule=self.id, path=source.relpath, line=node.lineno,
                         message=(
                             "random.Random() without a seed -- thread an "
-                            "explicit seed through (see RetryPolicy.seed)"
+                            "explicit seed through"
                         ),
                     )

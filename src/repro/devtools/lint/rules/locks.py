@@ -1,7 +1,7 @@
 """lock-discipline: lock-guarded attributes stay lock-guarded.
 
-The store stack (``service.py``, ``store.py``, ``metrics.py``,
-``tracer.py``, ``resilience.py``) protects shared mutable state with
+The store stack (``service.py``, ``store.py``) and the telemetry
+layer (``metrics.py``, ``tracer.py``) protect shared mutable state with
 ``with self._lock:`` blocks (any ``self`` attribute whose name ends in
 ``lock`` counts -- the service uses ``_state_lock`` and
 ``_teardown_lock`` too).  The invariant this rule enforces: **an

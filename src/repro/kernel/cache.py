@@ -141,9 +141,8 @@ class FaultDictionaryCache:
     ``detects_2p``) are one-group calls.
 
     With a ``store`` (a :class:`~repro.store.store.FaultDictionaryStore`,
-    a :class:`~repro.store.service.ServiceStore`, or a
-    :class:`~repro.store.resilience.DegradingStore` wrapping either --
-    anything with their ``get_groups``/``put_groups`` surface) the LRU
+    a :class:`~repro.store.service.ServiceStore` -- anything with their
+    ``get_groups``/``put_groups`` surface) the LRU
     is the first tier and the store the second:
 
     * **read-through** -- the LRU misses of one lookup go to the store

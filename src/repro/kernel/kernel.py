@@ -180,10 +180,6 @@ class SimulationKernel:
     store_readonly:
         Open the store for lookups only: fresh verdicts stay
         in-process, nothing is written to disk.
-    store_retry:
-        A :class:`~repro.store.resilience.RetryPolicy` governing how
-        a service-URL store rides out transient daemon failures;
-        ignored for file stores and ready instances.
     telemetry:
         A live :class:`~repro.telemetry.Telemetry` handle, or ``None``
         (default) for the zero-cost no-op.  With a live handle the
@@ -210,7 +206,6 @@ class SimulationKernel:
         cache_size: int = 1_000_000,
         store: Union[str, FaultDictionaryStore, None] = None,
         store_readonly: bool = False,
-        store_retry: Optional[Any] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else TELEMETRY_OFF
@@ -219,9 +214,7 @@ class SimulationKernel:
         # kernel's to close; a caller-provided instance may be shared
         # with other kernels, so close() must leave it alone.
         self._owns_store = isinstance(store, (str, Path)) or store is None
-        self.store = resolve_store(
-            store, readonly=store_readonly, retry=store_retry
-        )
+        self.store = resolve_store(store, readonly=store_readonly)
         self.cache = FaultDictionaryCache(
             cache_size, store=self.store, telemetry=self.telemetry
         )
@@ -309,30 +302,22 @@ class SimulationKernel:
         return self.cache.stats
 
     #: Canonical tier order of :meth:`describe_stats`: memory cache
-    #: first, then the persistent store, its degradation notice, then
-    #: backend routing -- the same sequence whether or not a store (or
-    #: a degraded store) is attached, so ``--sim-stats`` output from
-    #: any two kernels diffs segment-by-segment.
-    STATS_TIER_ORDER = ("cache", "store", "resilience", "verify", "backend")
+    #: first, then the persistent store, the packed verifier, then
+    #: backend routing -- the same sequence whether or not a store is
+    #: attached, so ``--sim-stats`` output from any two kernels diffs
+    #: segment-by-segment.
+    STATS_TIER_ORDER = ("cache", "store", "verify", "backend")
 
     def stats_segments(self) -> List[Tuple[str, str]]:
         """``(tier, text)`` stat segments in canonical tier order.
 
-        Tiers that do not apply (no store attached, store healthy) are
-        simply absent; present tiers always appear in
+        Tiers that do not apply (no store attached, no packed verifier
+        call) are simply absent; present tiers always appear in
         :data:`STATS_TIER_ORDER`.
         """
         segments: Dict[str, str] = {"cache": str(self.stats)}
         if self.store is not None:
             segments["store"] = self.store.describe()
-            prober = getattr(self.store, "resilience", None)
-            report = prober() if callable(prober) else None
-            if report and report.get("degraded"):
-                segments["resilience"] = (
-                    f"DEGRADED after {report['attempts']} retr"
-                    f"{'y' if report['attempts'] == 1 else 'ies'}"
-                    f" (spill {report.get('spill')})"
-                )
         if self.verify_stats.calls or self.verify_stats.section6_steps:
             segments["verify"] = str(self.verify_stats)
         served = getattr(self.backend, "served", None) or {}

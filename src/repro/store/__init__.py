@@ -3,9 +3,8 @@
 * :mod:`repro.store.store` -- the SQLite-backed, concurrency-safe,
   schema-versioned verdict store (WAL, atomic upserts keyed by
   ``SimKey``, corrupt-file quarantine-and-rebuild, readonly mode);
-* :mod:`repro.store.resilience` -- retry/backoff policy and the
-  degraded-mode spill wrapper the service client and campaign runner
-  build on (see the README section "Resilience & fault injection");
+* :mod:`repro.store.service` -- the verdict-service daemon and its
+  socket client (import it directly, like the campaign module);
 * :mod:`repro.store.campaign` -- the declarative batch runner behind
   ``repro campaign`` (import it directly: it depends on the kernel
   package, which imports *this* package at startup).
@@ -16,12 +15,6 @@ write-through/read-through second tier of one cache
 section "Persistent results & campaigns".
 """
 
-from .resilience import (
-    DegradingStore,
-    RetryExhaustedError,
-    RetryPolicy,
-    TransientStoreError,
-)
 from .store import (
     BUSY_TIMEOUT_SECONDS,
     SCHEMA_VERSION,
@@ -38,13 +31,9 @@ from .store import (
 __all__ = [
     "BUSY_TIMEOUT_SECONDS",
     "CorruptStoreError",
-    "DegradingStore",
     "FaultDictionaryStore",
-    "RetryExhaustedError",
-    "RetryPolicy",
     "SCHEMA_VERSION",
     "StoreError",
-    "TransientStoreError",
     "StoreSchemaError",
     "StoreStats",
     "decode_verdict",

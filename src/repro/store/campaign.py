@@ -47,24 +47,14 @@ fans the jobs out over ``N`` worker processes:
 * every job writes through the one shared store (WAL file or verdict
   daemon), so verdicts are deduplicated *during* the run.
 
-Resilience (verdict-service stores)
------------------------------------
-A service-URL campaign survives its daemon faulting underneath it.
-Each worker's :class:`~repro.store.service.ServiceStore` retries
-transient socket failures with backoff (the ``retry`` policy rides
-along in the job request), and when a policy is exhausted the worker
-*degrades* instead of failing: its client is wrapped in a
-:class:`~repro.store.resilience.DegradingStore` that demotes to a
-per-worker SQLite spill shard (``<socket>.spill-<job index>``), so
-the job finishes with full write capture.  Surviving spills are
-merged back at the end
-(:meth:`~repro.store.store.FaultDictionaryStore.merge_from`, through
-the daemon's ``merge`` op when it recovered, directly into the
-server's store file otherwise) and the manifest records
-``degraded``/``attempts``/``spill`` per job plus a ``resilience``
-block, instead of failed rows.  Infrastructure faults
-change *where* verdicts land, never *what* they are, so
-``normalized_manifest`` strips all of it.
+Verdict-service stores
+----------------------
+With a service URL as the store, each job's kernel opens its own
+:class:`~repro.store.service.ServiceStore`.  A request whose connection
+breaks reconnects once; a job whose daemon stays away fails like any
+other job (its record carries the error, ``totals["failed"]`` counts
+it).  Every write is an idempotent upsert, so running the campaign
+again is the recovery: jobs already stored become lookups.
 
 This module depends on :mod:`repro.kernel`, which imports the store
 package at startup -- import it as ``repro.store.campaign`` directly,
@@ -96,9 +86,8 @@ from ..kernel import SimulationKernel, validate_backend_name
 from ..march.catalog import by_name
 from ..march.test import MarchTest, parse_march
 from ..telemetry import Telemetry, merge_snapshots
-from .resilience import DegradingStore, RetryPolicy
-from .service import ServiceStore, is_service_url, service_socket_path
-from .store import FaultDictionaryStore, StoreError
+from .service import ServiceStore, is_service_url
+from .store import FaultDictionaryStore
 
 #: Generation of the manifest payload layout.  v2: one job per
 #: (test, backend, size), per-job ``test``/``error`` fields, the
@@ -109,8 +98,9 @@ from .store import FaultDictionaryStore, StoreError
 #: ``telemetry`` merge -- all run-dependent, all stripped by
 #: :func:`normalized_manifest`.  v5: the ``parallel`` block drops the
 #: ``"sharded"`` mode and its merge counters (every campaign writes
-#: one shared store).
-MANIFEST_SCHEMA = 5
+#: one shared store).  v6: the v3 fields are gone again (a socket
+#: client reconnects once per request and never spills).
+MANIFEST_SCHEMA = 6
 
 DEFAULT_MANIFEST_NAME = "campaign_manifest.json"
 
@@ -253,37 +243,10 @@ class _JobRequest:
     faults: Tuple[str, ...]
     store_path: Optional[str]
     store_readonly: bool
-    retry: Optional[RetryPolicy] = None
-    degrade: bool = False
-    spill_path: Optional[str] = None
-
-
-def _open_job_store(request: _JobRequest) -> Optional[Any]:
-    """Open this job's store tier, with resilience for service URLs.
-
-    File stores (and storeless jobs) keep the historical path-based
-    opening inside the kernel and return ``None`` here.  Service URLs
-    become an explicit :class:`ServiceStore` carrying the campaign's
-    retry policy -- wrapped in a :class:`DegradingStore` over the
-    job's private spill shard when degradation is on -- which the
-    kernel then layers under its LRU like any caller-provided tier.
-    """
-    if request.store_path is None or not is_service_url(request.store_path):
-        return None
-    client = ServiceStore(
-        request.store_path,
-        readonly=request.store_readonly,
-        retry=request.retry,
-    )
-    if request.degrade and not request.store_readonly \
-            and request.spill_path is not None:
-        return DegradingStore(client, request.spill_path)
-    return client
 
 
 def _simulate_job(request: _JobRequest) -> Dict[str, Any]:
     started = time.perf_counter()
-    store_obj = _open_job_store(request)
     # Every job runs instrumented: the per-batch cost is microseconds
     # against a multi-millisecond job, and it means --metrics/--trace
     # need no extra worker plumbing -- each record carries its own
@@ -291,7 +254,7 @@ def _simulate_job(request: _JobRequest) -> Dict[str, Any]:
     telemetry = Telemetry()
     kernel = SimulationKernel(
         backend=request.backend,
-        store=store_obj if store_obj is not None else request.store_path,
+        store=request.store_path,
         store_readonly=request.store_readonly,
         telemetry=telemetry,
     )
@@ -304,11 +267,6 @@ def _simulate_job(request: _JobRequest) -> Dict[str, Any]:
         cases = FaultList.from_names(*request.faults).instances(request.size)
         report = kernel.simulate(test, cases, request.size)
         seconds = time.perf_counter() - started
-        prober = getattr(kernel.store, "resilience", None)
-        resilience = (
-            prober() if callable(prober)
-            else {"attempts": 0, "degraded": False, "spill": None}
-        )
         record: Dict[str, Any] = {
             "test": test.name or str(test),
             "notation": str(test),
@@ -317,9 +275,6 @@ def _simulate_job(request: _JobRequest) -> Dict[str, Any]:
             "fault_cases": len(cases),
             "seconds": seconds,
             "error": None,
-            "degraded": resilience["degraded"],
-            "attempts": resilience["attempts"],
-            "spill": resilience["spill"],
             "cache": {
                 "hits": kernel.stats.hits,
                 "misses": kernel.stats.misses,
@@ -349,14 +304,7 @@ def _simulate_job(request: _JobRequest) -> Dict[str, Any]:
         }
         return record
     finally:
-        try:
-            kernel.close()
-        finally:
-            # The kernel never owns a caller-provided tier; a
-            # service/degrading store opened here is ours to close
-            # (flushing the spill's WAL so the merge sees every row).
-            if store_obj is not None:
-                store_obj.close()
+        kernel.close()
 
 
 def _execute_job(request: _JobRequest) -> Dict[str, Any]:
@@ -383,9 +331,6 @@ def _error_record(request: _JobRequest, error: BaseException) -> Dict[str, Any]:
         "fault_cases": None,
         "seconds": None,
         "error": f"{type(error).__name__}: {error}",
-        "degraded": False,
-        "attempts": 0,
-        "spill": None,
         "cache": None,
         "served": {},
         "telemetry": None,
@@ -410,8 +355,6 @@ def run_campaign(
     store_readonly: bool = False,
     jobs: int = 1,
     progress: Optional[ProgressSink] = None,
-    retry: Optional[RetryPolicy] = None,
-    degrade: bool = True,
     clock: Optional[Callable[[], float]] = None,
 ) -> Dict[str, Any]:
     """Execute every job of ``spec``; return the results manifest.
@@ -425,40 +368,23 @@ def run_campaign(
 
     Every job writes through the shared WAL store, deduplicating
     live.  With a verdict-service URL as the store, workers write
-    through the daemon instead -- one serialized WAL owner -- which is
-    the designated substrate for cross-host fan-out.
+    through the daemon instead -- one serialized WAL owner.
 
     ``progress`` is called as each job completes (in completion order)
     with ``(done, total, job_record)``.
 
-    ``retry`` is the per-job :class:`RetryPolicy` for service-URL
-    stores (``None`` means the default policy); ``degrade`` controls
-    whether exhausted retries demote a worker to a spill shard
-    (see the module docstring) or fail the job.  Both are ignored for
-    file stores.
-
     ``clock`` is the wall-clock source for the manifest's
     ``generated_unix`` stamp (default :func:`time.time`), injectable
-    for the same reason :class:`RetryPolicy` takes one: tests pin it
-    and get a fully deterministic manifest without normalization.  The
-    stamp is run metadata either way -- :func:`normalized_manifest`
-    strips it before any byte-for-byte comparison.
+    so tests can pin it and get a fully deterministic manifest without
+    normalization.  The stamp is run metadata either way --
+    :func:`normalized_manifest` strips it before any byte-for-byte
+    comparison.
     """
     if clock is None:
         clock = time.time
     if jobs < 1:
         raise CampaignSpecError("jobs must be >= 1")
     store = store_path if store_path is not None else spec.store
-    service = store is not None and is_service_url(str(store))
-    policy = retry if retry is not None else RetryPolicy()
-    degrade_active = service and degrade and not store_readonly
-
-    def spill_path(index: int) -> str:
-        # Next to the socket, not the daemon's store file: the client
-        # may not know (or share a filesystem view of) the store path,
-        # but the socket path is its own connection target.
-        return f"{service_socket_path(str(store))}.spill-{index}"
-
     requests = [
         _JobRequest(
             index=index,
@@ -468,29 +394,17 @@ def run_campaign(
             faults=spec.faults,
             store_path=str(store) if store is not None else None,
             store_readonly=store_readonly,
-            retry=policy if service else None,
-            degrade=degrade_active,
-            spill_path=spill_path(index) if degrade_active else None,
         )
         for index, (backend, size, test) in enumerate(spec.jobs())
     ]
 
     started_campaign = time.perf_counter()
-    server_store: Optional[str] = None
-    if service:
+    if store is not None and is_service_url(str(store)):
         # No client-side SQLite open: just handshake with the daemon so
         # an unreachable (or foreign) socket fails the campaign up
-        # front instead of failing every job.  The probe always rides
-        # the *default* retry policy -- a retries-disabled campaign
-        # must still start through a flaky transport -- and the
-        # handshake tells us where the daemon's store file lives, the
-        # fallback merge target if the daemon never comes back.
-        probe = ServiceStore(str(store))
-        try:
-            hello = probe.ping()
-            server_store = hello.get("store")
-        finally:
-            probe.close()
+        # front instead of failing every job.
+        with ServiceStore(str(store)) as probe:
+            probe.ping()
     elif store is not None and not store_readonly:
         # Pre-create the shared store's schema in the parent: workers
         # then only ever open an existing store, and a store problem
@@ -559,15 +473,6 @@ def run_campaign(
                         request.index, _error_record(request, pool_break)
                     )
 
-    spill_merge: Optional[Dict[str, Any]] = None
-    if degrade_active:
-        spill_merge = _merge_spills(
-            str(store),
-            server_store,
-            [spill_path(request.index) for request in requests],
-            RetryPolicy(),
-        )
-
     ordered = [record for record in records if record is not None]
     results = [
         record["result"] for record in ordered
@@ -583,7 +488,6 @@ def run_campaign(
         (record.get("store") or {}).get("hits", 0) for record in ordered
     )
     failed = sum(1 for record in ordered if record["error"] is not None)
-    degraded = sum(1 for record in ordered if record.get("degraded"))
     return {
         "schema": MANIFEST_SCHEMA,
         "campaign": spec.name,
@@ -598,11 +502,6 @@ def run_campaign(
         "parallel": {
             "jobs": jobs,
             "mode": "sequential" if jobs == 1 else "shared",
-        },
-        "resilience": {
-            "retry": policy.knobs() if service else None,
-            "degrade": degrade_active,
-            "spill_merge": spill_merge,
         },
         # The campaign-wide registry view: every job's snapshot folded
         # into one (counters add, gauges max, histograms add
@@ -622,92 +521,11 @@ def run_campaign(
             "jobs": len(job_rows),
             "results": len(results),
             "failed": failed,
-            "degraded": degraded,
             "verdicts_simulated": simulated,
             "verdicts_from_store": store_hits,
             "seconds": time.perf_counter() - started_campaign,
         },
     }
-
-
-def _merge_spills(
-    store_url: str,
-    server_store: Optional[str],
-    spill_paths: List[str],
-    retry: RetryPolicy,
-) -> Dict[str, Any]:
-    """Fold surviving degraded-mode spills back into the dictionary.
-
-    A spill exists only where a worker outlived the daemon, so the
-    preferred route -- the daemon's ``merge`` op, which needs the
-    daemon back up -- may well be gone too.  The fallback merges
-    directly into the server's store file (learned from the campaign's
-    opening handshake; over a Unix socket that file is same-host by
-    construction).  Merged spills are deleted with their WAL/SHM
-    droppings; anything unmergeable is *kept* on disk and listed under
-    ``"unmerged"`` so the verdicts are never silently dropped.
-    """
-    totals: Dict[str, Any] = {
-        "spills": 0, "source_rows": 0, "inserted": 0, "merged": 0,
-        "via": None, "unmerged": [],
-    }
-    existing = [path for path in spill_paths if Path(path).exists()]
-    if not existing:
-        return totals
-
-    def merge_via_service(path: str) -> Dict[str, int]:
-        client = ServiceStore(store_url, retry=retry)
-        try:
-            return client.merge_from(path)
-        finally:
-            client.close()
-
-    def merge_via_file(path: str) -> Dict[str, int]:
-        if server_store is None:
-            raise StoreError(
-                "no server store path known for the fallback merge"
-            )
-        main = FaultDictionaryStore(server_store)
-        try:
-            return main.merge_from(path)
-        finally:
-            main.close()
-
-    service_alive = True  # until a merge op proves otherwise
-    for path in existing:
-        stats = None
-        routes = [("file", merge_via_file)]
-        if service_alive:
-            routes.insert(0, ("service", merge_via_service))
-        for via, folder in routes:
-            try:
-                stats = folder(path)
-            except StoreError:
-                if via == "service":
-                    # Don't pay the retry budget again per spill: a
-                    # daemon that just refused the merge is down for
-                    # the rest of this (sub-second) merge pass too.
-                    service_alive = False
-                continue
-            totals["via"] = via if totals["via"] in (None, via) else "mixed"
-            break
-        if stats is None:
-            totals["unmerged"].append(path)
-            continue
-        totals["spills"] += 1
-        for field in ("source_rows", "inserted", "merged"):
-            totals[field] += stats[field]
-        spill = Path(path)
-        for dropping in (
-            spill,
-            spill.with_name(spill.name + "-wal"),
-            spill.with_name(spill.name + "-shm"),
-        ):
-            try:
-                dropping.unlink()
-            except FileNotFoundError:
-                pass
-    return totals
 
 
 # -- manifest tooling -----------------------------------------------------------
@@ -728,22 +546,15 @@ def write_manifest(
 #: same spec: wall-clock, timestamps, cache/store counters (a
 #: parallel run races its jobs, so which job *simulated* a shared
 #: verdict and which found it in the store is scheduling-dependent --
-#: the verdicts themselves are not) and the whole resilience story
-#: (retries taken, degradations, spill merges: infrastructure faults
-#: change *where* verdicts land, never *what* they are, so a run
-#: through a chaos proxy must normalize identically to a direct one).
-#: The telemetry blocks are timing observations over those same
-#: scheduling-dependent counters, so they normalize away with them.
+#: the verdicts themselves are not).  The telemetry blocks are timing
+#: observations over those same scheduling-dependent counters, so they
+#: normalize away with them.
 _RUN_DEPENDENT_TOP = (
-    "generated_unix", "store", "store_readonly", "parallel", "resilience",
-    "telemetry",
+    "generated_unix", "store", "store_readonly", "parallel", "telemetry",
 )
-_RUN_DEPENDENT_JOB = (
-    "seconds", "cache", "served", "store", "degraded", "attempts", "spill",
-    "telemetry",
-)
+_RUN_DEPENDENT_JOB = ("seconds", "cache", "served", "store", "telemetry")
 _RUN_DEPENDENT_TOTALS = (
-    "seconds", "verdicts_simulated", "verdicts_from_store", "degraded",
+    "seconds", "verdicts_simulated", "verdicts_from_store",
 )
 
 
@@ -774,15 +585,11 @@ def summarize(manifest: Dict[str, Any]) -> str:
     lines = []
     totals = manifest["totals"]
     parallel = manifest.get("parallel", {})
-    degraded_total = totals.get("degraded", 0)
-    degraded_text = (
-        f" {degraded_total} degraded," if degraded_total else ""
-    )
     lines.append(
         f"campaign '{manifest['campaign']}':"
         f" {totals['jobs']} jobs ({parallel.get('mode', 'sequential')},"
         f" {parallel.get('jobs', 1)} workers),"
-        f" {totals['failed']} failed,{degraded_text}"
+        f" {totals['failed']} failed,"
         f" {totals['verdicts_simulated']} verdicts simulated,"
         f" {totals['verdicts_from_store']} from the store,"
         f" {totals['seconds']:.2f}s"
@@ -800,16 +607,11 @@ def summarize(manifest: Dict[str, Any]) -> str:
             if store is not None
             else ""
         )
-        degraded_text = (
-            f"  DEGRADED after {job['attempts']} retries"
-            if job.get("degraded")
-            else ""
-        )
         lines.append(
             f"  job [{job['backend']} @ size {job['size']}]"
             f" {job['test']:12s}"
             f" {job['fault_cases']} cases {job['seconds'] * 1e3:8.1f} ms"
-            f"{store_text}{degraded_text}"
+            f"{store_text}"
         )
     for row in manifest["results"]:
         lines.append(

@@ -67,35 +67,32 @@ Topology
   difference.  Pass a ``repro+unix:///path/to.sock`` URL anywhere a
   store path is accepted (``--store``, ``GeneratorConfig.store_path``,
   campaign specs) and :func:`~repro.store.store.resolve_store`
-  dispatches here.  Connections are lazy and self-healing: transient
-  failures (daemon restart, connection reset, timeout, a desynced
-  stream after a *successful* handshake) raise
-  :class:`ServiceUnavailableError` and are retried with exponential
-  backoff under an injectable
-  :class:`~repro.store.resilience.RetryPolicy`, while permanent
-  errors (protocol mismatch, foreign listener, a refused request)
-  fail fast no matter the retry budget.  :meth:`ServiceStore.pipeline`
+  dispatches here.  Connections are lazy.  A request whose
+  established connection breaks (daemon restart, connection reset,
+  idle reap, a desynced stream after a *successful* handshake)
+  reconnects once and sends its frames again; a failed connect or
+  handshake, or a second break, raises
+  :class:`ServiceUnavailableError` at once.  Permanent errors
+  (protocol mismatch, foreign listener, a refused request) raise
+  plain :class:`ServiceError`.  :meth:`ServiceStore.pipeline`
   exposes the wire protocol's pipelining to callers that want many
   requests in flight on one connection.
 
-Resilience (PR 7)
------------------
+Daemon hardening
+----------------
 The daemon reaps idle clients (``--idle-timeout``: connections quiet
-past the budget are closed and their ledger entries retired; retrying
-clients reconnect transparently), checkpoints its WAL on a loop timer
-(``--checkpoint-interval``) so a SIGKILL loses at most the last
+past the budget are closed and their ledger entries retired; the
+client reconnects on its next request), checkpoints its WAL on a loop
+timer (``--checkpoint-interval``) so a SIGKILL loses at most the last
 interval's WAL growth, and answers a ``health`` op (uptime, connection
 counts, reaped/checkpoint/error counters) next to ``ping`` -- the
-``repro store ping`` liveness probe.  A ``merge`` op folds a
-server-local store file (in practice a campaign worker's degraded
-spill shard) into the served dictionary without a second writer ever
-opening it.  The operator's view of all of this -- start/stop, lock
-semantics, tuning, probing, rolling restarts -- is written down in
-``docs/OPERATIONS.md``.
+``repro store ping`` liveness probe.  The operator's view of all of
+this -- start/stop, lock semantics, tuning, probing, rolling restarts
+-- is written down in ``docs/OPERATIONS.md``.
 
-``repro campaign --jobs N --store repro+unix://...`` is the designated
-cross-host fan-out substrate: N concurrent writers become N socket
-clients of one serialized WAL owner.
+With ``repro campaign --jobs N --store repro+unix://...`` the N
+concurrent writers become N socket clients of one serialized WAL
+owner.
 
 This module depends on :mod:`repro.kernel` (for :class:`SimKey`), which
 imports the store package at startup -- import it as
@@ -130,11 +127,6 @@ from typing import (
 
 from ..kernel.cache import FaultDictionaryCache, SimKey
 from ..telemetry import Telemetry
-from .resilience import (
-    RetryExhaustedError,
-    RetryPolicy,
-    TransientStoreError,
-)
 from .store import (
     SCHEMA_VERSION,
     SERVICE_URL_PREFIX,
@@ -151,7 +143,7 @@ from .store import (
 #: changes; a client refuses to talk to a server of another generation.
 #: Additive evolution (new ops, new optional request fields, new
 #: response fields) stays within a generation -- see docs/PROTOCOL.md.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: The handshake tag every ping answer carries.  A listener that does
 #: not identify with it is a foreign server: refused, never replaced.
@@ -168,7 +160,6 @@ SERVICE_OPS = (
     "stats",
     "health",
     "metrics",
-    "merge",
     "compact",
     "shutdown",
 )
@@ -187,8 +178,8 @@ DEFAULT_TIMEOUT_SECONDS = 120.0
 #: campaign worker legitimately goes quiet for minutes while its
 #: backend simulates between store batches -- but finite: one idle (or
 #: wedged) client may no longer pin server state forever.  Reaped
-#: clients lose only a socket; a retrying :class:`ServiceStore`
-#: reconnects transparently on its next request.
+#: clients lose only a socket; a :class:`ServiceStore` reconnects
+#: transparently on its next request.
 DEFAULT_IDLE_TIMEOUT_SECONDS = 900.0
 
 #: Period of the daemon's background WAL checkpoint.  A PASSIVE
@@ -206,8 +197,8 @@ DEFAULT_HOT_LRU_SIZE = 65536
 #: Concurrent-connection ceiling.  The event loop itself scales far
 #: past this; the cap bounds per-connection buffer memory and gives
 #: operators back-pressure they can see (``rejected_full`` counter).
-#: Over-cap connects are closed immediately -- a retrying client sees
-#: a transient hangup and backs off.
+#: Over-cap connects are closed immediately -- the client sees a
+#: transient hangup during its handshake.
 DEFAULT_MAX_CLIENTS = 512
 
 #: How many *disconnected* clients keep an individual entry in the
@@ -233,13 +224,12 @@ class ServiceError(StoreError):
     """The verdict service (or its socket) cannot serve the request."""
 
 
-class ServiceUnavailableError(ServiceError, TransientStoreError):
+class ServiceUnavailableError(ServiceError):
     """Transient service failure: nothing answered, the peer hung up,
-    or the connection desynced after a successful handshake.  Worth
-    retrying (the :class:`~repro.store.resilience.TransientStoreError`
-    marker routes it into :class:`RetryPolicy` backoff and
-    :class:`~repro.store.resilience.DegradingStore` demotion); plain
-    :class:`ServiceError` stays permanent and fails fast."""
+    or the connection desynced after a successful handshake.  Running
+    the request (or the campaign) again may succeed; plain
+    :class:`ServiceError` is permanent: a foreign peer, a protocol
+    mismatch or a refused request."""
 
 
 def is_service_url(target: Any) -> bool:
@@ -409,18 +399,11 @@ class ServiceStore:
         target: Union[str, Path],
         readonly: bool = False,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.socket_path = service_socket_path(target)
         self.url = service_url(self.socket_path)
         self.readonly = readonly
         self.timeout = timeout
-        #: Transient-failure policy; default rides out a short daemon
-        #: restart.  ``RetryPolicy.no_retry()`` restores fail-fast.
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: How many transient failures this client has retried (each
-        #: one cost a backoff sleep and a reconnect).
-        self.retries = 0
         self.stats = StoreStats()
         #: The server's last handshake answer (pid, store path, schema).
         self.server: Dict[str, Any] = {}
@@ -429,7 +412,8 @@ class ServiceStore:
 
     # -- connection -------------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> None:
+        """Open and handshake this client's connection."""
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(self.timeout)
         try:
@@ -442,10 +426,10 @@ class ServiceStore:
             ) from error
         # Connected.  Transient vs permanent is decided by *how* the
         # handshake fails: a peer that hangs up (EOF, reset, timeout)
-        # may be a daemon dying or restarting under us -- transient,
-        # retried.  A peer that *answers wrongly* (garbage frames, a
-        # foreign magic, another protocol generation) is definitely
-        # not our service -- permanent, fail fast, never unlinked.
+        # may be a daemon dying or restarting under us -- transient.
+        # A peer that *answers wrongly* (garbage frames, a foreign
+        # magic, another protocol generation) is definitely not our
+        # service -- permanent, never unlinked.
         try:
             _send_frame(sock, {"op": "ping"})
             hello = _recv_frame(sock)
@@ -466,7 +450,7 @@ class ServiceStore:
             raise ServiceUnavailableError(
                 f"the listener on {self.socket_path} hung up during"
                 " the handshake; it may be a verdict service going"
-                " down (or a foreign socket -- retries will tell)"
+                " down, or one at its connection cap"
             )
         if hello.get("service") != SERVICE_MAGIC:
             sock.close()
@@ -483,7 +467,7 @@ class ServiceStore:
                 f" {PROTOCOL_VERSION}"
             )
         self.server = hello
-        return sock
+        self._sock = sock
 
     def _drop_connection(self) -> None:
         sock, self._sock = self._sock, None
@@ -496,23 +480,17 @@ class ServiceStore:
     def _attempt_pipeline(
         self, payloads: Sequence[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """One pipelined round trip on (at most) one connection.
+        """One pipelined round trip on the established connection.
 
         All request frames are written back-to-back, then all response
         frames are read in order -- the server guarantees one answer
-        per frame, in request order.  Raises
-        :class:`ServiceUnavailableError` for everything a fresh
-        connection could plausibly cure -- the socket died, the server
-        hung up mid-pipeline, or the stream desynced *after* a
-        successful handshake (the handshake proved the peer speaks the
-        protocol, so mid-stream garbage is transport corruption; the
-        reconnect's fresh handshake re-verifies the peer and fails
-        fast if it really turned foreign).  Well-framed ``ok: false``
+        per frame, in request order.  A broken connection (the socket
+        died, the server hung up mid-pipeline, or the stream desynced
+        *after* a successful handshake) is dropped and raised as
+        :class:`ServiceUnavailableError`.  Well-framed ``ok: false``
         answers are returned in place, not raised: in a pipeline only
         the caller knows whether one refused request poisons the rest.
         """
-        if self._sock is None:
-            self._sock = self._connect()
         try:
             blob = bytearray()
             for payload in payloads:
@@ -523,8 +501,7 @@ class ServiceStore:
                 response = _recv_frame(self._sock)
                 if response is None:
                     # Server went away mid-pipeline (restart, shutdown,
-                    # reap).  The whole batch is retried: every op is
-                    # idempotent, so at-least-once delivery is safe.
+                    # idle reap).
                     self._drop_connection()
                     raise ServiceUnavailableError(
                         f"verdict service at {self.socket_path} closed"
@@ -533,13 +510,13 @@ class ServiceStore:
                     )
                 responses.append(response)
             return responses
+        except ServiceUnavailableError:
+            raise
         except ServiceError as error:
-            if isinstance(error, ServiceUnavailableError):
-                raise
             # Broken framing: whatever else sits in the stream is
             # unusable (e.g. the body of an oversize frame).  Drop the
-            # connection so the retry starts clean instead of reading
-            # mid-body bytes as a header forever.
+            # connection so the reconnect starts clean instead of
+            # reading mid-body bytes as a header forever.
             self._drop_connection()
             raise ServiceUnavailableError(
                 f"verdict-service connection to {self.socket_path}"
@@ -552,46 +529,37 @@ class ServiceStore:
                 f" {error}"
             ) from error
 
-    def _attempt(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _exchange(
+        self, payloads: Sequence[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """Send ``payloads`` and read their responses, reconnecting once.
+
+        An established connection that breaks (hang-up, torn or garbled
+        frame, idle reap) gets exactly one reconnect: a fresh handshake,
+        then every frame is sent again.  That is safe because every op
+        is an idempotent upsert.  A failed connect or handshake, or a
+        second break, raises :class:`ServiceUnavailableError` at once.
+        """
+        with self._lock:
+            if self._sock is None:
+                self._connect()
+            try:
+                return self._attempt_pipeline(payloads)
+            except ServiceUnavailableError:
+                self._connect()
+                return self._attempt_pipeline(payloads)
+
+    def _request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One round trip; a well-framed ``ok: false`` answer is the
         server refusing the request: permanent, raised as
         :class:`ServiceError`."""
-        response = self._attempt_pipeline([payload])[0]
+        response = self._exchange([payload])[0]
         if not response.get("ok"):
             raise ServiceError(
                 response.get("error")
                 or "verdict service refused the request"
             )
         return response
-
-    def _call_with_retry(self, attempt: Any) -> Any:
-        def on_retry(
-            attempt_no: int, delay: float, error: BaseException
-        ) -> None:
-            self.retries += 1
-
-        with self._lock:
-            try:
-                return self.retry.call(attempt, on_retry=on_retry)
-            except RetryExhaustedError as error:
-                raise ServiceUnavailableError(
-                    f"verdict service at {self.socket_path} still"
-                    f" unavailable after {error.attempts} attempt(s)"
-                    f" over {error.elapsed:.2f}s: {error.last_error}"
-                ) from error
-
-    def _request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One request under the retry policy.
-
-        Transient failures (:class:`ServiceUnavailableError`) are
-        retried with the policy's backoff -- each retry reconnects and
-        re-handshakes -- until the attempt or deadline budget runs
-        out; permanent :class:`ServiceError`\\ s propagate on the first
-        attempt.  Retrying a write is safe: every ``put_many`` is an
-        idempotent batch of canonical upserts, so at-least-once
-        delivery cannot corrupt the dictionary.
-        """
-        return self._call_with_retry(lambda: self._attempt(payload))
 
     def pipeline(
         self, payloads: Sequence[Dict[str, Any]]
@@ -600,19 +568,15 @@ class ServiceStore:
         and return their responses in request order.
 
         This is the wire protocol's pipelining surface: no waiting
-        between frames, one response per frame, order preserved.  The
-        whole pipeline is one retry unit -- a transient failure
-        anywhere replays *all* frames on a fresh connection (safe:
-        every op is idempotent).  Responses are returned raw,
-        including any ``{"ok": false}`` refusals; callers inspect per
-        frame.
+        between frames, one response per frame, order preserved.  A
+        broken connection replays *all* frames once on a fresh one.
+        Responses are returned raw, including any ``{"ok": false}``
+        refusals; callers inspect per frame.
         """
         payloads = list(payloads)
         if not payloads:
             return []
-        return self._call_with_retry(
-            lambda: self._attempt_pipeline(payloads)
-        )
+        return self._exchange(payloads)
 
     # -- lookups ----------------------------------------------------------------
 
@@ -704,7 +668,7 @@ class ServiceStore:
 
     def health(self) -> Dict[str, Any]:
         """The daemon's liveness report: uptime, connection counts,
-        the resilience counters (idle reaps, checkpoints, errors,
+        the daemon counters (idle reaps, checkpoints, errors,
         rejected connects), hot-LRU occupancy, row
         population and service-time summary."""
         response = self._request({"op": "health"})
@@ -715,36 +679,6 @@ class ServiceStore:
         per-op request counters and service-time histograms, store and
         hot-LRU counters, WAL checkpoint timings, connection gauge."""
         return self._request({"op": "metrics"})["metrics"]
-
-    def merge_from(
-        self, source: Union[str, Path]
-    ) -> Dict[str, int]:
-        """Ask the daemon to fold a *server-local* store file into the
-        dictionary it owns (``{"source_rows", "inserted", "merged"}``).
-
-        This is how degraded campaign spill shards rejoin the main
-        dictionary without a second process ever writing the served
-        file.  ``source`` is resolved by the daemon; Unix-socket
-        services are same-host by construction, so worker spill paths
-        are visible to it.
-        """
-        if self.readonly:
-            raise StoreError(
-                "cannot merge through a readonly service client"
-            )
-        response = self._request(
-            {"op": "merge", "source": str(source)}
-        )
-        return response["merged"]
-
-    def resilience(self) -> Dict[str, Any]:
-        """Retry/degradation counters in the shape the campaign
-        manifest records per job (a plain client never degrades)."""
-        return {
-            "attempts": self.retries,
-            "degraded": False,
-            "spill": None,
-        }
 
     def row_stats(self) -> Dict[str, Any]:
         """Row population of the served store (file-store parity)."""
@@ -871,7 +805,7 @@ class VerdictService:
     touching disk, counted as ``repro.service.hot_lru.*`` in the
     metrics registry.  Connections are accounted per client.
     ``--max-clients`` bounds concurrent connections (over-cap connects
-    are hung up on: transient to a retrying client).
+    are hung up on: transient to the client).
 
     Lifecycle: :meth:`start` claims the socket (a *stale* socket file
     left by a dead server is reclaimed; a live verdict service or a
@@ -944,7 +878,7 @@ class VerdictService:
         self._stop_requester: Optional[int] = None
         self._draining = False
         self._drain_swept = False
-        #: Resilience counters (under the state lock): idle clients
+        #: Daemon counters (under the state lock): idle clients
         #: reaped, background checkpoints run, error answers sent,
         #: over-cap connects refused.
         self._counters = {
@@ -956,7 +890,7 @@ class VerdictService:
         #: microseconds against socket round trips and buy the
         #: ``metrics`` op its registry snapshot.  Survives
         #: stop()/start() cycles (counters are cumulative over the
-        #: object's lifetime, like the resilience counters above).
+        #: object's lifetime, like the daemon counters above).
         self.telemetry = Telemetry()
         self._state_lock = threading.Lock()
         self._stop = threading.Event()
@@ -1054,7 +988,10 @@ class VerdictService:
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
                 listener.bind(str(self.socket_path))
-                listener.listen(128)
+                # Room for a burst of connects as large as the
+                # connection cap: a client whose connect finds the
+                # backlog full fails at once.
+                listener.listen(max(socket.SOMAXCONN, self.max_clients or 0))
             except OSError as error:
                 listener.close()
                 self.store.close()
@@ -1332,9 +1269,9 @@ class VerdictService:
                 continue
             if (self.max_clients
                     and len(self._connections) >= self.max_clients):
-                # Hang up before the handshake: the retrying client
-                # sees a transient EOF and backs off; a briefly-full
-                # daemon clears on its own.
+                # Hang up before the handshake: the client sees a
+                # transient EOF; a briefly-full daemon clears on its
+                # own.
                 with self._state_lock:
                     self._counters["rejected_full"] += 1
                 self.telemetry.counter(
@@ -1583,21 +1520,6 @@ class VerdictService:
             return {"ok": True, **self.snapshot_stats()}
         if op == "health":
             return {"ok": True, **self.health_snapshot()}
-        if op == "merge":
-            source = request.get("source")
-            if not isinstance(source, str) or not source:
-                raise ServiceError(
-                    f"merge needs a source store path, got {source!r}"
-                )
-            # merge_from writes rows behind StoreStats' back by design
-            # (it is bulk recovery, not cache traffic), so the ledger
-            # invariant "per-client + retired == store writes" is
-            # untouched: neither side of it moves.
-            with self._state_lock:
-                merged = self.store.merge_from(source)
-                # The merge may have changed rows the hot tier holds.
-                self._tier.clear()
-            return {"ok": True, "merged": merged}
         if op == "compact":
             # Store swaps happen only in start()/teardown, which
             # bracket the loop's lifetime and cannot race a dispatch.
@@ -1657,8 +1579,8 @@ class VerdictService:
             return
         for conn in list(self._connections.values()):
             if now - conn.last_activity >= self.idle_timeout:
-                # Idle past the budget.  Retrying clients reconnect
-                # transparently on their next request.
+                # Idle past the budget.  The client reconnects
+                # transparently on its next request.
                 with self._state_lock:
                     self._counters["reaped_idle"] += 1
                 self._close_connection(conn)

@@ -42,9 +42,8 @@ A long-lived dictionary grows without bound, so every row carries a
 bump is a usage-tracking side channel, not a verdict write, so it never
 appears in :class:`StoreStats`).  :meth:`FaultDictionaryStore.compact`
 prunes by age and/or LRU row cap, :meth:`FaultDictionaryStore.merge_from`
-folds another store (a degraded campaign worker's spill, or the
-source of ``repro store merge``) into this one in one atomic
-transaction, and :meth:`FaultDictionaryStore.row_stats`
+folds another store (the source of ``repro store merge``) into this
+one in one atomic transaction, and :meth:`FaultDictionaryStore.row_stats`
 reports the row population for ``repro store stats``.
 
 Place in the store stack
@@ -52,8 +51,7 @@ Place in the store stack
 This module is the **bottom layer**: the only code that touches
 SQLite.  Everything above composes around it --
 :class:`~repro.kernel.cache.FaultDictionaryCache` puts the kernel's LRU
-in front, :mod:`repro.store.resilience` adds retry/degrade policies for
-remote tiers, and :mod:`repro.store.service` serves one instance to a
+in front, and :mod:`repro.store.service` serves one instance to a
 fleet of socket clients (wire contract in ``docs/PROTOCOL.md``, runbook
 in ``docs/OPERATIONS.md``).  :func:`resolve_store` is the single entry
 point that picks the right client for a store reference.
@@ -750,15 +748,13 @@ class FaultDictionaryStore:
     ) -> Dict[str, int]:
         """Fold another store's rows into this one, atomically.
 
-        Spill recovery uses it to fold a degraded campaign worker's
-        spill back into the main dictionary, and ``repro store merge``
-        to fold one store file into another; either way one
-        transaction per source.
+        ``repro store merge`` uses it to fold one store file into
+        another, one transaction per source.
 
         Conflict resolution: when both stores hold a row for the same
         ``SimKey``, the row with the **newer** ``last_used`` wins the
-        verdict (the incoming row wins ties -- freshly simulated spill
-        rows supersede what the main store remembered), and the merged
+        verdict (the incoming row wins ties -- freshly merged rows
+        supersede what this store remembered), and the merged
         ``last_used`` is the maximum of the two.  Returns
         ``{"source_rows", "inserted", "merged"}``.
         """
@@ -857,7 +853,6 @@ class FaultDictionaryStore:
 def resolve_store(
     store: "Union[str, Path, FaultDictionaryStore, Any, None]",
     readonly: bool = False,
-    retry: Optional[Any] = None,
 ) -> Optional[Any]:
     """Turn a store reference into a ready verdict store.
 
@@ -866,10 +861,6 @@ def resolve_store(
     as-is; a ``repro+unix://`` verdict-service URL, dispatched to
     :class:`repro.store.service.ServiceStore` (no SQLite file is
     opened client-side); or a filesystem path, opened directly.
-
-    ``retry`` (a :class:`repro.store.resilience.RetryPolicy`) only
-    applies to the service-URL case; file stores have no transient
-    failure mode worth a policy, and ready objects keep their own.
     """
     if store is None:
         return None
@@ -878,7 +869,7 @@ def resolve_store(
         if text.startswith(SERVICE_URL_PREFIX):
             from .service import ServiceStore
 
-            return ServiceStore(text, readonly=readonly, retry=retry)
+            return ServiceStore(text, readonly=readonly)
         return FaultDictionaryStore(store, readonly=readonly)
     # A ready store-like instance (FaultDictionaryStore, ServiceStore,
     # or a user-provided tier): the caller owns its lifecycle.

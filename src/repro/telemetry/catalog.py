@@ -43,7 +43,7 @@ CATALOG: Dict[str, str] = {
     "repro.store.hits": "store lookups answered from SQLite/service",
     "repro.store.misses": "store lookups that missed",
     "repro.store.writes": "verdict rows written through to the store",
-    "repro.store.skipped_writes": "writes skipped (readonly/degraded store)",
+    "repro.store.skipped_writes": "writes skipped (readonly store)",
     "repro.store.read_through.seconds":
         "kernel cache read-through latency, one per store pass"
         " (batch or single-key lookup)",

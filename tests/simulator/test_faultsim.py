@@ -13,6 +13,7 @@ from repro.march.catalog import (
     MARCH_C_MINUS,
     MARCH_X,
     MATS,
+    MATS_PLUS,
     MATS_PLUS_PLUS,
     MSCAN,
 )
@@ -35,6 +36,18 @@ class TestKnownCoverage:
     def test_mats_plus_plus_covers_saf_tf_adf(self):
         faults = FaultList.from_names("SAF", "TF", "ADF")
         assert KERNEL.simulate_fault_list(MATS_PLUS_PLUS, faults).complete
+
+    @pytest.mark.parametrize("backend", ["serial", "bitparallel"])
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    def test_mats_plus_covers_adf(self, backend, size):
+        # van de Goor: MATS+ = {any(w0); up(r0,w1); down(r1,w0)}
+        # detects every address-decoder fault.
+        faults = FaultList.from_names("ADF")
+        report = SimulationKernel(backend=backend).simulate_fault_list(
+            MATS_PLUS, faults, size
+        )
+        assert report.missed == []
+        assert report.complete
 
     def test_march_x_covers_cfin(self):
         faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN")

@@ -3,9 +3,9 @@
 The persistent dictionary of PR 3 grew without bound; these tests pin
 the lifecycle layer that keeps long-lived stores tractable --
 :meth:`FaultDictionaryStore.compact` (LRU-by-``last_used`` pruning),
-:meth:`FaultDictionaryStore.merge_from` (spill recovery and ``repro
-store merge``) and :meth:`FaultDictionaryStore.row_stats` (the ``repro store
-stats`` report).
+:meth:`FaultDictionaryStore.merge_from` (``repro store merge``) and
+:meth:`FaultDictionaryStore.row_stats` (the ``repro store stats``
+report).
 """
 
 import sqlite3

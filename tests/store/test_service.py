@@ -41,6 +41,7 @@ from repro.store.service import (
     SERVICE_MAGIC,
     ServiceError,
     ServiceStore,
+    ServiceUnavailableError,
     VerdictService,
     batch_frame,
     is_service_url,
@@ -78,6 +79,31 @@ def key(signature="{up(w0)}", case="SA0@0", size=3, domain="sp"):
 
 
 SIG = "{up(w0)}"
+
+
+def get_frame(asked=None):
+    """The ``get_many`` frame a one-key ``get`` sends."""
+    asked = asked or key()
+    return batch_frame(
+        "get_many",
+        [(asked.signature, asked.size, asked.domain, [asked.case])],
+    )
+
+
+def fake_listener(tmp_path):
+    """A bare listening socket and the handshake answer a fake verdict
+    service sends on it."""
+    sock_path = tmp_path / "verdict.sock"
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(str(sock_path))
+    listener.listen(4)
+    hello = {
+        "ok": True, "service": SERVICE_MAGIC,
+        "protocol": PROTOCOL_VERSION, "pid": 1, "store": "x",
+        "schema_version": 2,
+    }
+    return listener, sock_path, hello
+
 
 #: Frames the daemon must refuse in-band: ``ok: false``, nothing
 #: written, the connection kept.
@@ -240,7 +266,6 @@ class TestProtocol:
             # Refused in-band: the same connection carries on.
             assert client.ping()["service"] == SERVICE_MAGIC
             assert client._sock is connection
-            assert client.retries == 0
         assert len(service.store) == 0
 
     @pytest.mark.parametrize("answer", [
@@ -476,28 +501,14 @@ class TestDaemonLifecycle:
     def test_framing_error_retries_on_a_fresh_connection(self, tmp_path):
         """A peer that breaks framing *after* a good handshake is a
         corrupted transport, not a foreign listener: the poisoned
-        connection is dropped and the same request retries on a fresh
-        one (which re-handshakes, re-proving the peer)."""
+        connection is dropped and the same request is sent once more on
+        a fresh one (which re-handshakes, re-proving the peer)."""
         import struct
 
-        from repro.store.resilience import RetryPolicy
         from repro.store.service import _recv_frame, _send_frame
 
-        sock_path = tmp_path / "verdict.sock"
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(str(sock_path))
-        listener.listen(4)
-        hello = {
-            "ok": True, "service": SERVICE_MAGIC,
-            "protocol": PROTOCOL_VERSION, "pid": 1, "store": "x",
-            "schema_version": 2,
-        }
-
-        asked = key()
-        frame = batch_frame(
-            "get_many",
-            [(asked.signature, asked.size, asked.domain, [asked.case])],
-        )
+        listener, sock_path, hello = fake_listener(tmp_path)
+        frame = get_frame()
         requests = []
 
         def half_broken_server():
@@ -521,19 +532,78 @@ class TestDaemonLifecycle:
 
         thread = threading.Thread(target=half_broken_server, daemon=True)
         thread.start()
-        client = ServiceStore(
-            sock_path, retry=RetryPolicy(base_delay=0.001, seed=7)
-        )
+        client = ServiceStore(sock_path)
         try:
             assert get(client, key()) is None  # answered on connection 2
-            assert client.retries == 1, (
-                "the framing error must cost exactly one retry"
-            )
+            assert client.server["pid"] == 2, "exactly one reconnect"
             assert requests == [frame, frame]
         finally:
             client.close()
             listener.close()
             thread.join(timeout=5)
+
+    def test_second_break_raises(self, tmp_path):
+        """The reconnect is the only one: a request whose fresh
+        connection breaks too raises, and no third connection is
+        opened."""
+        from repro.store.service import _recv_frame, _send_frame
+
+        listener, sock_path, hello = fake_listener(tmp_path)
+        requests = []
+
+        def hang_up_after_every_request():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:  # shut down: no more clients
+                    return
+                _recv_frame(conn)
+                _send_frame(conn, dict(hello, pid=len(requests) + 1))
+                requests.append(_recv_frame(conn))
+                conn.close()
+
+        thread = threading.Thread(
+            target=hang_up_after_every_request, daemon=True
+        )
+        thread.start()
+        client = ServiceStore(sock_path)
+        try:
+            with pytest.raises(ServiceUnavailableError, match="closed"):
+                get(client, key())
+            # Each request is recorded before its connection closes.
+            assert requests == [get_frame(), get_frame()]
+        finally:
+            client.close()
+            # close() alone does not wake the thread blocked in accept().
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+            thread.join(timeout=5)
+
+    def test_refused_connect_raises_without_sleeping(
+        self, tmp_path, monkeypatch
+    ):
+        """Nothing listening is not worth a reconnect: the first
+        request raises at once, and so does a connected client's next
+        request after its daemon went away."""
+        def no_sleep(seconds):
+            raise AssertionError(f"the client slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        with pytest.raises(ServiceUnavailableError, match="no verdict"):
+            ServiceStore(tmp_path / "absent.sock").ping()
+        daemon = VerdictService(
+            tmp_path / "dict.sqlite", tmp_path / "verdict.sock"
+        ).start()
+        client = ServiceStore(daemon.url)
+        client.ping()
+        daemon.stop()
+        try:
+            with pytest.raises(
+                ServiceUnavailableError, match="no verdict"
+            ):
+                get(client, key())
+        finally:
+            client.close()
 
     def test_dead_service_fails_requests_cleanly(self, tmp_path):
         daemon = VerdictService(

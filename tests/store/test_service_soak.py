@@ -18,7 +18,6 @@ import pytest
 from grouped import get, put
 from repro.kernel import SimKey
 from repro.store import FaultDictionaryStore, encode_verdict
-from repro.store.resilience import RetryPolicy
 from repro.store.service import (
     SERVICE_MAGIC,
     ServiceStore,
@@ -267,30 +266,27 @@ class TestMaxClients:
         ) as daemon:
             first = ServiceStore(daemon.url)
             second = ServiceStore(daemon.url)
-            third = ServiceStore(
-                daemon.url, retry=RetryPolicy.no_retry()
-            )
+            third = ServiceStore(daemon.url)
             try:
                 first.ping()
                 second.ping()
-                # The cap refuses before the handshake: transient (a
-                # retrying client would back off), not permanent.
+                # The cap refuses before the handshake: transient, not
+                # permanent.
                 with pytest.raises(ServiceUnavailableError):
                     third.ping()
                 assert first.health()["counters"]["rejected_full"] >= 1
-                # A slot freeing up lets the refused client in.
+                # A slot freeing up lets the refused client in once
+                # the daemon has seen the hang-up.
                 second.close()
-                patient = ServiceStore(
-                    daemon.url,
-                    retry=RetryPolicy(
-                        max_attempts=20, base_delay=0.05,
-                        max_delay=0.2, seed=1,
-                    ),
-                )
-                try:
-                    assert patient.ping()["service"] == SERVICE_MAGIC
-                finally:
-                    patient.close()
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        assert third.ping()["service"] == SERVICE_MAGIC
+                        break
+                    except ServiceUnavailableError:
+                        if time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.02)
             finally:
                 first.close()
                 second.close()
@@ -339,7 +335,7 @@ class TestDrain:
             store_path.name + "-wal"
         ).exists()
         # Nothing answers any more: drained means gone.
-        refused = ServiceStore(url, retry=RetryPolicy.no_retry())
+        refused = ServiceStore(url)
         with pytest.raises(ServiceUnavailableError):
             refused.ping()
         refused.close()
