@@ -532,7 +532,7 @@ def front_end_selections(names, generator):
 
     generator._attempt = record
     try:
-        classes = FaultList.from_names(*names).classes(generator.config.cells)
+        classes = FaultList.from_names(*names).classes()
         _, explored = generator._explore(classes, verify=None)
     finally:
         del generator._attempt

@@ -33,7 +33,7 @@ from .core.config import GeneratorConfig
 from .core.generator import MarchTestGenerator
 from .faults.faultlist import FaultList
 from .faults.library import MODEL_REGISTRY
-from .kernel import BACKENDS, SimulationKernel
+from .kernel import BACKENDS, DEFAULT_BACKEND, SimulationKernel
 from .march.catalog import CATALOG, by_name
 from .march.test import MarchTest, parse_march
 
@@ -48,14 +48,6 @@ def _resolve_test(text: str) -> MarchTest:
 
 def _fault_list(names: List[str]) -> FaultList:
     return FaultList.from_names(*names)
-
-
-#: The CLI's simulation backend when ``--backend`` is not given.  The
-#: word-packed engine packs the whole standard fault library, so the
-#: generator verifies each candidate in one packed shared-prefix walk
-#: of its order realizations; ``--backend serial`` remains selectable
-#: as the scalar reference.
-DEFAULT_BACKEND = "bitparallel"
 
 
 def _telemetry_for(args: argparse.Namespace):
@@ -105,13 +97,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         prefer_uniform_start=not args.no_start_constraint,
         tighten=not args.no_tighten,
         polish=not args.no_polish,
-        selection_limit=1 if args.no_equivalence else args.selection_limit,
-        backend=args.backend,
-        store_path=args.store,
-        store_readonly=args.store_readonly,
-        telemetry=telemetry,
+        selection_limit=args.selection_limit,
     )
-    generator = MarchTestGenerator(config)
+    generator = MarchTestGenerator(config, kernel=_kernel(args, telemetry))
     try:
         report = generator.generate(_fault_list(args.faults))
         print(report.summary())
@@ -709,13 +697,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a March test")
     gen.add_argument("faults", nargs="+", help="fault model names (e.g. SAF TF)")
-    gen.add_argument("--no-equivalence", action="store_true",
-                     help="disable Section 5 class enumeration")
     gen.add_argument("--no-start-constraint", action="store_true",
                      help="disable the f.4.4 start-state preference")
     gen.add_argument("--no-tighten", action="store_true")
     gen.add_argument("--no-polish", action="store_true")
-    gen.add_argument("--selection-limit", type=int, default=128)
+    gen.add_argument("--selection-limit", type=int, default=128,
+                     help="maximum Section 5 class selections explored"
+                          " (1: the single greedy selection)")
     add_kernel_options(gen)
     gen.set_defaults(fn=cmd_generate)
 

@@ -36,7 +36,7 @@ from ..atsp.hungarian import FORBIDDEN
 from ..atsp.solver import HELD_KARP_LIMIT, solve_path
 from ..faults.faultlist import BFEClass, FaultList
 from ..faults.instances import FaultCase
-from ..kernel import SimulationKernel
+from ..kernel import DEFAULT_BACKEND, SimulationKernel
 from ..march.builder import build_march, sequential_march
 from ..march.catalog import CATALOG
 from ..march.test import MarchTest
@@ -53,6 +53,17 @@ from .selection import Selection, enumerate_selections, selection_space_size
 
 #: Element-count cap of the polish search grammar.
 POLISH_MAX_ELEMENTS = 7
+
+#: Candidates the polish search may simulate.
+POLISH_BUDGET = 30000
+
+#: Memory size of candidate verification in the search loop (2 cells
+#: exercise both aggressor/victim orders).
+VERIFY_SIZE = 2
+
+#: Memory size of the final confirmation (3 adds a bystander cell in
+#: every position).
+CONFIRM_SIZE = 3
 
 
 class GenerationError(RuntimeError):
@@ -91,7 +102,7 @@ class MarchTestGenerator:
         #: All fault simulation -- search-loop verification, final
         #: confirmation, non-redundancy analysis -- goes through this
         #: kernel, so verdicts are memoized across pipeline stages.
-        self.kernel = kernel or SimulationKernel.from_config(self.config)
+        self.kernel = kernel or SimulationKernel(backend=DEFAULT_BACKEND)
 
     # -- public API -------------------------------------------------------------
 
@@ -100,15 +111,15 @@ class MarchTestGenerator:
         config = self.config
         started = time.perf_counter()
 
-        classes = faults.classes(config.cells)
+        classes = faults.classes()
         if not classes:
             raise GenerationError("the fault list produced no BFE classes")
-        cases = faults.instances(config.verify_size)
+        cases = faults.instances(VERIFY_SIZE)
         if not cases:
             raise GenerationError(
                 "the fault list has no behavioural instances to verify against"
             )
-        verify = self.kernel.verifier(cases, config.verify_size)
+        verify = self.kernel.verifier(cases, VERIFY_SIZE)
 
         space = selection_space_size(classes)
         attempts, explored = self._explore(classes, verify)
@@ -128,10 +139,7 @@ class MarchTestGenerator:
             improved = optimized.get(attempt.test)
             if improved is None:
                 improved = optimized[attempt.test] = optimize(
-                    attempt.test,
-                    verify,
-                    do_tighten=config.tighten,
-                    do_canonicalize=config.canonicalize_orders,
+                    attempt.test, verify, do_tighten=config.tighten,
                     memo=climbs,
                 )
             candidate = _Attempt(
@@ -145,10 +153,8 @@ class MarchTestGenerator:
         lower_bound = min(
             -(-a.gts.length // 2) for a in attempts if a.gts is not None
         ) if any(a.gts is not None for a in attempts) else 2
-        confirm_cases = faults.instances(config.confirm_size)
-        confirm_verify = self.kernel.verifier(
-            confirm_cases, config.confirm_size
-        )
+        confirm_cases = faults.instances(CONFIRM_SIZE)
+        confirm_verify = self.kernel.verifier(confirm_cases, CONFIRM_SIZE)
         notes: List[str] = []
         if config.polish and best.test.complexity > lower_bound:
             polished = self._polish(
@@ -172,43 +178,42 @@ class MarchTestGenerator:
 
         When it finds nothing, ``notes`` says whether the search
         covered the whole grammar or stopped at its budget.  The search
-        runs at ``verify_size``; a witness that fails ``confirm_verify``
-        (a size-2 witness can miss a fault at size 3) is not adopted,
-        and ``notes`` names it.
+        runs at :data:`VERIFY_SIZE`; a witness that fails
+        ``confirm_verify`` (a size-2 witness can miss a fault at size 3)
+        is not adopted.  ``notes`` names the witness either way.
         """
         from .exhaustive import SearchStats, exhaustive_search
 
-        config = self.config
         stats = SearchStats()
         found = exhaustive_search(
             verify,
             max_complexity=best.test.complexity - 1,
             max_elements=POLISH_MAX_ELEMENTS,
             min_complexity=lower_bound,
-            budget=config.polish_budget,
+            budget=POLISH_BUDGET,
             stats=stats,
         )
         if found is None:
             notes.append(
-                f"polish budget exhausted at {config.polish_budget}"
-                " candidates"
+                f"polish budget exhausted at {POLISH_BUDGET} candidates"
                 if stats.budget_exhausted
                 else "no shorter test within the grammar (search completed)"
             )
             return None
         improved = optimize(
-            found.renamed("generated"),
-            verify,
-            do_tighten=False,
-            do_canonicalize=config.canonicalize_orders,
+            found.renamed("generated"), verify, do_tighten=False
         )
         if not confirm_verify(improved):
             notes.append(
                 f"polish witness {improved} failed confirmation at size"
-                f" {config.confirm_size}; kept {best.test}"
+                f" {CONFIRM_SIZE}; kept {best.test}"
             )
             return None
-        return _Attempt(improved, best.gts, best.tour, best.tpg_size, True)
+        notes.append(
+            f"polish witness {improved} replaced the"
+            f" {best.test.complexity_label} incumbent"
+        )
+        return _Attempt(improved, best.gts, best.tour, best.tpg_size, False)
 
     # -- pipeline ----------------------------------------------------------------
 
@@ -255,8 +260,6 @@ class MarchTestGenerator:
         if candidate is not None and verify(candidate):
             return _Attempt(candidate, gts, tuple(order), len(tpg), False)
 
-        if not config.repair:
-            return None
         ordered_patterns = [tpg.nodes[k].pattern for k in order]
         fallback = sequential_march(ordered_patterns, name="generated")
         if fallback is not None and verify(fallback):
@@ -281,7 +284,7 @@ class MarchTestGenerator:
         non_redundant: Optional[bool] = None
         if config.check_redundancy and verified:
             non_redundant = is_non_redundant(
-                best.test, confirm_cases, config.confirm_size,
+                best.test, confirm_cases, CONFIRM_SIZE,
                 kernel=self.kernel, verifier=confirm_verify,
             )
 
@@ -307,7 +310,7 @@ class MarchTestGenerator:
         )
         if not verified:
             report.notes.append(
-                f"confirmation at size {config.confirm_size} failed"
+                f"confirmation at size {CONFIRM_SIZE} failed"
             )
         return report
 

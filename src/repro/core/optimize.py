@@ -208,14 +208,9 @@ def optimize(
     test: MarchTest,
     verify: Verifier,
     do_tighten: bool = True,
-    do_canonicalize: bool = True,
     memo: Optional[Dict[MarchTest, MarchTest]] = None,
 ) -> MarchTest:
-    """Tighten (through ``memo``, see :func:`tighten`) then
-    canonicalize (both optional)."""
-    out = test
-    if do_tighten:
-        out = tighten(out, verify, memo)
-    if do_canonicalize:
-        out = canonicalize_orders(out, verify)
-    return out
+    """Tighten (optional, through ``memo``, see :func:`tighten`) then
+    canonicalize."""
+    out = tighten(test, verify, memo) if do_tighten else test
+    return canonicalize_orders(out, verify)

@@ -6,6 +6,7 @@ repository README for the cache-key and backend-extension guides.
 
 from .backends import (
     BACKENDS,
+    DEFAULT_BACKEND,
     BitParallelBackend,
     ExecutionBackend,
     SerialBackend,
@@ -28,6 +29,7 @@ from .report import EmptyFaultListWarning, SimulationReport
 __all__ = [
     "BACKENDS",
     "BitParallelBackend",
+    "DEFAULT_BACKEND",
     "DEFAULT_SIZE",
     "EmptyFaultListWarning",
     "ExecutionBackend",

@@ -17,7 +17,7 @@ Adding a backend
 ----------------
 Subclass :class:`ExecutionBackend`, implement ``detect_batch``, and
 register the class in :data:`BACKENDS` under its ``name``; it is then
-selectable through ``GeneratorConfig(backend=...)`` and the CLI's
+selectable through ``SimulationKernel(backend=...)`` and the CLI's
 ``--backend`` flag.  ``detect_batch`` must return the verdicts in case
 order and must compute exactly the worst-case semantics of
 :func:`worst_case_detects` (every order variant x every behavioural
@@ -184,6 +184,13 @@ BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     BitParallelBackend.name: BitParallelBackend,
 }
 
+#: The backend of the generator's own kernel and of the CLI when
+#: ``--backend`` is not given.  The word-packed engine packs the whole
+#: standard fault library, so the generator verifies each candidate in
+#: one packed shared-prefix walk of its order realizations; ``serial``
+#: stays selectable as the scalar reference.
+DEFAULT_BACKEND = "bitparallel"
+
 
 def backend_choices_text() -> str:
     """The valid ``--backend`` choices, sorted."""
@@ -193,9 +200,9 @@ def backend_choices_text() -> str:
 def validate_backend_name(backend: str) -> str:
     """Fail fast on an unknown backend name with the full choice list.
 
-    Called by ``GeneratorConfig``, the CLI and campaign-spec parsing so
-    a typo'd backend surfaces as one clear error at configuration time
-    instead of deep inside kernel construction.  A registered name is
+    Called by :func:`resolve_backend` (so by ``SimulationKernel``) and
+    campaign-spec parsing, so a typo'd backend surfaces as one clear
+    error when the kernel or the spec is built.  A registered name is
     returned unchanged.
     """
     if backend in BACKENDS:

@@ -25,7 +25,7 @@ kernel, which
   one call per test over that test's misses to a pluggable
   :class:`~repro.kernel.backends.ExecutionBackend` (the scalar
   ``serial`` reference, or the word-packed ``bitparallel``), selectable via
-  ``GeneratorConfig(backend=...)`` or the CLI ``--backend`` flag, then
+  ``SimulationKernel(backend=...)`` or the CLI ``--backend`` flag, then
   one cache write of the fresh verdicts;
 * optionally layers the persistent fault-dictionary store
   (:mod:`repro.store`) under the LRU as a write-through/read-through
@@ -167,7 +167,10 @@ class SimulationKernel:
     ----------
     backend:
         Backend name (``"serial"``/``"bitparallel"``), a ready
-        :class:`ExecutionBackend`, or ``None`` for serial.
+        :class:`ExecutionBackend`, or ``None`` for serial (the reference
+        oracle; the generator and the CLI default to
+        :data:`~repro.kernel.backends.DEFAULT_BACKEND`).  An unknown
+        name raises ``ValueError`` listing the valid choices.
     cache_size:
         Bound of the fault-dictionary cache (LRU beyond it).
     store:
@@ -283,16 +286,6 @@ class SimulationKernel:
                         ({"tier": "store"}, getattr(stats, field))
                     ],
                 )
-
-    @classmethod
-    def from_config(cls, config) -> "SimulationKernel":
-        """Build a kernel from a :class:`~repro.core.config.GeneratorConfig`."""
-        return cls(
-            backend=config.backend,
-            store=config.store_path,
-            store_readonly=config.store_readonly,
-            telemetry=config.telemetry,
-        )
 
     # -- introspection ----------------------------------------------------------
 

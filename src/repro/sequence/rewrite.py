@@ -21,10 +21,10 @@ March test must pass fault simulation (Section 6), exactly as the
 paper validates its own output.
 
 The reconstruction alone does not reach the paper's outcomes.  With
-the optimizer's ``tighten``, ``canonicalize_orders`` and ``polish``
-off, the six Table 3 rows come out at 4n/5n/15n/13n/21n/15n against
-the paper's 4n/5n/6n/6n/10n/5n; the shipped generator reaches the
-paper's figures on rows 3-6 only through :mod:`repro.core.optimize`.
+the generator's ``tighten`` and ``polish`` off, the six Table 3 rows
+come out at 4n/5n/15n/13n/21n/15n against the paper's
+4n/5n/6n/6n/10n/5n; the shipped generator reaches the paper's figures
+on rows 3-6 only through :mod:`repro.core.optimize`.
 """
 
 from __future__ import annotations

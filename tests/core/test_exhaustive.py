@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+import repro.core.generator as generator_module
 from repro.core.config import GeneratorConfig
 from repro.core.exhaustive import SearchStats, exhaustive_search
 from repro.core.generator import MarchTestGenerator
@@ -216,12 +217,33 @@ class TestPolishOutcome:
             in report.notes
         )
 
-    def test_exhausted_polish_budget_is_noted(self):
-        report = MarchTestGenerator(GeneratorConfig(polish_budget=3)).generate(
-            FaultList.from_names("SAF")
-        )
+    def test_exhausted_polish_budget_is_noted(self, monkeypatch):
+        monkeypatch.setattr(generator_module, "POLISH_BUDGET", 3)
+        report = MarchTestGenerator().generate(FaultList.from_names("SAF"))
         assert "polish budget exhausted at 3 candidates" in report.notes
         assert report.complexity == 4
+
+    def test_adopted_witness_is_not_a_repair(self):
+        # Without tightening the pipeline's 13n attempt needs no repair;
+        # the polish replaces it by a 7n witness, which is no repair
+        # either, and the notes say what it replaced.
+        faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN")
+        incumbent = MarchTestGenerator(
+            GeneratorConfig(tighten=False, polish=False)
+        ).generate(faults)
+        assert incumbent.complexity == 13
+        assert not incumbent.used_repair
+        report = MarchTestGenerator(GeneratorConfig(tighten=False)).generate(
+            faults
+        )
+        assert report.verified
+        assert report.complexity == 7
+        assert not report.used_repair
+        assert "repair fallback used" not in report.summary()
+        assert (
+            f"polish witness {report.test} replaced the 13n incumbent"
+            in report.notes
+        ), report.notes
 
     def test_witness_failing_confirmation_is_not_adopted(self, monkeypatch):
         # At size 2 this 6n test detects ADF+SOF; at the confirm size 3

@@ -162,9 +162,7 @@ class TestConfigurations:
         assert report.complexity <= 6
 
     def test_without_tighten(self):
-        report = generate(
-            "SAF", tighten=False, polish=False, canonicalize_orders=False
-        )
+        report = generate("SAF", tighten=False, polish=False)
         assert report.verified  # possibly longer, still correct
 
     def test_without_polish(self):

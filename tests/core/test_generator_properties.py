@@ -61,7 +61,6 @@ FAST = GeneratorConfig(
     selection_limit=8,
     polish=False,
     check_redundancy=False,
-    confirm_size=3,
 )
 
 

@@ -264,9 +264,10 @@ class TestBitParallelBackend:
     def test_generator_runs_on_bitparallel_backend(self):
         from repro.core import GeneratorConfig, MarchTestGenerator
 
-        config = GeneratorConfig(backend="bitparallel", polish=False,
-                                 tighten=False, check_redundancy=False)
-        report = MarchTestGenerator(config).generate(
+        config = GeneratorConfig(polish=False, tighten=False,
+                                 check_redundancy=False)
+        kernel = SimulationKernel(backend="bitparallel")
+        report = MarchTestGenerator(config, kernel=kernel).generate(
             FaultList.from_names("SAF")
         )
         assert report.verified

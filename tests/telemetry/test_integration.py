@@ -107,13 +107,14 @@ class TestKernelTelemetry:
         assert trees[0]["attrs"]["tasks"] == 1
 
     def test_packed_verify_calls_are_spanned_and_counted(self):
-        from repro.core import GeneratorConfig, MarchTestGenerator
+        from repro.core import MarchTestGenerator
         from repro.telemetry import flatten_span_trees
 
         telemetry = Telemetry()
-        report = MarchTestGenerator(
-            GeneratorConfig(telemetry=telemetry)
-        ).generate(FaultList.from_names("SAF", "TF"))
+        kernel = SimulationKernel(backend="bitparallel", telemetry=telemetry)
+        report = MarchTestGenerator(kernel=kernel).generate(
+            FaultList.from_names("SAF", "TF")
+        )
         assert report.verified
         lines = list(flatten_span_trees(telemetry.span_trees()))
         verify = [line for line in lines if line["name"] == "kernel.verify"]

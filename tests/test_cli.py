@@ -20,8 +20,8 @@ class TestGenerate:
 
     def test_flags(self, capsys):
         code = main([
-            "generate", "SAF", "--no-equivalence", "--no-polish",
-            "--selection-limit", "4",
+            "generate", "SAF", "--no-start-constraint", "--no-tighten",
+            "--no-polish", "--selection-limit", "1",
         ])
         assert code == 0
 
@@ -70,9 +70,11 @@ class TestStoreFlags:
         assert "backend [bitparallel]" in capsys.readouterr().out
 
     def test_serial_backend_still_selectable(self, capsys):
-        assert main(["simulate", "MATS", "SAF", "--backend", "serial",
-                     "--sim-stats"]) == 0
-        assert "backend [serial]" in capsys.readouterr().out
+        # generate passes the flag to the generator's own kernel.
+        for command in (["simulate", "MATS"], ["generate", "--no-polish"]):
+            assert main(command + ["SAF", "--backend", "serial",
+                                   "--sim-stats"]) == 0
+            assert "backend [serial]" in capsys.readouterr().out
 
     def test_generate_accepts_store(self, capsys, tmp_path):
         store = tmp_path / "gen.sqlite"
@@ -80,6 +82,38 @@ class TestStoreFlags:
                      "--store", str(store), "--sim-stats"]) == 0
         assert store.exists()
         assert "store [gen.sqlite]" in capsys.readouterr().out
+
+    def test_generate_store_readonly_writes_no_rows(self, capsys, tmp_path):
+        store = tmp_path / "gen.sqlite"
+        assert main(["simulate", "MATS", "SAF", "--store", str(store)]) == 0
+
+        def rows():
+            capsys.readouterr()
+            assert main(["store", "stats", str(store), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["rows"]
+
+        before = rows()
+        # The serial verifier resolves every candidate through the
+        # cache, so a writable store would grow here.
+        assert main(["generate", "SAF", "--no-polish", "--backend", "serial",
+                     "--store", str(store), "--store-readonly",
+                     "--sim-stats"]) == 0
+        assert "skipped: readonly" in capsys.readouterr().out
+        assert rows() == before
+
+    def test_generate_writes_metrics_and_trace(self, tmp_path):
+        from repro.telemetry import counter_total
+
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.jsonl"
+        assert main(["generate", "SAF", "TF", "--no-polish",
+                     "--metrics", str(metrics), "--trace", str(trace)]) == 0
+        snapshot = json.loads(metrics.read_text())
+        assert counter_total(snapshot, "repro.kernel.verify.calls") > 0
+        names = {
+            json.loads(line)["name"]
+            for line in trace.read_text().splitlines()
+        }
+        assert "kernel.verify" in names
 
 
 class TestCampaign:
