@@ -5,7 +5,11 @@ March tests -- exhaustive and increasingly slow as the target length
 grows.  The paper's pipeline avoids that search.  These benches measure
 both strategies on the same fault lists; the pipeline must produce an
 equally short test, and the exhaustive baseline's candidate counter
-documents the search-space blow-up.
+documents the search-space blow-up.  The blow-up shows in the
+candidates counted, not in the element steps: on the packed verifier
+``exhaustive_search`` steps each prefix once and counts a subtree it
+already walked dead from a memo (these benches verify on the default
+serial kernel, which the search calls once per candidate).
 """
 
 import pytest

@@ -36,7 +36,8 @@ Compared paths:
 * **certify step table** -- the minimality search below MarchC-'s
   complexity against its fault list at sizes 2/3/4/6: candidates,
   engine runs behind the verifier's transition table, table hits and
-  distinct transitions, seconds (``certify_step_table``);
+  distinct transitions, dead subtrees the search's memo answered,
+  seconds and the engine's share of them (``certify_step_table``);
 * **Table 3 front end** -- per Table 3 row, the generator's ATSP
   front end alone (TPG, weights, tours, no verification): each
   selection solved on its own matrix vs every selection through one
@@ -186,10 +187,12 @@ CERTIFY_SIZES = (2, 3, 4, 6)
 #: Guard: the table must answer at least this share of the engine runs
 #: a per-candidate verifier makes (one per candidate here).
 CERTIFY_RUN_COLLAPSE = 10
-#: Guard: the search steps each tree edge once, so it makes at most this
-#: many element steps per candidate (a candidate replayed from power-up
-#: costs ~4.5 on the MarchC- row; stepping prefixes ~1.28).
-CERTIFY_STEPS_PER_CANDIDATE = 1.5
+#: Guard: the search steps each tree edge once and no dead subtree
+#: twice, so it makes under this many element steps per candidate (a
+#: candidate replayed from power-up costs ~4.5 on the MarchC- row, a
+#: tree walk stepping each prefix once ~1.28, the walk with its memo of
+#: dead subtrees ~0.22).
+CERTIFY_STEPS_PER_CANDIDATE = 1 / 3
 
 #: The coverage sweep record: every catalog test against the twelve
 #: base fault models at size 16, as perfbench's ``coverage`` workload
@@ -355,18 +358,24 @@ class CountingRuns:
         return _best_of(repeats, replay)[0]
 
 
-def certify_search(size):
-    """One cold MarchC- row minimality search; returns the row record."""
+def certify_search(size, per_candidate=False):
+    """One cold MarchC- row minimality search; returns the row record.
+
+    With ``per_candidate`` the search sees the verifier as a plain
+    predicate, which it calls once per candidate from power-up: the
+    reference the stepped search must match in everything but steps.
+    """
     from repro.core.exhaustive import SearchStats, exhaustive_search
 
     kernel = SimulationKernel(backend="bitparallel")
     stats = SearchStats()
     cases = FaultList.from_names(*CERTIFY_FAULTS).instances(size)
     verifier = kernel.verifier(cases, size)
+    predicate = (lambda test: verifier(test)) if per_candidate else verifier
     with CountingRuns() as counter:
         started = time.perf_counter()
         found = exhaustive_search(
-            verifier,
+            predicate,
             max_complexity=CERTIFY_BOUND,
             max_elements=CERTIFY_MAX_ELEMENTS,
             budget=CERTIFY_BUDGET,
@@ -376,12 +385,16 @@ def certify_search(size):
     verify = kernel.verify_stats
     assert found is None, f"size {size}: {found} beats MarchC-"
     assert counter.runs == verify.table_misses.value
+    engine_seconds = counter.engine_seconds()
     return {
         "size": size,
         "fault_cases": len(cases),
         "seconds": seconds,
-        "engine_seconds": counter.engine_seconds(),
+        "engine_seconds": engine_seconds,
+        "engine_share": engine_seconds / seconds,
         "candidates": stats.candidates_tested,
+        "nodes_expanded": stats.nodes_expanded,
+        "subtrees_reused": stats.subtrees_reused,
         "verify_calls": verify.calls,
         "engine_runs": counter.runs,
         "table_hits": verify.table_hits.value,
@@ -400,13 +413,16 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
     (no candidate has a ⇕ element).  With it the engine runs once per
     distinct (state, element) pair, and those stay below the table
     limit, so no clear happened and ``engine_runs`` is also the table
-    size.  The search steps each prefix once down its grammar tree, so
-    ``element_steps`` (table hits + engine runs) is about one per
-    candidate.  At these sizes the table is bound by its entry count
-    (``table_limit``), not by its state bits.  ``engine_seconds`` is
-    the engine alone: the search's engine runs replayed from their
-    recorded (state, element) misses.  Informational: the counts are
-    exact, the seconds are trajectory data without a floor.
+    size.  The search steps each prefix once down its grammar tree and
+    counts a subtree it already walked dead from its memo
+    (``subtrees_reused``) without stepping it, so ``element_steps``
+    (table hits + engine runs) is about one per five candidates.  At
+    these sizes the table is bound by its entry count (``table_limit``),
+    not by its state bits.  ``engine_seconds`` is the engine alone: the
+    search's engine runs replayed from their recorded (state, element)
+    misses; ``engine_share`` is its share of ``seconds``.
+    Informational: the counts are exact, the seconds are trajectory
+    data without a floor.
     """
     from repro.simulator.bitengine import TRANSITION_TABLE_LIMIT
 
@@ -1269,19 +1285,25 @@ def test_any_order_tree_stops_doubling():
 
 
 def test_certify_engine_runs_collapse():
-    """The verifier's transition table: the MarchC- row search runs the
-    engine at most once per ten candidates, and steps at most 1.5
-    elements per candidate, at the generator's verify size and at the
-    confirm size."""
+    """The verifier's transition table and the search's memo: the
+    MarchC- row search runs the engine at most once per ten candidates,
+    exactly as often as the per-candidate search, and steps under a
+    third of an element per candidate, at the generator's verify size
+    and at the confirm size."""
     for row in measure_certify_step_table(sizes=(2, 3))["by_size"]:
         assert row["candidates"] == CERTIFY_BUDGET + 1
         assert row["budget_exhausted"]
         assert (
             row["engine_runs"] <= row["candidates"] / CERTIFY_RUN_COLLAPSE
         ), row
+        reference = certify_search(row["size"], per_candidate=True)
+        assert reference["subtrees_reused"] == 0
+        for field in ("candidates", "nodes_expanded", "verify_calls",
+                      "engine_runs"):
+            assert row[field] == reference[field], (field, row)
         assert (
             row["element_steps"]
-            <= row["candidates"] * CERTIFY_STEPS_PER_CANDIDATE
+            < row["candidates"] * CERTIFY_STEPS_PER_CANDIDATE
         ), row
 
 
@@ -1669,9 +1691,11 @@ def main():
         print(
             f"  size {row['size']} {row['candidates']:6d} candidates"
             f" {row['element_steps']:6d} element steps"
+            f" {row['subtrees_reused']:5d} subtrees reused"
             f" {row['engine_runs']:5d} engine runs"
             f" {row['seconds'] * 1e3:9.2f} ms"
-            f" (engine alone {row['engine_seconds'] * 1e3:7.2f} ms)"
+            f" (engine alone {row['engine_seconds'] * 1e3:7.2f} ms,"
+            f" {row['engine_share']:.0%})"
         )
     front_end = payload["workloads"]["table3_front_end"]
     print(

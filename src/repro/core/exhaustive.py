@@ -16,6 +16,12 @@ initializing write element, then elements made of a read of the current
 background followed by alternating writes (each possibly re-read), each
 element marching up or down.  This matches the structure of every test
 in the literature catalog.
+
+The candidates are still counted one by one, as the transition-tree
+search counts them, but the packed verifier's tree is walked as a DAG:
+a prefix is stepped once, and a subtree already walked without an
+accepted candidate is counted again from a memo instead of stepped
+(equal verifier nodes have equal futures).
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ class SearchStats:
     #: budget, not because the grammar ran out: an empty result is then
     #: inconclusive.
     budget_exhausted: bool = False
+    #: Dead subtrees answered from the search's memo instead of walked
+    #: again (their candidates and nodes still count above).
+    subtrees_reused: int = 0
 
 
 def _element_bodies(
@@ -143,6 +152,9 @@ class _Predicate:
 
     __slots__ = ("verify",)
 
+    #: Each candidate is one call, so no subtree is answered from a memo.
+    node_decides = False
+
     def __init__(self, verify: Verifier) -> None:
         self.verify = verify
 
@@ -162,7 +174,7 @@ class _Predicate:
 
 
 class _Search:
-    """One search's bounds, counters and verifier.
+    """One search's bounds, counters, verifier and subtree memo.
 
     The candidates of one bound are the leaves of a grammar tree:
     power-up at the root, an initial write element below it, then one
@@ -173,10 +185,21 @@ class _Search:
     fault lists).  Every candidate is a distinct path of the grammar,
     so no candidate repeats (``tests/core/test_exhaustive.py`` pins the
     counts per bound).
+
+    The tree is walked as a DAG.  The subtree below an element is a
+    pure function of ``(verifier node, background, ops left, element
+    depth)`` when the verifier decides a candidate from its node alone
+    (``prefix.node_decides``): its children are
+    ``alphabet.after(background, left)``, whether they may grow follows
+    from the depth, and a candidate passes when its node does.  So a
+    subtree walked to its end without an accepted candidate is dead
+    wherever that key comes back, in this bound or a later one, and
+    ``memo`` keeps its ``(candidates, nodes expanded)`` to count it
+    again without stepping it.
     """
 
     __slots__ = ("prefix", "stats", "alphabet", "max_elements", "limit",
-                 "decided")
+                 "decided", "memo")
 
     def __init__(
         self,
@@ -192,6 +215,11 @@ class _Search:
         self.limit = budget if budget is not None else float("inf")
         #: Candidates handed to ``prefix.accepts``.
         self.decided = 0
+        #: Dead subtree key -> its ``(candidates, nodes expanded)``;
+        #: ``None`` when a candidate's verdict needs more than its node.
+        self.memo: Optional[Dict[Any, Tuple[int, int]]] = (
+            {} if prefix.node_decides else None
+        )
 
     def bound(self, complexity: int) -> Optional[Tuple[MarchElement, ...]]:
         """Search the candidates of exactly ``complexity`` operations.
@@ -235,10 +263,13 @@ class _Search:
             for element in children:
                 child = elements + (element,)
                 if left:
-                    stop = self.grow(
+                    # Past the budget only the overflow probe is left:
+                    # nothing is stepped, and the memo counts no subtree
+                    # holding a candidate.
+                    stop = self.below(
                         prefix.extend(node, element)
                         if stats.candidates_tested < limit else node,
-                        child, self.alphabet.after(background, left), left,
+                        child, background, left,
                     )
                     if stop is not None:
                         return stop
@@ -251,6 +282,42 @@ class _Search:
                 if prefix.accepts(prefix.extend(node, element), child):
                     return child
         return None
+
+    def below(
+        self,
+        node: Any,
+        elements: Tuple[MarchElement, ...],
+        background: int,
+        left: int,
+    ) -> Optional[Tuple[MarchElement, ...]]:
+        """:meth:`grow` below ``elements``, which reached ``node`` on
+        ``background`` with ``left`` ops to go: counted from the memo
+        when that subtree is known dead and its candidates fit in the
+        budget, else walked, and kept when it turns out dead."""
+        stats = self.stats
+        memo = self.memo
+        if memo is not None:
+            key = (node, background, left, len(elements))
+            dead = memo.get(key)
+            if dead is not None and (
+                stats.candidates_tested + dead[0] <= self.limit
+            ):
+                stats.candidates_tested += dead[0]
+                stats.nodes_expanded += dead[1]
+                stats.subtrees_reused += 1
+                self.decided += dead[0]
+                return None
+        candidates = stats.candidates_tested
+        nodes = stats.nodes_expanded
+        stop = self.grow(
+            node, elements, self.alphabet.after(background, left), left
+        )
+        if stop is None and memo is not None:
+            memo[key] = (
+                stats.candidates_tested - candidates,
+                stats.nodes_expanded - nodes,
+            )
+        return stop
 
 
 def exhaustive_search(
@@ -277,8 +344,17 @@ def exhaustive_search(
     mask)`` down the tree and steps it once per tree edge through the
     transition table (:meth:`~repro.simulator.bitengine.
     TransitionTable.step`), so each prefix is simulated once, not once
-    per candidate from power-up.  Any other predicate is called once
-    per candidate, on a :class:`MarchTest` built for it.
+    per candidate from power-up.  When the verifier decides a candidate
+    from its node alone, a subtree walked to its end without an
+    accepted candidate is remembered for the whole call, across bounds,
+    and a later subtree with the same node, background, ops left and
+    depth is counted from it without a step (``stats.subtrees_reused``)
+    -- unless its candidates would cross the budget, where it is walked
+    so the budget stops at the same candidate.  The witness, the search
+    counters and the verifier's calls, realizations and segments equal
+    the per-candidate search's; it steps fewer elements and runs the
+    engine no more often.  Any other predicate is called once per
+    candidate, on a :class:`MarchTest` built for it.
     """
     stats = stats if stats is not None else SearchStats()
     # Only the packed verifier itself is stepped: a wrapper around it

@@ -150,6 +150,8 @@ class MarchTestGenerator:
                 best = candidate
         assert best is not None
 
+        # The GTS half-length only gates the polish: it is no true lower
+        # bound (ROADMAP item 2), so the polish searches from the floor.
         lower_bound = min(
             -(-a.gts.length // 2) for a in attempts if a.gts is not None
         ) if any(a.gts is not None for a in attempts) else 2
@@ -157,9 +159,7 @@ class MarchTestGenerator:
         confirm_verify = self.kernel.verifier(confirm_cases, CONFIRM_SIZE)
         notes: List[str] = []
         if config.polish and best.test.complexity > lower_bound:
-            polished = self._polish(
-                best, verify, confirm_verify, lower_bound, notes
-            )
+            polished = self._polish(best, verify, confirm_verify, notes)
             if polished is not None:
                 best = polished
 
@@ -172,9 +172,11 @@ class MarchTestGenerator:
 
     def _polish(
         self, best: _Attempt, verify: Verifier, confirm_verify: Verifier,
-        lower_bound: int, notes: List[str],
+        notes: List[str],
     ) -> Optional[_Attempt]:
-        """Budgeted global search strictly below the incumbent.
+        """Budgeted global search strictly below the incumbent, from the
+        grammar's smallest bound up, so a witness is minimal within the
+        grammar and budget.
 
         When it finds nothing, ``notes`` says whether the search
         covered the whole grammar or stopped at its budget.  The search
@@ -189,7 +191,6 @@ class MarchTestGenerator:
             verify,
             max_complexity=best.test.complexity - 1,
             max_elements=POLISH_MAX_ELEMENTS,
-            min_complexity=lower_bound,
             budget=POLISH_BUDGET,
             stats=stats,
         )

@@ -697,7 +697,11 @@ class PackedVerifier:
     and :meth:`count` adds the search's candidates to
     :class:`VerifyStats`, each as the one call, realization and segment
     the predicate would have counted (no candidate has a ``⇕``
-    element).
+    element).  Nodes are hashable, and when :attr:`node_decides` holds
+    (no unpackable case, no telemetry span per candidate) the search
+    keys a memo of dead subtrees by them: a candidate the search counts
+    from that memo is counted, but neither stepped nor passed to
+    :meth:`accepts`.
 
     The Section 6 check (:mod:`repro.simulator.coverage`) steps the
     test it confirmed through the same transitions, in
@@ -761,6 +765,13 @@ class PackedVerifier:
             )
         )
 
+    @property
+    def node_decides(self) -> bool:
+        """Whether :meth:`accepts` depends on the node alone, so a search
+        may count a subtree it already found dead without stepping it
+        again: true unless an unpackable case is checked per candidate."""
+        return not self.scalar
+
     def count(self, candidates: int, accepted: bool) -> None:
         """Add a search's ``candidates`` decided by :meth:`accepts`."""
         stats = self.stats
@@ -811,6 +822,9 @@ class _TracedPackedVerifier(PackedVerifier):
     the spans of a search add up to its steps."""
 
     __slots__ = ("attrs", "mark")
+
+    #: Each candidate is one span, so a search walks every subtree.
+    node_decides = False
 
     def __init__(
         self, kernel: SimulationKernel, cases: List[FaultCase], size: int

@@ -148,8 +148,10 @@ class TestSteppedSearch:
     """The search steps the packed verifier's node down the tree."""
 
     def test_each_prefix_is_stepped_once(self):
-        # The MarchC- row below 10n: 30,000 candidates, each one table
-        # step below its parent node (not ~4.5 steps from power-up).
+        # The MarchC- row below 10n: 30,000 candidates from 6,573
+        # element steps.  A tree walk steps each candidate once below
+        # its parent node (38,499 steps, not ~4.5 per candidate from
+        # power-up); the memo steps no subtree it already found dead.
         kernel = SimulationKernel(backend="bitparallel")
         cases = FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
         stats = SearchStats()
@@ -161,8 +163,9 @@ class TestSteppedSearch:
         assert stats.candidates_tested == 30001
         assert verify.calls == verify.realizations.value == 30000
         assert verify.table_misses.value == 1384
-        steps = verify.table_hits.value + verify.table_misses.value
-        assert steps <= 1.5 * stats.candidates_tested
+        assert verify.table_hits.value + verify.table_misses.value == 6573
+        assert stats.nodes_expanded == 19270
+        assert stats.subtrees_reused == 1655
 
     @pytest.mark.parametrize("budget", [50, None])
     def test_a_finished_search_frees_its_kernel_by_refcount(self, budget):
@@ -225,8 +228,10 @@ class TestPolishOutcome:
 
     def test_adopted_witness_is_not_a_repair(self):
         # Without tightening the pipeline's 13n attempt needs no repair;
-        # the polish replaces it by a 7n witness, which is no repair
-        # either, and the notes say what it replaced.
+        # the polish, searching from the grammar's smallest bound,
+        # replaces it by a 6n witness (MarchX), which is no repair
+        # either and has no redundant op, and the notes say what it
+        # replaced.
         faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN")
         incumbent = MarchTestGenerator(
             GeneratorConfig(tighten=False, polish=False)
@@ -237,7 +242,8 @@ class TestPolishOutcome:
             faults
         )
         assert report.verified
-        assert report.complexity == 7
+        assert report.complexity == 6
+        assert report.non_redundant
         assert not report.used_repair
         assert "repair fallback used" not in report.summary()
         assert (
