@@ -31,7 +31,8 @@ Compared paths:
   (``table3_size3_service_async``);
 * **ANY-order tree** -- engine level, k = 0..8 ⇕ elements of one
   nine-element test at size 2: the ``2**k`` realization enumeration
-  vs the shared-prefix walk (realizations, leaves, segment runs,
+  vs the shared-prefix walk stepped through a fresh transition table
+  (realizations, leaves, segment runs, element steps, engine runs,
   seconds; ``any_order_k0_8``);
 * **certify step table** -- the minimality search below MarchC-'s
   complexity against its fault list at sizes 2/3/4/6: candidates,
@@ -257,13 +258,17 @@ def measure_any_order_tree(repeats=3):
     """Realizations of k = 0..8 ⇕ elements: enumeration vs the walk.
 
     The enumeration runs all ``2**k`` realizations from an empty
-    memory; :func:`~repro.simulator.ordertree.walk_realizations` runs
-    each segment once per tree node and merges equal states.  Both take
-    the AND over every leaf (no early exit), so the masks must agree.
-    Engine-level and informational: the counts are exact, the seconds
-    are trajectory data without a floor.
+    memory on the bare engine; :func:`~repro.simulator.ordertree.
+    walk_realizations` steps each segment once per tree node, element
+    by element, through a fresh
+    :class:`~repro.simulator.bitengine.TransitionTable` (as a cold
+    verifier does), and merges equal states.  Both take the AND over
+    every leaf (no early exit), so the masks must agree.  The walk's
+    seconds include its engine runs, one per distinct (state, element)
+    pair.  Engine-level and informational: the counts are exact, the
+    seconds are trajectory data without a floor.
     """
-    from repro.simulator.bitengine import PackedSimulation
+    from repro.simulator.bitengine import PackedSimulation, TransitionTable
     from repro.simulator.ordertree import walk_realizations
 
     cases = ANY_ORDER_FAULTS.instances(ANY_ORDER_SIZE)
@@ -276,20 +281,23 @@ def measure_any_order_tree(repeats=3):
         return agreed
 
     def walk_all(test):
+        table = TransitionTable(simulation)
         leaves = []
-        walk = walk_realizations(simulation, test, leaves.append)
+        walk = walk_realizations(table, test, leaves.append)
         agreed = simulation.full
         for detected in leaves:
             agreed &= detected
-        return agreed, walk
+        return agreed, walk, table
 
     rows = []
     for k in range(ANY_ORDER_MAX_K + 1):
         test = any_order_test(k)
-        test.order_segments()  # both memos built outside the timing
+        # The enumeration's memo is built outside the timing.
         realizations = len(test.concrete_order_variants())
         enum_seconds, enum_mask = _best_of(repeats, enumerate_all, test)
-        walk_seconds, (walk_mask, walk) = _best_of(repeats, walk_all, test)
+        walk_seconds, (walk_mask, walk, table) = _best_of(
+            repeats, walk_all, test
+        )
         assert walk_mask == enum_mask, f"k={k}: walk diverged"
         rows.append({
             "k": k,
@@ -302,6 +310,8 @@ def measure_any_order_tree(repeats=3):
             "walk": {
                 "leaves": walk.leaves,
                 "segment_runs": walk.segments,
+                "element_steps": table.hits.value + table.misses.value,
+                "engine_runs": table.misses.value,
                 "seconds": walk_seconds,
             },
         })
@@ -358,12 +368,13 @@ class CountingRuns:
         return _best_of(repeats, replay)[0]
 
 
-def certify_search(size, per_candidate=False):
+def certify_search(size, per_candidate=False, budget=CERTIFY_BUDGET):
     """One cold MarchC- row minimality search; returns the row record.
 
     With ``per_candidate`` the search sees the verifier as a plain
     predicate, which it calls once per candidate from power-up: the
     reference the stepped search must match in everything but steps.
+    ``budget=None`` searches the whole grammar below the bound.
     """
     from repro.core.exhaustive import SearchStats, exhaustive_search
 
@@ -378,7 +389,7 @@ def certify_search(size, per_candidate=False):
             predicate,
             max_complexity=CERTIFY_BOUND,
             max_elements=CERTIFY_MAX_ELEMENTS,
-            budget=CERTIFY_BUDGET,
+            budget=budget,
             stats=stats,
         )
         seconds = time.perf_counter() - started
@@ -403,6 +414,7 @@ def certify_search(size, per_candidate=False):
         ),
         "budget_exhausted": stats.budget_exhausted,
         "table_limit": verifier.table.limit,
+        "table_entries": len(verifier.table.transitions),
     }
 
 
@@ -413,12 +425,12 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
     (no candidate has a ⇕ element).  With it the engine runs once per
     distinct (state, element) pair, and those stay below the table
     limit, so no clear happened and ``engine_runs`` is also the table
-    size.  The search steps each prefix once down its grammar tree and
+    size (``table_entries``).  The search steps each prefix once down its grammar tree and
     counts a subtree it already walked dead from its memo
     (``subtrees_reused``) without stepping it, so ``element_steps``
     (table hits + engine runs) is about one per five candidates.  At
-    these sizes the table is bound by its entry count (``table_limit``),
-    not by its state bits.  ``engine_seconds`` is the engine alone: the
+    sizes up to 4 the table is bound by its entry count
+    (``table_limit``), at size 6 by its state bits.  ``engine_seconds`` is the engine alone: the
     search's engine runs replayed from their recorded (state, element)
     misses; ``engine_share`` is its share of ``seconds``.
     Informational: the counts are exact, the seconds are trajectory
@@ -428,9 +440,7 @@ def measure_certify_step_table(sizes=CERTIFY_SIZES):
 
     rows = [certify_search(size) for size in sizes]
     for row in rows:
-        assert row["table_limit"] == TRANSITION_TABLE_LIMIT
-        assert row["engine_runs"] < TRANSITION_TABLE_LIMIT
-        row["table_entries"] = row["engine_runs"]
+        assert row["engine_runs"] == row["table_entries"] < row["table_limit"]
     return {
         "faults": "+".join(CERTIFY_FAULTS),
         "max_complexity": CERTIFY_BOUND,
@@ -1305,6 +1315,12 @@ def test_certify_engine_runs_collapse():
             row["element_steps"]
             < row["candidates"] * CERTIFY_STEPS_PER_CANDIDATE
         ), row
+    # The whole search below 10n (255,762 candidates at size 2) needs
+    # 5,316 distinct transitions: the table holds them all, so the
+    # engine runs once per distinct transition.
+    whole = certify_search(2, budget=None)
+    assert not whole["budget_exhausted"]
+    assert whole["engine_runs"] == whole["table_entries"], whole
 
 
 def test_front_end_shares_held_karp_masks():
@@ -1680,6 +1696,8 @@ def main():
             f"  k={row['k']} {row['realizations']:4d} realizations"
             f" {enum['seconds'] * 1e3:8.2f} ms"
             f" | {walk['leaves']:3d} leaves {walk['segment_runs']:3d} runs"
+            f" {walk['element_steps']:4d} steps"
+            f" {walk['engine_runs']:3d} engine runs"
             f" {walk['seconds'] * 1e3:8.2f} ms"
         )
     certify = payload["workloads"]["certify_step_table"]

@@ -18,7 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.exhaustive import SearchStats, exhaustive_search
 from .faults.faultlist import FaultList
-from .kernel import DEFAULT_SIZE, SimulationKernel, get_default_kernel
+from .kernel import (DEFAULT_BACKEND, DEFAULT_SIZE, SimulationKernel,
+                     get_default_kernel)
+from .kernel.kernel import installed_default_kernel
 from .march.test import MarchTest
 
 
@@ -153,10 +155,16 @@ def minimal_certificate(
     kernel: Optional[SimulationKernel] = None,
 ) -> MinimalityCertificate:
     """Certify (within the canonical grammar and budget) that no March
-    test shorter than ``test`` covers ``faults``."""
-    verify = (kernel or get_default_kernel()).verifier(
-        faults.instances(size), size
-    )
+    test shorter than ``test`` covers ``faults``.
+
+    Without ``kernel`` the search runs on the kernel installed with
+    :func:`~repro.kernel.set_default_kernel`, or else on a fresh kernel
+    of the default (packed) backend, as the generator does, so it steps
+    shared prefixes through one transition table.
+    """
+    kernel = (kernel or installed_default_kernel()
+              or SimulationKernel(backend=DEFAULT_BACKEND))
+    verify = kernel.verifier(faults.instances(size), size)
     if not verify(test):
         raise ValueError("the test does not cover the fault list itself")
     stats = SearchStats()

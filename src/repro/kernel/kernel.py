@@ -106,7 +106,7 @@ class VerifyStats:
         self.rejected = Counter()
         #: Realization leaves evaluated by the shared-prefix walk.
         self.realizations = Counter()
-        #: ``run_variant`` segment runs behind those leaves.
+        #: Segment runs behind those leaves, one per walked step.
         self.segments = Counter()
         #: Element steps of those segments answered by the transition
         #: table, and steps that ran the engine.
@@ -683,7 +683,7 @@ class PackedVerifier:
 
     One :class:`~repro.simulator.bitengine.PackedSimulation` and one
     :class:`~repro.simulator.bitengine.TransitionTable` over it serve
-    every call.  The walk runs each segment through the table, which is
+    every call.  The walk steps each element through the table, which is
     exact because a run is a pure function of the packed state and the
     element.  This is not a verdict memo: nothing is keyed by
     candidate, so candidates that share prefixes and collapse into a
@@ -920,6 +920,8 @@ def concrete_realization(test: MarchTest) -> MarchTest:
 # -- module-level default kernel ------------------------------------------------
 
 _DEFAULT_KERNEL: Optional[SimulationKernel] = None
+#: The serial kernel :func:`get_default_kernel` built while none was set.
+_BUILT_KERNEL: Optional[SimulationKernel] = None
 
 
 def get_default_kernel() -> SimulationKernel:
@@ -929,10 +931,16 @@ def get_default_kernel() -> SimulationKernel:
     :class:`SimulationKernel` directly; the analysis, coverage and
     diagnosis helpers called without a ``kernel=`` share this one.
     """
-    global _DEFAULT_KERNEL
+    global _DEFAULT_KERNEL, _BUILT_KERNEL
     if _DEFAULT_KERNEL is None:
-        _DEFAULT_KERNEL = SimulationKernel()
+        _DEFAULT_KERNEL = _BUILT_KERNEL = SimulationKernel()
     return _DEFAULT_KERNEL
+
+
+def installed_default_kernel() -> Optional[SimulationKernel]:
+    """The kernel :func:`set_default_kernel` installed, or ``None``
+    while the default is unset or the serial one built on demand."""
+    return None if _DEFAULT_KERNEL is _BUILT_KERNEL else _DEFAULT_KERNEL
 
 
 def set_default_kernel(kernel: Optional[SimulationKernel]) -> None:

@@ -78,6 +78,12 @@ def segment(minimized: GlobalTestSequence) -> MarchTest:
     return MarchTest(tuple(elements))
 
 
+#: The verifying reads a normalized element expects, one object per
+#: value: equal elements of different candidates then compare op by op
+#: by identity.
+_READS = {0: MarchOp("r", 0), 1: MarchOp("r", 1)}
+
+
 def normalize_expectations(test: MarchTest) -> Optional[MarchTest]:
     """Recompute every read's expected value from the op stream.
 
@@ -85,7 +91,9 @@ def normalize_expectations(test: MarchTest) -> Optional[MarchTest]:
     of its elements' operations; on a fault-free memory each cell
     tracks it identically.  Reads before the first write observe the
     non-initialized value and make the test malformed: ``None`` is
-    returned in that case.
+    returned in that case.  An element whose reads already expect the
+    tracked value is kept as the same object, so its memoized hash
+    carries over to the normalized test.
     """
     value: object = DASH
     new_elements: List[Element] = []
@@ -93,16 +101,19 @@ def normalize_expectations(test: MarchTest) -> Optional[MarchTest]:
         if isinstance(element, DelayElement):
             new_elements.append(element)
             continue
-        ops: List[MarchOp] = []
-        for op in element.ops:
+        ops: Optional[List[MarchOp]] = None
+        for index, op in enumerate(element.ops):
             if op.is_write:
                 value = op.value
-                ops.append(op)
-            else:
-                if value == DASH:
-                    return None
-                ops.append(MarchOp("r", value))
-        new_elements.append(MarchElement(element.order, tuple(ops)))
+            elif value == DASH:
+                return None
+            elif op.value != value:
+                if ops is None:
+                    ops = list(element.ops)
+                ops[index] = _READS[value]
+        if ops is not None:
+            element = MarchElement(element.order, tuple(ops))
+        new_elements.append(element)
     return MarchTest(tuple(new_elements), test.name)
 
 

@@ -14,7 +14,7 @@ the same mechanics:
   merged across cells (a March operation is applied to every cell, so
   ``w_d^i w_d^j`` collapses to a single cell-agnostic ``w_d``;
   Table 2, rules 1-2) and duplicate operations on the same cell are
-  dropped (Table 2 diagonal rules).  Passes repeat to fixpoint.
+  dropped (Table 2 diagonal rules), to fixpoint.
 
 Every transformation is semantics-checked downstream: the generated
 March test must pass fault simulation (Section 6), exactly as the
@@ -29,7 +29,7 @@ on rows 3-6 only through :mod:`repro.core.optimize`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .gts import Color, GlobalTestSequence, GTSSymbol, Role
 
@@ -40,10 +40,11 @@ def reorder(gts: GlobalTestSequence) -> GlobalTestSequence:
     Returns a new GTS whose symbols are all terminal, with Red/Blue
     marks on observe/excite adjacencies targeting the same cell.
     """
-    symbols = [s for s in gts.symbols]
+    symbols = gts.symbols
     out: List[GTSSymbol] = []
     for position, symbol in enumerate(symbols):
         nxt = symbols[position + 1] if position + 1 < len(symbols) else None
+        color = symbol.color
         if (
             symbol.role is Role.OBSERVE
             and nxt is not None
@@ -51,7 +52,7 @@ def reorder(gts: GlobalTestSequence) -> GlobalTestSequence:
             and nxt.op.is_write
             and nxt.op.cell == symbol.op.cell
         ):
-            out.append(symbol.colored(Color.RED).as_terminal())
+            color = Color.RED
         elif (
             symbol.role is Role.EXCITE
             and symbol.op.is_write
@@ -59,9 +60,11 @@ def reorder(gts: GlobalTestSequence) -> GlobalTestSequence:
             and out[-1].color is Color.RED
             and out[-1].op.cell == symbol.op.cell
         ):
-            out.append(symbol.colored(Color.BLUE).as_terminal())
-        else:
-            out.append(symbol.as_terminal())
+            color = Color.BLUE
+        out.append(GTSSymbol(
+            symbol.op, symbol.role, symbol.tour_position, color, True,
+            symbol.merged,
+        ))
     return GlobalTestSequence(out, gts.tour)
 
 
@@ -75,45 +78,40 @@ def _same_operation(a: GTSSymbol, b: GTSSymbol) -> bool:
     )
 
 
-def _merge_pair(a: GTSSymbol, b: GTSSymbol) -> GTSSymbol:
-    """Fuse two mergeable symbols, keeping the strongest metadata."""
-    role_rank = {Role.EXCITE: 2, Role.OBSERVE: 1, Role.SETUP: 0}
-    keep = a if role_rank[a.role] >= role_rank[b.role] else b
-    color = a.color or b.color
-    merged = keep.as_merged()
-    if color is not None and merged.color is None:
-        merged = merged.colored(color)
-    return merged.as_terminal()
+_ROLE_RANK = {Role.EXCITE: 2, Role.OBSERVE: 1, Role.SETUP: 0}
 
 
-def _minimize_once(symbols: List[GTSSymbol]) -> Optional[List[GTSSymbol]]:
-    """Apply the first applicable minimization rule; None at fixpoint."""
-    for k in range(len(symbols) - 1):
-        a, b = symbols[k], symbols[k + 1]
-        if not _same_operation(a, b):
-            continue
-        if a.cell is not None and b.cell is not None and a.cell != b.cell:
-            # Table 2 rules 1-2: w_d^i w_d^j -> w_d ; r_d^i r_d^j -> r_d
-            return symbols[:k] + [_merge_pair(a, b)] + symbols[k + 2:]
-        if a.cell == b.cell or a.cell is None or b.cell is None:
-            # Duplicate op on the same cell (or one already merged):
-            # keep one symbol, merged if either side was.
-            fused = _merge_pair(a, b)
-            if a.cell is not None and b.cell is not None:
-                # Same concrete cell on both sides: stay cell-tagged.
-                fused = a if (a.color or not b.color) else b
-            return symbols[:k] + [fused] + symbols[k + 2:]
-    return None
+def _fuse(a: GTSSymbol, b: GTSSymbol) -> GTSSymbol:
+    """The one symbol a mergeable pair ``a b`` rewrites to."""
+    if a.cell is not None and a.cell == b.cell:
+        # Duplicate op on the same concrete cell: stay cell-tagged.
+        return a if (a.color or not b.color) else b
+    # Table 2 rules 1-2 (w_d^i w_d^j -> w_d ; r_d^i r_d^j -> r_d), or
+    # one side already merged: a merged terminal symbol keeping the
+    # strongest role and a color.
+    keep = a if _ROLE_RANK[a.role] >= _ROLE_RANK[b.role] else b
+    return GTSSymbol(
+        keep.op, keep.role, keep.tour_position,
+        keep.color or a.color or b.color, True, True,
+    )
 
 
 def minimize(gts: GlobalTestSequence) -> GlobalTestSequence:
-    """The minimization phase: repeat rules to fixpoint (Section 4.2)."""
-    symbols = list(gts.symbols)
-    while True:
-        step = _minimize_once(symbols)
-        if step is None:
-            return GlobalTestSequence(symbols, gts.tour)
-        symbols = step
+    """The minimization phase: merge to fixpoint (Section 4.2).
+
+    One left-to-right pass over a stack that never holds a mergeable
+    neighbour pair, so the pair of its top and the next symbol is the
+    leftmost one: the pass merges exactly what restarting from the
+    front after every merge would.  A fused symbol keeps its pair's
+    operation, so it cannot merge with the symbol below it.
+    """
+    out: List[GTSSymbol] = []
+    for symbol in gts.symbols:
+        if out and _same_operation(out[-1], symbol):
+            out[-1] = _fuse(out[-1], symbol)
+        else:
+            out.append(symbol)
+    return GlobalTestSequence(out, gts.tour)
 
 
 def reorder_and_minimize(gts: GlobalTestSequence) -> GlobalTestSequence:

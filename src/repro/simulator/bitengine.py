@@ -766,18 +766,20 @@ class PackedSimulation:
 
 #: Most transitions one :class:`TransitionTable` holds; on reaching it
 #: the table starts over empty.  The minimality search below MarchC-'s
-#: complexity (30,000 candidates, its budget, stepped down the grammar
-#: tree in ~38.5k element steps) needs 1,384 distinct transitions at
-#: every memory size from 2 to 6, so this is ~3x headroom, and a
+#: complexity needs 1,384 distinct transitions at every memory size
+#: from 2 to 6 within its budget of 30,000 candidates, and 5,316 at
+#: size 2 without a budget (255,762 candidates, 7 elements), so that
+#: whole search runs the engine once per distinct transition.  A
 #: verifier fed an unbounded candidate stream stays bounded in memory.
-TRANSITION_TABLE_LIMIT = 4096
+TRANSITION_TABLE_LIMIT = 8192
 
 #: Most state bits one :class:`TransitionTable` holds, counted as one
 #: state (``len(power_up)`` words of ``lanes`` bits) per entry: a wide
 #: simulation holds fewer entries than :data:`TRANSITION_TABLE_LIMIT`.
 #: The size-16 coverage sweep over 4,129 lanes (136k bits a state)
-#: may hold 246 entries and needs 44; the verifier's tables at sizes
-#: up to 6 stay bound by the entry count.
+#: may hold 246 entries and needs 44; the MarchC- row's verifier holds
+#: 6,501 at size 6 (397 lanes) and is bound by the entry count up to
+#: size 4.
 TRANSITION_TABLE_BITS = 2 ** 25
 
 
@@ -788,14 +790,12 @@ class TransitionTable:
     The lane plan is read-only, so running one march element is a pure
     function of the packed state :data:`Words` and the element.  The
     table maps ``(words, element)`` to ``(next words, detected mask)``
-    and offers the engine's protocol (``power_up``,
-    ``run_variant(segment, words)``, as the walk of
-    :mod:`repro.simulator.ordertree` uses it): a segment steps one
-    element at a time through :meth:`step`, and only a pair not seen
-    before runs the engine, as one :meth:`PackedSimulation.run_variant`
-    over that element.  A caller that carries the words itself, like
-    the minimality search down its grammar tree, calls :meth:`step`
-    directly.
+    and offers the protocol the walk of :mod:`repro.simulator.ordertree`
+    steps a test through (``power_up`` and :meth:`step`): only a pair
+    not seen before runs the engine, as one
+    :meth:`PackedSimulation.run_variant` over that element.  A caller
+    that carries the words itself, like the minimality search down its
+    grammar tree, calls :meth:`step` directly.
 
     Every packed walk goes through a table: the verifier's candidates
     collapse into a few hundred states, and the tests of a sweep share
@@ -843,20 +843,6 @@ class TransitionTable:
             return self._miss(words, element)
         self.hits.value += 1
         return step
-
-    def run_variant(
-        self, test: MarchTest, words: Optional[Words] = None
-    ) -> Tuple[Words, int]:
-        """:meth:`PackedSimulation.run_variant`, one :meth:`step` per
-        element."""
-        if words is None:
-            words = self.power_up
-        step = self.step
-        detected = 0
-        for element in test.elements:
-            words, found = step(words, element)
-            detected |= found
-        return words, detected
 
     def worst_case_verdicts(self, test: MarchTest) -> List[bool]:
         """Worst-case detection verdict per case of the simulation, in

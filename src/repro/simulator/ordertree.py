@@ -7,8 +7,11 @@ differ from the first ``⇕`` element on.  :func:`walk_realizations`
 walks them as a tree instead of ``2**k`` independent runs from an empty
 memory:
 
-* each maximal run of fixed-order elements is one segment, run once
-  per tree node (:meth:`~repro.march.test.MarchTest.order_segments`);
+* the test's elements become steps: each maximal run of fixed-order
+  elements is one step with one segment, run once per tree node, and
+  each ``⇕`` element a step with its UP and its DOWN segment;
+* a segment is a tuple of elements, stepped one element at a time
+  through the engine's ``step(words, element) -> (words, detected)``;
 * the packed state is an immutable word tuple, so the UP and DOWN
   branch of a ``⇕`` element both start from the same words, and no
   state is ever copied;
@@ -18,23 +21,25 @@ memory:
   leaves of ``prefix | suffix`` is ``prefix | AND(suffix)``.
 
 The walk is depth-first with UP before DOWN, so its first leaf is the
-all-UP realization and a caller can stop at any leaf.  The engine
-supplies ``power_up`` and ``run_variant(segment, words) -> (words,
-detected)``.  Every packed caller passes a
-:class:`~repro.simulator.bitengine.TransitionTable`, so a segment is
-stepped element by element and each distinct (state, element) pair
-runs once per table: the verifier's table serves its candidates, and
-the ``bitparallel`` backend's table per lane plan serves every test of
-a sweep.  A bare :class:`~repro.simulator.bitengine.PackedSimulation`
-speaks the same protocol.  The scalar engine keeps enumerating
+all-UP realization and a caller can stop at any leaf.  The engine is a
+:class:`~repro.simulator.bitengine.TransitionTable`: it supplies
+``power_up`` and ``step``, and each distinct (state, element) pair
+runs the engine once per table: the verifier's table serves its
+candidates, and the ``bitparallel`` backend's table per lane plan
+serves every test of a sweep.  The walk builds no
+:class:`~repro.march.test.MarchTest`; only a table miss hands the
+engine a one-element test.  The scalar engine keeps enumerating
 realizations as the reference oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Set, Tuple
+from typing import Any, Callable, List, NamedTuple, Set, Tuple
 
+from ..march.element import AddressOrder, MarchElement
 from ..march.test import MarchTest
+
+ANY, UP, DOWN = AddressOrder.ANY, AddressOrder.UP, AddressOrder.DOWN
 
 
 class Walk(NamedTuple):
@@ -44,7 +49,7 @@ class Walk(NamedTuple):
     stopped: bool
     #: Leaves evaluated (distinct realizations visited).
     leaves: int
-    #: ``run_variant`` calls, one per segment run.
+    #: Segment runs: one per step of each walked tree node.
     segments: int
 
 
@@ -55,15 +60,23 @@ def walk_realizations(
     realization leaf of ``test``; stop at the first leaf where it
     returns true.
 
-    A test without ``⇕`` elements costs exactly one plain
-    ``engine.run_variant(test)``, with no key building.
+    A test without ``⇕`` elements costs one segment run of its
+    elements, with no key building.
     """
-    steps = test.order_segments()
-    if len(steps) == 1 and len(steps[0]) == 1:
-        # No ⇕ element: one plain run.  ``descend`` would give the same
-        # walk, but this is every candidate of the minimality search,
-        # and its closure and bookkeeping cost ~10% per call.
-        return Walk(bool(visit(engine.run_variant(test)[1])), 1, 1)
+    step = engine.step
+    steps: List[Tuple[Tuple[Any, ...], ...]] = []
+    run: List[Any] = []
+    for element in test.elements:
+        if isinstance(element, MarchElement) and element.order is ANY:
+            if run:
+                steps.append((tuple(run),))
+                run = []
+            steps.append(((element.with_order(UP),),
+                          (element.with_order(DOWN),)))
+        else:
+            run.append(element)
+    if run:
+        steps.append((tuple(run),))
     last = len(steps) - 1
     seen: Set[Tuple[int, Any, int]] = set()
     leaves = segments = 0
@@ -74,20 +87,21 @@ def walk_realizations(
     # would keep ``engine`` alive until a cycle collection.
     pending = [(0, segment, engine.power_up, 0) for segment in steps[0][::-1]]
     while pending:
-        index, segment, words, detected = pending.pop()
-        reached, found = engine.run_variant(segment, words)
-        found |= detected
+        index, segment, words, found = pending.pop()
+        for element in segment:
+            words, detected = step(words, element)
+            found |= detected
         segments += 1
         if index == last:
             leaves += 1
             if visit(found):
                 return Walk(True, leaves, segments)
             continue
-        key = (index, reached, found)
+        key = (index, words, found)
         if key in seen:
             continue
         seen.add(key)
         index += 1
-        pending += [(index, child, reached, found)
+        pending += [(index, child, words, found)
                     for child in steps[index][::-1]]
     return Walk(False, leaves, segments)

@@ -29,7 +29,7 @@ CATALOG: Dict[str, str] = {
     # -- packed whole-list verifier (adopted VerifyStats counters) -----------
     "repro.kernel.verify.calls": "packed verifier calls, by accepted",
     "repro.kernel.verify.realizations": "order realization leaves it evaluated",
-    "repro.kernel.verify.segments": "run_variant segment runs behind them",
+    "repro.kernel.verify.segments": "walk segment runs behind them",
     "repro.kernel.verify.table_hits": "element steps the transition table answered",
     "repro.kernel.verify.table_misses": "element steps that ran the packed engine",
     "repro.kernel.verify.section6_steps":

@@ -1,6 +1,11 @@
 """Tests for the generation report object."""
 
+import copy
+import pickle
+
+from repro.core import MarchTestGenerator
 from repro.core.report import GenerationReport
+from repro.faults import FaultList
 from repro.march.catalog import MATS, MARCH_C_MINUS
 from repro.sequence.gts import GlobalTestSequence
 
@@ -53,3 +58,19 @@ class TestReport:
         report = make(gts=GlobalTestSequence([]), tour=(0, 1))
         assert report.gts is not None
         assert report.tour == (0, 1)
+
+    def test_round_trips_through_pickle_and_deepcopy(self):
+        # A generated report pickles and deep-copies with equal
+        # symbols, operations and test.
+        report = MarchTestGenerator().generate(
+            FaultList.from_names("SAF", "TF", "ADF")
+        )
+        for twin in (pickle.loads(pickle.dumps(report)),
+                     copy.deepcopy(report)):
+            assert twin.gts.symbols == report.gts.symbols
+            assert str(twin.gts) == str(report.gts)
+            assert [s.op for s in twin.gts.symbols] == [
+                s.op for s in report.gts.symbols
+            ]
+            assert twin.test == report.test
+            assert twin.summary() == report.summary()

@@ -258,6 +258,18 @@ def concrete_tests():
     return tests
 
 
+def run_steps(table, elements, words=None):
+    """``elements`` stepped one after another through ``table`` from
+    ``words`` (default power-up): ``(end words, detected mask)``, what
+    the engine's ``run_variant`` returns for them as one segment."""
+    words = table.power_up if words is None else words
+    detected = 0
+    for element in elements:
+        words, found = table.step(words, element)
+        detected |= found
+    return words, detected
+
+
 def test_table_hits_reach_the_direct_state():
     size = 3
     simulation = PackedSimulation(
@@ -266,22 +278,20 @@ def test_table_hits_reach_the_direct_state():
     table = TransitionTable(simulation)
     tests = concrete_tests()
     for test in tests:
-        table.run_variant(test)
+        run_steps(table, test.elements)
     misses = table.misses.value
     for test in tests:
         # Every step is now a hit, from power-up and from a state the
         # table reached mid-test.
         elements = test.elements
         split = len(elements) // 2
-        words, detected = table.run_variant(
-            MarchTest(elements[:split] or elements)
-        )
+        words, detected = run_steps(table, elements[:split] or elements)
         if split:
-            words, found = table.run_variant(MarchTest(elements[split:]), words)
+            words, found = run_steps(table, elements[split:], words)
             detected |= found
         direct = simulation.run_variant(test)
         assert (words, detected) == direct, str(test)
-        assert table.run_variant(test) == direct
+        assert run_steps(table, elements) == direct
     assert table.misses.value == misses
     assert table.hits.value > 0
 
@@ -295,7 +305,7 @@ def test_a_full_table_starts_over_and_still_agrees(monkeypatch):
     table = TransitionTable(simulation)
     tests = concrete_tests()
     for test in tests + tests:
-        ran = table.run_variant(test)
+        ran = run_steps(table, test.elements)
         assert len(table.transitions) <= limit
         assert ran == simulation.run_variant(test), str(test)
     assert table.misses.value > 2 * limit  # the table filled and started over
@@ -312,15 +322,47 @@ def test_a_full_table_starts_over_and_still_agrees(monkeypatch):
     assert kernel.verify_stats.table_misses.value > limit
 
 
+def test_a_packed_verify_call_builds_no_march_test(monkeypatch):
+    # Only the engine gets a MarchTest, the one-element test of each
+    # table miss; the walk steps the candidate's own elements.
+    size = 2
+    kernel = SimulationKernel(backend="bitparallel")
+    verify = kernel.verifier(
+        fault_cases(("SAF", "TF", "ADF", "CFIN"), size, False), size
+    )
+    candidates = [CATALOG[name] for name in sorted(CATALOG)] + [
+        parse_march("{any(w0); any(r0,w1); Del; any(r1,w0); up(r0)}")
+    ]
+    built = []
+    post_init = MarchTest.__post_init__
+
+    def counted(test):
+        built.append(test)
+        post_init(test)
+
+    monkeypatch.setattr(MarchTest, "__post_init__", counted)
+    misses = kernel.verify_stats.table_misses
+    for candidate in candidates:
+        before = misses.value
+        built.clear()
+        verify(candidate)
+        assert len(built) == misses.value - before, str(candidate)
+    assert kernel.verify_stats.realizations.value > len(candidates)
+    built.clear()
+    for candidate in candidates:
+        verify(candidate)
+    assert built == []
+
+
 def assert_table_matches_engine(simulation, stream):
     """One table over ``stream``: every realization's detected mask and
     end state equal a plain engine run's."""
     table = TransitionTable(simulation)
     for test in stream:
         for variant in test.concrete_order_variants():
-            assert table.run_variant(variant) == simulation.run_variant(
-                variant
-            ), str(variant)
+            assert run_steps(
+                table, variant.elements
+            ) == simulation.run_variant(variant), str(variant)
     return table
 
 

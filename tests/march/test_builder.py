@@ -88,6 +88,21 @@ class TestNormalizeExpectations:
         fixed = normalize_expectations(test)
         assert any(isinstance(e, DelayElement) for e in fixed.elements)
 
+    def test_unchanged_element_is_the_same_object(self):
+        test = parse_march("{any(w0); up(r1,w1); down(r,w0); any(r1)}")
+        fixed = normalize_expectations(test)
+        assert str(fixed) == "{⇕(w0); ⇑(r0,w1); ⇓(r1,w0); ⇕(r0)}"
+        kept = [new is old for new, old in zip(fixed, test)]
+        assert kept == [True, False, False, False]
+        # A changed read takes one shared op per expected value.
+        assert fixed.elements[1].ops[0] is fixed.elements[3].ops[0]
+        assert fixed.elements[1].ops[1] is test.elements[1].ops[1]
+        assert normalize_expectations(fixed).elements == fixed.elements
+        assert all(
+            new is old
+            for new, old in zip(normalize_expectations(fixed), fixed)
+        )
+
     def test_build_march_none_on_malformed(self):
         gts = GlobalTestSequence([sym(read("i", 0), Role.OBSERVE)])
         assert build_march(gts) is None

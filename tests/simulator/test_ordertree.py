@@ -1,14 +1,15 @@
 """The shared-prefix realization walk against the ``2**k`` enumeration.
 
-``walk_realizations`` runs each segment of a march test once per tree
-node, starts both branches of a ``⇕`` element from the same state words
-and skips subtrees whose (step, words, prefix-detected) key it already
-walked.  The reference is the enumeration it replaced: one bignum
-``run_variant`` per ``concrete_order_variants()`` realization from an
-empty memory.
+``walk_realizations`` steps each segment of a march test once per tree
+node, element by element, starts both branches of a ``⇕`` element from
+the same state words and skips subtrees whose (step, words,
+prefix-detected) key it already walked.  The reference is the
+enumeration it replaced: one bignum ``run_variant`` per
+``concrete_order_variants()`` realization from an empty memory.
 The walk must produce the same set of leaf masks -- hence the same
 AND, the same worst-case verdicts and the same first failing leaf --
-on the bare bignum engine and through a
+stepping the bare bignum engine one element at a time
+(:class:`BareSteps`) and through a
 :class:`~repro.simulator.bitengine.TransitionTable`, whose walk must
 also match the bare walk leaf for leaf.
 """
@@ -33,8 +34,22 @@ from repro.simulator.ordertree import walk_realizations
 
 MODELS = tuple(sorted(MODEL_REGISTRY))
 
+
+class BareSteps:
+    """The walk's step protocol straight over an engine, with no
+    transition table: each step is one ``run_variant`` of a one-element
+    test."""
+
+    def __init__(self, simulation):
+        self.simulation = simulation
+        self.power_up = simulation.power_up
+
+    def step(self, words, element):
+        return self.simulation.run_variant(MarchTest((element,)), words)
+
+
 ENGINES = {
-    "bignum": PackedSimulation,
+    "bignum": lambda cases, size: BareSteps(PackedSimulation(cases, size)),
     "table": lambda cases, size: TransitionTable(
         PackedSimulation(cases, size)
     ),
@@ -89,9 +104,20 @@ def simulation(engine, models, size):
 
 def enumerated_leaves(sim, test):
     return [
-        sim.run_variant(variant)[1]
+        sim.simulation.run_variant(variant)[1]
         for variant in test.concrete_order_variants()
     ]
+
+
+def walk_steps(test):
+    """The steps of ``test``'s walk: one per ``⇕`` element and one per
+    maximal run of other elements, so the segments behind one leaf."""
+    steps, in_run = 0, False
+    for element in test.elements:
+        forks = getattr(element, "order", None) is AddressOrder.ANY
+        steps += forks or not in_run
+        in_run = not forks
+    return steps
 
 
 def walked_leaves(sim, test):
@@ -129,7 +155,7 @@ def test_bignum_walk_matches_the_enumeration(test, models, size):
     # all-UP realization, the first one a caller would reject on.
     assert leaves[0] == reference[0]
     stopped = walk_realizations(sim, test, lambda d: True)
-    assert stopped == (True, 1, len(test.order_segments()))
+    assert stopped == (True, 1, walk_steps(test))
 
 
 @given(
@@ -146,7 +172,7 @@ def test_table_walk_matches_the_bare_walk(tests, models, size):
     # would hand a state another state's successor, and the masks would
     # part even where no verdict flips.
     bare = simulation("bignum", models, size)
-    table = TransitionTable(bare)
+    table = TransitionTable(bare.simulation)
     for test in tests:
         leaves, walk = walked_leaves(table, test)
         assert (leaves, walk) == walked_leaves(bare, test), (
@@ -161,7 +187,7 @@ def test_a_test_without_any_element_is_one_plain_run(engine):
         DelayElement(),
         MarchElement(AddressOrder.DOWN, (MarchOp("r", 0),)),
     ))
-    assert test.order_segments() == ((test,),)
+    assert walk_steps(test) == 1
     sim = simulation(engine, MODELS, 3)
     leaves, walk = walked_leaves(sim, test)
     assert walk == (False, 1, 1)
@@ -178,9 +204,9 @@ FORK = parse_march("{any(w0); up(r0)}")
 
 
 class ForkedEngine:
-    """``engine`` whose run of ``FORK``'s DOWN branch ends in ``down``.
+    """``engine`` whose step of ``FORK``'s DOWN branch ends in ``down``.
 
-    The walk runs the UP branch, its read, then the DOWN branch."""
+    The walk steps the UP branch, its read, then the DOWN branch."""
 
     def __init__(self, engine, down):
         self.engine = engine
@@ -188,11 +214,11 @@ class ForkedEngine:
         self.power_up = engine.power_up
         self.calls = 0
 
-    def run_variant(self, test, words=None):
+    def step(self, words, element):
         self.calls += 1
         if self.calls == 3:
             return self.down
-        return self.engine.run_variant(test, words)
+        return self.engine.step(words, element)
 
 
 @pytest.mark.parametrize("engine", ENGINE_PARAMS)
@@ -202,7 +228,7 @@ def test_state_keys_cover_every_field(engine):
     # ends one word or one detected bit away from the UP branch is
     # walked, not merged.
     sim = simulation(engine, ("SOF",), 2)
-    up = sim.run_variant(FORK.order_segments()[0][0])
+    up = sim.step(sim.power_up, FORK.elements[0].with_order(AddressOrder.UP))
     merged = walk_realizations(ForkedEngine(sim, up), FORK, never)
     assert merged == (False, 1, 3)
     words, detected = up
@@ -217,7 +243,7 @@ def test_state_keys_cover_every_field(engine):
 
 
 class CountingSimulation(PackedSimulation):
-    """Records the elements of every segment it runs."""
+    """Records the elements of every run."""
 
     def __init__(self, cases, size):
         super().__init__(cases, size)
@@ -232,13 +258,15 @@ def test_march_c_minus_states_merge():
     # 4 realizations x 6 elements when every realization starts from
     # an empty memory; ⇕(w0) leaves one state whichever way it runs.
     sim = CountingSimulation(FaultList.from_names(*MODELS).instances(4), 4)
-    reference = enumerated_leaves(sim, MARCH_C_MINUS)
+    reference = enumerated_leaves(BareSteps(sim), MARCH_C_MINUS)
     assert sum(sim.runs) == 4 * 6
     sim.runs.clear()
-    leaves, walk = walked_leaves(sim, MARCH_C_MINUS)
-    assert walk.segments == len(sim.runs)
-    assert sum(sim.runs) < 4 * 6
-    assert walk.leaves < 4
+    leaves, walk = walked_leaves(BareSteps(sim), MARCH_C_MINUS)
+    # One run per element step: ⇑(w0), the four fixed elements, ⇑(r0)
+    # and ⇓(r0); then ⇓(w0), whose state merges.  Five segments.
+    assert sim.runs == [1] * 8
+    assert walk.segments == 5
+    assert walk.leaves == 2
     assert reduce(int.__and__, leaves) == reduce(int.__and__, reference)
 
 
@@ -278,5 +306,5 @@ def test_walk_holds_one_state_per_any_element_plus_one(name):
     test = CATALOG[name]
     any_count = len(test.concrete_order_variants()).bit_length() - 1
     sim = TrackingSimulation(FaultList.from_names("SAF", "TF").instances(3), 3)
-    walk_realizations(sim, test, never)
+    walk_realizations(BareSteps(sim), test, never)
     assert 1 <= most_pending(sim.runs, sim.power_up) <= any_count + 1

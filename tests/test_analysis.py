@@ -9,6 +9,12 @@ from repro.analysis import (
     minimal_certificate,
 )
 from repro.faults import FaultList
+from repro.kernel import (
+    SimulationKernel,
+    get_default_kernel,
+    set_default_kernel,
+)
+from repro.kernel.kernel import PackedVerifier
 from repro.march.catalog import MARCH_C_MINUS, MARCH_X, MATS, MSCAN
 
 
@@ -76,3 +82,46 @@ class TestMinimalityCertificate:
     def test_rejects_non_covering_test(self, saf_tf_list):
         with pytest.raises(ValueError):
             minimal_certificate(MSCAN, saf_tf_list)
+
+    def test_default_kernel_searches_on_the_packed_verifier(
+        self, monkeypatch
+    ):
+        made = []
+        verifier = SimulationKernel.verifier
+
+        def recorded(kernel, cases, size):
+            made.append(verifier(kernel, cases, size))
+            return made[-1]
+
+        monkeypatch.setattr(SimulationKernel, "verifier", recorded)
+        get_default_kernel()  # the serial default built on demand
+        faults = FaultList.from_names("SAF", "TF", "ADF", "CFIN", "CFID")
+        certificate = minimal_certificate(
+            MARCH_C_MINUS, faults, budget=30000
+        )
+        assert certificate.candidates_tested == 30001
+        assert [type(made_one) for made_one in made] == [PackedVerifier]
+        # The search stepped shared prefixes, not one run per candidate.
+        stats = made[0].stats
+        steps = stats.table_hits.value + stats.table_misses.value
+        assert steps < certificate.candidates_tested / 3
+
+    def test_an_installed_default_kernel_is_followed(
+        self, monkeypatch, saf_list
+    ):
+        used = []
+        verifier = SimulationKernel.verifier
+
+        def recorded(kernel, cases, size):
+            used.append(kernel)
+            return verifier(kernel, cases, size)
+
+        monkeypatch.setattr(SimulationKernel, "verifier", recorded)
+        original = get_default_kernel()
+        installed = SimulationKernel()
+        try:
+            set_default_kernel(installed)
+            minimal_certificate(MATS, saf_list)
+        finally:
+            set_default_kernel(original)
+        assert used == [installed]
